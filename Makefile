@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-json bench-compare experiments examples \
-  trace-demo analyze-demo profile-demo clean
+.PHONY: all build test bench bench-e2e bench-json bench-compare experiments \
+  examples trace-demo analyze-demo profile-demo clean
 
 all: build
 
@@ -13,6 +13,11 @@ test:
 
 bench:
 	dune exec bench/main.exe
+
+# End-to-end benchmark (every workload in BENCHMARK.json; see
+# bench/e2e/README.md for single-workload runs).
+bench-e2e:
+	bash bench/e2e/run.sh
 
 # Microbenchmarks only (no experiment tables), written as JSON
 # (schema psn-bench/1, see DESIGN.md). BENCH_PR10.json in the repo root

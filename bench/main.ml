@@ -403,7 +403,6 @@ let detector_flush ~n ~k =
     Psn_sim.Delay_model.bounded_uniform ~min:(Sim_time.of_ms 2)
       ~max:(Sim_time.of_ms 5)
   in
-  let arena = Psn_detection.Detector_arena.create () in
   let groups = n / 25 in
   let cfg =
     {
@@ -430,7 +429,7 @@ let detector_flush ~n ~k =
           ~lookahead:(Psn_sim.Delay_model.min_delay delay) ()
       in
       let det =
-        Psn_detection.Sharded_detector.create ~arena exec ~cfg ~delay
+        Psn_detection.Sharded_detector.create exec ~cfg ~delay
           ~predicate ()
       in
       (* 10k updates, round-robin over the sources at 0.1 ms spacing
@@ -558,9 +557,9 @@ let lattice_stream_100k = lattice_stream ~label:"100k" ~events:100_000
    exponential in concurrency, so modal walks run narrow), 2k updates
    round-robin at 0.5 ms spacing with 2–5 ms delays — slower than the
    inter-update gap, so flushes see genuinely concurrent stamps — on the
-   10 ms hold-back flush schedule.  The arena is shared across
-   iterations, so per-op construction is the amortized recycle path, not
-   the O(n) fresh build ([Profile] splits it out as detector.setup). *)
+   10 ms hold-back flush schedule.  Every iteration builds the detector
+   afresh; at n = 3 construction is a small share of the op ([Profile]
+   splits it out as detector.setup). *)
 let detector_stream_flush =
   let delay =
     Psn_sim.Delay_model.bounded_uniform ~min:(Sim_time.of_ms 2)
@@ -584,12 +583,11 @@ let detector_stream_flush =
     | first :: rest -> List.fold_left ( &&& ) first rest
     | [] -> assert false
   in
-  let arena = Psn_detection.Detector_arena.create () in
   Test.make ~name:(Printf.sprintf "detector.stream.flush(n=%d)" n)
     (Staged.stage @@ fun () ->
       let exec = Psn_sim.Exec.single () in
       let det =
-        Psn_detection.Streaming_detector.create ~arena exec ~cfg ~delay
+        Psn_detection.Streaming_detector.create exec ~cfg ~delay
           ~predicate ()
       in
       for j = 0 to 1_999 do

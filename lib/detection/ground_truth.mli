@@ -3,6 +3,9 @@
 
 type interval = { t_start : Psn_sim.Sim_time.t; t_end : Psn_sim.Sim_time.t }
 
+val compare_updates : Observation.update -> Observation.update -> int
+(** The true-time replay order: (sense_time, src, seq). *)
+
 val intervals :
   ?init:(Psn_predicates.Expr.var * Psn_world.Value.t) list ->
   updates:Observation.update list -> predicate:Psn_predicates.Expr.t ->

@@ -1,0 +1,178 @@
+(* Hold-back front end of the Exec detectors: transport, clocks, wire
+   format, ground truth and the flush schedule (see the .mli). *)
+
+module Engine = Psn_sim.Engine
+module Exec = Psn_sim.Exec
+module Sim_time = Psn_sim.Sim_time
+module Trace = Psn_obs.Trace
+module Metrics = Psn_obs.Metrics
+module Expr = Psn_predicates.Expr
+module Value = Psn_world.Value
+module Physical_clock = Psn_clocks.Physical_clock
+module Shard_net = Psn_network.Shard_net
+
+(* Each source may use up to [max_vars] distinct variables; the name
+   index rides in the low bits of the seq lane so the checker can
+   reconstruct the update without a string on the wire. *)
+let max_vars = 4
+let var_bits = 2
+
+type t = {
+  exec : Exec.t;
+  who : string;
+  n : int;
+  group_of : int -> int;
+  hold : Sim_time.t;
+  flush_period : Sim_time.t;
+  net : Shard_net.t;
+  sinks : Trace.sink array option;
+  clocks : Physical_clock.t array;
+  vars : string array array;            (* pid -> var slots, set at 1st emit *)
+  seqs : int array;                     (* per-source update sequence *)
+  by_group : Observation.update list ref array; (* ground-truth stream *)
+  pend : Pending_arena.t;               (* checker-local *)
+  c_updates : Metrics.counter array;    (* per group *)
+}
+
+let mix_seed seed pid =
+  Int64.add seed (Int64.mul (Int64.of_int (pid + 1)) 0xC2B2AE3D27D4EB4FL)
+
+let create ?loss ?sinks exec ~who ~label ~updates_metric ~n ~groups ~group_of
+    ~eps ~hold ~flush_period ~delay =
+  if n <= 0 then invalid_arg (who ^ ".create: n must be positive");
+  if groups <= 0 then invalid_arg (who ^ ".create: groups must be positive");
+  if Sim_time.(flush_period <= Sim_time.zero) then
+    invalid_arg (who ^ ".create: flush_period must be positive");
+  let seed = Exec.seed exec in
+  let net =
+    Shard_net.create ?loss ~label ?sinks exec ~n:(n + 1) ~groups
+      ~group_of:(fun pid -> if pid = n then 0 else group_of pid)
+      ~delay ()
+  in
+  let clocks =
+    Array.init n (fun pid ->
+        Physical_clock.synced_within
+          (Psn_util.Rng.create ~seed:(mix_seed seed pid) ())
+          ~eps)
+  in
+  {
+    exec;
+    who;
+    n;
+    group_of;
+    hold;
+    flush_period;
+    net;
+    sinks;
+    clocks;
+    vars = Array.init n (fun _ -> Array.make max_vars "");
+    seqs = Array.make n 0;
+    by_group = Array.init groups (fun _ -> ref []);
+    pend = Pending_arena.create ();
+    c_updates =
+      Array.init groups (fun g ->
+          Metrics.counter (Engine.metrics (Exec.engine exec ~group:g))
+            updates_metric);
+  }
+
+let net t = t.net
+let pending t = t.pend
+let var_name t ~src ~var_idx = t.vars.(src).(var_idx)
+
+(* The slot holding [var], else the first free one, else [max_vars]. *)
+let slot_of names var =
+  let rec go i =
+    if i >= max_vars || String.equal names.(i) var || String.equal names.(i) ""
+    then i
+    else go (i + 1)
+  in
+  go 0
+
+let var_slot t ~src var =
+  if src < 0 || src >= t.n then -1
+  else
+    let i = slot_of t.vars.(src) var in
+    if i < max_vars && String.equal t.vars.(src).(i) var then i else -1
+
+let admit t ~src ~var ~value =
+  if src < 0 || src >= t.n then invalid_arg (t.who ^ ".emit: src out of range");
+  let names = t.vars.(src) in
+  let var_idx = slot_of names var in
+  if var_idx >= max_vars then
+    invalid_arg (t.who ^ ".emit: more than 4 variables on one process");
+  (* Written once, by the source's domain; the checker reads it only
+     after a window barrier has ordered the write before the read. *)
+  if String.equal names.(var_idx) "" then names.(var_idx) <- var;
+  let seq = t.seqs.(src) in
+  t.seqs.(src) <- seq + 1;
+  let g = t.group_of src in
+  let now = Engine.now (Exec.engine t.exec ~group:g) in
+  let u =
+    { Observation.src; var; value = Value.Int value; seq; sense_time = now }
+  in
+  let buf = t.by_group.(g) in
+  buf := u :: !buf;
+  Metrics.tick t.c_updates.(g);
+  (seq lsl var_bits) lor var_idx
+
+let send t ~src ~lane ~value ~vh ~tick ~mirror =
+  let g = t.group_of src in
+  let now = Engine.now (Exec.engine t.exec ~group:g) in
+  let stamp = Sim_time.to_ns (Physical_clock.read t.clocks.(src) ~now) in
+  (match t.sinks with
+  | Some s -> Trace.emit s.(g) ~time:now ~pid:src tick
+  | None -> ());
+  let at =
+    Shard_net.send_timed t.net ~src ~dst:t.n ~a:value ~b:now ~c:stamp ~d:lane
+      ~e:vh
+  in
+  (* The loss and delay draws already happened on this source's stream,
+     so the mirror adds no randomness and stays substrate-invariant. *)
+  if mirror >= 0 && not (Sim_time.is_negative at) then
+    Shard_net.post_raw t.net ~src_group:g ~dst_group:g ~at ~dst:mirror ~w0:src
+      ~w1:value ~w2:now ~w3:stamp ~w4:lane
+
+(* Lanes (src, value, sense, stamp, lane): a mirror's [w0 .. w4], or
+   the checker unicast's source and [a .. d]. *)
+let add_mirror pend ~recv ~w0 ~w1 ~w2 ~w3 ~w4 =
+  Pending_arena.add pend ~recv:(Sim_time.to_ns recv) ~src:w0 ~value:w1
+    ~sense:w2 ~stamp:w3 ~seq:(w4 asr var_bits)
+    ~var_idx:(w4 land (max_vars - 1))
+
+let on_arrival t hook =
+  let checker = Exec.engine t.exec ~group:0 in
+  Shard_net.set_handler t.net t.n (fun ~src ~a ~b ~c ~d ~e ->
+      hook ~src ~seq:(d asr var_bits) ~vh:e;
+      add_mirror t.pend ~recv:(Engine.now checker) ~w0:src ~w1:a ~w2:b ~w3:c
+        ~w4:d)
+
+let every t ~group ~start ~lag pend apply =
+  let engine = Exec.engine t.exec ~group in
+  let lag_ns = Sim_time.to_ns lag in
+  ignore
+    (Engine.schedule_periodic engine ~start ~period:t.flush_period (fun () ->
+         let now = Engine.now engine in
+         let cutoff = Sim_time.to_ns now - lag_ns in
+         apply ~now (Pending_arena.take_ready pend ~cutoff);
+         true))
+
+let on_flush t apply =
+  every t ~group:0 ~start:t.flush_period ~lag:t.hold t.pend apply
+
+let flush_all t apply =
+  apply
+    ~now:(Engine.now (Exec.engine t.exec ~group:0))
+    (Pending_arena.take_ready t.pend ~cutoff:max_int)
+
+let updates t =
+  let all =
+    Array.fold_left (fun acc buf -> List.rev_append !buf acc) [] t.by_group
+  in
+  List.sort Ground_truth.compare_updates all
+
+let holds eval env p =
+  match eval env p with
+  | b -> b
+  | exception Expr.Unbound_variable _ -> false
+
+let holds_expr env p = holds (fun env p -> Expr.eval_bool ~env p) env p

@@ -1,0 +1,95 @@
+(** Hold-back front end shared by the {!Psn_sim.Exec} detectors.
+
+    The paper's checker holds every update back for [hold] (Δ + ε) and
+    applies it in timestamp order (§5).  {!Sharded_detector} and
+    {!Streaming_detector} differ only in what they do with an applied
+    update; everything before that lives here: the transport ([n]
+    sensor pids plus the checker, pid [n], always group 0), per-pid
+    [synced_within] clocks seeded from [(Exec.seed, pid)], the wire
+    format, per-source variable-name tables and sequence counters, the
+    per-group ground truth, and the periodic flush of a
+    {!Pending_arena}.  Receive times, stamps and sequence numbers are
+    substrate-invariant, so every flush batch is too.
+
+    Wire format: value, sense time, physical stamp, a {e lane} holding
+    the sequence number with the variable-name index in its low two
+    bits, and one detector-owned word (a stamp-plane handle, or [-1]).
+
+    Cross-domain discipline: a source's name table, sequence counter,
+    group ground-truth buffer and update counter are written only by its
+    group's events; the checker's arena only by checker events.  The
+    checker reads a name table only for updates the source emitted,
+    hence after a window barrier. *)
+
+type t
+
+val max_vars : int
+(** Distinct variable names per source (slots [0 .. max_vars - 1]). *)
+
+val create :
+  ?loss:Psn_sim.Loss_model.t ->
+  ?sinks:Psn_obs.Trace.sink array ->
+  Psn_sim.Exec.t ->
+  who:string -> label:string -> updates_metric:string ->
+  n:int -> groups:int -> group_of:(int -> int) -> eps:Psn_sim.Sim_time.t ->
+  hold:Psn_sim.Sim_time.t -> flush_period:Psn_sim.Sim_time.t ->
+  delay:Psn_sim.Delay_model.t -> t
+(** Raises [Invalid_argument] (prefixed [who]) unless [n], [groups] and
+    [flush_period] are positive.  [label] names the transport,
+    [updates_metric] the per-group update counter. *)
+
+val net : t -> Psn_network.Shard_net.t
+
+val admit : t -> src:int -> var:string -> value:int -> int
+(** From a sense event on [src]'s group: checks [src], finds or assigns
+    [var]'s slot, takes the next sequence number and records the update
+    in the ground truth.  Returns the lane for {!send}.  Raises
+    [Invalid_argument] for [src] outside [0 .. n-1] or a fifth name. *)
+
+val send :
+  t -> src:int -> lane:int -> value:int -> vh:int ->
+  tick:Psn_obs.Trace.event -> mirror:int -> unit
+(** Stamps the admitted update, traces [tick] and unicasts it to the
+    checker with [vh] as the detector word.  With [mirror >= 0], a
+    surviving arrival is also posted on the raw channel to [mirror] in
+    [src]'s group at the same delivery time (see {!add_mirror}). *)
+
+val on_arrival : t -> (src:int -> seq:int -> vh:int -> unit) -> unit
+(** Installs the checker's delivery handler: the hook runs, then the
+    arrival is held back in the checker's arena. *)
+
+val add_mirror :
+  Pending_arena.t -> recv:Psn_sim.Sim_time.t ->
+  w0:int -> w1:int -> w2:int -> w3:int -> w4:int -> unit
+(** Holds back a mirror posted by {!send}, received at [recv]. *)
+
+val every :
+  t -> group:int -> start:Psn_sim.Sim_time.t -> lag:Psn_sim.Sim_time.t ->
+  Pending_arena.t -> (now:Psn_sim.Sim_time.t -> int -> unit) -> unit
+(** Every [flush_period] from [start] on [group]'s engine, takes the
+    arrivals received at or before [now - lag] and passes the batch
+    length to the callback. *)
+
+val on_flush : t -> (now:Psn_sim.Sim_time.t -> int -> unit) -> unit
+(** The checker's flush: {!every} on group 0 from [flush_period] with
+    [lag = hold], over {!pending}. *)
+
+val flush_all : t -> (now:Psn_sim.Sim_time.t -> int -> unit) -> unit
+(** After [Exec.run]: one last batch of everything still held back. *)
+
+val pending : t -> Pending_arena.t
+val var_name : t -> src:int -> var_idx:int -> string
+
+val var_slot : t -> src:int -> string -> int
+(** The slot of a name [src] has emitted, else [-1]. *)
+
+val updates : t -> Observation.update list
+(** Every admitted update in (sense_time, src, seq) order. *)
+
+val holds : ('a -> 'b -> bool) -> 'a -> 'b -> bool
+(** [holds eval env p] is [eval env p], false on an unbound variable. *)
+
+val holds_expr :
+  (Psn_predicates.Expr.var -> Psn_world.Value.t option) ->
+  Psn_predicates.Expr.t -> bool
+(** {!holds} over {!Psn_predicates.Expr.eval_bool}. *)

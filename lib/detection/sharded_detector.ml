@@ -4,15 +4,17 @@
 
    Cross-domain discipline, for every mutable piece:
 
-     - per-group update buffers, vector clocks, stamp planes, and
-       sub-checker state (pending arena, compiled residual env, group
-       verdict) are written only by events of that group, which the
-       substrate runs on one shard (one domain at a time);
-     - the checker's pending arena, verdict tree, edge queues, and
-       occurrence list are written only by checker events (shard 0);
-     - the checker reads source-side data (var names, plane stamps) only
-       at delivery, which the window barrier places at least one
-       happens-before edge after the source wrote it.  A source shard
+     - the front end (clocks, name tables, ground truth, the checker's
+       pending arena) follows {!Holdback}'s discipline;
+     - vector clocks, stamp planes, and sub-checker state (pending
+       arena, compiled residual env, group verdict) are written only by
+       events of that group, which the substrate runs on one shard (one
+       domain at a time);
+     - the verdict tree, edge queues, and occurrence list are written
+       only by checker events (shard 0);
+     - the checker reads plane stamps only at delivery, which the window
+       barrier places at least one happens-before edge after the source
+       wrote them.  A source shard
        may grow its plane concurrently with a checker read of an older
        stamp; growth blits, so every stamp from before the barrier is
        visible whichever backing array the read lands on, and the live
@@ -75,7 +77,6 @@ module Metrics = Psn_obs.Metrics
 module Expr = Psn_predicates.Expr
 module Compiled = Psn_predicates.Compiled
 module Value = Psn_world.Value
-module Physical_clock = Psn_clocks.Physical_clock
 module Vector_clock = Psn_clocks.Vector_clock
 module Stamp_plane = Psn_clocks.Stamp_plane
 module Shard_net = Psn_network.Shard_net
@@ -141,12 +142,39 @@ let pop_edge eq =
   end;
   v
 
+(* A compiled program, its int-slot env, and the lazily memoized
+   (src * max_vars + var_idx) -> slot table (-2 = not looked up yet). *)
+type program = { prog : Compiled.t; cenv : Compiled.env; slots : int array }
+
+let program ~n e =
+  let prog = Compiled.compile e in
+  {
+    prog;
+    cenv = Compiled.create_env prog;
+    slots = Array.make (n * Holdback.max_vars) (-2);
+  }
+
+(* The name table is written at the source's first emit; both the
+   sub-checker (same shard) and the checker (after a barrier) read it
+   only for updates that were emitted, so the entry is always
+   populated. *)
+let find_slot p hb ~src ~var_idx =
+  let key = (src * Holdback.max_vars) + var_idx in
+  let s = p.slots.(key) in
+  if s <> -2 then s
+  else begin
+    let name = Holdback.var_name hb ~src ~var_idx in
+    let s = Compiled.slot p.prog { Expr.name; loc = src } in
+    p.slots.(key) <- s;
+    s
+  end
+
+let eval p = Holdback.holds Compiled.eval_bool p.prog p.cenv
+
 (* Group sub-checker: compiled residual of the group's conjuncts plus a
    local hold-back arena mirroring the checker's.  Group-local. *)
 type sub = {
-  sub_prog : Compiled.t;
-  sub_env : Compiled.env;
-  sub_slots : int array; (* (src * max_vars + var_idx) -> slot; -2 unknown *)
+  sub_prog : program;
   sub_pend : Pending_arena.t;
   mutable sub_holds : bool;
 }
@@ -156,11 +184,7 @@ type impl =
       env : (Expr.var, Value.t) Hashtbl.t;
       env_fn : Expr.var -> Value.t option; (* hoisted: one closure, ever *)
     }
-  | Compiled_impl of {
-      prog : Compiled.t;
-      cenv : Compiled.env;
-      slots : int array; (* (src * max_vars + var_idx) -> slot; -2 unknown *)
-    }
+  | Compiled_impl of program
   | Partitioned_impl of {
       tree : Verdict_tree.t;
       edges : edge_queue array;    (* per group; checker-local *)
@@ -170,95 +194,32 @@ type impl =
 
 type t = {
   cfg : cfg;
-  exec : Exec.t;
-  net : Shard_net.t;
-  clocks : Physical_clock.t array;
+  hb : Holdback.t;
   vclocks : Vector_clock.t array;       (* causal_stamps only *)
   planes : Stamp_plane.t array;         (* per group; causal_stamps only *)
   checker_vc : Vector_clock.t option;
-  vars : string array array;            (* pid -> var slots, set at first emit *)
-  seqs : int array;                     (* per-source update sequence *)
-  by_group : Observation.update list ref array; (* ground-truth stream *)
   sinks : Trace.sink array option;
-  pend : Pending_arena.t;               (* checker-local *)
   predicate : Expr.t;
   impl : impl;
   mutable holds : bool;
   mutable occs : Occurrence.t list;     (* newest first *)
-  c_updates : Metrics.counter array;    (* per group *)
   c_occurrences : Metrics.counter;
 }
-
-let eval_safe predicate env =
-  match Expr.eval_bool ~env predicate with
-  | b -> b
-  | exception Expr.Unbound_variable _ -> false
-
-let eval_safe_compiled prog cenv =
-  match Compiled.eval_bool prog cenv with
-  | b -> b
-  | exception Expr.Unbound_variable _ -> false
-
-let mix_seed seed pid =
-  Int64.add seed (Int64.mul (Int64.of_int (pid + 1)) 0xC2B2AE3D27D4EB4FL)
-
-let checker_pid t = t.cfg.n
-
-(* Each source may use up to [max_vars] distinct variables; the name
-   index rides in the low bits of the seq lane so the checker can
-   reconstruct the update without a string on the wire.  Slots are
-   written once by the source's domain and read by the checker only
-   after a window barrier has ordered the write before the read. *)
-let max_vars = 4
-let var_bits = 2
-
-(* Lazily memoized (src, var_idx) -> compiled slot.  The name table is
-   written at the source's first emit; both the sub-checker (same
-   shard) and the checker (after a barrier) read it only for updates
-   that were emitted, so the entry is always populated. *)
-let memo_slot slots (vars : string array array) prog ~src ~var_idx =
-  let key = (src * max_vars) + var_idx in
-  let s = slots.(key) in
-  if s <> -2 then s
-  else begin
-    let s = Compiled.slot prog { Expr.name = vars.(src).(var_idx); loc = src } in
-    slots.(key) <- s;
-    s
-  end
 
 (* Virtual raw-channel addresses, past the transport's pid range
    [0 .. n] (sources plus checker). *)
 let sub_addr cfg g = cfg.n + 1 + g
 let edge_addr cfg g = cfg.n + 1 + cfg.groups + g
 
-let eval_safe_unbound e =
-  match Expr.eval_bool ~env:(fun _ -> None) e with
-  | b -> b
-  | exception Expr.Unbound_variable _ -> false
-
-let create ?loss ?sinks ?(checker = Auto) ?arena exec ~cfg ~delay ~predicate () =
+let create ?loss ?sinks ?(checker = Auto) exec ~cfg ~delay ~predicate () =
   Psn_obs.Profile.phase "detector.setup" @@ fun () ->
-  if cfg.n <= 0 then invalid_arg "Sharded_detector.create: n must be positive";
-  if cfg.groups <= 0 then
-    invalid_arg "Sharded_detector.create: groups must be positive";
-  if Sim_time.(cfg.flush_period <= Sim_time.zero) then
-    invalid_arg "Sharded_detector.create: flush_period must be positive";
+  let hb =
+    Holdback.create ?loss ?sinks exec ~who:"Sharded_detector" ~label:"detector"
+      ~updates_metric:"sharded_detector.updates" ~n:cfg.n ~groups:cfg.groups
+      ~group_of:cfg.group_of ~eps:cfg.eps ~hold:cfg.hold
+      ~flush_period:cfg.flush_period ~delay
+  in
   let n = cfg.n in
-  let seed = Exec.seed exec in
-  let group_of pid = if pid = n then 0 else cfg.group_of pid in
-  let net =
-    Shard_net.create ?loss ~label:"detector" ?sinks exec ~n:(n + 1)
-      ~groups:cfg.groups ~group_of ~delay ()
-  in
-  let clocks =
-    match arena with
-    | Some a -> Detector_arena.clocks a ~seed ~eps:cfg.eps ~n
-    | None ->
-        Array.init n (fun pid ->
-            Physical_clock.synced_within
-              (Psn_util.Rng.create ~seed:(mix_seed seed pid) ())
-              ~eps:cfg.eps)
-  in
   let planes =
     if cfg.causal_stamps then
       Array.init cfg.groups (fun _ -> Stamp_plane.create ~n:(n + 1) ())
@@ -268,12 +229,6 @@ let create ?loss ?sinks ?(checker = Auto) ?arena exec ~cfg ~delay ~predicate () 
     if cfg.causal_stamps then
       Array.init n (fun pid -> Vector_clock.create ~n:(n + 1) ~me:pid)
     else [||]
-  in
-  let c_updates =
-    Array.init cfg.groups (fun g ->
-        Metrics.counter
-          (Engine.metrics (Exec.engine exec ~group:g))
-          "sharded_detector.updates")
   in
   let c_occurrences =
     Metrics.counter
@@ -315,14 +270,7 @@ let create ?loss ?sinks ?(checker = Auto) ?arena exec ~cfg ~delay ~predicate () 
     | `Interp ->
         let env = Hashtbl.create 64 in
         Interp_impl { env; env_fn = Hashtbl.find_opt env }
-    | `Compiled ->
-        let prog = Compiled.compile predicate in
-        Compiled_impl
-          {
-            prog;
-            cenv = Compiled.create_env prog;
-            slots = Array.make (n * max_vars) (-2);
-          }
+    | `Compiled -> Compiled_impl (program ~n predicate)
     | `Partitioned ->
         let parts = Option.get conj in
         let residuals = Array.make cfg.groups None in
@@ -340,14 +288,11 @@ let create ?loss ?sinks ?(checker = Auto) ?arena exec ~cfg ~delay ~predicate () 
               match residual with
               | None -> None
               | Some r ->
-                  let prog = Compiled.compile r in
                   Some
                     {
-                      sub_prog = prog;
-                      sub_env = Compiled.create_env prog;
-                      sub_slots = Array.make (n * max_vars) (-2);
+                      sub_prog = program ~n r;
                       sub_pend = Pending_arena.create ();
-                      sub_holds = eval_safe_unbound r;
+                      sub_holds = Holdback.holds_expr (fun _ -> None) r;
                     })
             residuals
         in
@@ -372,44 +317,27 @@ let create ?loss ?sinks ?(checker = Auto) ?arena exec ~cfg ~delay ~predicate () 
   let t =
     {
       cfg;
-      exec;
-      net;
-      clocks;
+      hb;
       vclocks;
       planes;
       checker_vc =
         (if cfg.causal_stamps then Some (Vector_clock.create ~n:(n + 1) ~me:n)
          else None);
-      vars =
-        (match arena with
-        | Some a -> Detector_arena.vars a ~n ~max_vars
-        | None -> Array.init n (fun _ -> Array.make max_vars ""));
-      seqs =
-        (match arena with
-        | Some a -> Detector_arena.seqs a ~n
-        | None -> Array.make n 0);
-      by_group = Array.init cfg.groups (fun _ -> ref []);
       sinks;
-      pend = Pending_arena.create ();
       predicate;
       impl;
       holds = false;
       occs = [];
-      c_updates;
       c_occurrences;
     }
   in
-  (* Checker delivery: buffer with the arrival time; applied at flush. *)
-  Shard_net.set_handler net n (fun ~src ~a ~b ~c ~d ~e ->
-      let value = a and sense_time = b and stamp = c and vh = e in
-      let seq = d asr var_bits and var_idx = d land (max_vars - 1) in
-      (match t.checker_vc with
+  (* Checker delivery: merge the causal stamp, then hold back. *)
+  Holdback.on_arrival hb (fun ~src ~seq:_ ~vh ->
+      match t.checker_vc with
       | Some vc when vh >= 0 ->
-          Vector_clock.receive_from t.planes.(group_of src) vc vh
+          Vector_clock.receive_from t.planes.(cfg.group_of src) vc vh
       | _ -> ());
-      let recv = Engine.now (Exec.engine exec ~group:0) in
-      Pending_arena.add t.pend ~recv:(Sim_time.to_ns recv) ~stamp ~src ~seq
-        ~var_idx ~value ~sense:sense_time);
+  let net = Holdback.net hb in
   (* Partitioned plumbing: the raw channel carries update mirrors to the
      group sub-checkers and verdict edges back to the checker. *)
   (match t.impl with
@@ -425,12 +353,9 @@ let create ?loss ?sinks ?(checker = Auto) ?arena exec ~cfg ~delay ~predicate () 
             let g = dst - sub_addr cfg 0 in
             match p.subs.(g) with
             | Some sub ->
-                let src = w0 and value = w1 and sense = w2 and stamp = w3 in
-                let recv = Engine.now (Exec.engine exec ~group:g) in
-                Pending_arena.add sub.sub_pend ~recv:(Sim_time.to_ns recv)
-                  ~stamp ~src ~seq:(w4 asr var_bits)
-                  ~var_idx:(w4 land (max_vars - 1))
-                  ~value ~sense
+                Holdback.add_mirror sub.sub_pend
+                  ~recv:(Engine.now (Exec.engine exec ~group:g))
+                  ~w0 ~w1 ~w2 ~w3 ~w4
             | None -> ()
           end);
       (* Sub-checker flushes at F_k = k*P - H + 1 replay the central
@@ -444,130 +369,110 @@ let create ?loss ?sinks ?(checker = Auto) ?arena exec ~cfg ~delay ~predicate () 
           match sub_opt with
           | None -> ()
           | Some sub ->
-              let engine_g = Exec.engine exec ~group:g in
-              ignore
-                (Engine.schedule_periodic engine_g ~start
-                   ~period:cfg.flush_period (fun () ->
-                     let now_ns = Sim_time.to_ns (Engine.now engine_g) in
-                     let m =
-                       Pending_arena.take_ready sub.sub_pend
-                         ~cutoff:(now_ns - 1)
-                     in
-                     for i = 0 to m - 1 do
-                       let src = Pending_arena.src sub.sub_pend i in
-                       let var_idx = Pending_arena.var_idx sub.sub_pend i in
-                       let slot =
-                         memo_slot sub.sub_slots t.vars sub.sub_prog ~src
-                           ~var_idx
-                       in
-                       if slot >= 0 then begin
-                         Compiled.set_int sub.sub_env slot
-                           (Pending_arena.value sub.sub_pend i);
-                         let v = eval_safe_compiled sub.sub_prog sub.sub_env in
-                         if v <> sub.sub_holds then begin
-                           sub.sub_holds <- v;
-                           Metrics.tick p.c_edges.(g);
-                           Shard_net.post_raw net ~src_group:g ~dst_group:0
-                             ~at:(Sim_time.of_ns (now_ns + hold_ns - 2))
-                             ~dst:(edge_addr cfg g)
-                             ~w0:(Pending_arena.stamp sub.sub_pend i)
-                             ~w1:src
-                             ~w2:(Pending_arena.seq sub.sub_pend i)
-                             ~w3:(if v then 1 else 0) ~w4:0
-                         end
-                       end
-                     done;
-                     true))
-        )
+              let pend = sub.sub_pend and code = sub.sub_prog in
+              Holdback.every hb ~group:g ~start ~lag:(Sim_time.of_ns 1) pend
+                (fun ~now m ->
+                  let at = Sim_time.of_ns (Sim_time.to_ns now + hold_ns - 2) in
+                  for i = 0 to m - 1 do
+                    let src = Pending_arena.src pend i in
+                    let var_idx = Pending_arena.var_idx pend i in
+                    let slot = find_slot code hb ~src ~var_idx in
+                    if slot >= 0 then begin
+                      Compiled.set_int code.cenv slot
+                        (Pending_arena.value pend i);
+                      let v = eval code in
+                      if v <> sub.sub_holds then begin
+                        sub.sub_holds <- v;
+                        Metrics.tick p.c_edges.(g);
+                        Shard_net.post_raw net ~src_group:g ~dst_group:0 ~at
+                          ~dst:(edge_addr cfg g)
+                          ~w0:(Pending_arena.stamp pend i)
+                          ~w1:src
+                          ~w2:(Pending_arena.seq pend i)
+                          ~w3:(if v then 1 else 0) ~w4:0
+                      end
+                    end
+                  done))
         p.subs
   | _ -> ());
-  (* Fixed flush schedule on the checker's engine: every [flush_period],
-     apply all updates received at or before [now - hold].  Receive
-     times are substrate-invariant, so the batch content is too; the
-     batch order comes from the arena's (stamp, src, seq) sort. *)
-  let checker_engine = Exec.engine exec ~group:0 in
-  ignore
-    (Engine.schedule_periodic checker_engine ~start:cfg.flush_period
-       ~period:cfg.flush_period (fun () ->
-         let now = Engine.now checker_engine in
-         let now_ns = Sim_time.to_ns now in
-         let two_eps = 2 * Sim_time.to_ns cfg.eps in
-         let m = Pending_arena.take_ready t.pend ~cutoff:(now_ns - hold_ns) in
-         for i = 0 to m - 1 do
-           let src = Pending_arena.src t.pend i in
-           let seq = Pending_arena.seq t.pend i in
-           let var_idx = Pending_arena.var_idx t.pend i in
-           let value = Pending_arena.value t.pend i in
-           let stamp = Pending_arena.stamp t.pend i in
-           let var_name = t.vars.(src).(var_idx) in
-           (match t.sinks with
-           | Some s ->
-               Trace.emit s.(0) ~time:now ~pid:(checker_pid t)
-                 (Trace.Detector_update { var = var_name; seq })
-           | None -> ());
-           let now_holds =
-             match t.impl with
-             | Interp_impl { env; env_fn } ->
-                 Hashtbl.replace env
-                   { Expr.name = var_name; loc = src }
-                   (Value.Int value);
-                 eval_safe t.predicate env_fn
-             | Compiled_impl { prog; cenv; slots } ->
-                 let slot = memo_slot slots t.vars prog ~src ~var_idx in
-                 if slot >= 0 then Compiled.set_int cenv slot value;
-                 eval_safe_compiled prog cenv
-             | Partitioned_impl { tree; edges; _ } ->
-                 let g = cfg.group_of src in
-                 let eq = edges.(g) in
-                 if edge_at_head eq ~stamp ~src ~seq then
-                   Verdict_tree.set tree g (pop_edge eq = 1);
-                 Verdict_tree.root tree
-           in
-           if now_holds && not t.holds then begin
-             (* Race bin: an adjacent applied update from another
-                process within the clock sync uncertainty could
-                reorder the rise. *)
-             let raced j =
-               j >= 0 && j < m
-               && Pending_arena.src t.pend j <> src
-               && abs (Pending_arena.stamp t.pend j - stamp) < two_eps
-             in
-             let verdict =
-               if raced (i - 1) || raced (i + 1) then Occurrence.Borderline
-               else Occurrence.Positive
-             in
-             Metrics.tick t.c_occurrences;
-             let sense = Pending_arena.sense t.pend i in
-             (match t.sinks with
-             | Some s ->
-                 Trace.emit s.(0) ~time:now ~pid:(checker_pid t)
-                   (Trace.Detector_occurrence
-                      {
-                        verdict =
-                          (match verdict with
-                          | Occurrence.Positive -> "detect"
-                          | Occurrence.Borderline -> "borderline");
-                        window_ns = now_ns - sense;
-                      })
-             | None -> ());
-             let u =
-               {
-                 Observation.src;
-                 var = var_name;
-                 value = Value.Int value;
-                 seq;
-                 sense_time = Sim_time.of_ns sense;
-               }
-             in
-             t.occs <-
-               { Occurrence.detect_time = now; trigger = u; verdict } :: t.occs
-           end;
-           t.holds <- now_holds
-         done;
-         true));
+  (* The checker's flush applies each batch in the arena's (stamp, src,
+     seq) order. *)
+  let pend = Holdback.pending hb in
+  let two_eps = 2 * Sim_time.to_ns cfg.eps in
+  Holdback.on_flush hb (fun ~now m ->
+      for i = 0 to m - 1 do
+        let src = Pending_arena.src pend i in
+        let seq = Pending_arena.seq pend i in
+        let var_idx = Pending_arena.var_idx pend i in
+        let value = Pending_arena.value pend i in
+        let stamp = Pending_arena.stamp pend i in
+        let var_name = Holdback.var_name hb ~src ~var_idx in
+        (match t.sinks with
+        | Some s ->
+            Trace.emit s.(0) ~time:now ~pid:t.cfg.n
+              (Trace.Detector_update { var = var_name; seq })
+        | None -> ());
+        let now_holds =
+          match t.impl with
+          | Interp_impl { env; env_fn } ->
+              Hashtbl.replace env
+                { Expr.name = var_name; loc = src }
+                (Value.Int value);
+              Holdback.holds_expr env_fn t.predicate
+          | Compiled_impl p ->
+              let slot = find_slot p hb ~src ~var_idx in
+              if slot >= 0 then Compiled.set_int p.cenv slot value;
+              eval p
+          | Partitioned_impl { tree; edges; _ } ->
+              let g = cfg.group_of src in
+              let eq = edges.(g) in
+              if edge_at_head eq ~stamp ~src ~seq then
+                Verdict_tree.set tree g (pop_edge eq = 1);
+              Verdict_tree.root tree
+        in
+        if now_holds && not t.holds then begin
+          (* Race bin: an adjacent applied update from another process
+             within the clock sync uncertainty could reorder the rise. *)
+          let raced j =
+            j >= 0 && j < m
+            && Pending_arena.src pend j <> src
+            && abs (Pending_arena.stamp pend j - stamp) < two_eps
+          in
+          let verdict =
+            if raced (i - 1) || raced (i + 1) then Occurrence.Borderline
+            else Occurrence.Positive
+          in
+          Metrics.tick t.c_occurrences;
+          let sense = Pending_arena.sense pend i in
+          (match t.sinks with
+          | Some s ->
+              Trace.emit s.(0) ~time:now ~pid:t.cfg.n
+                (Trace.Detector_occurrence
+                   {
+                     verdict =
+                       (match verdict with
+                       | Occurrence.Positive -> "detect"
+                       | Occurrence.Borderline -> "borderline");
+                     window_ns = Sim_time.to_ns now - sense;
+                   })
+          | None -> ());
+          let u =
+            {
+              Observation.src;
+              var = var_name;
+              value = Value.Int value;
+              seq;
+              sense_time = Sim_time.of_ns sense;
+            }
+          in
+          t.occs <-
+            { Occurrence.detect_time = now; trigger = u; verdict } :: t.occs
+        end;
+        t.holds <- now_holds
+      done);
   t
 
-let net t = t.net
+let net t = Holdback.net t.hb
 
 let checker_kind t =
   match t.impl with
@@ -576,67 +481,24 @@ let checker_kind t =
   | Partitioned_impl _ -> Partitioned
 
 let emit t ~src ~var ~value =
-  if src < 0 || src >= t.cfg.n then
-    invalid_arg "Sharded_detector.emit: src out of range";
+  let lane = Holdback.admit t.hb ~src ~var ~value in
   let g = t.cfg.group_of src in
-  let engine = Exec.engine t.exec ~group:g in
-  let now = Engine.now engine in
-  let slots = t.vars.(src) in
-  let rec slot_of i =
-    if i >= max_vars then
-      invalid_arg "Sharded_detector.emit: more than 4 variables on one process"
-    else if slots.(i) = var then i
-    else if slots.(i) = "" then (slots.(i) <- var; i)
-    else slot_of (i + 1)
-  in
-  let var_idx = slot_of 0 in
-  let seq = t.seqs.(src) in
-  t.seqs.(src) <- seq + 1;
-  let stamp = Physical_clock.read t.clocks.(src) ~now in
   let vh =
     if t.cfg.causal_stamps then
       Vector_clock.tick_into t.planes.(g) t.vclocks.(src)
     else -1
   in
-  let u = { Observation.src; var; value = Value.Int value; seq; sense_time = now } in
-  let buf = t.by_group.(g) in
-  buf := u :: !buf;
-  Metrics.tick t.c_updates.(g);
-  (match t.sinks with
-  | Some s ->
-      Trace.emit s.(g) ~time:now ~pid:src (Trace.Clock_tick { clock = "physical" })
-  | None -> ());
-  let seqvar = (seq lsl var_bits) lor var_idx in
-  let at =
-    Shard_net.send_timed t.net ~src ~dst:t.cfg.n ~a:value ~b:now
-      ~c:(Sim_time.to_ns stamp) ~d:seqvar ~e:vh
+  (* Mirror surviving arrivals into the group's sub-checker. *)
+  let mirror =
+    match t.impl with
+    | Partitioned_impl { subs; _ } when Option.is_some subs.(g) ->
+        sub_addr t.cfg g
+    | _ -> -1
   in
-  (* Mirror surviving arrivals into the group's sub-checker at the same
-     delivery time (the draw already happened on this source's stream,
-     so the mirror is free of new randomness and substrate-invariant). *)
-  match t.impl with
-  | Partitioned_impl p when not (Sim_time.is_negative at) -> (
-      match p.subs.(g) with
-      | Some _ ->
-          Shard_net.post_raw t.net ~src_group:g ~dst_group:g ~at
-            ~dst:(sub_addr t.cfg g) ~w0:src ~w1:value ~w2:now
-            ~w3:(Sim_time.to_ns stamp) ~w4:seqvar
-      | None -> ())
-  | _ -> ()
+  Holdback.send t.hb ~src ~lane ~value ~vh
+    ~tick:(Trace.Clock_tick { clock = "physical" }) ~mirror
 
-let updates t =
-  let all =
-    Array.fold_left (fun acc buf -> List.rev_append !buf acc) [] t.by_group
-  in
-  List.sort
-    (fun (a : Observation.update) (b : Observation.update) ->
-      let c = Sim_time.compare a.sense_time b.sense_time in
-      if c <> 0 then c
-      else
-        let c = Stdlib.compare (a.src : int) b.src in
-        if c <> 0 then c else Stdlib.compare (a.seq : int) b.seq)
-    all
-
+let updates t = Holdback.updates t.hb
 let occurrences t = List.rev t.occs
 
 let frontier t =

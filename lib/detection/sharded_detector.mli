@@ -4,7 +4,8 @@
     processes (pids [0 .. n-1]) stamp their local-variable updates with
     synced physical clocks and unicast them over a {!Psn_network.Shard_net}
     to a checker process (pid [n], always group 0 / shard 0).  The
-    checker buffers arrivals and, on a fixed periodic flush schedule,
+    checker buffers arrivals and, on a fixed periodic flush schedule
+    (the {!Holdback} front end it shares with {!Streaming_detector}),
     applies every update held back for at least [hold], in
     (stamp, src, seq) order — a total order computed from
     substrate-invariant keys, so the applied sequence (and with it every
@@ -61,17 +62,14 @@ val create :
   ?loss:Psn_sim.Loss_model.t ->
   ?sinks:Psn_obs.Trace.sink array ->
   ?checker:checker ->
-  ?arena:Detector_arena.t ->
   Psn_sim.Exec.t -> cfg:cfg -> delay:Psn_sim.Delay_model.t ->
   predicate:Psn_predicates.Expr.t -> unit -> t
-(** Builds the transport (label ["detector"]), the per-pid clocks
-    (streams derived from [(Exec.seed, pid)]), the per-group planes, and
-    the checker's flush schedule on group 0's engine.  [sinks] (one per
-    group) additionally trace updates, occurrences, and the transport's
-    send/deliver/drop records.  [checker] defaults to [Auto].  [arena]
-    reuses the O(n) construction arrays across repeated same-key builds
-    ({!Detector_arena}); construction is wrapped in a
-    [Profile.phase "detector.setup"] either way. *)
+(** Builds the {!Holdback} front end (transport ["detector"], counter
+    [sharded_detector.updates]; raises as {!Holdback.create}), the
+    per-group planes, and the checker backend.  [sinks] (one per group)
+    additionally trace updates, occurrences, and the transport's
+    send/deliver/drop records.  [checker] defaults to [Auto].
+    Construction is wrapped in a [Profile.phase "detector.setup"]. *)
 
 val checker_kind : t -> checker
 (** The resolved backend: [Interp], [Compiled], or [Partitioned]
@@ -79,9 +77,11 @@ val checker_kind : t -> checker
 
 val emit : t -> src:int -> var:string -> value:int -> unit
 (** Called from a sense event executing on [src]'s group engine: stamps
-    the update and sends it to the checker.  Each source may use at most
-    four distinct variable names (the name index rides in the payload's
-    low bits rather than a string on the wire); a fifth raises. *)
+    the update and sends it to the checker through {!Holdback.admit} and
+    {!Holdback.send}.  Each source may use at most four distinct
+    variable names (the name index rides in the payload's low bits
+    rather than a string on the wire); a fifth raises
+    [Invalid_argument], as does [src] outside [0 .. n-1]. *)
 
 val net : t -> Psn_network.Shard_net.t
 

@@ -11,10 +11,9 @@
        another shard reads the foreign plane stamp only at delivery,
        which the window barrier orders after the write (growth blits,
        so stale backing references still see pre-barrier stamps);
-     - the checker's pending arena, reorder rings, value histories, and
-       the walk itself are written only by checker events (shard 0);
-     - the checker reads source-side var-name tables only for updates
-       that were emitted, hence after a barrier.
+     - the reorder rings, value histories, and the walk itself are
+       written only by checker events (shard 0); the front end's
+       pieces follow {!Holdback}'s discipline.
 
    Per-source sequence order: the arena's (stamp, src, seq) batch order
    is per-source monotone *within* a flush (synced clocks are pure and
@@ -38,7 +37,6 @@ module Trace = Psn_obs.Trace
 module Metrics = Psn_obs.Metrics
 module Expr = Psn_predicates.Expr
 module Value = Psn_world.Value
-module Physical_clock = Psn_clocks.Physical_clock
 module Strobe_vector = Psn_clocks.Strobe_vector
 module Stamp_plane = Psn_clocks.Stamp_plane
 module Shard_net = Psn_network.Shard_net
@@ -60,14 +58,6 @@ type edge = {
   trigger : Observation.update option;
 }
 
-(* Same wire encoding as [Sharded_detector]: the variable-name index
-   rides in the low bits of the seq lane. *)
-let max_vars = 4
-let var_bits = 2
-
-let mix_seed seed pid =
-  Int64.add seed (Int64.mul (Int64.of_int (pid + 1)) 0xC2B2AE3D27D4EB4FL)
-
 (* Reorder-ring lanes, stride 5, indexed [seq mod cap]:
    0 = strobe-stamp handle (written at delivery; -1 empty),
    1 = value, 2 = var_idx, 3 = sense, 4 = ready flag
@@ -78,16 +68,10 @@ let vh_initial = 8
 
 type t = {
   cfg : cfg;
-  exec : Exec.t;
-  net : Shard_net.t;
-  clocks : Physical_clock.t array;
+  hb : Holdback.t;
   svclocks : Strobe_vector.t array;
   planes : Stamp_plane.t array;         (* per group, width n *)
-  vars : string array array;            (* pid -> var slots, set at first emit *)
-  seqs : int array;                     (* per-source update sequence *)
-  by_group : Observation.update list ref array;
   sinks : Trace.sink array option;
-  pend : Pending_arena.t;               (* checker-local *)
   stream : Streaming.t;
   scratch : int array;                  (* stamp decode buffer, width n *)
   (* Per-source reorder rings (checker-local). *)
@@ -105,15 +89,12 @@ type t = {
   cur_trigger : Observation.update option ref;
   edges : edge list ref;                (* newest first *)
   on_observe : (pid:int -> stamp:int array -> unit) option;
-  c_updates : Metrics.counter array;    (* per group *)
   mutable finished : bool;
 }
 
-let checker_pid t = t.cfg.n
-
 (* -- value-history rings ------------------------------------------- *)
 
-let vh_entry cap k = (k mod cap) * max_vars
+let vh_entry cap k = (k mod cap) * Holdback.max_vars
 
 (* Append entry [seq + 1] = entry [seq] with [var_idx := value].  The
    live window at any future [holds] call is within
@@ -127,17 +108,17 @@ let vh_write t ~src ~seq ~var_idx ~value =
     while !cap < need do
       cap := !cap * 2
     done;
-    let nb = Array.make (!cap * max_vars) min_int in
+    let nb = Array.make (!cap * Holdback.max_vars) min_int in
     let ob = t.vh_buf.(src) and ocap = t.vh_cap.(src) in
     for k = base to seq do
-      Array.blit ob (vh_entry ocap k) nb (vh_entry !cap k) max_vars
+      Array.blit ob (vh_entry ocap k) nb (vh_entry !cap k) Holdback.max_vars
     done;
     t.vh_buf.(src) <- nb;
     t.vh_cap.(src) <- !cap
   end;
   let b = t.vh_buf.(src) and cap = t.vh_cap.(src) in
   let from = vh_entry cap seq and into = vh_entry cap (seq + 1) in
-  Array.blit b from b into max_vars;
+  Array.blit b from b into Holdback.max_vars;
   b.(into + var_idx) <- value
 
 (* -- reorder rings -------------------------------------------------- *)
@@ -177,7 +158,7 @@ let feed t ~now ~src ~seq ~vh ~value ~var_idx ~sense =
     Some
       {
         Observation.src;
-        var = t.vars.(src).(var_idx);
+        var = Holdback.var_name t.hb ~src ~var_idx;
         value = Value.Int value;
         seq;
         sense_time = Sim_time.of_ns sense;
@@ -205,87 +186,58 @@ let rec drain t ~now ~src =
     end
   end
 
+let trace_commit t ~now =
+  match t.sinks with
+  | Some s ->
+      let committed =
+        match Streaming.committed_cuts t.stream with
+        | Psn_lattice.Packed.Exact c | Psn_lattice.Packed.At_least c -> c
+      in
+      Trace.emit s.(0) ~time:now ~pid:t.cfg.n
+        (Trace.Lattice_commit
+           {
+             level = Streaming.committed_level t.stream;
+             live = Streaming.live_cuts t.stream;
+             committed;
+           })
+  | None -> ()
+
 (* Apply one ready batch from the pending arena: mark each entry's ring
    slot ready in (stamp, src, seq) order, draining its source's ring as
    it goes.  Both orders are substrate-invariant. *)
 let apply_batch t ~now m =
-  let now_ns = Sim_time.to_ns now in
+  let pend = Holdback.pending t.hb in
   for i = 0 to m - 1 do
-    let src = Pending_arena.src t.pend i in
-    let seq = Pending_arena.seq t.pend i in
-    let var_idx = Pending_arena.var_idx t.pend i in
+    let src = Pending_arena.src pend i in
+    let seq = Pending_arena.seq pend i in
+    let var_idx = Pending_arena.var_idx pend i in
     (match t.sinks with
     | Some s ->
-        Trace.emit s.(0) ~time:now ~pid:(checker_pid t)
-          (Trace.Detector_update { var = t.vars.(src).(var_idx); seq })
+        Trace.emit s.(0) ~time:now ~pid:t.cfg.n
+          (Trace.Detector_update
+             { var = Holdback.var_name t.hb ~src ~var_idx; seq })
     | None -> ());
     let buf = t.rr_buf.(src) in
     let off = seq mod t.rr_cap.(src) * rr_stride in
-    buf.(off + 1) <- Pending_arena.value t.pend i;
+    buf.(off + 1) <- Pending_arena.value pend i;
     buf.(off + 2) <- var_idx;
-    buf.(off + 3) <- Pending_arena.sense t.pend i;
+    buf.(off + 3) <- Pending_arena.sense pend i;
     buf.(off + 4) <- 1;
     drain t ~now ~src
   done;
-  if m > 0 then begin
-    let committed =
-      match Streaming.committed_cuts t.stream with
-      | Psn_lattice.Packed.Exact c | Psn_lattice.Packed.At_least c -> c
-    in
-    match t.sinks with
-    | Some s ->
-        Trace.emit s.(0) ~time:now ~pid:(checker_pid t)
-          (Trace.Lattice_commit
-             {
-               level = Streaming.committed_level t.stream;
-               live = Streaming.live_cuts t.stream;
-               committed;
-             })
-    | None -> ()
-  end;
-  now_ns
+  if m > 0 then trace_commit t ~now
 
-let create ?loss ?sinks ?arena ?on_observe exec ~cfg ~delay ~predicate () =
+let create ?loss ?sinks ?on_observe exec ~cfg ~delay ~predicate () =
   Psn_obs.Profile.phase "detector.setup" @@ fun () ->
-  if cfg.n <= 0 then invalid_arg "Streaming_detector.create: n must be positive";
-  if cfg.groups <= 0 then
-    invalid_arg "Streaming_detector.create: groups must be positive";
-  if Sim_time.(cfg.flush_period <= Sim_time.zero) then
-    invalid_arg "Streaming_detector.create: flush_period must be positive";
+  let hb =
+    Holdback.create ?loss ?sinks exec ~who:"Streaming_detector"
+      ~label:"stream_detector" ~updates_metric:"stream_detector.updates"
+      ~n:cfg.n ~groups:cfg.groups ~group_of:cfg.group_of ~eps:cfg.eps
+      ~hold:cfg.hold ~flush_period:cfg.flush_period ~delay
+  in
   let n = cfg.n in
-  let seed = Exec.seed exec in
-  let group_of pid = if pid = n then 0 else cfg.group_of pid in
-  let net =
-    Shard_net.create ?loss ~label:"stream_detector" ?sinks exec ~n:(n + 1)
-      ~groups:cfg.groups ~group_of ~delay ()
-  in
-  let clocks =
-    match arena with
-    | Some a -> Detector_arena.clocks a ~seed ~eps:cfg.eps ~n
-    | None ->
-        Array.init n (fun pid ->
-            Physical_clock.synced_within
-              (Psn_util.Rng.create ~seed:(mix_seed seed pid) ())
-              ~eps:cfg.eps)
-  in
   let planes = Array.init cfg.groups (fun _ -> Stamp_plane.create ~n ()) in
   let svclocks = Array.init n (fun pid -> Strobe_vector.create ~n ~me:pid) in
-  let vars =
-    match arena with
-    | Some a -> Detector_arena.vars a ~n ~max_vars
-    | None -> Array.init n (fun _ -> Array.make max_vars "")
-  in
-  let seqs =
-    match arena with
-    | Some a -> Detector_arena.seqs a ~n
-    | None -> Array.make n 0
-  in
-  let c_updates =
-    Array.init cfg.groups (fun g ->
-        Metrics.counter
-          (Engine.metrics (Exec.engine exec ~group:g))
-          "stream_detector.updates")
-  in
   let c_edges =
     Metrics.counter
       (Engine.metrics (Exec.engine exec ~group:0))
@@ -293,7 +245,8 @@ let create ?loss ?sinks ?arena ?on_observe exec ~cfg ~delay ~predicate () =
   in
   (* The walk's closures are built over these cells; [t] closes the
      knot afterwards. *)
-  let vh_buf = Array.init n (fun _ -> Array.make (vh_initial * max_vars) min_int)
+  let vh_buf =
+    Array.init n (fun _ -> Array.make (vh_initial * Holdback.max_vars) min_int)
   and vh_cap = Array.make n vh_initial in
   let cur_cut = ref [||] in
   let cur_now = ref Sim_time.zero
@@ -304,29 +257,17 @@ let create ?loss ?sinks ?arena ?on_observe exec ~cfg ~delay ~predicate () =
   (* One lookup closure per detector (not per cut): located variable ->
      value-history entry at the cut's per-process count. *)
   let env_fn (v : Expr.var) =
-    if v.Expr.loc < 0 || v.Expr.loc >= n then None
+    let loc = v.Expr.loc in
+    let vi = Holdback.var_slot hb ~src:loc v.Expr.name in
+    if vi < 0 then None
     else begin
-      let names = vars.(v.Expr.loc) in
-      let rec idx i =
-        if i >= max_vars then -1
-        else if String.equal names.(i) v.Expr.name then i
-        else idx (i + 1)
-      in
-      let vi = idx 0 in
-      if vi < 0 then None
-      else begin
-        let k = !cur_cut.(v.Expr.loc) in
-        let cap = vh_cap.(v.Expr.loc) in
-        let value = vh_buf.(v.Expr.loc).(vh_entry cap k + vi) in
-        if value = min_int then None else Some (Value.Int value)
-      end
+      let value = vh_buf.(loc).(vh_entry vh_cap.(loc) !cur_cut.(loc) + vi) in
+      if value = min_int then None else Some (Value.Int value)
     end
   in
   let holds cut =
     cur_cut := cut;
-    match Expr.eval_bool ~env:env_fn predicate with
-    | b -> b
-    | exception Expr.Unbound_variable _ -> false
+    Holdback.holds_expr env_fn predicate
   in
   let on_edge e =
     Metrics.tick c_edges;
@@ -349,16 +290,10 @@ let create ?loss ?sinks ?arena ?on_observe exec ~cfg ~delay ~predicate () =
   let t =
     {
       cfg;
-      exec;
-      net;
-      clocks;
+      hb;
       svclocks;
       planes;
-      vars;
-      seqs;
-      by_group = Array.init cfg.groups (fun _ -> ref []);
       sinks;
-      pend = Pending_arena.create ();
       stream;
       scratch = Array.make n 0;
       rr_buf =
@@ -378,133 +313,64 @@ let create ?loss ?sinks ?arena ?on_observe exec ~cfg ~delay ~predicate () =
       cur_trigger;
       edges;
       on_observe;
-      c_updates;
       finished = false;
     }
   in
-  (* Checker delivery: park the strobe handle at its sequence slot and
-     buffer the lanes with the arrival time; applied at flush. *)
-  Shard_net.set_handler net n (fun ~src ~a ~b ~c ~d ~e ->
-      let value = a and sense_time = b and stamp = c and vh = e in
-      let seq = d asr var_bits and var_idx = d land (max_vars - 1) in
+  (* Checker delivery: park the strobe handle at its sequence slot, then
+     hold back; applied at flush. *)
+  Holdback.on_arrival hb (fun ~src ~seq ~vh ->
       rr_ensure t ~src ~seq;
       t.rr_buf.(src).(seq mod t.rr_cap.(src) * rr_stride) <- vh;
-      if seq > t.rr_max.(src) then t.rr_max.(src) <- seq;
-      let recv = Engine.now (Exec.engine exec ~group:0) in
-      Pending_arena.add t.pend ~recv:(Sim_time.to_ns recv) ~stamp ~src ~seq
-        ~var_idx ~value ~sense:sense_time);
+      if seq > t.rr_max.(src) then t.rr_max.(src) <- seq);
   (* Source delivery: a strobe from another source — SVC2 merge, no
      tick, reading the sender group's plane after the barrier. *)
+  let net = Holdback.net hb in
   for pid = 0 to n - 1 do
     Shard_net.set_handler net pid (fun ~src ~a ~b:_ ~c:_ ~d:_ ~e:_ ->
         Strobe_vector.receive_strobe_from
           t.planes.(cfg.group_of src)
           t.svclocks.(pid) a)
   done;
-  (* Fixed flush schedule on the checker's engine, as in
-     [Sharded_detector]: apply everything received at or before
-     [now - hold]. *)
-  let hold_ns = Sim_time.to_ns cfg.hold in
-  let checker_engine = Exec.engine exec ~group:0 in
-  ignore
-    (Engine.schedule_periodic checker_engine ~start:cfg.flush_period
-       ~period:cfg.flush_period (fun () ->
-         let now = Engine.now checker_engine in
-         let now_ns = Sim_time.to_ns now in
-         let m = Pending_arena.take_ready t.pend ~cutoff:(now_ns - hold_ns) in
-         ignore (apply_batch t ~now m);
-         true));
+  Holdback.on_flush hb (apply_batch t);
   t
 
 let emit t ~src ~var ~value =
-  if src < 0 || src >= t.cfg.n then
-    invalid_arg "Streaming_detector.emit: src out of range";
-  let g = t.cfg.group_of src in
-  let engine = Exec.engine t.exec ~group:g in
-  let now = Engine.now engine in
-  let slots = t.vars.(src) in
-  let rec slot_of i =
-    if i >= max_vars then
-      invalid_arg
-        "Streaming_detector.emit: more than 4 variables on one process"
-    else if slots.(i) = var then i
-    else if slots.(i) = "" then (slots.(i) <- var; i)
-    else slot_of (i + 1)
-  in
-  let var_idx = slot_of 0 in
-  let seq = t.seqs.(src) in
-  t.seqs.(src) <- seq + 1;
-  let stamp = Physical_clock.read t.clocks.(src) ~now in
+  let lane = Holdback.admit t.hb ~src ~var ~value in
   (* SVC1: tick + allocate the post-tick snapshot in this group's
      plane; the handle rides both the checker unicast and the strobes. *)
-  let vh = Strobe_vector.tick_and_strobe_into t.planes.(g) t.svclocks.(src) in
-  let u =
-    { Observation.src; var; value = Value.Int value; seq; sense_time = now }
+  let vh =
+    Strobe_vector.tick_and_strobe_into
+      t.planes.(t.cfg.group_of src)
+      t.svclocks.(src)
   in
-  let buf = t.by_group.(g) in
-  buf := u :: !buf;
-  Metrics.tick t.c_updates.(g);
-  (match t.sinks with
-  | Some s ->
-      Trace.emit s.(g) ~time:now ~pid:src
-        (Trace.Clock_strobe { clock = "strobe_vector" })
-  | None -> ());
-  let seqvar = (seq lsl var_bits) lor var_idx in
-  Shard_net.send t.net ~src ~dst:t.cfg.n ~a:value ~b:now
-    ~c:(Sim_time.to_ns stamp) ~d:seqvar ~e:vh;
+  Holdback.send t.hb ~src ~lane ~value ~vh
+    ~tick:(Trace.Clock_strobe { clock = "strobe_vector" }) ~mirror:(-1);
   (* Strobe the snapshot to every other source; receivers merge without
      ticking, so these deliveries are not lattice events.  A lost strobe
      only weakens the causal bound (wider slab), never correctness. *)
+  let net = Holdback.net t.hb in
   for dst = 0 to t.cfg.n - 1 do
-    if dst <> src then
-      Shard_net.send t.net ~src ~dst ~a:vh ~b:0 ~c:0 ~d:0 ~e:0
+    if dst <> src then Shard_net.send net ~src ~dst ~a:vh ~b:0 ~c:0 ~d:0 ~e:0
   done
 
 let finish t =
   if not t.finished then begin
     t.finished <- true;
-    let checker_engine = Exec.engine t.exec ~group:0 in
-    let now = Engine.now checker_engine in
-    let m = Pending_arena.take_ready t.pend ~cutoff:max_int in
-    ignore (apply_batch t ~now m);
-    t.cur_now := now;
-    t.cur_sense := Sim_time.to_ns now;
-    t.cur_trigger := None;
-    for pid = 0 to t.cfg.n - 1 do
-      Streaming.close_pid t.stream ~pid
-    done;
-    Streaming.finish t.stream;
-    let committed =
-      match Streaming.committed_cuts t.stream with
-      | Psn_lattice.Packed.Exact c | Psn_lattice.Packed.At_least c -> c
-    in
-    match t.sinks with
-    | Some s ->
-        Trace.emit s.(0) ~time:now ~pid:(checker_pid t)
-          (Trace.Lattice_commit
-             {
-               level = Streaming.committed_level t.stream;
-               live = Streaming.live_cuts t.stream;
-               committed;
-             })
-    | None -> ()
+    Holdback.flush_all t.hb (fun ~now m ->
+        apply_batch t ~now m;
+        t.cur_now := now;
+        t.cur_sense := Sim_time.to_ns now;
+        t.cur_trigger := None;
+        for pid = 0 to t.cfg.n - 1 do
+          Streaming.close_pid t.stream ~pid
+        done;
+        Streaming.finish t.stream;
+        trace_commit t ~now)
   end
 
-let net t = t.net
+let net t = Holdback.net t.hb
 let stream t = t.stream
 
-let updates t =
-  let all =
-    Array.fold_left (fun acc buf -> List.rev_append !buf acc) [] t.by_group
-  in
-  List.sort
-    (fun (a : Observation.update) (b : Observation.update) ->
-      let c = Sim_time.compare a.sense_time b.sense_time in
-      if c <> 0 then c
-      else
-        let c = Stdlib.compare (a.src : int) b.src in
-        if c <> 0 then c else Stdlib.compare (a.seq : int) b.seq)
-    all
-
+let updates t = Holdback.updates t.hb
 let edges t = List.rev !(t.edges)
 let observed t = Streaming.events_observed t.stream

@@ -6,13 +6,13 @@
     each local-variable update, and unicast it over a
     {!Psn_network.Shard_net} to a checker process (pid [n], group 0 /
     shard 0) while strobing the post-tick stamp to every other source.
-    The checker buffers arrivals and, on the hold-back flush schedule of
-    {!Sharded_detector}, feeds each source's updates {e in sequence
-    order} to a {!Psn_lattice.Streaming} frontier walk, which commits
-    consistent cuts as levels finalize, evaluates the predicate on every
-    committed cut, reclaims the retired slab, and emits
-    Possibly/Definitely verdict {e edges} the moment they are decided —
-    bounded peak memory whatever the run length.
+    The checker buffers arrivals and, on the hold-back flush schedule it
+    shares with {!Sharded_detector} ({!Holdback}), feeds each source's
+    updates {e in sequence order} to a {!Psn_lattice.Streaming} frontier
+    walk, which commits consistent cuts as levels finalize, evaluates
+    the predicate on every committed cut, reclaims the retired slab, and
+    emits Possibly/Definitely verdict {e edges} the moment they are
+    decided — bounded peak memory whatever the run length.
 
     {b Determinism.}  Updates apply in the arena's (stamp, src, seq)
     order within each flush and in per-source sequence order across
@@ -61,19 +61,17 @@ type edge = {
 val create :
   ?loss:Psn_sim.Loss_model.t ->
   ?sinks:Psn_obs.Trace.sink array ->
-  ?arena:Detector_arena.t ->
   ?on_observe:(pid:int -> stamp:int array -> unit) ->
   Psn_sim.Exec.t -> cfg:cfg -> delay:Psn_sim.Delay_model.t ->
   predicate:Psn_predicates.Expr.t -> unit -> t
-(** Builds the transport (label ["stream_detector"]), per-pid physical
-    and strobe vector clocks, per-group stamp planes, and the checker's
-    flush schedule on group 0's engine.  The predicate is evaluated once
-    per committed cut over each source's value history at that cut
-    (unbound variables make a cut ¬φ, as in
+(** Builds the {!Holdback} front end (transport ["stream_detector"],
+    counter [stream_detector.updates]; raises as {!Holdback.create}),
+    the strobe vector clocks, and the per-group stamp planes.  The
+    predicate is evaluated once per committed cut over each source's
+    value history at that cut (unbound variables make a cut ¬φ, as in
     {!Psn_lattice.Modal.holds_of_expr}).  [sinks] (one per group) trace
     strobes, updates, occurrences, per-flush [Lattice_commit]
-    milestones, and the transport records.  [arena] reuses construction
-    arrays across same-seed runs ({!Detector_arena}).  [on_observe] is a
+    milestones, and the transport records.  [on_observe] is a
     diagnostic tap called with every stamp in the exact order the
     streaming walk consumes it — the scratch array is reused, copy to
     keep — which is how the differential suite replays the same prefix
@@ -83,7 +81,8 @@ val emit : t -> src:int -> var:string -> value:int -> unit
 (** Called from a sense event executing on [src]'s group engine: stamps
     the update (physical + strobe vector), unicasts it to the checker,
     and strobes the stamp to every other source.  At most four distinct
-    variable names per source, as in {!Sharded_detector.emit}. *)
+    variable names per source, as in {!Sharded_detector.emit}; a fifth,
+    or [src] outside [0 .. n-1], raises [Invalid_argument]. *)
 
 val finish : t -> unit
 (** After [Exec.run]: apply every still-buffered arrival in key order,

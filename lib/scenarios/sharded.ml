@@ -57,9 +57,11 @@ let default_detect =
 
 (* Entity streams decorrelated from the transport's per-source streams
    (Shard_net mixes with a different odd constant). *)
-let entity_rng seed tag =
+let entity_rng exec tag =
   Rng.create
-    ~seed:(Int64.add seed (Int64.mul (Int64.of_int (tag + 1)) 0xBF58476D1CE4E5B9L))
+    ~seed:
+      (Int64.add (Exec.seed exec)
+         (Int64.mul (Int64.of_int (tag + 1)) 0xBF58476D1CE4E5B9L))
     ()
 
 (* Build detector + world, run, score — shared by every workload. *)
@@ -92,27 +94,26 @@ let execute (dc : detect_cfg) exec ?sinks ~n ~group_of ~predicate ~init
       ~truth ~detections:occurrences ()
   in
   let net = Sharded_detector.net det in
-  ( {
-      Psn.Report.summary;
-      truth;
-      occurrences;
-      updates = List.length updates;
-      messages = Shard_net.sent net;
-      words = Shard_net.words net;
-      dropped = Shard_net.dropped net;
-      sim_events = Exec.events_processed exec;
-      horizon = dc.horizon;
-      metrics = Exec.merged_metrics exec;
-      sharding =
-        (if Exec.is_sharded exec then
-           Some
-             {
-               Psn.Report.si_windows = Exec.windows exec;
-               si_per_shard = Exec.shard_snapshots exec;
-             }
-         else None);
-    },
-    det )
+  {
+    Psn.Report.summary;
+    truth;
+    occurrences;
+    updates = List.length updates;
+    messages = Shard_net.sent net;
+    words = Shard_net.words net;
+    dropped = Shard_net.dropped net;
+    sim_events = Exec.events_processed exec;
+    horizon = dc.horizon;
+    metrics = Exec.merged_metrics exec;
+    sharding =
+      (if Exec.is_sharded exec then
+         Some
+           {
+             Psn.Report.si_windows = Exec.windows exec;
+             si_per_shard = Exec.shard_snapshots exec;
+           }
+       else None);
+  }
 
 (* {2 Exhibition hall}
 
@@ -153,38 +154,34 @@ let hall ?(cfg = hall_default) ?sinks exec =
   if cfg.doors <= 0 then invalid_arg "Sharded.hall: doors";
   let dc = cfg.detect in
   let group_of pid = pid * dc.groups / cfg.doors in
-  let seed = Exec.seed exec in
-  let report, _det =
-    execute dc exec ?sinks ~n:cfg.doors ~group_of
-      ~predicate:(hall_predicate cfg) ~init:(hall_init cfg)
-      ~populate:(fun det ->
-        let xs = Array.make cfg.doors 0 and ys = Array.make cfg.doors 0 in
-        for v = 0 to cfg.visitors - 1 do
-          let rng = entity_rng seed v in
-          let rec walk t inside =
-            let dwell = Rng.exponential rng ~mean:cfg.dwell_mean in
-            let t' = Sim_time.add t (Sim_time.of_sec_float dwell) in
-            if Sim_time.( < ) t' dc.horizon then begin
-              let door = Rng.int rng cfg.doors in
-              let engine = Exec.engine exec ~group:(group_of door) in
-              if inside then
-                Engine.schedule_at_unit engine t' (fun () ->
-                    ys.(door) <- ys.(door) + 1;
-                    Sharded_detector.emit det ~src:door ~var:"y"
-                      ~value:ys.(door))
-              else
-                Engine.schedule_at_unit engine t' (fun () ->
-                    xs.(door) <- xs.(door) + 1;
-                    Sharded_detector.emit det ~src:door ~var:"x"
-                      ~value:xs.(door));
-              walk t' (not inside)
-            end
-          in
-          walk Sim_time.zero false
-        done)
-      ()
-  in
-  report
+  execute dc exec ?sinks ~n:cfg.doors ~group_of
+    ~predicate:(hall_predicate cfg) ~init:(hall_init cfg)
+    ~populate:(fun det ->
+      let xs = Array.make cfg.doors 0 and ys = Array.make cfg.doors 0 in
+      for v = 0 to cfg.visitors - 1 do
+        let rng = entity_rng exec v in
+        let rec walk t inside =
+          let dwell = Rng.exponential rng ~mean:cfg.dwell_mean in
+          let t' = Sim_time.add t (Sim_time.of_sec_float dwell) in
+          if Sim_time.( < ) t' dc.horizon then begin
+            let door = Rng.int rng cfg.doors in
+            let engine = Exec.engine exec ~group:(group_of door) in
+            if inside then
+              Engine.schedule_at_unit engine t' (fun () ->
+                  ys.(door) <- ys.(door) + 1;
+                  Sharded_detector.emit det ~src:door ~var:"y"
+                    ~value:ys.(door))
+            else
+              Engine.schedule_at_unit engine t' (fun () ->
+                  xs.(door) <- xs.(door) + 1;
+                  Sharded_detector.emit det ~src:door ~var:"x"
+                    ~value:xs.(door));
+            walk t' (not inside)
+          end
+        in
+        walk Sim_time.zero false
+      done)
+    ()
 
 (* {2 Banking}
 
@@ -221,35 +218,31 @@ let banking ?(cfg = banking_default) ?sinks exec =
   if cfg.tellers <= 0 then invalid_arg "Sharded.banking: tellers";
   let dc = cfg.detect in
   let group_of pid = pid * dc.groups / cfg.tellers in
-  let seed = Exec.seed exec in
-  let report, _det =
-    execute dc exec ?sinks ~n:cfg.tellers ~group_of
-      ~predicate:(banking_predicate cfg) ~init:(banking_init cfg)
-      ~populate:(fun det ->
-        for teller = 0 to cfg.tellers - 1 do
-          let rng = entity_rng seed teller in
-          let engine = Exec.engine exec ~group:(group_of teller) in
-          let rec sessions t =
-            let gap =
-              Rng.exponential rng ~mean:(3600.0 /. cfg.sessions_per_hour)
-            in
-            let start = Sim_time.add t (Sim_time.of_sec_float gap) in
-            let len = Rng.exponential rng ~mean:cfg.session_mean in
-            let stop = Sim_time.add start (Sim_time.of_sec_float len) in
-            if Sim_time.( < ) start dc.horizon then begin
-              Engine.schedule_at_unit engine start (fun () ->
-                  Sharded_detector.emit det ~src:teller ~var:"busy" ~value:1);
-              if Sim_time.( < ) stop dc.horizon then
-                Engine.schedule_at_unit engine stop (fun () ->
-                    Sharded_detector.emit det ~src:teller ~var:"busy" ~value:0);
-              sessions stop
-            end
+  execute dc exec ?sinks ~n:cfg.tellers ~group_of
+    ~predicate:(banking_predicate cfg) ~init:(banking_init cfg)
+    ~populate:(fun det ->
+      for teller = 0 to cfg.tellers - 1 do
+        let rng = entity_rng exec teller in
+        let engine = Exec.engine exec ~group:(group_of teller) in
+        let rec sessions t =
+          let gap =
+            Rng.exponential rng ~mean:(3600.0 /. cfg.sessions_per_hour)
           in
-          sessions Sim_time.zero
-        done)
-      ()
-  in
-  report
+          let start = Sim_time.add t (Sim_time.of_sec_float gap) in
+          let len = Rng.exponential rng ~mean:cfg.session_mean in
+          let stop = Sim_time.add start (Sim_time.of_sec_float len) in
+          if Sim_time.( < ) start dc.horizon then begin
+            Engine.schedule_at_unit engine start (fun () ->
+                Sharded_detector.emit det ~src:teller ~var:"busy" ~value:1);
+            if Sim_time.( < ) stop dc.horizon then
+              Engine.schedule_at_unit engine stop (fun () ->
+                  Sharded_detector.emit det ~src:teller ~var:"busy" ~value:0);
+            sessions stop
+          end
+        in
+        sessions Sim_time.zero
+      done)
+    ()
 
 (* {2 Hospital}
 
@@ -312,43 +305,46 @@ let calm_init cfg =
   List.init cfg.monitors (fun i ->
       ({ Expr.name = "load"; loc = i }, Value.Int 80))
 
+(* Pre-schedule every monitor's load samples on its group's engine,
+   from the monitor's entity stream; [emit] publishes each sample. *)
+let calm_walk exec ~monitors ~group_of ~sample_period ~horizon emit =
+  for m = 0 to monitors - 1 do
+    let rng = entity_rng exec m in
+    let engine = Exec.engine exec ~group:(group_of m) in
+    let load = ref 80 in
+    let rec samples t =
+      let gap = Rng.exponential rng ~mean:sample_period in
+      let at = Sim_time.add t (Sim_time.of_sec_float gap) in
+      if Sim_time.( < ) at horizon then begin
+        Engine.schedule_at_unit engine at (fun () ->
+            (* Downward-drifting walk (step in -6 .. +4) with rare
+               spikes, so the all-calm conjunction keeps flipping:
+               drift pulls every monitor under [limit], a spike breaks
+               one conjunct, the drift repairs it. *)
+            let spiked = Rng.int rng 25 = 0 in
+            load :=
+              (if spiked then 70 + Rng.int rng 30
+               else
+                 let step = Rng.int rng 11 - 6 in
+                 Stdlib.max 0 (Stdlib.min 100 (!load + step)));
+            emit ~src:m ~var:"load" ~value:!load);
+        samples at
+      end
+    in
+    samples Sim_time.zero
+  done
+
 let calm ?(cfg = calm_default) ?sinks exec =
   if cfg.monitors <= 0 then invalid_arg "Sharded.calm: monitors";
   let dc = cfg.detect in
   let group_of pid = pid * dc.groups / cfg.monitors in
-  let seed = Exec.seed exec in
-  let report, _det =
-    execute dc exec ?sinks ~n:cfg.monitors ~group_of
-      ~predicate:(calm_predicate cfg) ~init:(calm_init cfg)
-      ~populate:(fun det ->
-        for m = 0 to cfg.monitors - 1 do
-          let rng = entity_rng seed m in
-          let engine = Exec.engine exec ~group:(group_of m) in
-          let load = ref 80 in
-          let rec samples t =
-            let gap = Rng.exponential rng ~mean:cfg.sample_period in
-            let at = Sim_time.add t (Sim_time.of_sec_float gap) in
-            if Sim_time.( < ) at dc.horizon then begin
-              Engine.schedule_at_unit engine at (fun () ->
-                  (* Downward-drifting walk (step in -6 .. +4) with rare
-                     spikes, so the all-calm conjunction keeps flipping:
-                     drift pulls every monitor under [limit], a spike
-                     breaks one conjunct, the drift repairs it. *)
-                  let spiked = Rng.int rng 25 = 0 in
-                  load :=
-                    (if spiked then 70 + Rng.int rng 30
-                     else
-                       let step = Rng.int rng 11 - 6 in
-                       Stdlib.max 0 (Stdlib.min 100 (!load + step)));
-                  Sharded_detector.emit det ~src:m ~var:"load" ~value:!load);
-              samples at
-            end
-          in
-          samples Sim_time.zero
-        done)
-      ()
-  in
-  report
+  execute dc exec ?sinks ~n:cfg.monitors ~group_of
+    ~predicate:(calm_predicate cfg) ~init:(calm_init cfg)
+    ~populate:(fun det ->
+      calm_walk exec ~monitors:cfg.monitors ~group_of
+        ~sample_period:cfg.sample_period ~horizon:dc.horizon
+        (Sharded_detector.emit det))
+    ()
 
 (* {2 Streamed modal detection}
 
@@ -400,11 +396,10 @@ type stream_result = {
   sr_dropped : int;
 }
 
-let stream ?(cfg = stream_default) ?sinks ?arena ?on_observe exec =
+let stream ?(cfg = stream_default) ?sinks ?on_observe exec =
   if cfg.s_monitors <= 0 then invalid_arg "Sharded.stream: monitors";
   let dc = cfg.s_detect in
   let group_of pid = pid * dc.groups / cfg.s_monitors in
-  let seed = Exec.seed exec in
   let dcfg =
     {
       Streaming_detector.n = cfg.s_monitors;
@@ -417,30 +412,12 @@ let stream ?(cfg = stream_default) ?sinks ?arena ?on_observe exec =
     }
   in
   let det =
-    Streaming_detector.create ~loss:dc.loss ?sinks ?arena ?on_observe exec
+    Streaming_detector.create ~loss:dc.loss ?sinks ?on_observe exec
       ~cfg:dcfg ~delay:dc.delay ~predicate:(stream_predicate cfg) ()
   in
-  for m = 0 to cfg.s_monitors - 1 do
-    let rng = entity_rng seed m in
-    let engine = Exec.engine exec ~group:(group_of m) in
-    let load = ref 80 in
-    let rec samples t =
-      let gap = Rng.exponential rng ~mean:cfg.s_sample_period in
-      let at = Sim_time.add t (Sim_time.of_sec_float gap) in
-      if Sim_time.( < ) at dc.horizon then begin
-        Engine.schedule_at_unit engine at (fun () ->
-            let spiked = Rng.int rng 25 = 0 in
-            load :=
-              (if spiked then 70 + Rng.int rng 30
-               else
-                 let step = Rng.int rng 11 - 6 in
-                 Stdlib.max 0 (Stdlib.min 100 (!load + step)));
-            Streaming_detector.emit det ~src:m ~var:"load" ~value:!load);
-        samples at
-      end
-    in
-    samples Sim_time.zero
-  done;
+  calm_walk exec ~monitors:cfg.s_monitors ~group_of
+    ~sample_period:cfg.s_sample_period ~horizon:dc.horizon
+    (Streaming_detector.emit det);
   Exec.run exec ~until:dc.horizon;
   Streaming_detector.finish det;
   let s = Streaming_detector.stream det in
@@ -463,29 +440,25 @@ let hospital ?(cfg = hospital_default) ?sinks exec =
   if cfg.wards <= 0 then invalid_arg "Sharded.hospital: wards";
   let dc = cfg.detect in
   let group_of pid = pid * dc.groups / cfg.wards in
-  let seed = Exec.seed exec in
-  let report, _det =
-    execute dc exec ?sinks ~n:cfg.wards ~group_of
-      ~predicate:(hospital_predicate cfg) ~init:(hospital_init cfg)
-      ~populate:(fun det ->
-        for ward = 0 to cfg.wards - 1 do
-          let rng = entity_rng seed ward in
-          let engine = Exec.engine exec ~group:(group_of ward) in
-          let vital = ref 100 in
-          let rec samples t =
-            let gap = Rng.exponential rng ~mean:cfg.sample_period in
-            let at = Sim_time.add t (Sim_time.of_sec_float gap) in
-            if Sim_time.( < ) at dc.horizon then begin
-              Engine.schedule_at_unit engine at (fun () ->
-                  let step = Rng.int rng 11 - 5 in
-                  vital := Stdlib.max 50 (Stdlib.min 160 (!vital + step));
-                  Sharded_detector.emit det ~src:ward ~var:"vital"
-                    ~value:!vital);
-              samples at
-            end
-          in
-          samples Sim_time.zero
-        done)
-      ()
-  in
-  report
+  execute dc exec ?sinks ~n:cfg.wards ~group_of
+    ~predicate:(hospital_predicate cfg) ~init:(hospital_init cfg)
+    ~populate:(fun det ->
+      for ward = 0 to cfg.wards - 1 do
+        let rng = entity_rng exec ward in
+        let engine = Exec.engine exec ~group:(group_of ward) in
+        let vital = ref 100 in
+        let rec samples t =
+          let gap = Rng.exponential rng ~mean:cfg.sample_period in
+          let at = Sim_time.add t (Sim_time.of_sec_float gap) in
+          if Sim_time.( < ) at dc.horizon then begin
+            Engine.schedule_at_unit engine at (fun () ->
+                let step = Rng.int rng 11 - 5 in
+                vital := Stdlib.max 50 (Stdlib.min 160 (!vital + step));
+                Sharded_detector.emit det ~src:ward ~var:"vital"
+                  ~value:!vital);
+            samples at
+          end
+        in
+        samples Sim_time.zero
+      done)
+    ()

@@ -123,7 +123,6 @@ type stream_result = {
 val stream :
   ?cfg:stream_cfg ->
   ?sinks:Psn_obs.Trace.sink array ->
-  ?arena:Psn_detection.Detector_arena.t ->
   ?on_observe:(pid:int -> stamp:int array -> unit) ->
   Psn_sim.Exec.t ->
   stream_result * Psn_detection.Streaming_detector.t

@@ -442,11 +442,9 @@ let test_merge_snapshots () =
    The online Possibly/Definitely path: substrate invariance of the
    whole observable result (verdicts, edges, occupancy evidence, merged
    trace bytes), the streaming-vs-packed oracle on the exact stamps the
-   walk consumed, online-tap == post-hoc analysis bytes, and
-   construction-arena reuse. *)
+   walk consumed, and online-tap == post-hoc analysis bytes. *)
 
 module Streaming_detector = Psn_detection.Streaming_detector
-module Detector_arena = Psn_detection.Detector_arena
 module Lattice = Psn_lattice.Lattice
 module Modal = Psn_lattice.Modal
 module Streaming = Psn_lattice.Streaming
@@ -499,13 +497,26 @@ let test_stream_matches_packed =
                    (u.var, u.value))
             |> Array.of_list)
       in
-      (* Lossless run: everything emitted was fed. *)
+      (* Lossless run: everything emitted was fed, except updates sensed
+         within the maximum delay of the horizon, which may still be in
+         flight when the run stops. *)
+      let settled =
+        let dc = stream_cfg.Sharded.s_detect in
+        Sim_time.sub dc.horizon (Option.get (Delay_model.delta dc.delay))
+      in
       Array.iteri
         (fun i evs ->
-          if Array.length evs <> Array.length writes.(i) then
-            QCheck.Test.fail_reportf "pid %d fed %d of %d updates" i
-              (Array.length evs)
-              (Array.length writes.(i)))
+          let fed = Array.length evs and emitted = Array.length writes.(i) in
+          let must =
+            Streaming_detector.updates det
+            |> List.filter (fun (u : Psn_detection.Observation.update) ->
+                   u.src = i && Sim_time.( < ) u.sense_time settled)
+            |> List.length
+          in
+          if fed < must || fed > emitted then
+            QCheck.Test.fail_reportf
+              "pid %d fed %d of %d updates (%d sensed before %a)" i fed
+              emitted must Sim_time.pp settled)
         stamps;
       let holds =
         Modal.holds_of_expr ~init:[] ~updates:writes
@@ -568,23 +579,70 @@ let test_stream_tap_equals_retained () =
   Alcotest.(check string) "json byte-identical" (Analyze.to_json posthoc)
     (Analyze.to_json online)
 
-(* Arena-backed construction must change nothing observable, and the
-   second same-key build must reuse the cached clock array. *)
-let test_stream_arena_reuse () =
-  let seed = 7L in
-  let run ?arena () =
-    let exec = Exec.single ~seed () in
-    let r, _det = Sharded.stream ~cfg:stream_cfg ?arena exec in
-    r
+(* {2 Hold-back front end}
+
+   Both Exec detectors share their configuration and emit checks; each
+   must reject the same inputs itself, with a message naming it. *)
+
+let test_holdback_checks () =
+  let predicate = Expr.(var ~name:"v" ~loc:0 >=? int 0) in
+  let sharded ~n ~groups ~flush_period =
+    let cfg =
+      { Sharded_detector.n; groups; group_of = (fun _ -> 0); eps = ms 1;
+        hold = ms 20; flush_period; causal_stamps = false }
+    in
+    Sharded_detector.emit
+      (Sharded_detector.create (Exec.single ()) ~cfg ~delay:delay_small
+         ~predicate ())
   in
-  let fresh = run () in
-  let arena = Detector_arena.create () in
-  let first = run ~arena () in
-  let second = run ~arena () in
-  Alcotest.(check bool) "arena run = fresh run" true (compare fresh first = 0);
-  Alcotest.(check bool) "arena reuse run = fresh run" true
-    (compare fresh second = 0);
-  Alcotest.(check int) "clock array built once" 1 (Detector_arena.builds arena)
+  let streaming ~n ~groups ~flush_period =
+    let cfg =
+      { Streaming_detector.n; groups; group_of = (fun _ -> 0); eps = ms 1;
+        hold = ms 20; flush_period; cap = 1_000 }
+    in
+    Streaming_detector.emit
+      (Streaming_detector.create (Exec.single ()) ~cfg ~delay:delay_small
+         ~predicate ())
+  in
+  (* Each case gets a builder [make ~n ~groups ~flush_period] that
+     returns the detector's [emit]. *)
+  let build make ~n ~groups ~flush_period =
+    let _emit = make ~n ~groups ~flush_period in
+    ()
+  in
+  let emit_ok make = make ~n:2 ~groups:1 ~flush_period:(ms 10) in
+  let cases =
+    [
+      ("n = 0", build ~n:0 ~groups:1 ~flush_period:(ms 10));
+      ("n < 0", build ~n:(-1) ~groups:1 ~flush_period:(ms 10));
+      ("groups = 0", build ~n:2 ~groups:0 ~flush_period:(ms 10));
+      ("flush_period = 0", build ~n:2 ~groups:1 ~flush_period:Sim_time.zero);
+      ("src = n", fun make -> emit_ok make ~src:2 ~var:"v" ~value:0);
+      ("src < 0", fun make -> emit_ok make ~src:(-1) ~var:"v" ~value:0);
+      ( "fifth variable on one process",
+        fun make ->
+          let emit = emit_ok make in
+          List.iter
+            (fun var -> emit ~src:0 ~var ~value:0)
+            [ "a"; "b"; "c"; "d" ];
+          emit ~src:0 ~var:"e" ~value:0 );
+    ]
+  in
+  List.iter
+    (fun (detector, d) ->
+      List.iter
+        (fun (case, f) ->
+          match f d with
+          | exception Invalid_argument msg
+            when String.starts_with ~prefix:(detector ^ ".") msg ->
+              ()
+          | exception Invalid_argument msg ->
+              Alcotest.failf "%s, %s: raised by another module: %s" detector
+                case msg
+          | () ->
+              Alcotest.failf "%s, %s: expected Invalid_argument" detector case)
+        cases)
+    [ ("Sharded_detector", sharded); ("Streaming_detector", streaming) ]
 
 let () =
   Alcotest.run "psn_sharded"
@@ -625,6 +683,10 @@ let () =
           test_stream_matches_packed;
           Alcotest.test_case "online tap == post-hoc bytes" `Quick
             test_stream_tap_equals_retained;
-          Alcotest.test_case "arena reuse" `Quick test_stream_arena_reuse;
+        ] );
+      ( "holdback",
+        [
+          Alcotest.test_case "both detectors reject bad config and emits"
+            `Quick test_holdback_checks;
         ] );
     ]
