@@ -151,8 +151,10 @@ let predicate_eval =
       ignore (eval_bool ~env:(Hashtbl.find_opt tbl) predicate))
 
 (* Compiled twin of [predicate_eval]: same predicate and bindings, one
-   compile, per-op cost is the flat-bytecode run over int slots.  The
-   speedup line in bench-compare pairs these two subjects. *)
+   compile.  The predicate is a linear comparison with every slot a
+   small int, so the per-op cost is the running-sum check, not a
+   bytecode run ([predicate_eval_bytecode] below keeps that measured).
+   The speedup line in bench-compare pairs these two subjects. *)
 let predicate_eval_compiled =
   let open Psn_predicates.Expr in
   let predicate =
@@ -171,6 +173,44 @@ let predicate_eval_compiled =
         5)
     (List.init 8 (fun i -> i));
   Test.make ~name:"predicate.eval.compiled(8 doors)" (Staged.stage @@ fun () ->
+      ignore (Psn_predicates.Compiled.eval_bool prog env))
+
+(* The per-update cost the scorer and the checker pay on the n = 1000
+   hall: one [set_int] on a door counter (cycling over all 2000), then
+   [eval_bool] — both O(1) on the running sum. *)
+let predicate_set_eval_compiled =
+  let module Sharded = Psn_scenarios.Sharded in
+  let predicate =
+    Sharded.hall_predicate
+      { Sharded.hall_default with doors = 1000; capacity = 1000 }
+  in
+  let prog = Psn_predicates.Compiled.compile predicate in
+  let env = Psn_predicates.Compiled.create_env prog in
+  let nvars = Psn_predicates.Compiled.nvars prog in
+  for s = 0 to nvars - 1 do
+    Psn_predicates.Compiled.set_int env s 0
+  done;
+  let next = ref 0 in
+  Test.make ~name:"predicate.set+eval.compiled(1000 doors)"
+    (Staged.stage @@ fun () ->
+      let s = !next in
+      next := if s + 1 = nvars then 0 else s + 1;
+      Psn_predicates.Compiled.set_int env s (s land 15);
+      ignore (Psn_predicates.Compiled.eval_bool prog env))
+
+(* Bytecode twin: the 8-monitor calm conjunction is not a linear
+   comparison, so every op is a full bytecode run; all loads are under
+   the limit, so no conjunct short-circuits. *)
+let predicate_eval_bytecode =
+  let module Sharded = Psn_scenarios.Sharded in
+  let cfg = { Sharded.calm_default with monitors = 8 } in
+  let prog = Psn_predicates.Compiled.compile (Sharded.calm_predicate cfg) in
+  let env = Psn_predicates.Compiled.create_env prog in
+  for s = 0 to Psn_predicates.Compiled.nvars prog - 1 do
+    Psn_predicates.Compiled.set_int env s (cfg.limit - 1)
+  done;
+  Test.make ~name:"predicate.eval.bytecode(8 monitors)"
+    (Staged.stage @@ fun () ->
       ignore (Psn_predicates.Compiled.eval_bool prog env))
 
 (* Independent (no communication) stamps: the worst case where every one
@@ -616,7 +656,8 @@ let subjects =
     ( "infra",
       [
         engine_event; engine_event_traced; predicate_eval;
-        predicate_eval_compiled; lattice_count; detector_run; hall_run_single;
+        predicate_eval_compiled; predicate_set_eval_compiled;
+        predicate_eval_bytecode; lattice_count; detector_run; hall_run_single;
         hall_run_sharded 1; hall_run_sharded 2; hall_run_sharded 4;
         detector_flush_100; detector_flush_1000; detector_flush_1000_k4;
         detector_stream_flush;

@@ -9,6 +9,7 @@
 
 module Sim_time = Psn_sim.Sim_time
 module Expr = Psn_predicates.Expr
+module Compiled = Psn_predicates.Compiled
 
 type interval = {
   t_start : Sim_time.t;
@@ -22,35 +23,53 @@ let compare_updates (a : Observation.update) (b : Observation.update) =
     let c = Stdlib.compare a.src b.src in
     if c <> 0 then c else Stdlib.compare a.seq b.seq
 
-(* Evaluate φ treating unbound variables as "predicate not established". *)
-let eval_safe predicate env =
-  match Expr.eval_bool ~env predicate with
-  | b -> b
-  | exception Expr.Unbound_variable _ -> false
+let rec in_order = function
+  | a :: (b :: _ as rest) -> compare_updates a b <= 0 && in_order rest
+  | [] | [ _ ] -> true
 
+(* φ is compiled once and re-evaluated only when an update binds a
+   variable it reads: the others cannot change its value, nor make it
+   raise where the previous evaluation did not.  A linear φ (the
+   hall's sum) then costs O(1) per update.  The stable sort keeps a
+   list already in replay order as it is, so such a list skips it. *)
 let intervals ?(init = []) ~updates ~predicate ~horizon () =
-  let tbl : (Expr.var, Psn_world.Value.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (v, value) -> Hashtbl.replace tbl v value) init;
-  let env v = Hashtbl.find_opt tbl v in
-  let sorted = List.sort compare_updates updates in
+  let prog = Compiled.compile predicate in
+  let env = Compiled.create_env prog in
+  List.iter
+    (fun (v, value) ->
+      let s = Compiled.slot prog v in
+      if s >= 0 then Compiled.set env s value)
+    init;
+  (* Unbound variables mean "predicate not established". *)
+  let eval () =
+    match Compiled.eval_bool prog env with
+    | b -> b
+    | exception Expr.Unbound_variable _ -> false
+  in
+  let sorted =
+    if in_order updates then updates else List.sort compare_updates updates
+  in
   let acc = ref [] in
   let open_since = ref None in
-  let holds = ref (eval_safe predicate env) in
+  let holds = ref (eval ()) in
   if !holds then open_since := Some Sim_time.zero;
   List.iter
     (fun (u : Observation.update) ->
       if Sim_time.( <= ) u.sense_time horizon then begin
-        Hashtbl.replace tbl (Observation.located u) u.value;
-        let now_holds = eval_safe predicate env in
-        (match (!holds, now_holds) with
-        | false, true -> open_since := Some u.sense_time
-        | true, false ->
-            (match !open_since with
-            | Some t_start -> acc := { t_start; t_end = u.sense_time } :: !acc
-            | None -> ());
-            open_since := None
-        | _ -> ());
-        holds := now_holds
+        let s = Compiled.slot prog (Observation.located u) in
+        if s >= 0 then begin
+          Compiled.set env s u.value;
+          let now_holds = eval () in
+          (match (!holds, now_holds) with
+          | false, true -> open_since := Some u.sense_time
+          | true, false ->
+              (match !open_since with
+              | Some t_start -> acc := { t_start; t_end = u.sense_time } :: !acc
+              | None -> ());
+              open_since := None
+          | _ -> ());
+          holds := now_holds
+        end
       end)
     sorted;
   (match !open_since with

@@ -27,8 +27,10 @@
        checker, not one per update).  Kept as the differential oracle.
      - [Compiled]: same central evaluation through a
        [Psn_predicates.Compiled] program over int slots.  Handles any
-       predicate; each applied update still re-evaluates the whole
-       program, but without lookups, boxing, or closure calls.
+       predicate.  A linear comparison (the hall's sum) costs O(1) per
+       applied update, read off the program's running sum; any other
+       predicate re-evaluates the whole program, but without lookups,
+       boxing, or closure calls.
      - [Partitioned] (conjunctive predicates only): every group runs a
        sub-checker on its own shard, holding the compiled residual of
        its conjuncts.  Each update's arrival is mirrored to the source

@@ -32,7 +32,8 @@ type t
     - [Interp]: Hashtbl env + {!Psn_predicates.Expr.eval_bool} per
       applied update.  The differential oracle.
     - [Compiled]: one {!Psn_predicates.Compiled} program over int slots,
-      re-evaluated per applied update.  Works for any predicate.
+      re-evaluated per applied update.  Works for any predicate; O(1)
+      per update for a linear comparison such as the hall's sum.
     - [Partitioned]: conjunctive predicates only ({!Psn_predicates.Expr.conjuncts}).
       Each group's shard runs a sub-checker over the compiled residual of
       its conjuncts and publishes only rising/falling edges of the group

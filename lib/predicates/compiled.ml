@@ -34,6 +34,22 @@
    numerics as floats anyway), and a string lane.  A lane is only read
    under the tag that wrote it, so stale entries are harmless.
 
+   Linear comparisons skip the bytecode.  When the root is a [Cmp]
+   whose two sides are [Add]/[Sub] trees over [Var] leaves and [Int]
+   constants, [compile] also records each slot's signed coefficient in
+   L - R and its number of leaves, the constant k = Σ±c and Σ|c|.  The
+   env then keeps, in O(1) per [set]/[set_int]/[clear], the running
+   sum Σ coef·x, a budget Σ leaves·|x|, and [bad], the count of slots
+   that are unbound, non-[Int], or have |x| > 2^40.  When [bad] = 0
+   and budget + Σ|c| <= 2^53, every leaf and every partial sum of the
+   bytecode's float evaluation is an integer of magnitude <= 2^53, so
+   each is exact and [Float.compare L R] is [compare (sum + k) 0]: the
+   answer is read off the sum.  Otherwise the bytecode runs, so the
+   exceptions and the float rounding are the interpreter's.  The 2^40
+   cap keeps the budget inside [max_int], which [compile] checks
+   against the total leaf count; a constant, or Σ|c|, past 2^53 leaves
+   the program without a linear form.
+
    The scratch stacks live in [t] and are reused across evaluations:
    one evaluation at a time per compiled program (per-domain users each
    compile their own copy; the detector's per-group sub-checkers do). *)
@@ -53,6 +69,11 @@ type t = {
   s_int : int array;
   s_num : float array;
   s_str : string array;
+  lin_op : int; (* the root's cmp opcode when linear, else -1 *)
+  lin_k : int; (* Σ±c over L - R *)
+  lin_room : int; (* 2^53 - Σ|c|: the budget's ceiling *)
+  coef : int array; (* slot -> coefficient in L - R; zeros unless linear *)
+  leaves : int array; (* slot -> leaf count; zeros unless linear *)
 }
 
 type env = {
@@ -60,7 +81,15 @@ type env = {
   e_int : int array;
   e_num : float array;
   e_str : string array;
+  e_coef : int array; (* the program's [coef] and [leaves] *)
+  e_leaves : int array;
+  mutable e_sum : int; (* Σ coef·x over the good slots *)
+  mutable e_budget : int; (* Σ leaves·|x| over the good slots *)
+  mutable e_bad : int; (* slots unbound, non-Int, or |x| > [int_cap] *)
 }
+
+let int_cap = 1 lsl 40
+let exact_cap = 1 lsl 53
 
 let cmp_index = function
   | Expr.Eq -> 0 | Expr.Ne -> 1 | Expr.Lt -> 2
@@ -142,6 +171,37 @@ let compile source =
         decr cur
   in
   go source;
+  let nslots = max 1 !nvars in
+  let coef = Array.make nslots 0 and leaves = Array.make nslots 0 in
+  (* The linear form: walk L with sign +1 and R with sign -1, raising
+     [Exit] at the first node outside it. *)
+  let k = ref 0 and abs_c = ref 0 and nleaves = ref 0 in
+  let rec term sign = function
+    | Expr.Var v ->
+        let s = Hashtbl.find slot_tbl v in
+        coef.(s) <- coef.(s) + sign;
+        leaves.(s) <- leaves.(s) + 1;
+        incr nleaves
+    | Expr.Const (Value.Int c) when c >= - exact_cap && c <= exact_cap ->
+        k := !k + (sign * c);
+        abs_c := !abs_c + abs c;
+        if !abs_c > exact_cap then raise Exit
+    | Expr.Arith (Expr.Add, a, b) -> term sign a; term sign b
+    | Expr.Arith (Expr.Sub, a, b) -> term sign a; term (- sign) b
+    | _ -> raise Exit
+  in
+  let lin_op =
+    match source with
+    | Expr.Cmp (op, a, b) -> (
+        match term 1 a; term (-1) b with
+        | () when !nleaves <= max_int / int_cap -> 6 + cmp_index op
+        | () | (exception Exit) -> -1)
+    | _ -> -1
+  in
+  if lin_op < 0 then begin
+    Array.fill coef 0 nslots 0;
+    Array.fill leaves 0 nslots 0
+  end;
   let nc = !nconsts in
   let c_tag = Array.make (max 1 nc) 0
   and c_int = Array.make (max 1 nc) 0
@@ -171,6 +231,11 @@ let compile source =
     s_int = Array.make d 0;
     s_num = Array.make d 0.0;
     s_str = Array.make d "";
+    lin_op;
+    lin_k = !k;
+    lin_room = exact_cap - !abs_c;
+    coef;
+    leaves;
   }
 
 let source t = t.source
@@ -179,36 +244,66 @@ let vars t = Array.copy t.vars
 let slot t v = match Hashtbl.find_opt t.slots v with Some s -> s | None -> -1
 
 let create_env t =
-  let n = max 1 (Array.length t.vars) in
+  let n = Array.length t.coef in
   {
     e_tag = Array.make n (-1);
     e_int = Array.make n 0;
     e_num = Array.make n 0.0;
     e_str = Array.make n "";
+    e_coef = t.coef;
+    e_leaves = t.leaves;
+    e_sum = 0;
+    e_budget = 0;
+    e_bad = Array.length t.vars;
   }
+
+(* The running sums: [retire] takes a slot's binding out before it is
+   overwritten, [admit_int] puts an [Int] back in. *)
+let retire env slot =
+  let x = env.e_int.(slot) in
+  if env.e_tag.(slot) = 0 && x >= - int_cap && x <= int_cap then begin
+    env.e_sum <- env.e_sum - (env.e_coef.(slot) * x);
+    env.e_budget <- env.e_budget - (env.e_leaves.(slot) * abs x)
+  end
+  else env.e_bad <- env.e_bad - 1
+
+let admit_int env slot x =
+  if x >= - int_cap && x <= int_cap then begin
+    env.e_sum <- env.e_sum + (env.e_coef.(slot) * x);
+    env.e_budget <- env.e_budget + (env.e_leaves.(slot) * abs x)
+  end
+  else env.e_bad <- env.e_bad + 1
+
+let set_int env slot x =
+  retire env slot;
+  env.e_int.(slot) <- x;
+  env.e_num.(slot) <- float_of_int x;
+  env.e_tag.(slot) <- 0;
+  admit_int env slot x
 
 let set env slot v =
   match (v : Value.t) with
-  | Value.Int x ->
-      env.e_int.(slot) <- x;
-      env.e_num.(slot) <- float_of_int x;
-      env.e_tag.(slot) <- 0
+  | Value.Int x -> set_int env slot x
   | Value.Float f ->
+      retire env slot;
       env.e_num.(slot) <- f;
-      env.e_tag.(slot) <- 1
+      env.e_tag.(slot) <- 1;
+      env.e_bad <- env.e_bad + 1
   | Value.Bool b ->
+      retire env slot;
       env.e_num.(slot) <- (if b then 1.0 else 0.0);
-      env.e_tag.(slot) <- 2
+      env.e_tag.(slot) <- 2;
+      env.e_bad <- env.e_bad + 1
   | Value.String s ->
+      retire env slot;
       env.e_str.(slot) <- s;
-      env.e_tag.(slot) <- 3
+      env.e_tag.(slot) <- 3;
+      env.e_bad <- env.e_bad + 1
 
-let set_int env slot x =
-  env.e_int.(slot) <- x;
-  env.e_num.(slot) <- float_of_int x;
-  env.e_tag.(slot) <- 0
-
-let clear env slot = env.e_tag.(slot) <- -1
+let clear env slot =
+  retire env slot;
+  env.e_tag.(slot) <- -1;
+  env.e_bad <- env.e_bad + 1
 
 let get env slot =
   match env.e_tag.(slot) with
@@ -220,6 +315,24 @@ let get env slot =
 
 let not_bool () = raise (Value.Type_error "expected a boolean value")
 let not_num () = raise (Value.Type_error "expected a numeric value")
+
+let cmp_holds op c =
+  match op with
+  | 6 -> c = 0
+  | 7 -> c <> 0
+  | 8 -> c < 0
+  | 9 -> c <= 0
+  | 10 -> c > 0
+  | _ -> c >= 0
+
+(* The exactness rule (see the header): the sum answers for the
+   bytecode only when every slot is a small [Int] and the budget leaves
+   every partial sum exact. *)
+let linear_ok t env =
+  t.lin_op >= 0 && env.e_bad = 0 && env.e_budget <= t.lin_room
+
+let linear_holds t env =
+  cmp_holds t.lin_op (Int.compare (env.e_sum + t.lin_k) 0)
 
 (* Run the program; returns the stack index of the result (always 0). *)
 let run t env =
@@ -275,15 +388,7 @@ let run t env =
           else if ta = tb && ta = 3 then String.compare s_str.(i) s_str.(j)
           else raise (Value.Type_error "incomparable values")
         in
-        let r =
-          match op with
-          | 6 -> c = 0
-          | 7 -> c <> 0
-          | 8 -> c < 0
-          | 9 -> c <= 0
-          | 10 -> c > 0
-          | _ -> c >= 0
-        in
+        let r = cmp_holds op c in
         s_tag.(i) <- 2;
         s_num.(i) <- (if r then 1.0 else 0.0);
         sp := j
@@ -301,14 +406,19 @@ let run t env =
   !sp - 1
 
 let eval t env =
-  let i = run t env in
-  match t.s_tag.(i) with
-  | 0 -> Value.Int t.s_int.(i)
-  | 1 -> Value.Float t.s_num.(i)
-  | 2 -> Value.Bool (t.s_num.(i) <> 0.0)
-  | _ -> Value.String t.s_str.(i)
+  if linear_ok t env then Value.Bool (linear_holds t env)
+  else
+    let i = run t env in
+    match t.s_tag.(i) with
+    | 0 -> Value.Int t.s_int.(i)
+    | 1 -> Value.Float t.s_num.(i)
+    | 2 -> Value.Bool (t.s_num.(i) <> 0.0)
+    | _ -> Value.String t.s_str.(i)
 
 let eval_bool t env =
-  let i = run t env in
-  if t.s_tag.(i) <> 2 then not_bool ();
-  t.s_num.(i) <> 0.0
+  if linear_ok t env then linear_holds t env
+  else begin
+    let i = run t env in
+    if t.s_tag.(i) <> 2 then not_bool ();
+    t.s_num.(i) <> 0.0
+  end

@@ -8,6 +8,15 @@
     [Psn_world.Value.Type_error] with the same message) — the
     interpreter remains the differential oracle.
 
+    A linear comparison — a [Cmp] whose sides are [Add]/[Sub] trees over
+    variables and [Int] constants, such as the hall's Σ(x_i − y_i) > C —
+    is answered in O(1) from a running integer sum the env keeps up to
+    date on every [set], [set_int] and [clear].  The sum answers only
+    when every slot holds an [Int] of magnitude at most 2^40 and the
+    bytecode's float evaluation is provably exact (every partial sum an
+    integer of magnitude at most 2^53), so the answer is the bytecode's
+    bit for bit; otherwise the bytecode runs.
+
     Scratch evaluation stacks live in the compiled program and are
     reused across calls: evaluate from one domain at a time per [t]
     (callers that evaluate concurrently each compile their own copy). *)
@@ -37,8 +46,9 @@ type env
 val create_env : t -> env
 val set : env -> int -> Psn_world.Value.t -> unit
 val set_int : env -> int -> int -> unit
-(** [set]/[set_int] bind a slot; [set_int] is the unboxed fast path for
-    the detectors' int-valued updates. *)
+(** [set]/[set_int] bind a slot in O(1), running sum included;
+    [set_int] is the unboxed fast path for the detectors' int-valued
+    updates. *)
 
 val clear : env -> int -> unit
 val get : env -> int -> Psn_world.Value.t option
@@ -48,6 +58,7 @@ val get : env -> int -> Psn_world.Value.t option
 val eval : t -> env -> Psn_world.Value.t
 (** Raises {!Expr.Unbound_variable} on a read of an unbound slot and
     [Value.Type_error] on ill-typed programs, matching {!Expr.eval}
-    exception-for-exception. *)
+    exception-for-exception.  O(1) for a linear comparison under the
+    exactness rule, one bytecode run otherwise. *)
 
 val eval_bool : t -> env -> bool

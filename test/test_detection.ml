@@ -133,6 +133,185 @@ let test_ground_truth_ignores_after_horizon () =
   in
   Alcotest.(check int) "update beyond horizon ignored" 0 (List.length ivs)
 
+(* --- Ground truth against the retired interpreter loop ---
+
+   [Ground_truth.intervals] replays through a compiled program and
+   re-evaluates only on updates to variables φ reads.  The loop it
+   replaced — a Hashtbl env and [Expr.eval_bool] after every update —
+   stays here as the oracle. *)
+
+let oracle_intervals ?(init = []) ~updates ~predicate ~horizon () =
+  let tbl : (Expr.var, Value.t) Hashtbl.t = Hashtbl.create 16 in
+  List.iter (fun (v, value) -> Hashtbl.replace tbl v value) init;
+  let env v = Hashtbl.find_opt tbl v in
+  let eval_safe () =
+    match Expr.eval_bool ~env predicate with
+    | b -> b
+    | exception Expr.Unbound_variable _ -> false
+  in
+  let sorted = List.sort Ground_truth.compare_updates updates in
+  let acc = ref [] in
+  let open_since = ref None in
+  let holds = ref (eval_safe ()) in
+  if !holds then open_since := Some Sim_time.zero;
+  List.iter
+    (fun (u : Observation.update) ->
+      if Sim_time.( <= ) u.sense_time horizon then begin
+        Hashtbl.replace tbl (Observation.located u) u.value;
+        let now_holds = eval_safe () in
+        (match (!holds, now_holds) with
+        | false, true -> open_since := Some u.sense_time
+        | true, false ->
+            (match !open_since with
+            | Some t_start ->
+                acc := { Ground_truth.t_start; t_end = u.sense_time } :: !acc
+            | None -> ());
+            open_since := None
+        | _ -> ());
+        holds := now_holds
+      end)
+    sorted;
+  (match !open_since with
+  | Some t_start -> acc := { Ground_truth.t_start; t_end = horizon } :: !acc
+  | None -> ());
+  List.rev !acc
+
+(* Predicates read [read_pool]; updates and [init] also touch
+   [unread_pool], which no predicate mentions. *)
+let read_pool = [ ("a", 0); ("b", 1); ("c", 2); ("d", 0) ]
+let unread_pool = [ ("u", 1); ("a", 3) ]
+
+let gen_read_var =
+  QCheck.Gen.map (fun (name, loc) -> Expr.var ~name ~loc) (QCheck.Gen.oneofl read_pool)
+
+let gen_cmp = QCheck.Gen.oneofl [ Expr.Eq; Ne; Lt; Le; Gt; Ge ]
+let gen_small_int = QCheck.Gen.map Expr.int (QCheck.Gen.int_range (-3) 3)
+
+let gen_local_cmp =
+  QCheck.Gen.(
+    map3 (fun op v c -> Expr.Cmp (op, v, c)) gen_cmp gen_read_var gen_small_int)
+
+let rec gen_sum n =
+  QCheck.Gen.(
+    if n <= 1 then frequency [ (3, gen_read_var); (1, gen_small_int) ]
+    else
+      map3
+        (fun op a b -> Expr.Arith (op, a, b))
+        (oneofl [ Expr.Add; Sub ])
+        (gen_sum (n / 2))
+        (gen_sum (n - (n / 2))))
+
+let gen_truth_predicate =
+  QCheck.Gen.(
+    frequency
+      [
+        (* conjunctive *)
+        ( 2,
+          int_range 1 3 >>= fun k ->
+          map
+            (function
+              | first :: rest -> List.fold_left Expr.( &&& ) first rest
+              | [] -> assert false)
+            (list_repeat k gen_local_cmp) );
+        (* relational, outside the linear form *)
+        ( 2,
+          oneof
+            [
+              map2 (fun a b -> Expr.(a ||| b)) gen_local_cmp gen_local_cmp;
+              map3
+                (fun op a b -> Expr.Cmp (op, Expr.(a *? b), Expr.int 1))
+                gen_cmp gen_read_var gen_read_var;
+              map (fun e -> Expr.not_ e) gen_local_cmp;
+            ] );
+        (* linear *)
+        ( 3,
+          map3
+            (fun op a b -> Expr.Cmp (op, a, b))
+            gen_cmp
+            (int_range 1 4 >>= gen_sum)
+            (int_range 1 3 >>= gen_sum) );
+      ])
+
+(* Mostly small ints, so predicates flip; sometimes floats, and
+   sometimes bools, which make arithmetic and comparisons raise. *)
+let gen_truth_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, map (fun i -> Value.Int i) (int_range (-3) 3));
+        (1, map (fun i -> Value.Float (float_of_int i +. 0.5)) (int_range (-3) 2));
+        (1, map (fun b -> Value.Bool b) bool);
+      ])
+
+let gen_any_var = QCheck.Gen.oneofl (read_pool @ read_pool @ unread_pool)
+
+(* Sense times in 0..30 ms against a 25 ms horizon: ties are common
+   and some updates land past the horizon. *)
+let gen_truth_update =
+  QCheck.Gen.(
+    map3
+      (fun (var, src) value (seq, t) -> update ~src ~var ~value ~seq ~t)
+      gen_any_var gen_truth_value
+      (pair (int_range 0 3) (int_range 0 30)))
+
+let gen_truth_case =
+  QCheck.Gen.(
+    triple gen_truth_predicate
+      (list_size (int_range 0 6)
+         (map2
+            (fun (name, loc) value -> ({ Expr.name; loc }, value))
+            gen_any_var gen_truth_value))
+      (list_size (int_range 0 30) gen_truth_update))
+
+let truth_outcome f =
+  match f () with
+  | ivs -> Ok (List.map (fun iv -> (iv.Ground_truth.t_start, iv.t_end)) ivs)
+  | exception Value.Type_error m -> Error m
+
+let pp_truth_outcome = function
+  | Ok ivs ->
+      String.concat " " (List.map (fun (a, b) -> Printf.sprintf "[%d,%d)" a b) ivs)
+  | Error m -> Printf.sprintf "Type_error %S" m
+
+let arb_truth_case =
+  QCheck.make
+    ~print:(fun (p, init, updates) ->
+      Printf.sprintf "%s; init [%s]; updates [%s]" (Expr.to_string p)
+        (String.concat "; "
+           (List.map
+              (fun ((v : Expr.var), value) ->
+                Printf.sprintf "%s_%d=%s" v.name v.loc (Value.to_string value))
+              init))
+        (String.concat "; " (List.map (Fmt.str "%a" Observation.pp) updates)))
+    gen_truth_case
+
+(* The compiled replay agrees with the oracle on the shuffled stream and
+   on the same stream pre-sorted (the path that skips the sort). *)
+let ground_truth_matches_oracle (predicate, init, updates) =
+  let horizon = ms 25 in
+  let oracle =
+    truth_outcome (fun () -> oracle_intervals ~init ~updates ~predicate ~horizon ())
+  in
+  List.iter
+    (fun (label, updates) ->
+      let got =
+        truth_outcome (fun () ->
+            Ground_truth.intervals ~init ~updates ~predicate ~horizon ())
+      in
+      if got <> oracle then
+        QCheck.Test.fail_reportf "%s: oracle %s <> intervals %s" label
+          (pp_truth_outcome oracle) (pp_truth_outcome got))
+    [
+      ("shuffled", updates);
+      ("sorted", List.sort Ground_truth.compare_updates updates);
+    ];
+  true
+
+let test_ground_truth_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"intervals = interpreter oracle"
+       arb_truth_case ground_truth_matches_oracle)
+
 (* --- Metrics --- *)
 
 let occ ?(verdict = Occurrence.Positive) ~t () =
@@ -818,6 +997,7 @@ let () =
           Alcotest.test_case "multiple" `Quick test_ground_truth_multiple_occurrences;
           Alcotest.test_case "horizon cutoff" `Quick
             test_ground_truth_ignores_after_horizon;
+          test_ground_truth_oracle;
         ] );
       ( "metrics",
         [

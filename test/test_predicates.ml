@@ -203,6 +203,13 @@ let pp_outcome = function
   | Unbound v -> Printf.sprintf "Unbound_variable %s_%d" v.name v.loc
   | Type_err m -> Printf.sprintf "Type_error %S" m
 
+let same_outcome a b =
+  match (a, b) with
+  | Value a, Value b -> Stdlib.compare a b = 0
+  | Unbound a, Unbound b -> a = b
+  | Type_err a, Type_err b -> String.equal a b
+  | _ -> false
+
 let qtest ?(count = 1000) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
@@ -218,19 +225,212 @@ let compiled_matches_interp (e, opts) =
     bindings;
   let oracle = outcome (fun () -> Expr.eval ~env:env_fn e) in
   let compiled = outcome (fun () -> Compiled.eval prog cenv) in
-  let same =
-    match (oracle, compiled) with
-    | Value a, Value b -> Stdlib.compare a b = 0
-    | Unbound a, Unbound b -> a = b
-    | Type_err a, Type_err b -> String.equal a b
-    | _ -> false
-  in
-  if not same then
+  if not (same_outcome oracle compiled) then
     QCheck.Test.fail_reportf "interp %s <> compiled %s" (pp_outcome oracle)
       (pp_outcome compiled);
   (* Re-running against the same reused scratch stacks must be stable. *)
   let again = outcome (fun () -> Compiled.eval prog cenv) in
   again = compiled
+
+(* {2 Running-sum differential: linear comparisons × update scripts}
+
+   A linear comparison is answered from the env's running sum whenever
+   the exactness rule allows, so the differential drives one env
+   through a script of [set]/[set_int]/[clear] and compares with the
+   interpreter after every step.  Values straddle both thresholds of
+   the rule: small ints, ints near ±2^40, ints in 2^52..2^62 (where
+   float rounding shows), and non-[Int] values. *)
+
+let lin_pool = [ ("x", 0); ("x", 1); ("y", 0); ("y", 2); ("z", 3) ]
+
+let gen_script_int =
+  QCheck.Gen.(
+    map2
+      (fun neg v -> if neg then -v else v)
+      bool
+      (frequency
+         [
+           (4, int_range 0 5);
+           (2, map (fun d -> (1 lsl 40) + d) (int_range (-2) 2));
+           (1, map (fun e -> (1 lsl e) + 1) (int_range 52 61));
+           (1, int_range (1 lsl 52) max_int);
+         ]))
+
+let gen_lin_const =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range (-20) 20);
+        (1, map (fun d -> (1 lsl 53) + d) (int_range (-2) 2));
+        (1, map (fun d -> -(1 lsl 53) + d) (int_range (-2) 2));
+        (1, gen_script_int);
+      ])
+
+(* An [Add]/[Sub] tree of [n] leaves in a random shape; each leaf is a
+   pool variable (repeats allowed) or, one time in five, a constant. *)
+let rec gen_lin_side n =
+  QCheck.Gen.(
+    if n <= 1 then
+      frequency
+        [
+          (4, map (fun (name, loc) -> Expr.var ~name ~loc) (oneofl lin_pool));
+          (1, map Expr.int gen_lin_const);
+        ]
+    else
+      int_range 1 (n - 1) >>= fun k ->
+      map3
+        (fun op a b -> Expr.Arith (op, a, b))
+        (oneofl [ Expr.Add; Sub ])
+        (gen_lin_side k)
+        (gen_lin_side (n - k)))
+
+let gen_linear =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun leaves ->
+    int_range 0 leaves >>= fun left ->
+    map3
+      (fun op a b -> Expr.Cmp (op, a, b))
+      (oneofl [ Expr.Eq; Ne; Lt; Le; Gt; Ge ])
+      (if left = 0 then map Expr.int gen_lin_const else gen_lin_side left)
+      (if left = leaves then map Expr.int gen_lin_const
+       else gen_lin_side (leaves - left)))
+
+type step = Set of int * Value.t | Set_int of int * int | Clear of int
+
+let gen_step =
+  let npool = List.length lin_pool in
+  QCheck.Gen.(
+    int_range 0 (npool - 1) >>= fun i ->
+    frequency
+      [
+        (4, map (fun x -> Set_int (i, x)) gen_script_int);
+        ( 3,
+          map
+            (fun v -> Set (i, v))
+            (oneof
+               [
+                 map (fun x -> Value.Int x) gen_script_int;
+                 map (fun f -> Value.Float (float_of_int f /. 2.0)) (int_range (-8) 8);
+                 map (fun b -> Value.Bool b) bool;
+                 map (fun s -> Value.String s) (oneofl [ "a"; "z" ]);
+               ]) );
+        (1, return (Clear i));
+      ])
+
+let pp_step = function
+  | Set (i, v) ->
+      let name, loc = List.nth lin_pool i in
+      Printf.sprintf "set %s_%d=%s" name loc (Value.to_string v)
+  | Set_int (i, x) ->
+      let name, loc = List.nth lin_pool i in
+      Printf.sprintf "set_int %s_%d=%d" name loc x
+  | Clear i ->
+      let name, loc = List.nth lin_pool i in
+      Printf.sprintf "clear %s_%d" name loc
+
+let arb_linear_script =
+  QCheck.make
+    ~print:(fun (e, steps) ->
+      Printf.sprintf "%s after [%s]" (Expr.to_string e)
+        (String.concat "; " (List.map pp_step steps)))
+    QCheck.Gen.(
+      pair gen_linear
+        (map2 ( @ )
+           (* Half the scripts start with every variable a small int, so
+              that most of their steps reach the running sum. *)
+           (oneof
+              [
+                return [];
+                map
+                  (List.mapi (fun i x -> Set_int (i, x)))
+                  (list_repeat (List.length lin_pool) (int_range (-5) 5));
+              ])
+           (list_size (int_range 0 24) gen_step)))
+
+let running_sum_matches_interp (e, steps) =
+  let prog = Compiled.compile e in
+  let cenv = Compiled.create_env prog in
+  let bindings = Hashtbl.create 8 in
+  let check label =
+    let oracle = outcome (fun () -> Expr.eval ~env:(Hashtbl.find_opt bindings) e) in
+    let compiled = outcome (fun () -> Compiled.eval prog cenv) in
+    if not (same_outcome oracle compiled) then
+      QCheck.Test.fail_reportf "after %s: interp %s <> compiled %s" label
+        (pp_outcome oracle) (pp_outcome compiled)
+  in
+  check "start";
+  List.iter
+    (fun step ->
+      let i = match step with Set (i, _) | Set_int (i, _) | Clear i -> i in
+      let name, loc = List.nth lin_pool i in
+      let v = { Expr.name; loc } in
+      let s = Compiled.slot prog v in
+      (match step with
+      | Set (_, value) ->
+          Hashtbl.replace bindings v value;
+          if s >= 0 then Compiled.set cenv s value
+      | Set_int (_, x) ->
+          Hashtbl.replace bindings v (Value.Int x);
+          if s >= 0 then Compiled.set_int cenv s x
+      | Clear _ ->
+          Hashtbl.remove bindings v;
+          if s >= 0 then Compiled.clear cenv s);
+      check (pp_step step))
+    steps;
+  true
+
+(* x = 2^53, y = 1: (x + y) - x > 0 holds over the integers, but
+   2^53 + 1 rounds to 2^53 in floats, so the interpreter says false;
+   |x| > 2^40 sends the compiled program to the bytecode. *)
+let test_running_sum_big_leaf () =
+  let x = Expr.var ~name:"x" ~loc:0 and y = Expr.var ~name:"y" ~loc:1 in
+  let e = Expr.(x +? y -? x >? int 0) in
+  let prog = Compiled.compile e in
+  let cenv = Compiled.create_env prog in
+  Compiled.set_int cenv (Compiled.slot prog { Expr.name = "x"; loc = 0 }) (1 lsl 53);
+  Compiled.set_int cenv (Compiled.slot prog { Expr.name = "y"; loc = 1 }) 1;
+  let env = function
+    | { Expr.name = "x"; _ } -> Some (Value.Int (1 lsl 53))
+    | _ -> Some (Value.Int 1)
+  in
+  Alcotest.(check bool) "interpreter rounds" false (Expr.eval_bool ~env e);
+  Alcotest.(check bool) "compiled falls back" false (Compiled.eval_bool prog cenv)
+
+(* No value above 2^40, yet 8192 copies of x = 2^40 reach 2^53, where
+   adding y = 1 rounds away; subtracting the copies again leaves 0 in
+   floats and 1 over the integers.  x's coefficient is 0, so only the
+   leaf-count budget (16384 * 2^40 + 1 > 2^53) can send this to the
+   bytecode. *)
+let test_running_sum_over_budget () =
+  let x = Expr.var ~name:"x" ~loc:0 and y = Expr.var ~name:"y" ~loc:1 in
+  let copies = 8192 in
+  let up = List.fold_left Expr.( +? ) x (List.init (copies - 1) (fun _ -> x)) in
+  let down = List.fold_left Expr.( -? ) Expr.(up +? y) (List.init copies (fun _ -> x)) in
+  let e = Expr.(down >? int 0) in
+  let prog = Compiled.compile e in
+  let cenv = Compiled.create_env prog in
+  Compiled.set_int cenv (Compiled.slot prog { Expr.name = "x"; loc = 0 }) (1 lsl 40);
+  Compiled.set_int cenv (Compiled.slot prog { Expr.name = "y"; loc = 1 }) 1;
+  let env = function
+    | { Expr.name = "x"; _ } -> Some (Value.Int (1 lsl 40))
+    | _ -> Some (Value.Int 1)
+  in
+  Alcotest.(check bool) "interpreter rounds" false (Expr.eval_bool ~env e);
+  Alcotest.(check bool) "compiled falls back" false (Compiled.eval_bool prog cenv);
+  (* 4095 copies on each side keep the budget (8190 * 2^40 + 1) within
+     2^53: the sum answers, and agrees. *)
+  let half = (copies / 2) - 1 in
+  let up = List.fold_left Expr.( +? ) x (List.init (half - 1) (fun _ -> x)) in
+  let down =
+    List.fold_left Expr.( -? ) Expr.(up +? y) (List.init half (fun _ -> x))
+  in
+  let e = Expr.(down >? int 0) in
+  let prog = Compiled.compile e in
+  let cenv = Compiled.create_env prog in
+  Compiled.set_int cenv (Compiled.slot prog { Expr.name = "x"; loc = 0 }) (1 lsl 40);
+  Compiled.set_int cenv (Compiled.slot prog { Expr.name = "y"; loc = 1 }) 1;
+  Alcotest.(check bool) "interpreter exact" true (Expr.eval_bool ~env e);
+  Alcotest.(check bool) "compiled exact" true (Compiled.eval_bool prog cenv)
 
 (* {2 Conjunct partition round-trip}
 
@@ -443,6 +643,12 @@ let () =
             compiled_matches_interp;
           qtest ~count:500 "conjunct partition round-trip" arb_conjunctive
             conjunct_partition_round_trip;
+          qtest ~count:2000 "running sum = interp over update scripts"
+            arb_linear_script running_sum_matches_interp;
+          Alcotest.test_case "running sum: leaf above 2^40" `Quick
+            test_running_sum_big_leaf;
+          Alcotest.test_case "running sum: budget past 2^53" `Quick
+            test_running_sum_over_budget;
         ] );
       ( "spec",
         [
