@@ -198,19 +198,47 @@ let predicate_set_eval_compiled =
       Psn_predicates.Compiled.set_int env s (s land 15);
       ignore (Psn_predicates.Compiled.eval_bool prog env))
 
-(* Bytecode twin: the 8-monitor calm conjunction is not a linear
-   comparison, so every op is a full bytecode run; all loads are under
-   the limit, so no conjunct short-circuits. *)
+(* Bytecode twin: ∨ᵢ (loadᵢ > limit) over 8 monitors is neither a
+   linear comparison nor an [And], so neither the running sum nor the
+   conjunct count answers it and every op is a full bytecode run; all
+   loads are under the limit, so no disjunct short-circuits.  (Until
+   the conjunct count, this subject ran the calm conjunction.) *)
 let predicate_eval_bytecode =
-  let module Sharded = Psn_scenarios.Sharded in
-  let cfg = { Sharded.calm_default with monitors = 8 } in
-  let prog = Psn_predicates.Compiled.compile (Sharded.calm_predicate cfg) in
+  let open Psn_predicates.Expr in
+  let limit = Psn_scenarios.Sharded.calm_default.limit in
+  let predicate =
+    match List.init 8 (fun i -> var ~name:"load" ~loc:i >? int limit) with
+    | first :: rest -> List.fold_left ( ||| ) first rest
+    | [] -> assert false
+  in
+  let prog = Psn_predicates.Compiled.compile predicate in
   let env = Psn_predicates.Compiled.create_env prog in
   for s = 0 to Psn_predicates.Compiled.nvars prog - 1 do
-    Psn_predicates.Compiled.set_int env s (cfg.limit - 1)
+    Psn_predicates.Compiled.set_int env s (limit - 1)
   done;
   Test.make ~name:"predicate.eval.bytecode(8 monitors)"
     (Staged.stage @@ fun () ->
+      ignore (Psn_predicates.Compiled.eval_bool prog env))
+
+(* The per-update cost the checker pays on a 1000-monitor calm
+   conjunction: one [set_int] on a load (cycling over all 1000, every
+   value under the limit), then [eval_bool] — the conjunct count
+   re-runs the one dirty conjunct and answers in O(1). *)
+let predicate_set_eval_conjunction =
+  let module Sharded = Psn_scenarios.Sharded in
+  let cfg = { Sharded.calm_default with monitors = 1000 } in
+  let prog = Psn_predicates.Compiled.compile (Sharded.calm_predicate cfg) in
+  let env = Psn_predicates.Compiled.create_env prog in
+  let nvars = Psn_predicates.Compiled.nvars prog in
+  for s = 0 to nvars - 1 do
+    Psn_predicates.Compiled.set_int env s 0
+  done;
+  let next = ref 0 in
+  Test.make ~name:"predicate.set+eval.compiled(1000 monitors)"
+    (Staged.stage @@ fun () ->
+      let s = !next in
+      next := if s + 1 = nvars then 0 else s + 1;
+      Psn_predicates.Compiled.set_int env s (s mod cfg.limit);
       ignore (Psn_predicates.Compiled.eval_bool prog env))
 
 (* Independent (no communication) stamps: the worst case where every one
@@ -428,16 +456,17 @@ let hall_run_sharded k =
            (Psn_scenarios.Sharded.hall ~cfg:sharded_hall_cfg
               (Psn_sim.Exec.sharded ~shards:k ~lookahead ()))))
 
-(* --- PR8 partitioned-checker subjects ------------------------------------ *)
+(* --- Checker flush subjects --------------------------------------------- *)
 
-(* Checker flush cost under a conjunctive predicate, at a fixed update
-   count (1000) and growing n.  Groups hold 25 sources each, so the
-   per-group compiled residual — the unit of work a partitioned apply
-   re-evaluates — is constant in n; the verdict-edge fold is
-   O(log groups).  The n=100 → n=1000 pair therefore measures whether
-   apply cost really decoupled from predicate width (the interpreted
-   checker re-walked all n conjuncts per applied update); the K=1 → K=4
-   pair adds the window-barrier overhead. *)
+(* Checker flush cost under an n-way conjunction, at a fixed update
+   count and growing n.  The central [Compiled] checker answers it from
+   its conjunct count: an applied update re-runs the one conjunct it
+   reads and reads the verdict off two counters, so the n=100 → n=1000
+   pair measures whether apply cost stays independent of predicate
+   width (the interpreted checker re-walked all n conjuncts per applied
+   update); the K=1 → K=4 pair adds the window-barrier overhead.  The
+   subjects first measured a partitioned checker, since deleted; their
+   names are kept so bench-compare pairs them with older snapshots. *)
 let detector_flush ~n ~k =
   let delay =
     Psn_sim.Delay_model.bounded_uniform ~min:(Sim_time.of_ms 2)
@@ -657,7 +686,8 @@ let subjects =
       [
         engine_event; engine_event_traced; predicate_eval;
         predicate_eval_compiled; predicate_set_eval_compiled;
-        predicate_eval_bytecode; lattice_count; detector_run; hall_run_single;
+        predicate_eval_bytecode; predicate_set_eval_conjunction; lattice_count;
+        detector_run; hall_run_single;
         hall_run_sharded 1; hall_run_sharded 2; hall_run_sharded 4;
         detector_flush_100; detector_flush_1000; detector_flush_1000_k4;
         detector_stream_flush;

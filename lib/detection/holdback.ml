@@ -43,6 +43,13 @@ let create ?loss ?sinks exec ~who ~label ~updates_metric ~n ~groups ~group_of
   if groups <= 0 then invalid_arg (who ^ ".create: groups must be positive");
   if Sim_time.(flush_period <= Sim_time.zero) then
     invalid_arg (who ^ ".create: flush_period must be positive");
+  for pid = 0 to n - 1 do
+    let g = group_of pid in
+    if g < 0 || g >= groups then
+      invalid_arg
+        (Printf.sprintf "%s.create: group_of %d = %d, outside 0 .. %d" who pid
+           g (groups - 1))
+  done;
   let seed = Exec.seed exec in
   let net =
     Shard_net.create ?loss ~label ?sinks exec ~n:(n + 1) ~groups
@@ -115,49 +122,35 @@ let admit t ~src ~var ~value =
   Metrics.tick t.c_updates.(g);
   (seq lsl var_bits) lor var_idx
 
-let send t ~src ~lane ~value ~vh ~tick ~mirror =
+let send t ~src ~lane ~value ~vh ~tick =
   let g = t.group_of src in
   let now = Engine.now (Exec.engine t.exec ~group:g) in
   let stamp = Sim_time.to_ns (Physical_clock.read t.clocks.(src) ~now) in
   (match t.sinks with
   | Some s -> Trace.emit s.(g) ~time:now ~pid:src tick
   | None -> ());
-  let at =
-    Shard_net.send_timed t.net ~src ~dst:t.n ~a:value ~b:now ~c:stamp ~d:lane
-      ~e:vh
-  in
-  (* The loss and delay draws already happened on this source's stream,
-     so the mirror adds no randomness and stays substrate-invariant. *)
-  if mirror >= 0 && not (Sim_time.is_negative at) then
-    Shard_net.post_raw t.net ~src_group:g ~dst_group:g ~at ~dst:mirror ~w0:src
-      ~w1:value ~w2:now ~w3:stamp ~w4:lane
+  Shard_net.send t.net ~src ~dst:t.n ~a:value ~b:now ~c:stamp ~d:lane ~e:vh
 
-(* Lanes (src, value, sense, stamp, lane): a mirror's [w0 .. w4], or
-   the checker unicast's source and [a .. d]. *)
-let add_mirror pend ~recv ~w0 ~w1 ~w2 ~w3 ~w4 =
-  Pending_arena.add pend ~recv:(Sim_time.to_ns recv) ~src:w0 ~value:w1
-    ~sense:w2 ~stamp:w3 ~seq:(w4 asr var_bits)
-    ~var_idx:(w4 land (max_vars - 1))
-
+(* Lanes: value, sense time, stamp, lane, detector word. *)
 let on_arrival t hook =
   let checker = Exec.engine t.exec ~group:0 in
   Shard_net.set_handler t.net t.n (fun ~src ~a ~b ~c ~d ~e ->
-      hook ~src ~seq:(d asr var_bits) ~vh:e;
-      add_mirror t.pend ~recv:(Engine.now checker) ~w0:src ~w1:a ~w2:b ~w3:c
-        ~w4:d)
-
-let every t ~group ~start ~lag pend apply =
-  let engine = Exec.engine t.exec ~group in
-  let lag_ns = Sim_time.to_ns lag in
-  ignore
-    (Engine.schedule_periodic engine ~start ~period:t.flush_period (fun () ->
-         let now = Engine.now engine in
-         let cutoff = Sim_time.to_ns now - lag_ns in
-         apply ~now (Pending_arena.take_ready pend ~cutoff);
-         true))
+      let seq = d asr var_bits in
+      hook ~src ~seq ~vh:e;
+      Pending_arena.add t.pend
+        ~recv:(Sim_time.to_ns (Engine.now checker))
+        ~src ~value:a ~sense:b ~stamp:c ~seq ~var_idx:(d land (max_vars - 1)))
 
 let on_flush t apply =
-  every t ~group:0 ~start:t.flush_period ~lag:t.hold t.pend apply
+  let engine = Exec.engine t.exec ~group:0 in
+  let hold_ns = Sim_time.to_ns t.hold in
+  ignore
+    (Engine.schedule_periodic engine ~start:t.flush_period
+       ~period:t.flush_period (fun () ->
+         let now = Engine.now engine in
+         let cutoff = Sim_time.to_ns now - hold_ns in
+         apply ~now (Pending_arena.take_ready t.pend ~cutoff);
+         true))
 
 let flush_all t apply =
   apply

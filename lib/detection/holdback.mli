@@ -35,7 +35,8 @@ val create :
   hold:Psn_sim.Sim_time.t -> flush_period:Psn_sim.Sim_time.t ->
   delay:Psn_sim.Delay_model.t -> t
 (** Raises [Invalid_argument] (prefixed [who]) unless [n], [groups] and
-    [flush_period] are positive.  [label] names the transport,
+    [flush_period] are positive and [group_of] maps every sensor pid
+    [0 .. n-1] into [0 .. groups-1].  [label] names the transport,
     [updates_metric] the per-group update counter. *)
 
 val net : t -> Psn_network.Shard_net.t
@@ -48,31 +49,19 @@ val admit : t -> src:int -> var:string -> value:int -> int
 
 val send :
   t -> src:int -> lane:int -> value:int -> vh:int ->
-  tick:Psn_obs.Trace.event -> mirror:int -> unit
+  tick:Psn_obs.Trace.event -> unit
 (** Stamps the admitted update, traces [tick] and unicasts it to the
-    checker with [vh] as the detector word.  With [mirror >= 0], a
-    surviving arrival is also posted on the raw channel to [mirror] in
-    [src]'s group at the same delivery time (see {!add_mirror}). *)
+    checker with [vh] as the detector word. *)
 
 val on_arrival : t -> (src:int -> seq:int -> vh:int -> unit) -> unit
 (** Installs the checker's delivery handler: the hook runs, then the
     arrival is held back in the checker's arena. *)
 
-val add_mirror :
-  Pending_arena.t -> recv:Psn_sim.Sim_time.t ->
-  w0:int -> w1:int -> w2:int -> w3:int -> w4:int -> unit
-(** Holds back a mirror posted by {!send}, received at [recv]. *)
-
-val every :
-  t -> group:int -> start:Psn_sim.Sim_time.t -> lag:Psn_sim.Sim_time.t ->
-  Pending_arena.t -> (now:Psn_sim.Sim_time.t -> int -> unit) -> unit
-(** Every [flush_period] from [start] on [group]'s engine, takes the
-    arrivals received at or before [now - lag] and passes the batch
-    length to the callback. *)
-
 val on_flush : t -> (now:Psn_sim.Sim_time.t -> int -> unit) -> unit
-(** The checker's flush: {!every} on group 0 from [flush_period] with
-    [lag = hold], over {!pending}. *)
+(** The checker's flush: every [flush_period] from [flush_period] on
+    group 0's engine, takes the arrivals received at or before
+    [now - hold] from {!pending} and passes the batch length to the
+    callback. *)
 
 val flush_all : t -> (now:Psn_sim.Sim_time.t -> int -> unit) -> unit
 (** After [Exec.run]: one last batch of everything still held back. *)

@@ -15,8 +15,7 @@
    one thing a shard count may perturb among equal-time deliveries.
 
    Single-writer: one checker (one engine event at a time) owns an
-   arena; the sharded checker's per-group sub-checkers each own their
-   own. *)
+   arena. *)
 
 let stride = 7
 

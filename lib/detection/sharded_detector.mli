@@ -26,28 +26,17 @@
 
 type t
 
-(** Checker backend — same verdicts, same occurrences, same trace bytes
-    on any choice; only the evaluation cost model differs.
+(** Checker backend — same report, same occurrences, same trace bytes
+    on either choice; only the evaluation cost model differs.  Both
+    evaluate the whole predicate on the checker (shard 0).
 
     - [Interp]: Hashtbl env + {!Psn_predicates.Expr.eval_bool} per
       applied update.  The differential oracle.
-    - [Compiled]: one {!Psn_predicates.Compiled} program over int slots,
-      re-evaluated per applied update.  Works for any predicate; O(1)
-      per update for a linear comparison such as the hall's sum.
-    - [Partitioned]: conjunctive predicates only ({!Psn_predicates.Expr.conjuncts}).
-      Each group's shard runs a sub-checker over the compiled residual of
-      its conjuncts and publishes only rising/falling edges of the group
-      verdict through the substrate's mailbox rings; the checker folds
-      edges through an AND-combining tree, making an applied update
-      O(group residual + log groups) instead of O(predicate).  Requires
-      every conjunct's location in [0 .. n-1] and
-      [hold >= Delay_model.min_delay delay + 2ns] (the edge protocol
-      posts [hold - 2] ahead, which must cover the engine lookahead; the
-      bound is written in configuration terms so the oracle and every
-      shard count admit the same predicates).  [create] raises
-      [Invalid_argument] when forced on an inadmissible predicate.
-    - [Auto] (default): [Partitioned] when admissible, else [Compiled]. *)
-type checker = Interp | Compiled | Partitioned | Auto
+    - [Compiled] (default): one {!Psn_predicates.Compiled} program over
+      int slots.  Works for any predicate; O(1) per update for a linear
+      comparison such as the hall's sum, and for a conjunction whose
+      updated conjuncts are O(1), such as calm's ∧ᵢ loadᵢ <= limit. *)
+type checker = Interp | Compiled
 
 type cfg = {
   n : int;                       (* sensor pids 0 .. n-1; checker is pid n *)
@@ -69,12 +58,8 @@ val create :
     [sharded_detector.updates]; raises as {!Holdback.create}), the
     per-group planes, and the checker backend.  [sinks] (one per group)
     additionally trace updates, occurrences, and the transport's
-    send/deliver/drop records.  [checker] defaults to [Auto].
+    send/deliver/drop records.  [checker] defaults to [Compiled].
     Construction is wrapped in a [Profile.phase "detector.setup"]. *)
-
-val checker_kind : t -> checker
-(** The resolved backend: [Interp], [Compiled], or [Partitioned]
-    (never [Auto]). *)
 
 val emit : t -> src:int -> var:string -> value:int -> unit
 (** Called from a sense event executing on [src]'s group engine: stamps

@@ -344,7 +344,7 @@ let emit t ~src ~var ~value =
       t.svclocks.(src)
   in
   Holdback.send t.hb ~src ~lane ~value ~vh
-    ~tick:(Trace.Clock_strobe { clock = "strobe_vector" }) ~mirror:(-1);
+    ~tick:(Trace.Clock_strobe { clock = "strobe_vector" });
   (* Strobe the snapshot to every other source; receivers merge without
      ticking, so these deliveries are not lattice events.  A lost strobe
      only weakens the causal bound (wider slab), never correctness. *)

@@ -42,8 +42,6 @@ type t = {
   flows : int array;           (* per source pid: next flow ordinal *)
   handlers :
     (src:int -> a:int -> b:int -> c:int -> d:int -> e:int -> unit) option array;
-  mutable raw_handler :
-    (dst:int -> w0:int -> w1:int -> w2:int -> w3:int -> w4:int -> unit) option;
   sinks : Trace.sink array option; (* per group *)
   label : string;
   cells : group_cells array;  (* per group; cells alias on the single substrate *)
@@ -95,7 +93,6 @@ let create ?loss ?(label = "data") ?sinks exec ~n ~groups ~group_of ~delay () =
       rngs = Array.init n (fun src -> Psn_util.Rng.create ~seed:(mix_seed seed src) ());
       flows = Array.make n 0;
       handlers = Array.make n None;
-      raw_handler = None;
       sinks;
       label;
       cells;
@@ -105,18 +102,6 @@ let create ?loss ?(label = "data") ?sinks exec ~n ~groups ~group_of ~delay () =
   (* Delivery dispatch: runs on the destination group's domain with that
      group's engine at the delivery time. *)
   Exec.set_handler exec (fun ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 ->
-      if dst >= t.n then begin
-        (* Raw channel: protocol events of the transport's owner (e.g.
-           the sharded checker's verdict edges), addressed past the pid
-           range.  No loss, no delay draw, no metrics, no trace — they
-           must not perturb the wire-visible record. *)
-        ignore w5;
-        ignore w6;
-        match t.raw_handler with
-        | Some h -> h ~dst ~w0 ~w1 ~w2 ~w3 ~w4
-        | None -> ()
-      end
-      else
       let src = w0 and flow = w1 in
       let g_dst = t.group_of dst in
       Metrics.tick t.cells.(g_dst).c_delivered;
@@ -138,7 +123,7 @@ let set_handler t dst h =
   if dst < 0 || dst >= t.n then invalid_arg "Shard_net.set_handler: dst out of range";
   t.handlers.(dst) <- Some h
 
-let send_timed t ~src ~dst ~a ~b ~c ~d ~e =
+let send t ~src ~dst ~a ~b ~c ~d ~e =
   if src < 0 || src >= t.n then invalid_arg "Shard_net.send: src out of range";
   if dst < 0 || dst >= t.n then invalid_arg "Shard_net.send: dst out of range";
   if src = dst then invalid_arg "Shard_net.send: src = dst";
@@ -164,32 +149,19 @@ let send_timed t ~src ~dst ~a ~b ~c ~d ~e =
   in
   if Psn_sim.Loss_model.drops t.loss rng then begin
     Metrics.tick cell.c_dropped;
-    (match t.sinks with
+    match t.sinks with
     | Some s ->
         Trace.emit s.(g_src) ~time:now ~pid:dst
           (Trace.Net_drop { src; dst; kind = t.label; flow })
-    | None -> ());
-    (* A negative sentinel, not a duration: [of_ns] rejects negatives. *)
-    (-1 : Sim_time.t)
+    | None -> ()
   end
   else begin
     let delay = Psn_sim.Delay_model.sample t.delay rng in
     Metrics.observe cell.h_delay (Sim_time.to_ms_float delay);
-    let at = Sim_time.add now delay in
     Exec.post t.exec ~src_group:g_src ~dst_group:(t.group_of dst)
-      ~at ~dst ~w0:src ~w1:flow ~w2:a ~w3:b ~w4:c ~w5:d ~w6:e;
-    at
+      ~at:(Sim_time.add now delay) ~dst ~w0:src ~w1:flow ~w2:a ~w3:b ~w4:c
+      ~w5:d ~w6:e
   end
-
-let send t ~src ~dst ~a ~b ~c ~d ~e =
-  ignore (send_timed t ~src ~dst ~a ~b ~c ~d ~e)
-
-let set_raw_handler t h = t.raw_handler <- Some h
-
-let post_raw t ~src_group ~dst_group ~at ~dst ~w0 ~w1 ~w2 ~w3 ~w4 =
-  if dst < t.n then invalid_arg "Shard_net.post_raw: dst inside the pid range";
-  Exec.post t.exec ~src_group ~dst_group ~at ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5:0
-    ~w6:0
 
 let total f t = List.fold_left (fun acc cell -> acc + f cell) 0 t.uniq
 let sent t = total (fun c -> Metrics.counter_value c.c_sent) t

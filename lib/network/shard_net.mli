@@ -49,37 +49,6 @@ val send : t -> src:int -> dst:int -> a:int -> b:int -> c:int -> d:int -> e:int 
     lanes to [dst]'s handler at [now + delay].  Must be called from an
     event executing on [src]'s group engine. *)
 
-val send_timed :
-  t -> src:int -> dst:int -> a:int -> b:int -> c:int -> d:int -> e:int ->
-  Psn_sim.Sim_time.t
-(** [send], returning the sampled delivery time — or a negative time
-    (test with {!Psn_sim.Sim_time.is_negative}) when the loss draw
-    dropped the message.  Loss and delay are both drawn at send time
-    from [src]'s stream, so the caller learns the delivery schedule
-    without perturbing it; the sharded checker uses this to mirror each
-    update's arrival into its source group's local sub-checker. *)
-
-(** {2 Raw channel}
-
-    Protocol traffic of the transport's {e owner} — messages that ride
-    the same substrate (same mailbox rings, same barrier ordering) but
-    model checker-internal signalling rather than radio packets: no
-    loss or delay draw, no metrics, no trace records.  Addressed past
-    the pid range ([dst >= n]), which the delivery dispatcher routes to
-    the raw handler instead of a per-pid one. *)
-
-val set_raw_handler :
-  t -> (dst:int -> w0:int -> w1:int -> w2:int -> w3:int -> w4:int -> unit) ->
-  unit
-
-val post_raw :
-  t -> src_group:int -> dst_group:int -> at:Psn_sim.Sim_time.t -> dst:int ->
-  w0:int -> w1:int -> w2:int -> w3:int -> w4:int -> unit
-(** Schedule a raw delivery at absolute time [at].  [dst] must be
-    [>= n].  Cross-group posts obey the substrate's lookahead contract:
-    from an event at time [t], [at - t] must be at least the sharded
-    engine's lookahead. *)
-
 val sent : t -> int
 val dropped : t -> int
 val words : t -> int

@@ -50,9 +50,25 @@
    against the total leaf count; a constant, or Σ|c|, past 2^53 leaves
    the program without a linear form.
 
+   Conjunctions skip most of the bytecode.  When the root is an [And],
+   its conjuncts are the maximal non-[And] subtrees of the root's [And]
+   spine, left to right, and [compile] records each one's code range
+   and, per slot, the conjuncts that load it.  The env keeps each
+   conjunct's last outcome (true, false, or other: it raised or
+   returned a non-bool), the counts of false and other conjuncts, and a
+   dirty set that [set]/[set_int]/[clear] add the slot's conjuncts to.
+   [eval] first re-runs each dirty conjunct's range on its own.  With
+   no other conjunct, the answer is "no conjunct is false"; otherwise
+   the first conjunct that is not true decides: false answers false,
+   other re-runs its range so it raises what the full bytecode would.
+   This is exact because the bytecode, like [Expr.eval], runs the
+   conjuncts left to right and stops at the first that is not true, and
+   each conjunct's code starts at stack depth 0 and reads only the env,
+   so its outcome on its own is its outcome inside the full run.
+
    The scratch stacks live in [t] and are reused across evaluations:
    one evaluation at a time per compiled program (per-domain users each
-   compile their own copy; the detector's per-group sub-checkers do). *)
+   compile their own copy). *)
 
 module Value = Psn_world.Value
 
@@ -74,6 +90,10 @@ type t = {
   lin_room : int; (* 2^53 - Σ|c|: the budget's ceiling *)
   coef : int array; (* slot -> coefficient in L - R; zeros unless linear *)
   leaves : int array; (* slot -> leaf count; zeros unless linear *)
+  conj_lo : int array; (* conjunct -> first pc; empty unless an [And] root *)
+  conj_hi : int array; (* conjunct -> pc past its last instruction *)
+  conj_of : int array array; (* slot -> conjuncts loading it, each once;
+                                empty unless an [And] root *)
 }
 
 type env = {
@@ -86,10 +106,22 @@ type env = {
   mutable e_sum : int; (* Σ coef·x over the good slots *)
   mutable e_budget : int; (* Σ leaves·|x| over the good slots *)
   mutable e_bad : int; (* slots unbound, non-Int, or |x| > [int_cap] *)
+  e_conj_of : int array array; (* the program's [conj_of] *)
+  e_out : int array; (* conjunct -> [o_true]/[o_false]/[o_other], + [dirty] *)
+  e_dirty : int array; (* stack of the dirty conjuncts *)
+  mutable e_ndirty : int;
+  mutable e_false : int; (* conjuncts whose last outcome is false *)
+  mutable e_other : int; (* ... raised or returned a non-bool *)
 }
 
 let int_cap = 1 lsl 40
 let exact_cap = 1 lsl 53
+
+(* Conjunct outcomes, and the flag a dirty conjunct carries on top. *)
+let o_true = 0
+let o_false = 1
+let o_other = 2
+let dirty = 4
 
 let cmp_index = function
   | Expr.Eq -> 0 | Expr.Ne -> 1 | Expr.Lt -> 2
@@ -132,7 +164,23 @@ let compile source =
     incr cur;
     if !cur > !depth then depth := !cur
   in
-  let rec go = function
+  (* [spine]: on the root's [And] spine, where each non-[And] node is a
+     conjunct whose code range is recorded. *)
+  let conj_rev = ref [] in
+  let rec go spine = function
+    | Expr.And (a, b) ->
+        go spine a;
+        let jp = !len in
+        emit 3;
+        decr cur; (* fall-through pops the guard; the taken branch keeps
+                     it as the result, which never deepens the stack *)
+        go spine b;
+        emit 5;
+        !code.(jp) <- 3 lor (!len lsl 4)
+    | e when spine ->
+        let lo = !len in
+        go false e;
+        conj_rev := (lo, !len) :: !conj_rev
     | Expr.Const v ->
         emit (0 lor (const_of v lsl 4));
         push ()
@@ -140,37 +188,28 @@ let compile source =
         emit (1 lor (slot_of v lsl 4));
         push ()
     | Expr.Not e ->
-        go e;
+        go false e;
         emit 2
-    | Expr.And (a, b) ->
-        go a;
-        let jp = !len in
-        emit 3;
-        decr cur; (* fall-through pops the guard; the taken branch keeps
-                     it as the result, which never deepens the stack *)
-        go b;
-        emit 5;
-        !code.(jp) <- 3 lor (!len lsl 4)
     | Expr.Or (a, b) ->
-        go a;
+        go false a;
         let jp = !len in
         emit 4;
         decr cur;
-        go b;
+        go false b;
         emit 5;
         !code.(jp) <- 4 lor (!len lsl 4)
     | Expr.Cmp (op, a, b) ->
-        go a;
-        go b;
+        go false a;
+        go false b;
         emit (6 + cmp_index op);
         decr cur
     | Expr.Arith (op, a, b) ->
-        go a;
-        go b;
+        go false a;
+        go false b;
         emit (12 + arith_index op);
         decr cur
   in
-  go source;
+  go (match source with Expr.And _ -> true | _ -> false) source;
   let nslots = max 1 !nvars in
   let coef = Array.make nslots 0 and leaves = Array.make nslots 0 in
   (* The linear form: walk L with sign +1 and R with sign -1, raising
@@ -202,6 +241,25 @@ let compile source =
     Array.fill coef 0 nslots 0;
     Array.fill leaves 0 nslots 0
   end;
+  let conjs = Array.of_list (List.rev !conj_rev) in
+  let code = Array.sub !code 0 !len in
+  let conj_of =
+    if Array.length conjs = 0 then [||]
+    else begin
+      let by_slot = Array.make nslots [] in
+      Array.iteri
+        (fun c (lo, hi) ->
+          for pc = lo to hi - 1 do
+            if code.(pc) land 15 = 1 then
+              let s = code.(pc) asr 4 in
+              match by_slot.(s) with
+              | c' :: _ when c' = c -> ()
+              | cs -> by_slot.(s) <- c :: cs
+          done)
+        conjs;
+      Array.map (fun cs -> Array.of_list (List.rev cs)) by_slot
+    end
+  in
   let nc = !nconsts in
   let c_tag = Array.make (max 1 nc) 0
   and c_int = Array.make (max 1 nc) 0
@@ -220,7 +278,7 @@ let compile source =
   let d = max 1 !depth in
   {
     source;
-    code = Array.sub !code 0 !len;
+    code;
     c_tag;
     c_int;
     c_num;
@@ -236,6 +294,9 @@ let compile source =
     lin_room = exact_cap - !abs_c;
     coef;
     leaves;
+    conj_lo = Array.map fst conjs;
+    conj_hi = Array.map snd conjs;
+    conj_of;
   }
 
 let source t = t.source
@@ -243,8 +304,9 @@ let nvars t = Array.length t.vars
 let vars t = Array.copy t.vars
 let slot t v = match Hashtbl.find_opt t.slots v with Some s -> s | None -> -1
 
+(* Every conjunct starts dirty, counted as other. *)
 let create_env t =
-  let n = Array.length t.coef in
+  let n = Array.length t.coef and nc = Array.length t.conj_lo in
   {
     e_tag = Array.make n (-1);
     e_int = Array.make n 0;
@@ -255,7 +317,29 @@ let create_env t =
     e_sum = 0;
     e_budget = 0;
     e_bad = Array.length t.vars;
+    e_conj_of = t.conj_of;
+    e_out = Array.make nc (o_other + dirty);
+    e_dirty = Array.init nc Fun.id;
+    e_ndirty = nc;
+    e_false = 0;
+    e_other = nc;
   }
+
+(* A rebound slot dirties the conjuncts that load it.  The guard is
+   inlined, so other programs pay one test per bind. *)
+let mark env cs =
+  for k = 0 to Array.length cs - 1 do
+    let c = cs.(k) in
+    let o = env.e_out.(c) in
+    if o < dirty then begin
+      env.e_out.(c) <- o + dirty;
+      env.e_dirty.(env.e_ndirty) <- c;
+      env.e_ndirty <- env.e_ndirty + 1
+    end
+  done
+
+let[@inline] touch env slot =
+  if Array.length env.e_conj_of > 0 then mark env env.e_conj_of.(slot)
 
 (* The running sums: [retire] takes a slot's binding out before it is
    overwritten, [admit_int] puts an [Int] back in. *)
@@ -279,6 +363,7 @@ let set_int env slot x =
   env.e_int.(slot) <- x;
   env.e_num.(slot) <- float_of_int x;
   env.e_tag.(slot) <- 0;
+  touch env slot;
   admit_int env slot x
 
 let set env slot v =
@@ -288,22 +373,26 @@ let set env slot v =
       retire env slot;
       env.e_num.(slot) <- f;
       env.e_tag.(slot) <- 1;
-      env.e_bad <- env.e_bad + 1
+      env.e_bad <- env.e_bad + 1;
+      touch env slot
   | Value.Bool b ->
       retire env slot;
       env.e_num.(slot) <- (if b then 1.0 else 0.0);
       env.e_tag.(slot) <- 2;
-      env.e_bad <- env.e_bad + 1
+      env.e_bad <- env.e_bad + 1;
+      touch env slot
   | Value.String s ->
       retire env slot;
       env.e_str.(slot) <- s;
       env.e_tag.(slot) <- 3;
-      env.e_bad <- env.e_bad + 1
+      env.e_bad <- env.e_bad + 1;
+      touch env slot
 
 let clear env slot =
   retire env slot;
   env.e_tag.(slot) <- -1;
-  env.e_bad <- env.e_bad + 1
+  env.e_bad <- env.e_bad + 1;
+  touch env slot
 
 let get env slot =
   match env.e_tag.(slot) with
@@ -334,16 +423,17 @@ let linear_ok t env =
 let linear_holds t env =
   cmp_holds t.lin_op (Int.compare (env.e_sum + t.lin_k) 0)
 
-(* Run the program; returns the stack index of the result (always 0). *)
-let run t env =
+(* Run the code in [lo, hi) from an empty stack: the whole program, or
+   one conjunct, whose jumps never leave its range.  Returns the stack
+   index of the result (always 0). *)
+let run t env lo hi =
   let code = t.code in
-  let n = Array.length code in
   let s_tag = t.s_tag
   and s_int = t.s_int
   and s_num = t.s_num
   and s_str = t.s_str in
-  let pc = ref 0 and sp = ref 0 in
-  while !pc < n do
+  let pc = ref lo and sp = ref 0 in
+  while !pc < hi do
     let w = Array.unsafe_get code !pc in
     incr pc;
     let arg = w asr 4 in
@@ -405,10 +495,51 @@ let run t env =
   done;
   !sp - 1
 
+let run_all t env = run t env 0 (Array.length t.code)
+
+(* The count (see the header): re-run the dirty conjuncts, then answer. *)
+let outcome t env c =
+  match run t env t.conj_lo.(c) t.conj_hi.(c) with
+  | i ->
+      if t.s_tag.(i) <> 2 then o_other
+      else if t.s_num.(i) <> 0.0 then o_true
+      else o_false
+  | exception (Expr.Unbound_variable _ | Value.Type_error _) -> o_other
+
+let tally env o by =
+  if o = o_false then env.e_false <- env.e_false + by
+  else if o = o_other then env.e_other <- env.e_other + by
+
+let conj_holds t env =
+  while env.e_ndirty > 0 do
+    let k = env.e_ndirty - 1 in
+    env.e_ndirty <- k;
+    let c = env.e_dirty.(k) in
+    let o = outcome t env c in
+    tally env (env.e_out.(c) - dirty) (-1);
+    tally env o 1;
+    env.e_out.(c) <- o
+  done;
+  if env.e_other = 0 then env.e_false = 0
+  else begin
+    let c = ref 0 in
+    while env.e_out.(!c) = o_true do
+      incr c
+    done;
+    if env.e_out.(!c) = o_false then false
+    else begin
+      (* Raises as it did when it was counted, else returned a non-bool,
+         which the [jfalse]/[tobool] after it rejects. *)
+      ignore (run t env t.conj_lo.(!c) t.conj_hi.(!c));
+      not_bool ()
+    end
+  end
+
 let eval t env =
   if linear_ok t env then Value.Bool (linear_holds t env)
+  else if Array.length t.conj_lo > 0 then Value.Bool (conj_holds t env)
   else
-    let i = run t env in
+    let i = run_all t env in
     match t.s_tag.(i) with
     | 0 -> Value.Int t.s_int.(i)
     | 1 -> Value.Float t.s_num.(i)
@@ -417,8 +548,9 @@ let eval t env =
 
 let eval_bool t env =
   if linear_ok t env then linear_holds t env
+  else if Array.length t.conj_lo > 0 then conj_holds t env
   else begin
-    let i = run t env in
+    let i = run_all t env in
     if t.s_tag.(i) <> 2 then not_bool ();
     t.s_num.(i) <> 0.0
   end

@@ -17,6 +17,15 @@
     integer of magnitude at most 2^53), so the answer is the bytecode's
     bit for bit; otherwise the bytecode runs.
 
+    A conjunction — a program whose root is an [And], such as
+    ∧ᵢ (loadᵢ <= limit) — keeps a running conjunct count.  Its
+    conjuncts are the maximal non-[And] subtrees of the root's [And]
+    spine; [set], [set_int] and [clear] mark the conjuncts that read the
+    slot dirty, and evaluation re-runs only those, each on its own.
+    With every conjunct true or false the answer is "none is false";
+    otherwise the first conjunct that is not true decides, raising
+    exactly what the full bytecode would raise.
+
     Scratch evaluation stacks live in the compiled program and are
     reused across calls: evaluate from one domain at a time per [t]
     (callers that evaluate concurrently each compile their own copy). *)
@@ -46,7 +55,8 @@ type env
 val create_env : t -> env
 val set : env -> int -> Psn_world.Value.t -> unit
 val set_int : env -> int -> int -> unit
-(** [set]/[set_int] bind a slot in O(1), running sum included;
+(** [set]/[set_int] bind a slot in O(1), running sum included (plus one
+    step per conjunct that reads the slot, for a conjunction);
     [set_int] is the unboxed fast path for the detectors' int-valued
     updates. *)
 
@@ -59,6 +69,9 @@ val eval : t -> env -> Psn_world.Value.t
 (** Raises {!Expr.Unbound_variable} on a read of an unbound slot and
     [Value.Type_error] on ill-typed programs, matching {!Expr.eval}
     exception-for-exception.  O(1) for a linear comparison under the
-    exactness rule, one bytecode run otherwise. *)
+    exactness rule; for a conjunction, one run of each conjunct marked
+    dirty since the last evaluation, then O(1) when every conjunct is
+    true or false (else a scan to the first one that is not true); one
+    bytecode run otherwise. *)
 
 val eval_bool : t -> env -> bool

@@ -52,7 +52,7 @@ let default_detect =
     horizon = Sim_time.of_sec 600;
     tolerance = Sim_time.of_sec 2;
     causal_stamps = false;
-    checker = Sharded_detector.Auto;
+    checker = Sharded_detector.Compiled;
   }
 
 (* Entity streams decorrelated from the transport's per-source streams
@@ -276,10 +276,9 @@ let hospital_init cfg =
    The conjunctive counterpart of the relational workloads: [monitors]
    processes each random-walk a load value with downward drift and
    occasional spikes, and the predicate is ∧_i (load_i <= limit) — a
-   rising edge means "every monitor calm again".  Because the predicate
-   decomposes into per-source conjuncts, the [Auto] checker runs it on
-   the partitioned backend (per-group compiled residuals, verdict edges,
-   combining tree); the workload exists to drive that path through the
+   rising edge means "every monitor calm again".  The [Compiled]
+   checker answers it from its conjunct count, re-running only the
+   conjunct an update reads; the workload drives that path through the
    differential and cross-backend suites. *)
 
 type calm_cfg = {

@@ -26,7 +26,7 @@ type detect_cfg = {
   tolerance : Psn_sim.Sim_time.t; (** scoring tolerance *)
   causal_stamps : bool;      (** per-group stamp planes + causal frontier *)
   checker : Psn_detection.Sharded_detector.checker;
-      (** predicate-evaluation backend; [Auto] in {!default_detect} *)
+      (** predicate-evaluation backend; [Compiled] in {!default_detect} *)
 }
 
 val default_detect : detect_cfg
@@ -70,9 +70,8 @@ val banking :
 
 (** {2 Calm} — the conjunctive workload: monitors random-walk a load
     value (downward drift, rare spikes) and the predicate is
-    ∧ᵢ (loadᵢ <= limit), so [Auto] resolves to the partitioned
-    checker (per-group compiled residuals + verdict-edge combining
-    tree).  A rising edge is "every monitor calm again". *)
+    ∧ᵢ (loadᵢ <= limit), which the [Compiled] checker answers from its
+    conjunct count.  A rising edge is "every monitor calm again". *)
 
 type calm_cfg = {
   monitors : int;

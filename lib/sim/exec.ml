@@ -59,11 +59,6 @@ let shards t =
 
 let is_sharded t = match t.kind with Single _ -> false | Sharded _ -> true
 
-let lookahead t =
-  match t.kind with
-  | Single _ -> Sim_time.zero
-  | Sharded se -> Sharded_engine.lookahead se
-
 let engine t ~group =
   match t.kind with
   | Single s -> s.s_engine

@@ -35,13 +35,6 @@ val shards : t -> int
 
 val is_sharded : t -> bool
 
-val lookahead : t -> Sim_time.t
-(** The sharded engine's conservative-window bound; {!Sim_time.zero} on
-    the single substrate (one queue needs no promise).  Workloads that
-    post protocol messages themselves (e.g. the sharded checker's
-    verdict edges) must keep every cross-group post at least this far
-    ahead of the posting event. *)
-
 val engine : t -> group:int -> Engine.t
 (** The engine that owns [group]'s processes: the one engine for
     {!single}, shard [group mod K] for {!sharded}.  Group-local setup

@@ -99,7 +99,6 @@ let create ?(seed = 42L) ~shards ~lookahead () =
   }
 
 let shards t = t.k
-let lookahead t = t.lookahead
 let engine t s = t.shard.(s).engine
 let windows t = t.rounds
 let now t = Engine.now t.shard.(0).engine

@@ -50,7 +50,6 @@ val create : ?seed:int64 -> shards:int -> lookahead:Sim_time.t -> unit -> t
     cannot drive a sharded run. *)
 
 val shards : t -> int
-val lookahead : t -> Sim_time.t
 
 val engine : t -> int -> Engine.t
 (** The shard's own engine.  Created with [~use_default_obs:false]:

@@ -232,16 +232,20 @@ let compiled_matches_interp (e, opts) =
   let again = outcome (fun () -> Compiled.eval prog cenv) in
   again = compiled
 
-(* {2 Running-sum differential: linear comparisons × update scripts}
+(* {2 Running-sum and conjunct-count differential: update scripts}
 
    A linear comparison is answered from the env's running sum whenever
-   the exactness rule allows, so the differential drives one env
-   through a script of [set]/[set_int]/[clear] and compares with the
-   interpreter after every step.  Values straddle both thresholds of
-   the rule: small ints, ints near ±2^40, ints in 2^52..2^62 (where
-   float rounding shows), and non-[Int] values. *)
+   the exactness rule allows, and a conjunction from its conjunct
+   count, so the differential drives one env through a script of
+   [set]/[set_int]/[clear] and compares with the interpreter after
+   every step.  Values straddle both thresholds of the sum's rule:
+   small ints, ints near ±2^40, ints in 2^52..2^62 (where float
+   rounding shows), and non-[Int] values, which make conjuncts raise. *)
 
 let lin_pool = [ ("x", 0); ("x", 1); ("y", 0); ("y", 2); ("z", 3) ]
+
+(* Conjunctions also read [var_pool]'s variables. *)
+let conj_pool = lin_pool @ [ ("b", 1); ("b", 3); ("s", 2); ("s", 3) ]
 
 let gen_script_int =
   QCheck.Gen.(
@@ -295,18 +299,84 @@ let gen_linear =
       (if left = leaves then map Expr.int gen_lin_const
        else gen_lin_side (leaves - left)))
 
-type step = Set of int * Value.t | Set_int of int * int | Clear of int
+let cmp_ops = [ Expr.Eq; Ne; Lt; Le; Gt; Ge ]
 
-let gen_step =
-  let npool = List.length lin_pool in
+(* A per-variable comparison, [v op c] with a small constant. *)
+let gen_var_cmp (name, loc) =
+  QCheck.Gen.map2
+    (fun op c -> Expr.Cmp (op, Expr.var ~name ~loc, Expr.int c))
+    (QCheck.Gen.oneofl cmp_ops)
+    (QCheck.Gen.int_range (-5) 5)
+
+(* The conjuncts, in order, joined into a left-nested, right-nested or
+   split [And] spine; a split recurses, so shapes mix. *)
+let rec gen_spine = function
+  | [] -> invalid_arg "gen_spine"
+  | [ c ] -> QCheck.Gen.return c
+  | c :: rest as cs ->
+      let rec right = function
+        | [ c ] -> c
+        | c :: rest -> Expr.And (c, right rest)
+        | [] -> assert false
+      in
+      QCheck.Gen.(
+        frequency
+          [
+            (1, return (List.fold_left Expr.( &&& ) c rest));
+            (1, return (right cs));
+            ( 2,
+              int_range 1 (List.length cs - 1) >>= fun k ->
+              map2
+                (fun a b -> Expr.And (a, b))
+                (gen_spine (List.filteri (fun i _ -> i < k) cs))
+                (gen_spine (List.filteri (fun i _ -> i >= k) cs)) );
+          ])
+
+(* 2..8 conjuncts drawn from [gen_linear], [gen_expr_sized] and
+   per-variable comparisons, in random order; two of them read one
+   common variable. *)
+let gen_conjunction =
   QCheck.Gen.(
-    int_range 0 (npool - 1) >>= fun i ->
+    int_range 2 8 >>= fun k ->
+    oneofl conj_pool >>= fun (name, loc) ->
+    let shared =
+      oneof
+        [
+          gen_var_cmp (name, loc);
+          map3
+            (fun op side c ->
+              Expr.Cmp (op, Expr.(var ~name ~loc +? side), Expr.int c))
+            (oneofl cmp_ops) (gen_lin_side 2) (int_range (-5) 5);
+        ]
+    in
+    let free =
+      frequency
+        [
+          (2, gen_linear);
+          (2, int_range 0 6 >>= gen_expr_sized);
+          (3, oneofl conj_pool >>= gen_var_cmp);
+        ]
+    in
+    map3
+      (fun a b rest -> a :: b :: rest)
+      (gen_var_cmp (name, loc)) shared
+      (list_repeat (k - 2) free)
+    >>= shuffle_l >>= gen_spine)
+
+type step =
+  | Set of Expr.var * Value.t
+  | Set_int of Expr.var * int
+  | Clear of Expr.var
+
+let gen_step pool =
+  QCheck.Gen.(
+    map (fun (name, loc) -> { Expr.name; loc }) (oneofl pool) >>= fun v ->
     frequency
       [
-        (4, map (fun x -> Set_int (i, x)) gen_script_int);
+        (4, map (fun x -> Set_int (v, x)) gen_script_int);
         ( 3,
           map
-            (fun v -> Set (i, v))
+            (fun x -> Set (v, x))
             (oneof
                [
                  map (fun x -> Value.Int x) gen_script_int;
@@ -314,40 +384,60 @@ let gen_step =
                  map (fun b -> Value.Bool b) bool;
                  map (fun s -> Value.String s) (oneofl [ "a"; "z" ]);
                ]) );
-        (1, return (Clear i));
+        (1, return (Clear v));
       ])
 
-let pp_step = function
-  | Set (i, v) ->
-      let name, loc = List.nth lin_pool i in
-      Printf.sprintf "set %s_%d=%s" name loc (Value.to_string v)
-  | Set_int (i, x) ->
-      let name, loc = List.nth lin_pool i in
-      Printf.sprintf "set_int %s_%d=%d" name loc x
-  | Clear i ->
-      let name, loc = List.nth lin_pool i in
-      Printf.sprintf "clear %s_%d" name loc
+let gen_script pool =
+  QCheck.Gen.(
+    map2 ( @ )
+      (* Half the scripts start with every variable a small int, so
+         that most of their steps reach the running sum or the count. *)
+      (oneof
+         [
+           return [];
+           map
+             (List.map2
+                (fun (name, loc) x -> Set_int ({ Expr.name; loc }, x))
+                pool)
+             (list_repeat (List.length pool) (int_range (-5) 5));
+         ])
+      (list_size (int_range 0 24) (gen_step pool)))
 
-let arb_linear_script =
+let pp_var (v : Expr.var) = Printf.sprintf "%s_%d" v.name v.loc
+
+let pp_step = function
+  | Set (v, x) -> Printf.sprintf "set %s=%s" (pp_var v) (Value.to_string x)
+  | Set_int (v, x) -> Printf.sprintf "set_int %s=%d" (pp_var v) x
+  | Clear v -> "clear " ^ pp_var v
+
+let arb_update_script =
   QCheck.make
     ~print:(fun (e, steps) ->
       Printf.sprintf "%s after [%s]" (Expr.to_string e)
         (String.concat "; " (List.map pp_step steps)))
     QCheck.Gen.(
-      pair gen_linear
-        (map2 ( @ )
-           (* Half the scripts start with every variable a small int, so
-              that most of their steps reach the running sum. *)
-           (oneof
-              [
-                return [];
-                map
-                  (List.mapi (fun i x -> Set_int (i, x)))
-                  (list_repeat (List.length lin_pool) (int_range (-5) 5));
-              ])
-           (list_size (int_range 0 24) gen_step)))
+      oneof
+        [
+          pair gen_linear (gen_script lin_pool);
+          pair gen_conjunction (gen_script conj_pool);
+        ])
 
-let running_sum_matches_interp (e, steps) =
+(* Apply [step] to the compiled env and to the interpreter's bindings. *)
+let apply_step prog cenv bindings step =
+  let v = match step with Set (v, _) | Set_int (v, _) | Clear v -> v in
+  let s = Compiled.slot prog v in
+  match step with
+  | Set (_, value) ->
+      Hashtbl.replace bindings v value;
+      if s >= 0 then Compiled.set cenv s value
+  | Set_int (_, x) ->
+      Hashtbl.replace bindings v (Value.Int x);
+      if s >= 0 then Compiled.set_int cenv s x
+  | Clear _ ->
+      Hashtbl.remove bindings v;
+      if s >= 0 then Compiled.clear cenv s
+
+let script_matches_interp (e, steps) =
   let prog = Compiled.compile e in
   let cenv = Compiled.create_env prog in
   let bindings = Hashtbl.create 8 in
@@ -361,20 +451,7 @@ let running_sum_matches_interp (e, steps) =
   check "start";
   List.iter
     (fun step ->
-      let i = match step with Set (i, _) | Set_int (i, _) | Clear i -> i in
-      let name, loc = List.nth lin_pool i in
-      let v = { Expr.name; loc } in
-      let s = Compiled.slot prog v in
-      (match step with
-      | Set (_, value) ->
-          Hashtbl.replace bindings v value;
-          if s >= 0 then Compiled.set cenv s value
-      | Set_int (_, x) ->
-          Hashtbl.replace bindings v (Value.Int x);
-          if s >= 0 then Compiled.set_int cenv s x
-      | Clear _ ->
-          Hashtbl.remove bindings v;
-          if s >= 0 then Compiled.clear cenv s);
+      apply_step prog cenv bindings step;
       check (pp_step step))
     steps;
   true
@@ -432,14 +509,98 @@ let test_running_sum_over_budget () =
   Alcotest.(check bool) "interpreter exact" true (Expr.eval_bool ~env e);
   Alcotest.(check bool) "compiled exact" true (Compiled.eval_bool prog cenv)
 
-(* {2 Conjunct partition round-trip}
+(* {2 Conjunct count: fixed cases}
 
-   The sharded checker splits a conjunctive predicate into per-group
-   residuals (AND of the group's conjuncts, original order) and
-   recombines with a boolean AND over group verdicts.  Over int-valued
-   environments — the detectors' value domain — that recombination must
-   equal whole-predicate evaluation, unbound variables read as false
-   either way. *)
+   One env of [e]'s program goes through each check's steps in turn;
+   after them, both evaluators, by [eval] and by [eval_bool], must give
+   [want].  The first check runs before any step. *)
+
+let expect_count e checks =
+  let prog = Compiled.compile e in
+  let cenv = Compiled.create_env prog in
+  let bindings = Hashtbl.create 4 in
+  List.iter
+    (fun (steps, want) ->
+      List.iter (apply_step prog cenv bindings) steps;
+      let label = String.concat "; " (List.map pp_step steps) in
+      let env = Hashtbl.find_opt bindings in
+      let as_bool f = outcome (fun () -> Value.Bool (f ())) in
+      List.iter
+        (fun (evaluator, got) ->
+          if not (same_outcome want got) then
+            Alcotest.failf "%s after [%s]: %s gives %s, want %s"
+              (Expr.to_string e) label evaluator (pp_outcome got)
+              (pp_outcome want))
+        [
+          ("Expr.eval", outcome (fun () -> Expr.eval ~env e));
+          ("Expr.eval_bool", as_bool (fun () -> Expr.eval_bool ~env e));
+          ("Compiled.eval", outcome (fun () -> Compiled.eval prog cenv));
+          ( "Compiled.eval_bool",
+            as_bool (fun () -> Compiled.eval_bool prog cenv) );
+        ])
+    checks
+
+let vx = { Expr.name = "x"; loc = 0 }
+let vy = { Expr.name = "y"; loc = 1 }
+let x0 = Expr.Var vx
+let y1 = Expr.Var vy
+
+let test_count_false_before_unbound () =
+  expect_count
+    Expr.((x0 >? int 5) &&& (y1 >? int 0))
+    [
+      ([ Set_int (vx, 0) ], Value (Value.Bool false));
+      ([ Set_int (vx, 6) ], Unbound vy);
+      ([ Set_int (vy, 1) ], Value (Value.Bool true));
+    ]
+
+let test_count_unbound_before_false () =
+  expect_count
+    Expr.((y1 >? int 0) &&& (x0 >? int 5))
+    [
+      ([ Set_int (vx, 0) ], Unbound vy);
+      ([ Set_int (vy, 1) ], Value (Value.Bool false));
+      ([ Clear vy ], Unbound vy);
+    ]
+
+let test_count_non_bool () =
+  let not_bool = Type_err "expected a boolean value" in
+  expect_count
+    Expr.((x0 >? int 0) &&& (x0 +? int 1))
+    [
+      ([ Set_int (vx, 1) ], not_bool);
+      ([ Set_int (vx, 0) ], Value (Value.Bool false));
+      ([ Set (vx, Value.Bool true) ], Type_err "incomparable values");
+    ];
+  expect_count Expr.(x0 &&& (y1 >? int 0)) [ ([ Set_int (vx, 3) ], not_bool) ]
+
+let test_count_constant () =
+  expect_count
+    Expr.(bool true &&& (x0 >? int 0) &&& bool false)
+    [
+      ([], Unbound vx);
+      ([ Set_int (vx, 1) ], Value (Value.Bool false));
+      ([ Set_int (vx, 0) ], Value (Value.Bool false));
+    ];
+  expect_count
+    Expr.(int 3 &&& (x0 >? int 0))
+    [ ([], Type_err "expected a boolean value");
+      ([ Set_int (vx, 1) ], Type_err "expected a boolean value") ]
+
+let test_count_before_set () =
+  expect_count
+    Expr.((x0 >? int 0) &&& ((y1 >? int 0) &&& (x0 <? int 9)))
+    [
+      ([], Unbound vx);
+      ([ Set_int (vx, 1); Set_int (vy, 1) ], Value (Value.Bool true));
+      ([ Set_int (vx, 9) ], Value (Value.Bool false));
+    ]
+
+(* {2 Conjunct split round-trip}
+
+   [Expr.conjuncts] splits a conjunctive predicate into its localized
+   conjuncts; the split must keep every conjunct, each with its sole
+   location. *)
 
 let gen_local_conjunct loc =
   QCheck.Gen.(
@@ -463,39 +624,10 @@ let gen_conjunctive =
       | [] -> assert false
       | e :: rest -> (List.fold_left Expr.( &&& ) e rest, k)))
 
-let gen_int_bindings =
-  QCheck.Gen.(
-    list_repeat 8
-      (opt (map (fun i -> Value.Int i) (int_range (-3) 3))))
-
-let int_bindings opts =
-  let vars =
-    [ ("x", 0); ("x", 1); ("x", 2); ("x", 3); ("y", 0); ("y", 1); ("y", 2);
-      ("y", 3) ]
-  in
-  List.concat
-    (List.map2
-       (fun (name, loc) v ->
-         match v with
-         | Some value -> [ ({ Expr.name; loc }, value) ]
-         | None -> [])
-       vars opts)
-
 let arb_conjunctive =
-  QCheck.make
-    ~print:(fun ((e, _), opts) ->
-      Printf.sprintf "%s under [%s]" (Expr.to_string e)
-        (pp_bindings (int_bindings opts)))
-    QCheck.Gen.(pair gen_conjunctive gen_int_bindings)
+  QCheck.make ~print:(fun (e, _) -> Expr.to_string e) gen_conjunctive
 
-let eval_safe env_fn e =
-  match Expr.eval_bool ~env:env_fn e with
-  | b -> b
-  | exception Expr.Unbound_variable _ -> false
-
-let conjunct_partition_round_trip (((e, k), opts) : (Expr.t * int) * _) =
-  let bindings = int_bindings opts in
-  let env_fn (v : Expr.var) = List.assoc_opt v bindings in
+let conjunct_partition_round_trip (e, k) =
   match Expr.conjuncts e with
   | None -> QCheck.Test.fail_reportf "expected conjunctive: %s" (Expr.to_string e)
   | Some parts ->
@@ -514,42 +646,6 @@ let conjunct_partition_round_trip (((e, k), opts) : (Expr.t * int) * _) =
       in
       if sorted parts <> sorted original then
         QCheck.Test.fail_reportf "conjunct multiset changed";
-      (* Group residuals (loc mod 2), recombined with boolean AND,
-         evaluate like the whole predicate — interpreted and compiled. *)
-      let groups = 2 in
-      let residual g =
-        match List.filter (fun (loc, _) -> loc mod groups = g) parts with
-        | [] -> None
-        | (_, c) :: rest ->
-            Some (List.fold_left (fun acc (_, c) -> Expr.(acc &&& c)) c rest)
-      in
-      let whole = eval_safe env_fn e in
-      let folded = ref true in
-      for g = 0 to groups - 1 do
-        match residual g with
-        | None -> ()
-        | Some r ->
-            let prog = Compiled.compile r in
-            let cenv = Compiled.create_env prog in
-            List.iter
-              (fun (v, value) ->
-                let s = Compiled.slot prog v in
-                if s >= 0 then Compiled.set cenv s value)
-              bindings;
-            let interp_g = eval_safe env_fn r in
-            let compiled_g =
-              match Compiled.eval_bool prog cenv with
-              | b -> b
-              | exception Expr.Unbound_variable _ -> false
-            in
-            if interp_g <> compiled_g then
-              QCheck.Test.fail_reportf "group %d: interp %b <> compiled %b" g
-                interp_g compiled_g;
-            folded := !folded && interp_g
-      done;
-      if whole <> !folded then
-        QCheck.Test.fail_reportf "whole %b <> folded %b for %s" whole !folded
-          (Expr.to_string e);
       true
 
 let test_compiled_slots () =
@@ -643,12 +739,22 @@ let () =
             compiled_matches_interp;
           qtest ~count:500 "conjunct partition round-trip" arb_conjunctive
             conjunct_partition_round_trip;
-          qtest ~count:2000 "running sum = interp over update scripts"
-            arb_linear_script running_sum_matches_interp;
+          qtest ~count:4000 "running sum = interp over update scripts"
+            arb_update_script script_matches_interp;
           Alcotest.test_case "running sum: leaf above 2^40" `Quick
             test_running_sum_big_leaf;
           Alcotest.test_case "running sum: budget past 2^53" `Quick
             test_running_sum_over_budget;
+          Alcotest.test_case "conjunct count: false before unbound" `Quick
+            test_count_false_before_unbound;
+          Alcotest.test_case "conjunct count: unbound before false" `Quick
+            test_count_unbound_before_false;
+          Alcotest.test_case "conjunct count: non-bool conjunct" `Quick
+            test_count_non_bool;
+          Alcotest.test_case "conjunct count: constant conjunct" `Quick
+            test_count_constant;
+          Alcotest.test_case "conjunct count: eval before any set" `Quick
+            test_count_before_set;
         ] );
       ( "spec",
         [
