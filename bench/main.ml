@@ -281,13 +281,11 @@ let flood_ring =
       Psn_network.Flood.flood flood ~src:0 ();
       Psn_sim.Engine.run engine)
 
-(* Arena-vs-copy pair: [burst] runs the default stamp-plane broadcast
-   vectors, [burst_copy] forces the per-message array copies. *)
-let causal_burst_with ~name ~arena =
-  Test.make ~name (Staged.stage @@ fun () ->
+let causal_burst =
+  Test.make ~name:"causal_broadcast.burst(4x5)" (Staged.stage @@ fun () ->
       let engine = Psn_sim.Engine.create () in
       let cb =
-        Psn_middleware.Causal_broadcast.create ~arena engine ~n:4
+        Psn_middleware.Causal_broadcast.create engine ~n:4
           ~delay:Psn_sim.Delay_model.synchronous
           ~deliver:(fun ~dst:_ ~src:_ () -> ())
           ()
@@ -298,10 +296,6 @@ let causal_burst_with ~name ~arena =
         done
       done;
       Psn_sim.Engine.run engine)
-
-let causal_burst = causal_burst_with ~name:"causal_broadcast.burst(4x5)" ~arena:true
-let causal_burst_copy =
-  causal_burst_with ~name:"causal_broadcast.burst_copy(4x5)" ~arena:false
 
 let snapshot_round =
   Test.make ~name:"snapshot.round(n=4)" (Staged.stage @@ fun () ->
@@ -693,7 +687,7 @@ let subjects =
         detector_stream_flush;
       ] );
     ( "middleware",
-      [ flood_ring; causal_burst; causal_burst_copy; snapshot_round; mutex_round ] );
+      [ flood_ring; causal_burst; snapshot_round; mutex_round ] );
     ( "event_core",
       [
         engine_create; engine_event_unit; queue_1k; queue_100k; net_broadcast;

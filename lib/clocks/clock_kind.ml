@@ -39,9 +39,3 @@ let time_model = function
   | Hybrid_logical _ ->
       Single_axis
   | Logical_vector | Strobe_vector | Physical_vector -> Partial_order
-
-(* Per-message timestamp size in abstract words, for overhead accounting. *)
-let stamp_words ~n = function
-  | Perfect_physical | Synced_physical _ | Logical_scalar | Strobe_scalar -> 1
-  | Hybrid_logical _ -> 2
-  | Logical_vector | Strobe_vector | Physical_vector -> n

@@ -18,6 +18,3 @@ type time_model = Single_axis | Partial_order
 
 val time_model : t -> time_model
 (** Which of the paper's two time models the clock realizes. *)
-
-val stamp_words : n:int -> t -> int
-(** Per-message timestamp size in words, for overhead accounting (E5). *)

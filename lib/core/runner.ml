@@ -3,7 +3,10 @@
    detector; a scenario populates the world; the runner executes and
    scores.
 
-   The dispatch table below *is* the paper's compatibility matrix:
+   The dispatch below *is* the paper's compatibility matrix.  Every clock
+   realizes Instantaneous through its row of [Linearizer.for_clock]; only
+   the vector clocks realize the partial-order modalities, through the
+   interval queues of [Interval_detector]:
 
                          Instantaneous       Possibly/Definitely
      perfect physical    physical (ε = 0)    —
@@ -13,12 +16,12 @@
      strobe scalar       strobe scalar       —
      strobe vector       strobe vector       Possibly/Definitely (conjunctive)
      physical vector     raw hw clocks       —
+     hybrid logical      hlc                 —
 
    Unsupported pairings raise, mirroring the paper's argument about which
    clocks can realize which modalities. *)
 
 module Engine = Psn_sim.Engine
-module Sim_time = Psn_sim.Sim_time
 module Clock_kind = Psn_clocks.Clock_kind
 module Spec = Psn_predicates.Spec
 module Modality = Psn_predicates.Modality
@@ -35,7 +38,6 @@ let unsupported clock modality =
 let detector_for ?init (config : Config.t) engine ~spec =
   let n = config.n in
   let delay = config.delay in
-  let hold = Config.effective_hold config in
   let predicate = Spec.predicate spec in
   let loss = config.loss in
   let once = config.once in
@@ -46,65 +48,24 @@ let detector_for ?init (config : Config.t) engine ~spec =
         (Unsupported (what ^ " requires the default (complete) overlay"))
   in
   match (config.clock, Spec.modality spec) with
-  | Clock_kind.Strobe_scalar, Modality.Instantaneous ->
-      D.Strobe_scalar_detector.create ~loss ?topology ?init ~once engine ~n
-        ~delay ~hold ~predicate
-  | Clock_kind.Strobe_vector, Modality.Instantaneous ->
-      D.Strobe_vector_detector.create ~loss ?topology ?init ~once engine ~n
-        ~delay ~hold ~predicate
-  | Clock_kind.Perfect_physical, Modality.Instantaneous ->
-      D.Physical_detector.create ~loss ?topology ?init ~once engine ~n ~delay
-        ~hold ~eps:Sim_time.zero ~predicate
-  | Clock_kind.Synced_physical { eps }, Modality.Instantaneous ->
-      D.Physical_detector.create ~loss ?topology ?init ~once engine ~n ~delay
-        ~hold ~eps ~predicate
-  | Clock_kind.Logical_scalar, Modality.Instantaneous ->
-      require_complete_overlay "the Lamport unicast baseline";
-      D.Lamport_detector.create ~loss ?init ~once engine ~n ~delay ~hold
-        ~predicate
-  | Clock_kind.Logical_vector, Modality.Instantaneous ->
-      require_complete_overlay "the causal-vector unicast baseline";
-      D.Causal_vector_detector.create ~loss ?init ~once engine ~n ~delay ~hold
-        ~predicate
-  | (Clock_kind.Strobe_vector | Clock_kind.Logical_vector), Modality.Definitely
-    ->
+  | clock, Modality.Instantaneous ->
+      (match clock with
+      | Clock_kind.Logical_scalar ->
+          require_complete_overlay "the Lamport unicast baseline"
+      | Clock_kind.Logical_vector ->
+          require_complete_overlay "the causal-vector unicast baseline"
+      | _ -> ());
+      D.Linearizer.for_clock ~loss ?topology ?init ~once engine ~clock ~n
+        ~delay ~hold:(Config.effective_hold config) ~predicate
+  | ( (Clock_kind.Strobe_vector | Clock_kind.Logical_vector),
+      ((Modality.Possibly | Modality.Definitely) as modality) ) ->
       require_complete_overlay "the interval-queue detectors";
-      D.Definitely_detector.create ~loss ?init ~once engine ~n ~delay
-        ~horizon:config.horizon ~predicate
-  | (Clock_kind.Strobe_vector | Clock_kind.Logical_vector), Modality.Possibly ->
-      require_complete_overlay "the interval-queue detectors";
-      D.Possibly_detector.create ~loss ?init ~once engine ~n ~delay
-        ~horizon:config.horizon ~predicate
-  | Clock_kind.Hybrid_logical { max_offset; max_drift_ppm },
-    Modality.Instantaneous ->
-      D.Hlc_detector.create ~loss ?topology ?init ~once engine ~n ~delay ~hold
-        ~max_offset ~max_drift_ppm ~predicate
-  | Clock_kind.Physical_vector, Modality.Instantaneous ->
-      (* Raw, unsynchronized hardware clocks: linearize by local reading.
-         The "software clocks without sync" corner of the space. *)
-      let rng = Psn_util.Rng.split (Engine.rng engine) in
-      let clocks =
-        Array.init n (fun _ ->
-            Psn_clocks.Physical_clock.create rng ~max_offset:(Sim_time.of_ms 500)
-              ~max_drift_ppm:100.0)
+      let mode =
+        if modality = Modality.Possibly then D.Interval_detector.Possibly
+        else D.Interval_detector.Definitely
       in
-      let discipline =
-        {
-          D.Linearizer.name = "physical-raw";
-          stamp_of_emit =
-            (fun ~src ->
-              Psn_clocks.Physical_clock.read_raw clocks.(src)
-                ~now:(Engine.now engine));
-          on_receive = (fun ~dst:_ _ -> ());
-          compare = Sim_time.compare;
-          race = (fun _ _ -> false);
-          arrival_tie_break = false;
-          stamp_words = 1;
-        }
-      in
-      let cfg = { (D.Linearizer.default_cfg ~hold) with once } in
-      D.Linearizer.create ~loss ?init engine ~n ~delay ~predicate ~discipline
-        ~cfg
+      D.Interval_detector.create ~loss ?init ~once engine ~mode ~n ~delay
+        ~horizon:config.horizon ~predicate
   | clock, modality -> unsupported clock modality
 
 let score (config : Config.t) ~spec ?init ~policy detector =

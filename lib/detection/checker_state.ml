@@ -17,16 +17,11 @@ type t = {
   mutable holds : bool;
 }
 
-let eval_safe predicate env_fn =
-  match Expr.eval_bool ~env:env_fn predicate with
-  | b -> b
-  | exception Expr.Unbound_variable _ -> false
-
 let create ?(init = []) predicate =
   let env = Hashtbl.create 16 in
   List.iter (fun (v, value) -> Hashtbl.replace env v value) init;
   let t = { predicate; env; env_fn = Hashtbl.find_opt env; holds = false } in
-  t.holds <- eval_safe predicate t.env_fn;
+  t.holds <- Expr.holds ~env:t.env_fn predicate;
   t
 
 let holds t = t.holds
@@ -39,7 +34,7 @@ let apply t (u : Observation.update) =
   let var = Observation.located u in
   let prev = Hashtbl.find_opt t.env var in
   Hashtbl.replace t.env var u.value;
-  let now_holds = eval_safe t.predicate t.env_fn in
+  let now_holds = Expr.holds ~env:t.env_fn t.predicate in
   let transition =
     match (t.holds, now_holds) with
     | false, true -> Rose
@@ -55,6 +50,6 @@ let eval_with_override t ~var ~value =
   let env v =
     if v = var then value else Hashtbl.find_opt t.env v
   in
-  eval_safe t.predicate env
+  Expr.holds ~env t.predicate
 
 let snapshot t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.env []

@@ -8,7 +8,6 @@
    detectors are scored against these. *)
 
 module Sim_time = Psn_sim.Sim_time
-module Expr = Psn_predicates.Expr
 module Compiled = Psn_predicates.Compiled
 
 type interval = {
@@ -40,18 +39,12 @@ let intervals ?(init = []) ~updates ~predicate ~horizon () =
       let s = Compiled.slot prog v in
       if s >= 0 then Compiled.set env s value)
     init;
-  (* Unbound variables mean "predicate not established". *)
-  let eval () =
-    match Compiled.eval_bool prog env with
-    | b -> b
-    | exception Expr.Unbound_variable _ -> false
-  in
   let sorted =
     if in_order updates then updates else List.sort compare_updates updates
   in
   let acc = ref [] in
   let open_since = ref None in
-  let holds = ref (eval ()) in
+  let holds = ref (Compiled.holds prog env) in
   if !holds then open_since := Some Sim_time.zero;
   List.iter
     (fun (u : Observation.update) ->
@@ -59,7 +52,7 @@ let intervals ?(init = []) ~updates ~predicate ~horizon () =
         let s = Compiled.slot prog (Observation.located u) in
         if s >= 0 then begin
           Compiled.set env s u.value;
-          let now_holds = eval () in
+          let now_holds = Compiled.holds prog env in
           (match (!holds, now_holds) with
           | false, true -> open_since := Some u.sense_time
           | true, false ->

@@ -6,7 +6,6 @@ module Exec = Psn_sim.Exec
 module Sim_time = Psn_sim.Sim_time
 module Trace = Psn_obs.Trace
 module Metrics = Psn_obs.Metrics
-module Expr = Psn_predicates.Expr
 module Value = Psn_world.Value
 module Physical_clock = Psn_clocks.Physical_clock
 module Shard_net = Psn_network.Shard_net
@@ -162,10 +161,3 @@ let updates t =
     Array.fold_left (fun acc buf -> List.rev_append !buf acc) [] t.by_group
   in
   List.sort Ground_truth.compare_updates all
-
-let holds eval env p =
-  match eval env p with
-  | b -> b
-  | exception Expr.Unbound_variable _ -> false
-
-let holds_expr env p = holds (fun env p -> Expr.eval_bool ~env p) env p

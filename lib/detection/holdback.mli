@@ -74,11 +74,3 @@ val var_slot : t -> src:int -> string -> int
 
 val updates : t -> Observation.update list
 (** Every admitted update in (sense_time, src, seq) order. *)
-
-val holds : ('a -> 'b -> bool) -> 'a -> 'b -> bool
-(** [holds eval env p] is [eval env p], false on an unbound variable. *)
-
-val holds_expr :
-  (Psn_predicates.Expr.var -> Psn_world.Value.t option) ->
-  Psn_predicates.Expr.t -> bool
-(** {!holds} over {!Psn_predicates.Expr.eval_bool}. *)

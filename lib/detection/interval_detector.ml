@@ -67,10 +67,7 @@ type local = {
   mutable open_trigger : Observation.update option;
 }
 
-let eval_local l =
-  match Expr.eval_bool ~env:(Hashtbl.find_opt l.env) l.conjunct with
-  | b -> b
-  | exception Expr.Unbound_variable _ -> false
+let eval_local l = Expr.holds ~env:(Hashtbl.find_opt l.env) l.conjunct
 
 (* Modality-specific head analysis: which heads are dead right now? *)
 let dead_heads mode heads =

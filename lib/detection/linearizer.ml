@@ -1,13 +1,13 @@
 (* Shared core of the single-time-axis detectors.
 
-   The strobe scalar, strobe vector, and physical-clock detectors all
-   recreate a linear order of updates at the checker (process 0) and
-   evaluate the predicate along it.  They differ only in their *stamping
-   discipline*: how an update is timestamped at the sensor, how receivers'
-   clocks react to a strobe, how stamps are linearized, and when two
-   stamps constitute a race.  The discipline is a first-class record, so
-   the three detectors are thin instantiations of one algorithm and the
-   comparisons in E1/E2/E8 measure the clocks, not incidental code
+   Every clock in the paper's implementation space recreates a linear
+   order of updates at the checker (process 0) and evaluates the
+   predicate along it.  The clocks differ only in their *stamping
+   discipline*: how an update is timestamped at the sensor, how
+   receivers' clocks react to a strobe, how stamps are linearized, and
+   when two stamps constitute a race.  The discipline is a first-class
+   record and [for_clock] at the bottom is the table of all eight, so
+   the comparisons in E1/E2/E8 measure the clocks, not incidental code
    differences.
 
    Checker algorithm: arrivals are held back for [hold] (the Δ-bound
@@ -22,6 +22,9 @@
 module Engine = Psn_sim.Engine
 module Sim_time = Psn_sim.Sim_time
 module Net = Psn_network.Net
+module Clock_kind = Psn_clocks.Clock_kind
+module Physical_clock = Psn_clocks.Physical_clock
+module Stamp_plane = Psn_clocks.Stamp_plane
 module Vec = Psn_util.Vec
 module Value = Psn_world.Value
 module Trace = Psn_obs.Trace
@@ -344,3 +347,168 @@ let create ?loss ?topology ?init engine ~n ~delay ~predicate ~discipline ~cfg =
   in
   self := Some t;
   t
+
+(* --- The clock table ---
+
+   One row per [Clock_kind.t].  Rows that read a hardware clock split
+   [Engine.rng] for their clocks before [create] splits it for the
+   transport, so every run draws the same streams it always has. *)
+
+(* Lamport and strobe scalars: int stamps, ordered by value (then
+   arrival); equal stamps race. *)
+let scalar ~name ~stamp_words ~stamp ~receive =
+  {
+    name;
+    stamp_of_emit = stamp;
+    on_receive = receive;
+    compare = Int.compare;
+    race = Int.equal;
+    arrival_tie_break = true;
+    stamp_words;
+  }
+
+(* Strobe and Mattern/Fidge vectors as handles into one stamp plane per
+   detector.  The component sum strictly increases along the vector
+   order, so (sum, lexicographic) is a linear extension; incomparable
+   stamps race. *)
+let vector plane ~name ~stamp_words ~stamp ~receive =
+  {
+    name;
+    stamp_of_emit = stamp;
+    on_receive = receive;
+    compare =
+      (fun a b ->
+        let c =
+          Int.compare (Stamp_plane.total plane a) (Stamp_plane.total plane b)
+        in
+        if c <> 0 then c else Stamp_plane.compare_lex plane a b);
+    race = Stamp_plane.concurrent plane;
+    arrival_tie_break = true;
+    stamp_words;
+  }
+
+let closer_than window a b =
+  let d = if Sim_time.( >= ) a b then Sim_time.sub a b else Sim_time.sub b a in
+  Sim_time.( < ) d window
+
+(* Physical readings: receivers' clocks do not react, and the checker
+   trusts the timestamp order outright (Mayo–Kearns timestamp ordering,
+   no arrival tie-break). *)
+let physical engine ~name ~clocks ~read ~race =
+  {
+    name;
+    stamp_of_emit = (fun ~src -> read clocks.(src) ~now:(Engine.now engine));
+    on_receive = (fun ~dst:_ _ -> ());
+    compare = Sim_time.compare;
+    race;
+    arrival_tie_break = false;
+    stamp_words = 1;
+  }
+
+let for_clock ?loss ?topology ?init ?(once = false) engine ~clock ~n ~delay
+    ~hold ~predicate =
+  let run ?(unicast = false) ~hold discipline =
+    create ?loss ?topology ?init engine ~n ~delay ~predicate ~discipline
+      ~cfg:{ (default_cfg ~hold) with once; unicast }
+  in
+  let hw_rng () = Psn_util.Rng.split (Engine.rng engine) in
+  (* ε-synchronized clocks read true time ± ε/2 (Mayo–Kearns [28],
+     Stoller [34]); stamps closer than 2ε race, the source of E2's false
+     negatives.  The checker holds back Δ + ε: an update stamped earlier
+     can arrive up to Δ later and clock error blurs another ε, so
+     flushing sooner would fall back to arrival order and hide the race
+     window. *)
+  let synced eps =
+    let rng = hw_rng () in
+    let clocks =
+      Array.init n (fun _ -> Physical_clock.synced_within rng ~eps)
+    in
+    run ~hold:(Sim_time.add hold eps)
+      (physical engine ~name:"physical" ~clocks ~read:Physical_clock.read
+         ~race:(closer_than (Sim_time.add eps eps)))
+  in
+  match (clock : Clock_kind.t) with
+  | Perfect_physical -> synced Sim_time.zero
+  | Synced_physical { eps } -> synced eps
+  | Logical_scalar ->
+      (* Causality baseline (SC1–SC3): stamps ride on updates unicast to
+         the checker, sensors never hear each other and their scalars
+         drift apart, so (stamp, pid) is far from real-time order — the
+         strobes, not the counters, buy the accuracy (ablation A1). *)
+      let clocks = Array.init n (fun me -> Psn_clocks.Lamport.create ~me) in
+      run ~unicast:true ~hold
+        (scalar ~name:"lamport-unicast" ~stamp_words:1
+           ~stamp:(fun ~src -> Psn_clocks.Lamport.send clocks.(src))
+           ~receive:(fun ~dst s ->
+             ignore (Psn_clocks.Lamport.receive clocks.(dst) s)))
+  | Logical_vector ->
+      (* Mattern/Fidge (VC1–VC3) on unicast reports: cross-sensor
+         components stay zero, so nearly every pair of updates from
+         different sensors is concurrent and the borderline bin swallows
+         most rises — causality clocks without strobes. *)
+      let module Vc = Psn_clocks.Vector_clock in
+      let plane = Stamp_plane.create ~n () in
+      let clocks = Array.init n (fun me -> Vc.create ~n ~me) in
+      run ~unicast:true ~hold
+        (vector plane ~name:"causal-vector-unicast" ~stamp_words:n
+           ~stamp:(fun ~src -> Vc.send_into plane clocks.(src))
+           ~receive:(fun ~dst h -> Vc.receive_from plane clocks.(dst) h))
+  | Strobe_scalar ->
+      (* SSC1–SSC2, ref [25]: the update broadcast is the strobe.  Ties
+         are linearized arbitrarily, which is why scalar strobes "may
+         also result in some false positives". *)
+      let module Ss = Psn_clocks.Strobe_scalar in
+      let clocks = Array.init n (fun me -> Ss.create ~me) in
+      run ~hold
+        (scalar ~name:"strobe-scalar" ~stamp_words:Ss.stamp_size_words
+           ~stamp:(fun ~src -> Ss.tick_and_strobe clocks.(src))
+           ~receive:(fun ~dst s -> Ss.receive_strobe clocks.(dst) s))
+  | Strobe_vector ->
+      (* SVC1–SVC2, ref [24]: concurrency is visible, so a rise that a
+         concurrent reordering could falsify goes to the borderline bin
+         and most residual errors are false negatives (§3.3). *)
+      let module Sv = Psn_clocks.Strobe_vector in
+      let plane = Stamp_plane.create ~n () in
+      let clocks = Array.init n (fun me -> Sv.create ~n ~me) in
+      run ~hold
+        (vector plane ~name:"strobe-vector"
+           ~stamp_words:(Sv.stamp_size_words n)
+           ~stamp:(fun ~src -> Sv.tick_and_strobe_into plane clocks.(src))
+           ~receive:(fun ~dst h -> Sv.receive_strobe_from plane clocks.(dst) h))
+  | Physical_vector ->
+      (* Raw, unsynchronized hardware clocks linearized by local reading:
+         the "software clocks without sync" corner of the space. *)
+      let rng = hw_rng () in
+      let clocks =
+        Array.init n (fun _ ->
+            Physical_clock.create rng ~max_offset:(Sim_time.of_ms 500)
+              ~max_drift_ppm:100.0)
+      in
+      run ~hold
+        (physical engine ~name:"physical-raw" ~clocks
+           ~read:Physical_clock.read_raw ~race:(fun _ _ -> false))
+  | Hybrid_logical { max_offset; max_drift_ppm } ->
+      (* HLCs over drifting hardware clocks: receivers merge (l, c), which
+         drags every l up to the fastest clock seen.  Pairwise offsets
+         reach twice the per-clock bound; l-components closer than that
+         race and arrival breaks the tie. *)
+      let module Hlc = Psn_clocks.Hlc in
+      let rng = hw_rng () in
+      let clocks =
+        Array.init n (fun me ->
+            Hlc.create ~me (Physical_clock.create rng ~max_offset ~max_drift_ppm))
+      in
+      let race_window = Sim_time.add max_offset max_offset in
+      run ~hold
+        {
+          name = "hlc";
+          stamp_of_emit =
+            (fun ~src -> Hlc.tick clocks.(src) ~now:(Engine.now engine));
+          on_receive =
+            (fun ~dst s ->
+              ignore (Hlc.receive clocks.(dst) ~now:(Engine.now engine) s));
+          compare = Hlc.compare_stamp;
+          race = (fun a b -> closer_than race_window a.Hlc.l b.Hlc.l);
+          arrival_tie_break = true;
+          stamp_words = 2;
+        }

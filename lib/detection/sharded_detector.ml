@@ -179,11 +179,11 @@ let create ?loss ?sinks ?(checker = Compiled) exec ~cfg ~delay ~predicate () =
               Hashtbl.replace env
                 { Expr.name = var_name; loc = src }
                 (Value.Int value);
-              Holdback.holds_expr env_fn t.predicate
+              Expr.holds ~env:env_fn t.predicate
           | Compiled_impl p ->
               let slot = find_slot p hb ~src ~var_idx in
               if slot >= 0 then Compiled.set_int p.cenv slot value;
-              Holdback.holds Compiled.eval_bool p.prog p.cenv
+              Compiled.holds p.prog p.cenv
         in
         if now_holds && not t.holds then begin
           (* Race bin: an adjacent applied update from another process

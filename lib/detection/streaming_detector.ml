@@ -267,7 +267,7 @@ let create ?loss ?sinks ?on_observe exec ~cfg ~delay ~predicate () =
   in
   let holds cut =
     cur_cut := cut;
-    Holdback.holds_expr env_fn predicate
+    Expr.holds ~env:env_fn predicate
   in
   let on_edge e =
     Metrics.tick c_edges;

@@ -113,8 +113,4 @@ let cut_env ~init ~(updates : (string * Psn_world.Value.t) array array)
     end
 
 let holds_of_expr ~init ~updates predicate cut =
-  match
-    Psn_predicates.Expr.eval_bool ~env:(cut_env ~init ~updates cut) predicate
-  with
-  | b -> b
-  | exception Psn_predicates.Expr.Unbound_variable _ -> false
+  Psn_predicates.Expr.holds ~env:(cut_env ~init ~updates cut) predicate

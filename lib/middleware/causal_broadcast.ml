@@ -22,24 +22,21 @@ let trace engine ~pid ev =
   | Some s -> Trace.emit s ~time:(Engine.now engine) ~pid ev
   | None -> ()
 
-(* Broadcast vectors live either in a shared stamp plane ([stamp_h] a
-   handle, [stamp_a] the shared empty array) or as per-message copies
-   ([stamp_h] = -1).  Wire size is [n] words either way. *)
+(* Broadcast vectors live in a shared stamp plane; [stamp_h] is the
+   origin's broadcast vector, including this one.  Wire size is [n]
+   words. *)
 type 'a message = {
   origin : int;
   stamp_h : Stamp_plane.handle;
-  stamp_a : int array;  (* origin's broadcast vector, including this one *)
   payload : 'a;
 }
-
-let no_stamp : int array = [||]
 
 type 'a t = {
   n : int;
   engine : Engine.t;
   c_delivered : Metrics.counter;
   net : 'a message Net.t;
-  plane : Stamp_plane.t option;       (* Some: arena stamps; None: copies *)
+  plane : Stamp_plane.t;
   delivered : int array array;        (* delivered.(i).(j) *)
   sent : int array;                   (* broadcasts by each origin *)
   mutable pending : (int * 'a message) list;  (* (dst, msg) buffered *)
@@ -49,27 +46,17 @@ type 'a t = {
 
 let deliverable t dst (m : 'a message) =
   let d = t.delivered.(dst) in
-  match t.plane with
-  | Some plane ->
-      (* Fetched per call: a growing [alloc] may have replaced the
-         arena's backing since this message was stamped (growth blits,
-         so the row at [stamp_h] is wherever the current backing is). *)
-      let p = Stamp_plane.backing plane in
-      let h = m.stamp_h in
-      let rec ok k =
-        k >= t.n
-        || (let v = p.(h + k) in
-            (if k = m.origin then v = d.(k) + 1 else v <= d.(k)) && ok (k + 1))
-      in
-      ok 0
-  | None ->
-      let v = m.stamp_a in
-      let rec ok k =
-        k >= t.n
-        || (if k = m.origin then v.(k) = d.(k) + 1 else v.(k) <= d.(k))
-           && ok (k + 1)
-      in
-      ok 0
+  (* Fetched per call: a growing [alloc] may have replaced the arena's
+     backing since this message was stamped (growth blits, so the row at
+     [stamp_h] is wherever the current backing is). *)
+  let p = Stamp_plane.backing t.plane in
+  let h = m.stamp_h in
+  let rec ok k =
+    k >= t.n
+    || (let v = p.(h + k) in
+        (if k = m.origin then v = d.(k) + 1 else v <= d.(k)) && ok (k + 1))
+  in
+  ok 0
 
 let deliver_one t dst (m : 'a message) =
   t.delivered.(dst).(m.origin) <- t.delivered.(dst).(m.origin) + 1;
@@ -89,8 +76,7 @@ let rec drain t =
     drain t
   end
 
-let create ?loss ?(payload_words = fun _ -> 1) ?(arena = true) engine ~n ~delay
-    ~deliver () =
+let create ?loss ?(payload_words = fun _ -> 1) engine ~n ~delay ~deliver () =
   if n < 2 then invalid_arg "Causal_broadcast.create: need >= 2 processes";
   let net =
     Net.create ?loss
@@ -103,7 +89,7 @@ let create ?loss ?(payload_words = fun _ -> 1) ?(arena = true) engine ~n ~delay
       engine;
       c_delivered = Metrics.counter (Engine.metrics engine) "causal.delivered";
       net;
-      plane = (if arena then Some (Stamp_plane.create ~n ()) else None);
+      plane = Stamp_plane.create ~n ();
       delivered = Array.make_matrix n n 0;
       sent = Array.make n 0;
       pending = [];
@@ -132,16 +118,8 @@ let broadcast t ~src payload =
      its own broadcasts (a process trivially delivers its own). *)
   t.delivered.(src).(src) <- t.delivered.(src).(src) + 1;
   t.delivered_total <- t.delivered_total + 1;
-  let m =
-    match t.plane with
-    | Some plane ->
-        { origin = src; stamp_h = Stamp_plane.of_array plane t.delivered.(src);
-          stamp_a = no_stamp; payload }
-    | None ->
-        { origin = src; stamp_h = -1;
-          stamp_a = Array.copy t.delivered.(src); payload }
-  in
-  Net.broadcast t.net ~src m
+  let stamp_h = Stamp_plane.of_array t.plane t.delivered.(src) in
+  Net.broadcast t.net ~src { origin = src; stamp_h; payload }
 
 let buffered t = List.length t.pending
 let delivered_count t = t.delivered_total

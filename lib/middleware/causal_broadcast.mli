@@ -4,13 +4,11 @@
 type 'a t
 
 val create :
-  ?loss:Psn_sim.Loss_model.t -> ?payload_words:('a -> int) -> ?arena:bool ->
+  ?loss:Psn_sim.Loss_model.t -> ?payload_words:('a -> int) ->
   Psn_sim.Engine.t -> n:int -> delay:Psn_sim.Delay_model.t ->
   deliver:(dst:int -> src:int -> 'a -> unit) -> unit -> 'a t
-(** [arena] (default [true]) stores broadcast vectors in a shared
-    {!Psn_clocks.Stamp_plane} — messages carry int handles, no per-message
-    array copy; [false] copies a fresh stamp per broadcast (the
-    differential oracle).  Delivery order is identical either way. *)
+(** Broadcast vectors live in a shared {!Psn_clocks.Stamp_plane}:
+    messages carry int handles, with no per-message array copy. *)
 
 val broadcast : 'a t -> src:int -> 'a -> unit
 (** The sender counts as having delivered its own broadcast immediately. *)

@@ -554,3 +554,8 @@ let eval_bool t env =
     if t.s_tag.(i) <> 2 then not_bool ();
     t.s_num.(i) <> 0.0
   end
+
+let holds t env =
+  match eval_bool t env with
+  | b -> b
+  | exception Expr.Unbound_variable _ -> false

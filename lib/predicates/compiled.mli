@@ -75,3 +75,7 @@ val eval : t -> env -> Psn_world.Value.t
     bytecode run otherwise. *)
 
 val eval_bool : t -> env -> bool
+
+val holds : t -> env -> bool
+(** {!eval_bool} under {!Expr.holds}'s rule: false on a read of an
+    unbound slot. *)

@@ -100,6 +100,13 @@ let rec eval ~env expr =
 
 let eval_bool ~env expr = Value.to_bool (eval ~env expr)
 
+(* The one "unbound means false" rule: a predicate over a variable no
+   update has bound yet is not established. *)
+let holds ~env expr =
+  match eval_bool ~env expr with
+  | b -> b
+  | exception Unbound_variable _ -> false
+
 (* All located variables mentioned, without duplicates, in first-use order. *)
 let vars expr =
   let seen = Hashtbl.create 8 in

@@ -40,6 +40,11 @@ val eval : env:(var -> Psn_world.Value.t option) -> t -> Psn_world.Value.t
 
 val eval_bool : env:(var -> Psn_world.Value.t option) -> t -> bool
 
+val holds : env:(var -> Psn_world.Value.t option) -> t -> bool
+(** [eval_bool], false when a variable is unbound: a predicate is not
+    established until every variable it reads is.  Every detector and
+    the ground truth read truth this way. *)
+
 val vars : t -> var list
 val locations : t -> int list
 val sole_location : t -> int option

@@ -55,6 +55,9 @@ let test_dispatch_supported () =
       (Clock_kind.Logical_scalar, Modality.Instantaneous);
       (Clock_kind.Logical_vector, Modality.Instantaneous);
       (Clock_kind.Physical_vector, Modality.Instantaneous);
+      ( Clock_kind.Hybrid_logical
+          { max_offset = ms 20; max_drift_ppm = 50.0 },
+        Modality.Instantaneous );
       (Clock_kind.Strobe_vector, Modality.Definitely);
       (Clock_kind.Logical_vector, Modality.Definitely);
       (Clock_kind.Strobe_vector, Modality.Possibly);
@@ -161,12 +164,16 @@ let test_report_words_per_update () =
       (Report.words_per_update report)
 
 let test_runner_topology () =
-  (* Multi-hop strobes work end to end; unicast baselines refuse. *)
-  let ring = Psn_util.Graph.ring ~n:2 in
+  (* Multi-hop strobes work end to end under every broadcast clock;
+     unicast baselines refuse.  A 2-node ring is the complete overlay,
+     so the ring has 4 nodes: a flood then costs each node one send per
+     neighbour, 8 messages per update against 3 on the complete one. *)
+  let n = 4 in
+  let ring = Psn_util.Graph.ring ~n in
   let config =
     {
       Config.default with
-      n = 2;
+      n;
       horizon = Sim_time.of_sec 900;
       topology = Some ring;
       hold = Some (ms 50);
@@ -174,18 +181,120 @@ let test_runner_topology () =
       seed = 13L;
     }
   in
-  let report = run_once config in
-  let s = Report.summary report in
-  Alcotest.(check bool) "detects over ring" true (s.Psn_detection.Metrics.tp > 0);
+  let per_flood =
+    List.init n (fun v -> List.length (Psn_util.Graph.neighbors ring v))
+    |> List.fold_left ( + ) 0
+  in
+  List.iter
+    (fun clock ->
+      let name = Clock_kind.to_string clock in
+      let report = run_once { config with clock } in
+      let s = Report.summary report in
+      Alcotest.(check bool)
+        (name ^ " detects over ring") true (s.Psn_detection.Metrics.tp > 0);
+      Alcotest.(check int) (name ^ " updates") 48 report.Report.updates;
+      Alcotest.(check int)
+        (name ^ " floods") (per_flood * report.Report.updates)
+        report.Report.messages)
+    [
+      Clock_kind.Strobe_vector;
+      Clock_kind.Strobe_scalar;
+      Clock_kind.Perfect_physical;
+      Clock_kind.Synced_physical { eps = ms 1 };
+      Clock_kind.Physical_vector;
+      Clock_kind.Hybrid_logical { max_offset = ms 20; max_drift_ppm = 50.0 };
+    ];
   let engine = Engine.create () in
-  Alcotest.(check bool) "unicast refuses topology" true
-    (try
-       ignore
-         (Runner.detector_for ~init
-            { config with clock = Clock_kind.Logical_scalar }
-            engine ~spec:(spec Modality.Instantaneous));
-       false
-     with Runner.Unsupported _ -> true)
+  List.iter
+    (fun clock ->
+      Alcotest.(check bool)
+        (Clock_kind.to_string clock ^ " refuses topology") true
+        (try
+           ignore
+             (Runner.detector_for ~init { config with clock } engine
+                ~spec:(spec Modality.Instantaneous));
+           false
+         with Runner.Unsupported _ -> true))
+    [ Clock_kind.Logical_scalar; Clock_kind.Logical_vector ]
+
+(* Every supported row of the compatibility matrix, pinned: the same
+   toggle world under each (clock, modality) pairing must keep its
+   score, traffic, event count and summed detection times exactly. *)
+let test_matrix_fingerprint () =
+  let config =
+    {
+      Config.default with
+      n = 2;
+      horizon = Sim_time.of_sec 1800;
+      delay = Psn_sim.Delay_model.bounded_uniform ~min:(ms 50) ~max:(ms 400);
+      seed = 13L;
+    }
+  in
+  let row clock modality =
+    let report =
+      Runner.run ~init { config with clock } ~spec:(spec modality)
+        ~setup:toggle_setup ()
+    in
+    let s = Report.summary report in
+    let detect_ns =
+      List.fold_left
+        (fun acc o ->
+          acc + Sim_time.to_ns o.Psn_detection.Occurrence.detect_time)
+        0 (Report.occurrences report)
+    in
+    Printf.sprintf "tp=%d fp=%d fn=%d border=%d msgs=%d words=%d events=%d \
+                    detect_ns=%d"
+      s.Psn_detection.Metrics.tp s.fp s.fn s.borderline report.Report.messages
+      report.words report.sim_events detect_ns
+  in
+  let synced = Clock_kind.Synced_physical { eps = ms 1 } in
+  let hlc =
+    Clock_kind.Hybrid_logical { max_offset = ms 20; max_drift_ppm = 50.0 }
+  in
+  let strobe =
+    "tp=30 fp=0 fn=0 border=0 msgs=112 words=448 events=448 \
+     detect_ns=29296071490662"
+  and physical =
+    "tp=30 fp=0 fn=0 border=0 msgs=112 words=336 events=448 \
+     detect_ns=29295820662966"
+  and interval =
+    "tp=30 fp=0 fn=0 border=0 msgs=141 words=510 events=366 \
+     detect_ns=30664280619640"
+  in
+  List.iter
+    (fun (clock, modality, expected) ->
+      Alcotest.(check string)
+        (Clock_kind.to_string clock ^ " / " ^ Modality.to_string modality)
+        expected (row clock modality))
+    [
+      (Clock_kind.Strobe_vector, Modality.Instantaneous, strobe);
+      ( Clock_kind.Strobe_scalar,
+        Modality.Instantaneous,
+        "tp=30 fp=0 fn=0 border=0 msgs=112 words=336 events=448 \
+         detect_ns=29296071490662" );
+      (Clock_kind.Perfect_physical, Modality.Instantaneous, physical);
+      ( synced,
+        Modality.Instantaneous,
+        "tp=30 fp=0 fn=0 border=0 msgs=112 words=336 events=448 \
+         detect_ns=29295850662966" );
+      ( Clock_kind.Logical_scalar,
+        Modality.Instantaneous,
+        "tp=30 fp=0 fn=0 border=0 msgs=58 words=174 events=394 \
+         detect_ns=29296677036107" );
+      ( Clock_kind.Logical_vector,
+        Modality.Instantaneous,
+        "tp=30 fp=0 fn=0 border=0 msgs=58 words=232 events=394 \
+         detect_ns=29296677036107" );
+      (Clock_kind.Physical_vector, Modality.Instantaneous, physical);
+      ( hlc,
+        Modality.Instantaneous,
+        "tp=30 fp=0 fn=0 border=0 msgs=112 words=448 events=448 \
+         detect_ns=29295820662966" );
+      (Clock_kind.Strobe_vector, Modality.Definitely, interval);
+      (Clock_kind.Logical_vector, Modality.Definitely, interval);
+      (Clock_kind.Strobe_vector, Modality.Possibly, interval);
+      (Clock_kind.Logical_vector, Modality.Possibly, interval);
+    ]
 
 let test_runner_policy_passthrough () =
   (* Scoring policy flows through Runner.run: under As_negative, the
@@ -245,6 +354,8 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_runner_seed_changes_world;
           Alcotest.test_case "report" `Quick test_report_words_per_update;
           Alcotest.test_case "topology" `Quick test_runner_topology;
+          Alcotest.test_case "matrix fingerprint" `Quick
+            test_matrix_fingerprint;
           Alcotest.test_case "policy passthrough" `Quick
             test_runner_policy_passthrough;
           Alcotest.test_case "config pp" `Quick test_config_pp_smoke;

@@ -13,6 +13,7 @@ module Ground_truth = D.Ground_truth
 module Metrics = D.Metrics
 module Checker_state = D.Checker_state
 module Detector = D.Detector
+module Clock_kind = Psn_clocks.Clock_kind
 
 let ms = Sim_time.of_ms
 
@@ -461,12 +462,16 @@ let ab_script =
 let small_delay =
   Psn_sim.Delay_model.bounded_uniform ~min:(ms 1) ~max:(ms 5)
 
+(* The interval-queue detectors, one per partial-order modality. *)
+let definitely = D.Interval_detector.create ~mode:D.Interval_detector.Definitely
+let possibly = D.Interval_detector.create ~mode:D.Interval_detector.Possibly
+
 let test_strobe_vector_detects () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Strobe_vector_detector.create ~init:init_ab engine ~n:2
-          ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab)
+        D.Linearizer.for_clock ~clock:Clock_kind.Strobe_vector ~init:init_ab
+          engine ~n:2 ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1000
   in
   let occs = Detector.occurrences detector in
@@ -485,8 +490,8 @@ let test_strobe_scalar_detects () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Strobe_scalar_detector.create ~init:init_ab engine ~n:2
-          ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab)
+        D.Linearizer.for_clock ~clock:Clock_kind.Strobe_scalar ~init:init_ab
+          engine ~n:2 ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1000
   in
   Alcotest.(check int) "two rises" 2 (List.length (Detector.occurrences detector))
@@ -495,8 +500,8 @@ let test_physical_detects () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Physical_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
-          ~hold:(ms 5) ~eps:Sim_time.zero ~predicate:conj_ab)
+        D.Linearizer.for_clock ~clock:Clock_kind.Perfect_physical ~init:init_ab
+          engine ~n:2 ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1000
   in
   Alcotest.(check int) "two rises" 2 (List.length (Detector.occurrences detector))
@@ -505,8 +510,8 @@ let test_lamport_detects () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Lamport_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
-          ~hold:(ms 5) ~predicate:conj_ab)
+        D.Linearizer.for_clock ~clock:Clock_kind.Logical_scalar ~init:init_ab
+          engine ~n:2 ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1000
   in
   Alcotest.(check int) "two rises" 2 (List.length (Detector.occurrences detector));
@@ -517,8 +522,8 @@ let test_causal_vector_detects () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Causal_vector_detector.create ~init:init_ab engine ~n:2
-          ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab)
+        D.Linearizer.for_clock ~clock:Clock_kind.Logical_vector ~init:init_ab
+          engine ~n:2 ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1000
   in
   (* Cross-sensor updates are concurrent under causal vectors: rises land
@@ -529,8 +534,10 @@ let test_hlc_detects () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Hlc_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
-          ~hold:(ms 5) ~max_offset:(ms 20) ~max_drift_ppm:50.0
+        D.Linearizer.for_clock
+          ~clock:(Clock_kind.Hybrid_logical
+                    { max_offset = ms 20; max_drift_ppm = 50.0 })
+          ~init:init_ab engine ~n:2 ~delay:small_delay ~hold:(ms 5)
           ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1000
   in
@@ -540,7 +547,8 @@ let test_once_hangs () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Strobe_vector_detector.create ~init:init_ab ~once:true engine ~n:2
+        D.Linearizer.for_clock ~clock:Clock_kind.Strobe_vector
+          ~init:init_ab ~once:true engine ~n:2
           ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1000
   in
@@ -550,8 +558,8 @@ let test_once_hangs () =
 let test_on_occurrence_hook () =
   let engine = Engine.create ~seed:99L () in
   let detector =
-    D.Strobe_vector_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
-      ~hold:(ms 5) ~predicate:conj_ab
+    D.Linearizer.for_clock ~clock:Clock_kind.Strobe_vector ~init:init_ab
+      engine ~n:2 ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab
   in
   let hook_count = ref 0 in
   Detector.set_on_occurrence detector (fun _ -> incr hook_count);
@@ -576,7 +584,8 @@ let test_race_flagged_borderline () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Strobe_vector_detector.create ~init:init_ab engine ~n:2
+        D.Linearizer.for_clock ~clock:Clock_kind.Strobe_vector ~init:init_ab
+          engine ~n:2
           ~delay:(Psn_sim.Delay_model.bounded_uniform ~min:(ms 20) ~max:(ms 30))
           ~hold:(ms 30) ~predicate:conj_ab)
       ~script ~horizon_ms:1000
@@ -590,8 +599,8 @@ let test_unrelated_rise_not_borderline () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Strobe_vector_detector.create ~init:init_ab engine ~n:2
-          ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab)
+        D.Linearizer.for_clock ~clock:Clock_kind.Strobe_vector ~init:init_ab
+          engine ~n:2 ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1000
   in
   List.iter
@@ -603,7 +612,7 @@ let test_loss_drops_updates () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Strobe_vector_detector.create
+        D.Linearizer.for_clock ~clock:Clock_kind.Strobe_vector
           ~loss:(Psn_sim.Loss_model.bernoulli 1.0)
           ~init:init_ab engine ~n:2 ~delay:small_delay ~hold:(ms 5)
           ~predicate:conj_ab)
@@ -616,11 +625,41 @@ let test_loss_drops_updates () =
 
 (* --- Arena stamps vs copy stamps --- *)
 
-(* The stamp plane is a representation change only: with the same seed,
-   the arena and copy-stamp detector variants must log the same updates,
-   report the same occurrences (same anchors, same verdicts), and —
-   since stamps never appear in trace events — emit byte-identical
-   JSONL traces. *)
+(* [Linearizer.for_clock] keeps vector stamps as handles into a
+   per-detector stamp plane.  The copy-stamp disciplines below — a fresh
+   array per stamp — are the oracle: with the same seed, both must log
+   the same updates, report the same occurrences (same anchors, same
+   verdicts), and — since stamps never appear in trace events — emit
+   byte-identical JSONL traces. *)
+
+module Vc = Psn_clocks.Vector_clock
+
+let copy_vector ~name ~stamp_words ~stamp ~receive =
+  {
+    D.Linearizer.name;
+    stamp_of_emit = stamp;
+    on_receive = receive;
+    compare =
+      (fun a b ->
+        let c = Int.compare (Vc.total a) (Vc.total b) in
+        if c <> 0 then c else Stdlib.compare a b);
+    race = Vc.concurrent;
+    arrival_tie_break = true;
+    stamp_words;
+  }
+
+let copy_strobe_vector ~n =
+  let module Sv = Psn_clocks.Strobe_vector in
+  let clocks = Array.init n (fun me -> Sv.create ~n ~me) in
+  copy_vector ~name:"strobe-vector" ~stamp_words:(Sv.stamp_size_words n)
+    ~stamp:(fun ~src -> Sv.tick_and_strobe clocks.(src))
+    ~receive:(fun ~dst s -> Sv.receive_strobe clocks.(dst) s)
+
+let copy_causal_vector ~n =
+  let clocks = Array.init n (fun me -> Vc.create ~n ~me) in
+  copy_vector ~name:"causal-vector-unicast" ~stamp_words:n
+    ~stamp:(fun ~src -> Vc.send clocks.(src))
+    ~receive:(fun ~dst s -> ignore (Vc.receive clocks.(dst) s))
 
 let run_script_traced ~make ~script ~horizon_ms =
   let sink = Psn_obs.Trace.create () in
@@ -635,13 +674,11 @@ let run_script_traced ~make ~script ~horizon_ms =
   Engine.run ~until:(ms horizon_ms) engine;
   (detector, Psn_obs.Export.jsonl_string sink)
 
-let check_arena_vs_copy name ~script make =
+let check_arena_vs_copy name ~script (arena, copy) =
   let arena_d, arena_tr =
-    run_script_traced ~make:(make true) ~script ~horizon_ms:1000
+    run_script_traced ~make:arena ~script ~horizon_ms:1000
   in
-  let copy_d, copy_tr =
-    run_script_traced ~make:(make false) ~script ~horizon_ms:1000
-  in
+  let copy_d, copy_tr = run_script_traced ~make:copy ~script ~horizon_ms:1000 in
   Alcotest.(check bool)
     (name ^ ": occurrences equal") true
     (Detector.occurrences arena_d = Detector.occurrences copy_d);
@@ -657,13 +694,20 @@ let race_script =
   [ (100, 0, "a", Value.Bool true); (101, 1, "b", Value.Bool true) ]
 
 let test_arena_matches_copy () =
-  let strobe arena engine =
-    D.Strobe_vector_detector.create ~arena ~init:init_ab engine ~n:2
-      ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab
+  let arena clock engine =
+    D.Linearizer.for_clock ~clock ~init:init_ab engine ~n:2 ~delay:small_delay
+      ~hold:(ms 5) ~predicate:conj_ab
   in
-  let causal arena engine =
-    D.Causal_vector_detector.create ~arena ~init:init_ab engine ~n:2
-      ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab
+  let copy ~unicast discipline engine =
+    D.Linearizer.create ~init:init_ab engine ~n:2 ~delay:small_delay
+      ~predicate:conj_ab ~discipline:(discipline ~n:2)
+      ~cfg:{ (D.Linearizer.default_cfg ~hold:(ms 5)) with unicast }
+  in
+  let strobe =
+    (arena Clock_kind.Strobe_vector, copy ~unicast:false copy_strobe_vector)
+  in
+  let causal =
+    (arena Clock_kind.Logical_vector, copy ~unicast:true copy_causal_vector)
   in
   check_arena_vs_copy "strobe-vector" ~script:ab_script strobe;
   check_arena_vs_copy "causal-vector" ~script:ab_script causal;
@@ -672,13 +716,49 @@ let test_arena_matches_copy () =
   check_arena_vs_copy "strobe-vector race" ~script:race_script strobe;
   check_arena_vs_copy "causal-vector race" ~script:race_script causal
 
+(* --- Wire size per clock ---
+
+   An update message is its stamp plus two words, so each row's traffic
+   pins its stamp width: one word for the scalar and physical readings
+   (raw hardware readings included), n for the vectors, two for HLC's
+   (l, c). *)
+
+let test_wire_size_per_clock () =
+  let n = 3 in
+  let script = ab_script @ [ (700, 2, "c", Value.Bool true) ] in
+  List.iter
+    (fun (clock, w) ->
+      let name = Clock_kind.to_string clock in
+      let d =
+        run_script
+          ~make:(fun engine ->
+            D.Linearizer.for_clock ~clock ~init:init_ab engine ~n
+              ~delay:small_delay ~hold:(ms 5) ~predicate:conj_ab)
+          ~script ~horizon_ms:1000
+      in
+      let msgs = Detector.messages_sent d in
+      Alcotest.(check bool) (name ^ " sends") true (msgs > 0);
+      Alcotest.(check int)
+        (name ^ " words") (msgs * (w + 2)) (Detector.words_sent d))
+    [
+      (Clock_kind.Perfect_physical, 1);
+      (Clock_kind.Synced_physical { eps = ms 1 }, 1);
+      (Clock_kind.Logical_scalar, 1);
+      (Clock_kind.Strobe_scalar, 1);
+      (Clock_kind.Physical_vector, 1);
+      (Clock_kind.Logical_vector, n);
+      (Clock_kind.Strobe_vector, n);
+      ( Clock_kind.Hybrid_logical { max_offset = ms 20; max_drift_ppm = 50.0 },
+        2 );
+    ]
+
 (* --- Definitely detector --- *)
 
 let test_definitely_basic () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Definitely_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
+        definitely ~init:init_ab engine ~n:2 ~delay:small_delay
           ~horizon:(ms 1000) ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1100
   in
@@ -698,7 +778,7 @@ let test_definitely_no_overlap () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Definitely_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
+        definitely ~init:init_ab engine ~n:2 ~delay:small_delay
           ~horizon:(ms 1000) ~predicate:conj_ab)
       ~script ~horizon_ms:1100
   in
@@ -721,7 +801,7 @@ let test_definitely_repeats_within_long_interval () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Definitely_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
+        definitely ~init:init_ab engine ~n:2 ~delay:small_delay
           ~horizon:(ms 1000) ~predicate:conj_ab)
       ~script ~horizon_ms:1100
   in
@@ -737,7 +817,7 @@ let test_definitely_open_interval_closed_at_horizon () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Definitely_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
+        definitely ~init:init_ab engine ~n:2 ~delay:small_delay
           ~horizon:(ms 500) ~predicate:conj_ab)
       ~script ~horizon_ms:600
   in
@@ -750,7 +830,7 @@ let test_definitely_rejects_relational () =
   Alcotest.(check bool) "raises" true
     (try
        ignore
-         (D.Definitely_detector.create engine ~n:2 ~delay:small_delay
+         (definitely engine ~n:2 ~delay:small_delay
             ~horizon:(ms 100) ~predicate:relational);
        false
      with Invalid_argument _ -> true)
@@ -759,8 +839,8 @@ let test_definitely_once () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Definitely_detector.create ~once:true ~init:init_ab engine ~n:2
-          ~delay:small_delay ~horizon:(ms 1000) ~predicate:conj_ab)
+        definitely ~once:true ~init:init_ab engine ~n:2 ~delay:small_delay
+          ~horizon:(ms 1000) ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1100
   in
   Alcotest.(check int) "hangs" 1 (List.length (Detector.occurrences detector))
@@ -782,13 +862,15 @@ let test_sync_equivalence_scripted () =
       let run make = run_script ~make ~script ~horizon_ms:1000 in
       let sv =
         run (fun engine ->
-            D.Strobe_vector_detector.create ~init:init_ab engine ~n:2
+            D.Linearizer.for_clock ~clock:Clock_kind.Strobe_vector ~init:init_ab
+              engine ~n:2
               ~delay:Psn_sim.Delay_model.synchronous ~hold:Sim_time.zero
               ~predicate:conj_ab)
       in
       let ss =
         run (fun engine ->
-            D.Strobe_scalar_detector.create ~init:init_ab engine ~n:2
+            D.Linearizer.for_clock ~clock:Clock_kind.Strobe_scalar ~init:init_ab
+              engine ~n:2
               ~delay:Psn_sim.Delay_model.synchronous ~hold:Sim_time.zero
               ~predicate:conj_ab)
       in
@@ -808,8 +890,8 @@ let test_possibly_basic () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Possibly_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
-          ~horizon:(ms 1000) ~predicate:conj_ab)
+        possibly ~init:init_ab engine ~n:2 ~delay:small_delay ~horizon:(ms 1000)
+          ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1100
   in
   Alcotest.(check int) "two possible overlaps" 2
@@ -834,13 +916,13 @@ let test_possibly_superset_of_definitely () =
   let run_mode make = run_script ~make ~script ~horizon_ms:6000 in
   let poss =
     run_mode (fun engine ->
-        D.Possibly_detector.create ~init:init_ab engine ~n:2 ~delay:big_delay
-          ~horizon:(ms 5800) ~predicate:conj_ab)
+        possibly ~init:init_ab engine ~n:2 ~delay:big_delay ~horizon:(ms 5800)
+          ~predicate:conj_ab)
   in
   let defi =
     run_mode (fun engine ->
-        D.Definitely_detector.create ~init:init_ab engine ~n:2 ~delay:big_delay
-          ~horizon:(ms 5800) ~predicate:conj_ab)
+        definitely ~init:init_ab engine ~n:2 ~delay:big_delay ~horizon:(ms 5800)
+          ~predicate:conj_ab)
   in
   let np = List.length (Detector.occurrences poss) in
   let nd = List.length (Detector.occurrences defi) in
@@ -859,8 +941,8 @@ let test_possibly_none_when_disjoint () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Possibly_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
-          ~horizon:(ms 6000) ~predicate:conj_ab)
+        possibly ~init:init_ab engine ~n:2 ~delay:small_delay ~horizon:(ms 6000)
+          ~predicate:conj_ab)
       ~script ~horizon_ms:6100
   in
   (* With fast strobes, a's interval is causally closed long before b
@@ -959,7 +1041,7 @@ let test_definitely_soundness =
            Psn_sim.Delay_model.bounded_uniform ~min:(ms 1) ~max:(ms 300)
          in
          let detector =
-           D.Definitely_detector.create ~init:init_ab engine ~n:2 ~delay
+           definitely ~init:init_ab engine ~n:2 ~delay
              ~horizon:(ms (horizon_ms - 100)) ~predicate:conj_ab
          in
          List.iter
@@ -1033,6 +1115,8 @@ let () =
             test_sync_equivalence_scripted;
           Alcotest.test_case "arena = copy (incl. traces)" `Quick
             test_arena_matches_copy;
+          Alcotest.test_case "wire size per clock" `Quick
+            test_wire_size_per_clock;
         ] );
       ( "possibly",
         [

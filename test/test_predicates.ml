@@ -43,13 +43,20 @@ let test_eval_unbound () =
     (try
        ignore (eval_bool ~env (var ~name:"x" ~loc:0 >? int 0));
        false
-     with Expr.Unbound_variable v -> v.name = "x" && v.loc = 0)
+     with Expr.Unbound_variable v -> v.name = "x" && v.loc = 0);
+  Alcotest.(check bool) "holds: unbound is false" false
+    (Expr.holds ~env (var ~name:"x" ~loc:0 >? int 0))
 
 let test_eval_type_error () =
   let env = env_of [ (("b", 0), Value.Bool true) ] in
   Alcotest.(check bool) "bool in arith raises" true
     (try
        ignore (eval ~env (var ~name:"b" ~loc:0 +? int 1));
+       false
+     with Value.Type_error _ -> true);
+  Alcotest.(check bool) "holds: type error still raises" true
+    (try
+       ignore (Expr.holds ~env (var ~name:"b" ~loc:0 +? int 1 >? int 0));
        false
      with Value.Type_error _ -> true)
 
@@ -663,8 +670,11 @@ let test_compiled_slots () =
   Alcotest.(check bool) "partial env unbound" true
     (try ignore (Compiled.eval_bool prog cenv); false
      with Expr.Unbound_variable v -> v.name = "y" && v.loc = 1);
+  Alcotest.(check bool) "holds: unbound is false" false
+    (Compiled.holds prog cenv);
   Compiled.set_int cenv 1 0;
   Alcotest.(check bool) "bound true" true (Compiled.eval_bool prog cenv);
+  Alcotest.(check bool) "holds: bound" true (Compiled.holds prog cenv);
   Alcotest.(check bool) "get" true
     (Compiled.get cenv 0 = Some (Value.Int 3));
   Compiled.clear cenv 1;
