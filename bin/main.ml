@@ -804,7 +804,8 @@ let detect_cmd =
      ($(b,--stream), the default) or the packed post-hoc oracle replayed \
      over the exact prefix the walk consumed ($(b,--posthoc)); \
      $(b,--differential) runs both and fails on any divergence.  Reports \
-     the bounded-memory evidence (peak live cuts / events) either way."
+     the bounded-memory evidence (peak live cuts / events) and the \
+     engine work (events, barrier windows) either way."
   in
   let monitors =
     Arg.(
@@ -994,6 +995,8 @@ let detect_cmd =
                  ("peak_live_events", Int r.Sharded_sc.sr_peak_live_events);
                  ("messages", Int r.Sharded_sc.sr_messages);
                  ("dropped", Int r.Sharded_sc.sr_dropped);
+                 ("sim_events", Int (Psn_sim.Exec.events_processed exec));
+                 ("windows", Int (Psn_sim.Exec.windows exec));
                  ( "edges",
                    List
                      (List.map
@@ -1037,6 +1040,9 @@ let detect_cmd =
           Fmt.pr "peak live events : %d@." r.Sharded_sc.sr_peak_live_events;
           Fmt.pr "messages         : %d (dropped %d)@." r.Sharded_sc.sr_messages
             r.Sharded_sc.sr_dropped;
+          Fmt.pr "engine events    : %d (windows %d)@."
+            (Psn_sim.Exec.events_processed exec)
+            (Psn_sim.Exec.windows exec);
           Fmt.pr "verdict edges    : %d@."
             (List.length r.Sharded_sc.sr_edges);
           List.iter

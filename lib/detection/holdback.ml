@@ -1,5 +1,5 @@
 (* Hold-back front end of the Exec detectors: transport, clocks, wire
-   format, ground truth and the flush schedule (see the .mli). *)
+   format, ground truth and the arrival-armed flush (see the .mli). *)
 
 module Engine = Psn_sim.Engine
 module Exec = Psn_sim.Exec
@@ -30,6 +30,7 @@ type t = {
   seqs : int array;                     (* per-source update sequence *)
   by_group : Observation.update list ref array; (* ground-truth stream *)
   pend : Pending_arena.t;               (* checker-local *)
+  mutable apply : now:Sim_time.t -> int -> unit;  (* set by [on_flush] *)
   c_updates : Metrics.counter array;    (* per group *)
 }
 
@@ -42,6 +43,8 @@ let create ?loss ?sinks exec ~who ~label ~updates_metric ~n ~groups ~group_of
   if groups <= 0 then invalid_arg (who ^ ".create: groups must be positive");
   if Sim_time.(flush_period <= Sim_time.zero) then
     invalid_arg (who ^ ".create: flush_period must be positive");
+  if Sim_time.(hold < Sim_time.zero) then
+    invalid_arg (who ^ ".create: hold must not be negative");
   for pid = 0 to n - 1 do
     let g = group_of pid in
     if g < 0 || g >= groups then
@@ -75,6 +78,7 @@ let create ?loss ?sinks exec ~who ~label ~updates_metric ~n ~groups ~group_of
     seqs = Array.make n 0;
     by_group = Array.init groups (fun _ -> ref []);
     pend = Pending_arena.create ();
+    apply = (fun ~now:_ _ -> ());
     c_updates =
       Array.init groups (fun g ->
           Metrics.counter (Engine.metrics (Exec.engine exec ~group:g))
@@ -130,31 +134,46 @@ let send t ~src ~lane ~value ~vh ~tick =
   | None -> ());
   Shard_net.send t.net ~src ~dst:t.n ~a:value ~b:now ~c:stamp ~d:lane ~e:vh
 
+(* One flush is scheduled on the checker's engine exactly while the
+   arena holds something, at the first grid point k * flush_period
+   (k >= 1) at or after the oldest arrival's [recv + hold]: the tick of
+   a fixed schedule that would first have taken it, so every batch
+   keeps that schedule's time and contents and none is empty. *)
+let rec arm t ~recv =
+  let p = Sim_time.to_ns t.flush_period in
+  let due = recv + Sim_time.to_ns t.hold in
+  Engine.schedule_at_unit (Exec.engine t.exec ~group:0)
+    (Sim_time.of_ns (max p ((due + p - 1) / p * p)))
+    (fun () -> flush t)
+
+and flush t =
+  let now = Engine.now (Exec.engine t.exec ~group:0) in
+  let cutoff = Sim_time.to_ns now - Sim_time.to_ns t.hold in
+  let m = Pending_arena.take_ready t.pend ~cutoff in
+  if Pending_arena.pending t.pend > 0 then
+    arm t ~recv:(Pending_arena.head_recv t.pend);
+  t.apply ~now m
+
 (* Lanes: value, sense time, stamp, lane, detector word. *)
 let on_arrival t hook =
   let checker = Exec.engine t.exec ~group:0 in
   Shard_net.set_handler t.net t.n (fun ~src ~a ~b ~c ~d ~e ->
       let seq = d asr var_bits in
       hook ~src ~seq ~vh:e;
-      Pending_arena.add t.pend
-        ~recv:(Sim_time.to_ns (Engine.now checker))
-        ~src ~value:a ~sense:b ~stamp:c ~seq ~var_idx:(d land (max_vars - 1)))
+      let recv = Sim_time.to_ns (Engine.now checker) in
+      let idle = Pending_arena.pending t.pend = 0 in
+      Pending_arena.add t.pend ~recv ~src ~value:a ~sense:b ~stamp:c ~seq
+        ~var_idx:(d land (max_vars - 1));
+      if idle then arm t ~recv)
 
-let on_flush t apply =
-  let engine = Exec.engine t.exec ~group:0 in
-  let hold_ns = Sim_time.to_ns t.hold in
-  ignore
-    (Engine.schedule_periodic engine ~start:t.flush_period
-       ~period:t.flush_period (fun () ->
-         let now = Engine.now engine in
-         let cutoff = Sim_time.to_ns now - hold_ns in
-         apply ~now (Pending_arena.take_ready t.pend ~cutoff);
-         true))
+let on_flush t apply = t.apply <- apply
 
 let flush_all t apply =
   apply
     ~now:(Engine.now (Exec.engine t.exec ~group:0))
     (Pending_arena.take_ready t.pend ~cutoff:max_int)
+
+let update_count t = Array.fold_left ( + ) 0 t.seqs
 
 let updates t =
   let all =

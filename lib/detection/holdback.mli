@@ -7,9 +7,22 @@
     sensor pids plus the checker, pid [n], always group 0), per-pid
     [synced_within] clocks seeded from [(Exec.seed, pid)], the wire
     format, per-source variable-name tables and sequence counters, the
-    per-group ground truth, and the periodic flush of a
-    {!Pending_arena}.  Receive times, stamps and sequence numbers are
-    substrate-invariant, so every flush batch is too.
+    per-group ground truth, and the flush of a {!Pending_arena}.
+    Receive times, stamps and sequence numbers are substrate-invariant,
+    so every flush batch is too.
+
+    Flush contract: one flush is scheduled on group 0's engine exactly
+    while something is held back.  An arrival into an empty arena arms
+    it at the first grid point [k * flush_period] ([k >= 1]) at or
+    after its [recv + hold]; a flush that leaves arrivals held re-arms
+    at the grid point of the oldest one, {!Pending_arena.head_recv}.
+    That entry is the oldest because arrivals enter the arena in
+    receive order (the checker's engine runs them in time order) and a
+    flush keeps the survivors in that order.  With [hold > 0] each grid
+    point is the tick of a fixed [flush_period] schedule that would
+    first have taken the arrival, and it runs after the arrival, so
+    every batch has the time and contents that schedule would give it,
+    and no flush runs on an empty arena.
 
     Wire format: value, sense time, physical stamp, a {e lane} holding
     the sequence number with the variable-name index in its low two
@@ -35,9 +48,10 @@ val create :
   hold:Psn_sim.Sim_time.t -> flush_period:Psn_sim.Sim_time.t ->
   delay:Psn_sim.Delay_model.t -> t
 (** Raises [Invalid_argument] (prefixed [who]) unless [n], [groups] and
-    [flush_period] are positive and [group_of] maps every sensor pid
-    [0 .. n-1] into [0 .. groups-1].  [label] names the transport,
-    [updates_metric] the per-group update counter. *)
+    [flush_period] are positive, [hold] is not negative and [group_of]
+    maps every sensor pid [0 .. n-1] into [0 .. groups-1].  [label]
+    names the transport, [updates_metric] the per-group update
+    counter. *)
 
 val net : t -> Psn_network.Shard_net.t
 
@@ -55,16 +69,18 @@ val send :
 
 val on_arrival : t -> (src:int -> seq:int -> vh:int -> unit) -> unit
 (** Installs the checker's delivery handler: the hook runs, then the
-    arrival is held back in the checker's arena. *)
+    arrival is held back in the checker's arena and, if the arena was
+    empty, arms a flush (see the flush contract above). *)
 
 val on_flush : t -> (now:Psn_sim.Sim_time.t -> int -> unit) -> unit
-(** The checker's flush: every [flush_period] from [flush_period] on
-    group 0's engine, takes the arrivals received at or before
-    [now - hold] from {!pending} and passes the batch length to the
+(** Installs the checker's flush callback.  Each flush takes the
+    arrivals received at or before [now - hold] from {!pending} and
+    passes the batch length, never 0 while [Exec.run] runs, to the
     callback. *)
 
 val flush_all : t -> (now:Psn_sim.Sim_time.t -> int -> unit) -> unit
-(** After [Exec.run]: one last batch of everything still held back. *)
+(** After [Exec.run]: one last batch of everything still held back,
+    including the arrivals whose grid point lies past the horizon. *)
 
 val pending : t -> Pending_arena.t
 val var_name : t -> src:int -> var_idx:int -> string
@@ -74,3 +90,7 @@ val var_slot : t -> src:int -> string -> int
 
 val updates : t -> Observation.update list
 (** Every admitted update in (sense_time, src, seq) order. *)
+
+val update_count : t -> int
+(** [List.length (updates t)], from the per-source sequence counters:
+    no sort, no allocation. *)

@@ -40,6 +40,12 @@ let create () =
 
 let pending t = t.len / stride
 
+(* Entries are added in receive order and [take_ready] compacts the
+   survivors without reordering them, so entry 0 is the oldest. *)
+let head_recv t =
+  if t.len = 0 then invalid_arg "Pending_arena.head_recv: empty";
+  t.buf.(o_recv)
+
 let ensure arr need =
   if need <= Array.length arr then arr
   else begin

@@ -15,6 +15,12 @@ val create : unit -> t
 val pending : t -> int
 (** Entries currently held back. *)
 
+val head_recv : t -> int
+(** Receive time of the oldest pending entry, the least receive time
+    held back provided {!add} is called in non-decreasing [recv] order
+    ({!take_ready} keeps the survivors in the order they were added).
+    Raises [Invalid_argument] when nothing is pending. *)
+
 val add :
   t ->
   recv:int -> stamp:int -> src:int -> seq:int -> var_idx:int -> value:int ->

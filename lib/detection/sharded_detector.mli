@@ -4,10 +4,10 @@
     processes (pids [0 .. n-1]) stamp their local-variable updates with
     synced physical clocks and unicast them over a {!Psn_network.Shard_net}
     to a checker process (pid [n], always group 0 / shard 0).  The
-    checker buffers arrivals and, on a fixed periodic flush schedule
-    (the {!Holdback} front end it shares with {!Streaming_detector}),
-    applies every update held back for at least [hold], in
-    (stamp, src, seq) order — a total order computed from
+    checker buffers arrivals and, at each flush (armed by arrivals on
+    the [flush_period] grid by the {!Holdback} front end it shares with
+    {!Streaming_detector}), applies every update held back for at least
+    [hold], in (stamp, src, seq) order — a total order computed from
     substrate-invariant keys, so the applied sequence (and with it every
     occurrence) is identical on the single-queue oracle and on any shard
     count, whatever equal-time arrival interleaving the window barrier

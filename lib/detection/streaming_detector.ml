@@ -372,5 +372,6 @@ let net t = Holdback.net t.hb
 let stream t = t.stream
 
 let updates t = Holdback.updates t.hb
+let update_count t = Holdback.update_count t.hb
 let edges t = List.rev !(t.edges)
 let observed t = Streaming.events_observed t.stream

@@ -6,9 +6,10 @@
     each local-variable update, and unicast it over a
     {!Psn_network.Shard_net} to a checker process (pid [n], group 0 /
     shard 0) while strobing the post-tick stamp to every other source.
-    The checker buffers arrivals and, on the hold-back flush schedule it
-    shares with {!Sharded_detector} ({!Holdback}), feeds each source's
-    updates {e in sequence order} to a {!Psn_lattice.Streaming} frontier
+    The checker buffers arrivals and, at each hold-back flush (armed by
+    arrivals on the [flush_period] grid by the {!Holdback} front end it
+    shares with {!Sharded_detector}), feeds each source's updates
+    {e in sequence order} to a {!Psn_lattice.Streaming} frontier
     walk, which commits consistent cuts as levels finalize, evaluates
     the predicate on every committed cut, reclaims the retired slab, and
     emits Possibly/Definitely verdict {e edges} the moment they are
@@ -26,11 +27,12 @@
     {b Partial synchrony.}  Liveness of the commit rule comes from the
     timing model: with clocks synced within [eps] and delays at least
     [Delay_model.min_delay], every source's updates reach the checker
-    within [hold] of their send, so each flush extends every live
-    source's observed prefix and the minimum-progress bound — hence the
-    committed frontier — keeps advancing.  A lost update truncates its
-    source's contribution at the gap (later sequence numbers can never
-    apply); run lossless for exact differential work.
+    within [hold] of their send and is applied at the next flush-grid
+    point, so every live source's observed prefix and the
+    minimum-progress bound — hence the committed frontier — keep
+    advancing.  A lost update truncates its source's contribution at
+    the gap (later sequence numbers can never apply); run lossless for
+    exact differential work.
 
     {b Cross-shard discipline} matches {!Sharded_detector}: per-group
     stamp planes are written only by their group's sources; the checker
@@ -97,6 +99,9 @@ val stream : t -> Psn_lattice.Streaming.t
 val updates : t -> Observation.update list
 (** Every update emitted, merged across groups in (sense_time, src, seq)
     order — the ground-truth stream. *)
+
+val update_count : t -> int
+(** [List.length (updates t)] without building the list. *)
 
 val edges : t -> edge list
 (** Verdict edges in decision order. *)

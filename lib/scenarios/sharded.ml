@@ -426,7 +426,7 @@ let stream ?(cfg = stream_default) ?sinks ?on_observe exec =
       sr_definitely = Psn_lattice.Streaming.definitely s;
       sr_committed = Psn_lattice.Streaming.committed_cuts s;
       sr_observed = Psn_lattice.Streaming.events_observed s;
-      sr_updates = List.length (Streaming_detector.updates det);
+      sr_updates = Streaming_detector.update_count det;
       sr_edges = Streaming_detector.edges det;
       sr_peak_live_cuts = Psn_lattice.Streaming.peak_live_cuts s;
       sr_peak_live_events = Psn_lattice.Streaming.peak_live_events s;

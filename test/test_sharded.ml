@@ -409,7 +409,11 @@ let test_stream_differential =
     (fun seed ->
       substrate_invariant ~seed:(Int64.of_int seed) ~groups:2
         ~lookahead:stream_lookahead (fun exec sinks ->
-          let r, _det = Sharded.stream ~cfg:stream_cfg ~sinks exec in
+          let r, det = Sharded.stream ~cfg:stream_cfg ~sinks exec in
+          let listed = List.length (Streaming_detector.updates det) in
+          if r.Sharded.sr_updates <> listed then
+            QCheck.Test.fail_reportf "sr_updates %d, but %d updates listed"
+              r.Sharded.sr_updates listed;
           r))
 
 (* The non-negotiable oracle: replay the exact stamp prefix the walk
@@ -531,32 +535,34 @@ let test_stream_tap_equals_retained () =
 
 let test_holdback_checks () =
   let predicate = Expr.(var ~name:"v" ~loc:0 >=? int 0) in
-  let sharded ~n ~groups ~group_of ~flush_period =
+  let sharded ~n ~groups ~group_of ~hold ~flush_period =
     let cfg =
       { Sharded_detector.n; groups; group_of; eps = ms 1;
-        hold = ms 20; flush_period; causal_stamps = false }
+        hold; flush_period; causal_stamps = false }
     in
     Sharded_detector.emit
       (Sharded_detector.create (Exec.single ()) ~cfg ~delay:delay_small
          ~predicate ())
   in
-  let streaming ~n ~groups ~group_of ~flush_period =
+  let streaming ~n ~groups ~group_of ~hold ~flush_period =
     let cfg =
       { Streaming_detector.n; groups; group_of; eps = ms 1;
-        hold = ms 20; flush_period; cap = 1_000 }
+        hold; flush_period; cap = 1_000 }
     in
     Streaming_detector.emit
       (Streaming_detector.create (Exec.single ()) ~cfg ~delay:delay_small
          ~predicate ())
   in
-  (* Each case gets a constructor [make ~n ~groups ~group_of
+  (* Each case gets a constructor [make ~n ~groups ~group_of ~hold
      ~flush_period] that returns the detector's [emit]. *)
   let build make ~n ~groups ~group_of ~flush_period =
-    let _emit = make ~n ~groups ~group_of ~flush_period in
+    let _emit = make ~n ~groups ~group_of ~hold:(ms 20) ~flush_period in
     ()
   in
   let zero _ = 0 in
-  let emit_ok make = make ~n:2 ~groups:1 ~group_of:zero ~flush_period:(ms 10) in
+  let emit_ok make =
+    make ~n:2 ~groups:1 ~group_of:zero ~hold:(ms 20) ~flush_period:(ms 10)
+  in
   let cases =
     [
       ("n = 0", build ~n:0 ~groups:1 ~group_of:zero ~flush_period:(ms 10));
@@ -564,6 +570,13 @@ let test_holdback_checks () =
       ("groups = 0", build ~n:2 ~groups:0 ~group_of:zero ~flush_period:(ms 10));
       ( "flush_period = 0",
         build ~n:2 ~groups:1 ~group_of:zero ~flush_period:Sim_time.zero );
+      ( "hold < 0",
+        fun make ->
+          let _emit =
+            make ~n:2 ~groups:1 ~group_of:zero
+              ~hold:(Sim_time.sub Sim_time.zero (ms 1)) ~flush_period:(ms 10)
+          in
+          () );
       ( "group_of past groups",
         build ~n:4 ~groups:2 ~group_of:Fun.id ~flush_period:(ms 10) );
       ( "group_of < 0",
@@ -594,6 +607,168 @@ let test_holdback_checks () =
               Alcotest.failf "%s, %s: expected Invalid_argument" detector case)
         cases)
     [ ("Sharded_detector", sharded); ("Streaming_detector", streaming) ]
+
+(* Flush-schedule oracle: drive [Holdback] directly from random sense
+   events and check every flush against its contract.  An arrival
+   received at [recv] is applied at the first grid point
+   [k * flush_period] (k >= 1) at or after [recv + hold] when that point
+   is within the horizon, else only by [flush_all]; no flush is empty,
+   and the engine runs nothing but sense events, deliveries and
+   non-empty flushes. *)
+
+module Holdback = Psn_detection.Holdback
+module Pending_arena = Psn_detection.Pending_arena
+
+type flush_case = {
+  f_seed : int;
+  f_shards : int;
+  f_n : int;
+  f_groups : int;
+  f_hold_ms : int;
+  f_period_ms : int;
+  f_dmin_ms : int;
+  f_dmax_ms : int;
+  f_horizon_ms : int;
+  f_senses : int;          (* per source *)
+  f_whole_ms : bool;       (* sense on whole milliseconds *)
+}
+
+let flush_case =
+  let open QCheck.Gen in
+  let gen =
+    let* f_seed = int_bound 10_000 in
+    let* f_shards = oneofl [ 1; 2 ] in
+    let* f_n = int_range 1 5 in
+    let* f_groups = int_range 1 (min f_n 3) in
+    let* f_hold_ms = int_range 1 300 in
+    let* f_period_ms = int_range 1 120 in
+    let* f_dmin_ms = int_range 1 40 in
+    let* span = oneof [ return 0; int_range 0 80 ] in
+    let* f_horizon_ms = int_range 100 3_000 in
+    let* f_senses = int_range 0 30 in
+    let+ f_whole_ms = bool in
+    {
+      f_seed; f_shards; f_n; f_groups; f_hold_ms; f_period_ms; f_dmin_ms;
+      f_dmax_ms = f_dmin_ms + span; f_horizon_ms; f_senses; f_whole_ms;
+    }
+  in
+  QCheck.make gen ~print:(fun c ->
+      Printf.sprintf
+        "seed %d, K = %d, n = %d, groups %d, hold %d ms, period %d ms, \
+         delay %d-%d ms, horizon %d ms, %d senses per source%s"
+        c.f_seed c.f_shards c.f_n c.f_groups c.f_hold_ms c.f_period_ms
+        c.f_dmin_ms c.f_dmax_ms c.f_horizon_ms c.f_senses
+        (if c.f_whole_ms then ", whole ms" else ""))
+
+let test_flush_schedule =
+  qtest ~count:60 "flushes follow arrivals on the grid, never empty"
+    flush_case (fun c ->
+      let seed = Int64.of_int c.f_seed in
+      let exec =
+        if c.f_shards = 1 then Exec.single ~seed ()
+        else Exec.sharded ~seed ~shards:c.f_shards ~lookahead:(ms c.f_dmin_ms) ()
+      in
+      let group_of pid = pid * c.f_groups / c.f_n in
+      let hb =
+        Holdback.create exec ~who:"Flush_test" ~label:"flush_test"
+          ~updates_metric:"flush_test.updates" ~n:c.f_n ~groups:c.f_groups
+          ~group_of ~eps:(ms 1) ~hold:(ms c.f_hold_ms)
+          ~flush_period:(ms c.f_period_ms)
+          ~delay:(Delay_model.bounded_uniform ~min:(ms c.f_dmin_ms)
+                    ~max:(ms c.f_dmax_ms))
+      in
+      let checker = Exec.engine exec ~group:0 in
+      (* Written by group 0's events only, except [senses], whose cells
+         are each written by one group's events. *)
+      let senses = Array.make c.f_groups 0 in
+      let arrivals = ref [] and batches = ref [] in
+      Holdback.on_arrival hb (fun ~src ~seq ~vh:_ ->
+          arrivals := (src, seq, Sim_time.to_ns (Engine.now checker)) :: !arrivals);
+      let pend = Holdback.pending hb in
+      let batch ~now m =
+        ( Sim_time.to_ns now,
+          List.init m (fun i ->
+              ( Pending_arena.stamp pend i,
+                Pending_arena.src pend i,
+                Pending_arena.seq pend i )) )
+      in
+      Holdback.on_flush hb (fun ~now m -> batches := batch ~now m :: !batches);
+      let tick = Trace.Clock_tick { clock = "physical" } in
+      for src = 0 to c.f_n - 1 do
+        let g = group_of src in
+        let rng = Rng.create ~seed:(Int64.of_int ((c.f_seed * 8) + src)) () in
+        for _ = 1 to c.f_senses do
+          let at =
+            if c.f_whole_ms then ms (Rng.int rng c.f_horizon_ms)
+            else Sim_time.of_us (Rng.int rng (c.f_horizon_ms * 1000))
+          in
+          Engine.schedule_at_unit (Exec.engine exec ~group:g) at (fun () ->
+              senses.(g) <- senses.(g) + 1;
+              let value = senses.(g) in
+              let lane = Holdback.admit hb ~src ~var:"v" ~value in
+              Holdback.send hb ~src ~lane ~value ~vh:(-1) ~tick)
+        done
+      done;
+      let horizon_ns = Sim_time.to_ns (ms c.f_horizon_ms) in
+      Exec.run exec ~until:(ms c.f_horizon_ms);
+      let during = List.rev !batches in
+      let final = ref (0, []) in
+      Holdback.flush_all hb (fun ~now m -> final := batch ~now m);
+      let applied = Hashtbl.create 64 in
+      List.iter
+        (fun (now, b) ->
+          List.iter (fun (_, src, seq) -> Hashtbl.add applied (src, seq) (Some now)) b)
+        during;
+      List.iter (fun (_, src, seq) -> Hashtbl.add applied (src, seq) None) (snd !final);
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      (* (i) No flush during the run is empty. *)
+      List.iter
+        (fun (now, b) -> if b = [] then fail "empty flush at %d ns" now)
+        during;
+      (* (ii) Each arrival is applied once, at its grid point. *)
+      let p = Sim_time.to_ns (ms c.f_period_ms) in
+      let hold = Sim_time.to_ns (ms c.f_hold_ms) in
+      if Hashtbl.length applied <> List.length !arrivals then
+        fail "%d arrivals, %d applied" (List.length !arrivals)
+          (Hashtbl.length applied);
+      let pp_at = function
+        | Some t -> Printf.sprintf "at %d ns" t
+        | None -> "by flush_all"
+      in
+      List.iter
+        (fun (src, seq, recv) ->
+          let grid = max p ((recv + hold + p - 1) / p * p) in
+          let want = if grid <= horizon_ns then Some grid else None in
+          match Hashtbl.find_all applied (src, seq) with
+          | [ got ] when got = want -> ()
+          | [ got ] ->
+              fail "(%d, %d) received at %d ns: applied %s, expected %s" src
+                seq recv (pp_at got) (pp_at want)
+          | l ->
+              fail "(%d, %d) received at %d ns applied %d times" src seq recv
+                (List.length l))
+        !arrivals;
+      (* (iii) Each batch is in (stamp, src, seq) order. *)
+      let rec ordered = function
+        | a :: (b :: _ as rest) -> compare a b < 0 && ordered rest
+        | _ -> true
+      in
+      List.iter
+        (fun (now, b) ->
+          if not (ordered b) then
+            fail "batch at %d ns not in (stamp, src, seq) order" now)
+        (!final :: during);
+      (* (iv) The engine ran nothing else. *)
+      let sensed = Array.fold_left ( + ) 0 senses in
+      let batches = List.length (List.filter (fun (_, b) -> b <> []) during) in
+      let expected = sensed + List.length !arrivals + batches in
+      if Exec.events_processed exec <> expected then
+        fail
+          "%d engine events, expected %d (%d senses, %d deliveries, %d \
+           batches)"
+          (Exec.events_processed exec) expected sensed (List.length !arrivals)
+          batches;
+      true)
 
 let () =
   Alcotest.run "psn_sharded"
@@ -637,5 +812,6 @@ let () =
         [
           Alcotest.test_case "both detectors reject bad config and emits"
             `Quick test_holdback_checks;
+          test_flush_schedule;
         ] );
     ]
