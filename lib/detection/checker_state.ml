@@ -1,55 +1,60 @@
 (* The checker's evolving view of the global state.
 
    Applies updates one at a time, reporting the predicate transition each
-   causes.  Keeps the previous value of every applied update so race
+   causes.  Returns the previous value of every applied update so race
    analyses can ask "would φ still hold had that concurrent update not
-   been applied?" — the consensus test behind the borderline bin. *)
+   been applied?" — the consensus test behind the borderline bin.  φ runs
+   as a [Compiled] program; a variable φ never reads has no slot. *)
 
-module Expr = Psn_predicates.Expr
-module Value = Psn_world.Value
+module Compiled = Psn_predicates.Compiled
 
 type transition = Rose | Fell | Same
 
 type t = {
-  predicate : Expr.t;
-  env : (Expr.var, Value.t) Hashtbl.t;
-  env_fn : Expr.var -> Value.t option; (* hoisted: one lookup closure per checker *)
+  prog : Compiled.t;
+  env : Compiled.env;
   mutable holds : bool;
 }
 
+let bind env s = function
+  | Some v -> Compiled.set env s v
+  | None -> Compiled.clear env s
+
 let create ?(init = []) predicate =
-  let env = Hashtbl.create 16 in
-  List.iter (fun (v, value) -> Hashtbl.replace env v value) init;
-  let t = { predicate; env; env_fn = Hashtbl.find_opt env; holds = false } in
-  t.holds <- Expr.holds ~env:t.env_fn predicate;
-  t
+  let prog = Compiled.compile predicate in
+  let env = Compiled.create_env prog in
+  List.iter
+    (fun (v, value) ->
+      let s = Compiled.slot prog v in
+      if s >= 0 then Compiled.set env s value)
+    init;
+  { prog; env; holds = Compiled.holds prog env }
 
 let holds t = t.holds
 
-let value_of t v = Hashtbl.find_opt t.env v
-
-(* Apply an update; returns the transition and the variable's previous
-   value (for later race reverts). *)
 let apply t (u : Observation.update) =
-  let var = Observation.located u in
-  let prev = Hashtbl.find_opt t.env var in
-  Hashtbl.replace t.env var u.value;
-  let now_holds = Expr.holds ~env:t.env_fn t.predicate in
-  let transition =
-    match (t.holds, now_holds) with
-    | false, true -> Rose
-    | true, false -> Fell
-    | _ -> Same
-  in
-  t.holds <- now_holds;
-  (transition, prev)
+  let s = Compiled.slot t.prog (Observation.located u) in
+  if s < 0 then (Same, None)
+  else begin
+    let prev = Compiled.get t.env s in
+    Compiled.set t.env s u.value;
+    let now_holds = Compiled.holds t.prog t.env in
+    let transition =
+      match (t.holds, now_holds) with
+      | false, true -> Rose
+      | true, false -> Fell
+      | _ -> Same
+    in
+    t.holds <- now_holds;
+    (transition, prev)
+  end
 
-(* Evaluate φ with one variable temporarily overridden ([None] = unbound).
-   The committed state is untouched. *)
 let eval_with_override t ~var ~value =
-  let env v =
-    if v = var then value else Hashtbl.find_opt t.env v
-  in
-  Expr.holds ~env t.predicate
-
-let snapshot t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.env []
+  let s = Compiled.slot t.prog var in
+  if s < 0 then t.holds
+  else begin
+    let saved = Compiled.get t.env s in
+    bind t.env s value;
+    Fun.protect ~finally:(fun () -> bind t.env s saved) @@ fun () ->
+    Compiled.holds t.prog t.env
+  end

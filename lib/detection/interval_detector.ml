@@ -5,7 +5,9 @@
    paper's §3.3 requirement that *each* occurrence be detected, where
    prior algorithms "hang" after the first).
 
-   Each sensor i evaluates its local conjunct φ_i on every local update;
+   Each sensor i evaluates its local conjunct φ_i on every local update,
+   through its own [Checker_state] over φ_i (the compiled evaluation the
+   linearizing checker runs, with the same "unbound means false" rule);
    the maximal spans where φ_i holds are intervals, stamped at both ends
    by the strobe vector clock.  Closed intervals are reported to the
    checker, which keeps one queue per participating process and
@@ -32,7 +34,6 @@ module Vec = Psn_util.Vec
 module Vc = Psn_clocks.Vector_clock
 module Strobe_vector = Psn_clocks.Strobe_vector
 module Expr = Psn_predicates.Expr
-module Value = Psn_world.Value
 module Trace = Psn_obs.Trace
 module Metrics = Psn_obs.Metrics
 
@@ -58,16 +59,12 @@ type msg =
 
 let payload_words ~n = function Strobe _ -> n + 1 | Interval _ -> (2 * n) + 2
 
-(* Local conjunct evaluator at one sensor. *)
+(* One sensor's conjunct φ_i and the interval it has open. *)
 type local = {
-  conjunct : Expr.t;
-  env : (Expr.var, Value.t) Hashtbl.t;
-  mutable holds : bool;
+  state : Checker_state.t;
   mutable open_lo : Vc.stamp option;
   mutable open_trigger : Observation.update option;
 }
-
-let eval_local l = Expr.holds ~env:(Hashtbl.find_opt l.env) l.conjunct
 
 (* Modality-specific head analysis: which heads are dead right now? *)
 let dead_heads mode heads =
@@ -119,21 +116,12 @@ let create ?loss ?init ?(once = false) engine ~mode ~n ~delay ~horizon
   let clocks = Array.init n (fun me -> Strobe_vector.create ~n ~me) in
   let locals =
     Array.init n (fun i ->
-        let env = Hashtbl.create 8 in
-        (match init with
-        | Some bindings ->
-            List.iter
-              (fun ((v : Expr.var), value) ->
-                if v.Expr.loc = i then Hashtbl.replace env v value)
-              bindings
-        | None -> ());
-        let l =
-          { conjunct = conjunct_of.(i); env; holds = false; open_lo = None;
-            open_trigger = None }
+        let state = Checker_state.create ?init conjunct_of.(i) in
+        let open_lo =
+          if Checker_state.holds state then Some (Strobe_vector.read clocks.(i))
+          else None
         in
-        l.holds <- eval_local l;
-        if l.holds then l.open_lo <- Some (Strobe_vector.read clocks.(i));
-        l)
+        { state; open_lo; open_trigger = None })
   in
   let seqs = Array.make n 0 in
   let all_updates = Vec.create ~dummy:Observation.dummy () in
@@ -252,26 +240,23 @@ let create ?loss ?init ?(once = false) engine ~mode ~n ~delay ~horizon
     trace engine ~pid:src
       (Trace.Detector_update { var = u.Observation.var; seq = u.Observation.seq });
     let l = locals.(src) in
-    Hashtbl.replace l.env (Observation.located u) value;
     let stamp = Strobe_vector.tick_and_strobe clocks.(src) in
     trace engine ~pid:src (Trace.Clock_tick { clock = clock_name });
     trace engine ~pid:src (Trace.Clock_strobe { clock = clock_name });
     Net.broadcast net ~src (Strobe stamp);
-    let now_holds = eval_local l in
-    (match (l.holds, now_holds) with
-    | false, true ->
+    match fst (Checker_state.apply l.state u) with
+    | Checker_state.Rose ->
         l.open_lo <- Some stamp;
         l.open_trigger <- Some u
-    | true, false -> close_interval src stamp
-    | _ -> ());
-    l.holds <- now_holds
+    | Checker_state.Fell -> close_interval src stamp
+    | Checker_state.Same -> ()
   in
   (* At the horizon, close any still-open intervals so occurrences in
      progress are not lost. *)
   Engine.schedule_at_unit engine horizon (fun () ->
          Array.iteri
            (fun i l ->
-             if l.holds && l.open_lo <> None then begin
+             if Checker_state.holds l.state && l.open_lo <> None then begin
                let stamp = Strobe_vector.tick_and_strobe clocks.(i) in
                trace engine ~pid:i (Trace.Clock_tick { clock = clock_name });
                trace engine ~pid:i (Trace.Clock_strobe { clock = clock_name });

@@ -13,11 +13,18 @@
    Checker algorithm: arrivals are held back for [hold] (the Δ-bound
    hedge of refs [24,25]); ready updates are applied in stamp order.
    When applying an update raises φ, a consensus race analysis runs: for
-   every racing update from another process — already applied within the
-   race window, or pending later in the same flush — φ is re-evaluated
-   with that update reverted (or force-applied).  If any such reordering
-   falsifies φ, the detection goes to the borderline bin instead of being
-   asserted (§5). *)
+   every racing update from another process — applied within the race
+   window of 2·hold, later in the same flush, or still held back — φ is
+   re-evaluated with that update reverted (or force-applied).  If any
+   such reordering falsifies φ, the detection goes to the borderline bin
+   instead of being asserted (§5).
+
+   Arrivals wait in a FIFO in receive order, so the ready ones are a
+   prefix; applied ones wait in another until they leave the race window.
+   [order] breaks racing stamps by arrival, which is not transitive for
+   concurrent vectors or close HLC stamps, so the E-tables depend on
+   [List.sort]'s input order: the ready arrivals newest first, then the
+   previous [deferred] in the order the last flush left it. *)
 
 module Engine = Psn_sim.Engine
 module Sim_time = Psn_sim.Sim_time
@@ -80,16 +87,12 @@ type 'stamp applied = {
 }
 
 type cfg = {
-  hold : Sim_time.t;        (* hold-back before applying (≈ Δ) *)
-  race_window : Sim_time.t; (* how far back applied updates can race *)
+  hold : Sim_time.t;        (* hold-back (≈ Δ); the race window is 2·hold *)
   once : bool;              (* baseline mode: hang after first detection *)
   unicast : bool;           (* send updates to the checker only (causality
                                piggyback baseline) instead of the strobe
                                protocols' system-wide broadcast *)
 }
-
-let default_cfg ~hold =
-  { hold; race_window = Sim_time.add hold hold; once = false; unicast = false }
 
 (* Transport abstraction: direct single-hop broadcast on a complete
    overlay (the default), or multi-hop flooding over an explicit — and
@@ -131,7 +134,7 @@ let flood_transport ?loss ~payload_words engine ~topology ~delay =
         invalid_arg "Linearizer: unicast baselines need a complete overlay");
     tx_sent = (fun () -> Psn_network.Flood.messages_sent flood);
     tx_words = (fun () -> Psn_network.Flood.words_transmitted flood);
-    tx_dropped = (fun () -> 0);
+    tx_dropped = (fun () -> Psn_network.Flood.dropped flood);
     tx_on_receive =
       (fun handler ->
         for dst = 0 to n - 1 do
@@ -165,8 +168,9 @@ let create ?loss ?topology ?init engine ~n ~delay ~predicate ~discipline ~cfg =
   let occurrences = Vec.create
       ~dummy:{ Occurrence.detect_time = Sim_time.zero;
                trigger = Observation.dummy; verdict = Occurrence.Positive } () in
-  let pending : 'a buffered list ref = ref [] in
-  let applied_window : 'a applied list ref = ref [] in
+  let arrivals : 'a buffered Queue.t = Queue.create () in
+  let deferred : 'a buffered list ref = ref [] in
+  let applied : 'a applied Queue.t = Queue.create () in
   let hung = ref false in
   let self = ref None in
   let fire occ =
@@ -190,44 +194,31 @@ let create ?loss ?topology ?init engine ~n ~delay ~predicate ~discipline ~cfg =
       (Trace.Detector_occurrence { verdict; window_ns = Sim_time.to_ns latency });
     match !self with Some d -> Detector.notify d occ | None -> ()
   in
-  let prune_window now =
-    let cutoff = Sim_time.sub now cfg.race_window in
-    applied_window :=
-      List.filter (fun a -> Sim_time.( >= ) a.a_time cutoff) !applied_window
-  in
-  (* Race analysis at a φ-rise caused by [u]: does any racing update from
-     another process decide the outcome? *)
+  (* Race analysis at a φ-rise caused by [u]: does a racing update from
+     another process (applied, later in the batch, or held) decide it? *)
   let borderline_rise (u : Observation.update) stamp rest_of_batch =
-    let racing_applied =
-      List.exists
-        (fun a ->
-          a.a_update.Observation.src <> u.Observation.src
-          && discipline.race stamp a.a_stamp
-          && not
-               (Checker_state.eval_with_override state
-                  ~var:(Observation.located a.a_update)
-                  ~value:a.a_prev))
-        !applied_window
+    let decides (v : Observation.update) s value =
+      v.Observation.src <> u.Observation.src
+      && discipline.race stamp s
+      && not
+           (Checker_state.eval_with_override state
+              ~var:(Observation.located v) ~value)
     in
-    let racing_pending =
-      List.exists
-        (fun (b : 'a buffered) ->
-          b.msg.update.Observation.src <> u.Observation.src
-          && discipline.race stamp b.msg.stamp
-          && not
-               (Checker_state.eval_with_override state
-                  ~var:(Observation.located b.msg.update)
-                  ~value:(Some b.msg.update.Observation.value)))
-        rest_of_batch
+    let pending b =
+      decides b.msg.update b.msg.stamp (Some b.msg.update.Observation.value)
     in
-    racing_applied || racing_pending
+    Seq.exists
+      (fun a -> decides a.a_update a.a_stamp a.a_prev)
+      (Queue.to_seq applied)
+    || List.exists pending rest_of_batch
+    || Seq.exists pending (Queue.to_seq arrivals)
   in
   let apply_one now (b : 'a buffered) rest =
     let u = b.msg.update in
     let transition, prev = Checker_state.apply state u in
-    applied_window :=
+    Queue.push
       { a_update = u; a_stamp = b.msg.stamp; a_prev = prev; a_time = now }
-      :: !applied_window;
+      applied;
     match transition with
     | Checker_state.Rose when not !hung ->
         let verdict =
@@ -265,42 +256,53 @@ let create ?loss ?topology ?init engine ~n ~delay ~predicate ~discipline ~cfg =
   let flush () =
     span engine ~pid:0 "detector.flush" @@ fun () ->
     let now = Engine.now engine in
-    prune_window now;
-    let ready, held =
-      List.partition
-        (fun b -> Sim_time.( <= ) (Sim_time.add b.recv_time cfg.hold) now)
-        !pending
-    in
-    let ready = List.sort order ready in
-    (* A ready update must wait while any still-held update carries a
-       strictly smaller stamp: applying it now would break the stamp-order
-       linearization across flush batches.  Every held update has its own
-       flush scheduled, so deferral cannot starve. *)
-    let blocked b =
-      List.exists (fun h -> discipline.compare h.msg.stamp b.msg.stamp < 0) held
+    let ready_by = Sim_time.sub now cfg.hold in
+    let cutoff = Sim_time.sub ready_by cfg.hold in
+    while
+      (not (Queue.is_empty applied))
+      && Sim_time.( < ) (Queue.peek applied).a_time cutoff
+    do
+      ignore (Queue.pop applied)
+    done;
+    let batch = ref !deferred in
+    while
+      (not (Queue.is_empty arrivals))
+      && Sim_time.( <= ) (Queue.peek arrivals).recv_time ready_by
+    do
+      batch := Queue.pop arrivals :: !batch
+    done;
+    (* A ready update must wait while a held one has a strictly smaller
+       stamp (the least, as [compare] is a total preorder): applying it
+       now would break the stamp order across flush batches.  Every held
+       update has its own flush scheduled, so deferral cannot starve. *)
+    let least =
+      Queue.fold
+        (fun m h ->
+          match m with
+          | Some s when discipline.compare s h.msg.stamp <= 0 -> m
+          | _ -> Some h.msg.stamp)
+        None arrivals
     in
     let rec apply_prefix = function
       | [] -> []
-      | b :: rest ->
-          if blocked b then b :: rest
-          else begin
-            (* Race candidates include both the rest of this batch and the
-               still-held updates: a racing partner may not be ready yet. *)
-            apply_one now b (rest @ held);
-            apply_prefix rest
-          end
+      | b :: rest as blocked -> (
+          match least with
+          | Some m when discipline.compare m b.msg.stamp < 0 -> blocked
+          | _ ->
+              apply_one now b rest;
+              apply_prefix rest)
     in
-    let deferred = apply_prefix ready in
-    pending := held @ deferred
+    deferred := apply_prefix (List.sort order !batch)
+  in
+  let arrive msg =
+    Queue.push { msg; recv_time = Engine.now engine } arrivals;
+    Engine.schedule_after_unit engine cfg.hold flush
   in
   (* Checker receives at process 0; every process updates its clock. *)
   transport.tx_on_receive (fun ~dst (msg : 'a message) ->
       trace engine ~pid:dst (Trace.Clock_receive { clock = discipline.name });
       discipline.on_receive ~dst msg.stamp;
-      if dst = 0 then begin
-        pending := { msg; recv_time = Engine.now engine } :: !pending;
-        Engine.schedule_after_unit engine cfg.hold flush
-      end);
+      if dst = 0 then arrive msg);
   let emit ~src ~var value =
     if src < 0 || src >= n then invalid_arg "Detector.emit: src out of range";
     span engine ~pid:src "detector.emit" @@ fun () ->
@@ -329,10 +331,7 @@ let create ?loss ?topology ?init engine ~n ~delay ~predicate ~discipline ~cfg =
       trace engine ~pid:src (Trace.Clock_strobe { clock = discipline.name });
       transport.tx_broadcast ~src msg
     end;
-    if src = 0 then begin
-      pending := { msg; recv_time = Engine.now engine } :: !pending;
-      Engine.schedule_after_unit engine cfg.hold flush
-    end
+    if src = 0 then arrive msg
   in
   let t =
     {
@@ -409,7 +408,7 @@ let for_clock ?loss ?topology ?init ?(once = false) engine ~clock ~n ~delay
     ~hold ~predicate =
   let run ?(unicast = false) ~hold discipline =
     create ?loss ?topology ?init engine ~n ~delay ~predicate ~discipline
-      ~cfg:{ (default_cfg ~hold) with once; unicast }
+      ~cfg:{ hold; once; unicast }
   in
   let hw_rng () = Psn_util.Rng.split (Engine.rng engine) in
   (* ε-synchronized clocks read true time ± ε/2 (Mayo–Kearns [28],

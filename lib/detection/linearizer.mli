@@ -1,13 +1,17 @@
 (** Shared core of the single-time-axis detectors: hold-back buffer,
     stamp-order linearization, transition detection, and the consensus
     race analysis feeding the borderline bin. Instantiated once per
-    clock by {!for_clock}, through a stamping discipline. *)
+    clock by {!for_clock}, through a stamping discipline.  A ready update
+    waits while a held one has a smaller stamp: one least held stamp per
+    flush decides, since [compare] is a total preorder.  Applied updates
+    race for 2·hold. *)
 
 type 'stamp discipline = {
   name : string;
   stamp_of_emit : src:int -> 'stamp;
   on_receive : dst:int -> 'stamp -> unit;
   compare : 'stamp -> 'stamp -> int;
+      (** A total preorder extending the stamp order. *)
   race : 'stamp -> 'stamp -> bool;
   arrival_tie_break : bool;
       (** Break racing stamps by arrival time (logical-clock middleware)
@@ -17,15 +21,11 @@ type 'stamp discipline = {
 
 type cfg = {
   hold : Psn_sim.Sim_time.t;
-  race_window : Psn_sim.Sim_time.t;
-  once : bool;
+  once : bool;  (** Hang after the first detection (baseline). *)
   unicast : bool;
       (** Causality-piggyback baseline: updates go only to the checker;
           no system-wide strobing. *)
 }
-
-val default_cfg : hold:Psn_sim.Sim_time.t -> cfg
-(** Race window defaults to twice the hold. *)
 
 val create :
   ?loss:Psn_sim.Loss_model.t -> ?topology:Psn_util.Graph.t ->

@@ -18,4 +18,7 @@ val set_handler : 'a t -> int -> (origin:int -> 'a -> unit) -> unit
 val flood : 'a t -> src:int -> 'a -> unit
 val messages_sent : 'a t -> int
 val words_transmitted : 'a t -> int
+val dropped : 'a t -> int
+(** Hop messages the loss model dropped. *)
+
 val topology : 'a t -> Psn_util.Graph.t

@@ -204,6 +204,13 @@ let test_runner_topology () =
       Clock_kind.Physical_vector;
       Clock_kind.Hybrid_logical { max_offset = ms 20; max_drift_ppm = 50.0 };
     ];
+  (* A lost hop message is a drop on a flooded overlay too, and a flood
+     whose copies all die at a node is never relayed from it. *)
+  let lossy = run_once { config with loss = Psn_sim.Loss_model.bernoulli 0.3 } in
+  Alcotest.(check bool) "lossy ring drops" true (lossy.Report.dropped > 0);
+  Alcotest.(check bool)
+    "lossy ring relays less" true
+    (lossy.Report.messages < per_flood * lossy.Report.updates);
   let engine = Engine.create () in
   List.iter
     (fun clock ->

@@ -432,6 +432,122 @@ let test_checker_state_override () =
   (* Committed state untouched. *)
   Alcotest.(check bool) "still holds" true (Checker_state.holds st)
 
+(* Checker_state against a reference written here: a Hashtbl env read
+   through the interpreter's [Expr.holds].  Scripts of applies and
+   overrides run over three predicate shapes — the hall's linear sum, an
+   [And] spine with a variable in two conjuncts, and an [Or]/[Not] over a
+   float comparison — with ints and floats (floats take the sum off its
+   fast path), unbound variables, variables no predicate reads, and
+   [None] overrides. *)
+type cs_op =
+  | Cs_apply of Expr.var * Value.t
+  | Cs_override of Expr.var * Value.t option
+
+let cs_shapes =
+  let v name loc = Expr.var ~name ~loc in
+  Expr.
+    [
+      ( "hall sum",
+        sum [ v "x" 0 -? v "y" 0; v "x" 1 -? v "y" 1 ] >? int 1 );
+      ( "and spine",
+        (v "a" 0 >=? int 1) &&& (v "b" 1 <? int 2) &&& (v "c" 2 ==? int 0)
+        &&& (v "a" 0 <>? int 3) );
+      ( "or/not float",
+        not_ (v "t" 0 >? float 1.5) ||| (v "t" 0 *? v "h" 1 >=? float 2.25) );
+    ]
+
+let cs_gen_var p =
+  QCheck.Gen.oneofl
+    (Expr.vars p @ [ { Expr.name = "u"; loc = 1 }; { Expr.name = "x"; loc = 3 } ])
+
+let cs_gen_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun i -> Value.Int i) (int_range (-1) 3));
+        (1, map (fun i -> Value.Float (float_of_int i +. 0.5)) (int_range (-1) 2));
+      ])
+
+let cs_gen_case =
+  QCheck.Gen.(
+    oneofl cs_shapes >>= fun (name, p) ->
+    let var = cs_gen_var p in
+    map2
+      (fun init ops -> (name, p, init, ops))
+      (list_size (int_range 0 4) (pair var cs_gen_value))
+      (list_size (int_range 0 40)
+         (frequency
+            [
+              (3, map2 (fun v x -> Cs_apply (v, x)) var cs_gen_value);
+              (1, map2 (fun v x -> Cs_override (v, x)) var (opt cs_gen_value));
+            ])))
+
+let cs_print (name, _, init, ops) =
+  let var (v : Expr.var) = Printf.sprintf "%s_%d" v.name v.loc in
+  let value = function None -> "unbound" | Some x -> Value.to_string x in
+  Printf.sprintf "%s; init [%s]; ops [%s]" name
+    (String.concat "; "
+       (List.map (fun (v, x) -> var v ^ "=" ^ Value.to_string x) init))
+    (String.concat "; "
+       (List.map
+          (function
+            | Cs_apply (v, x) -> var v ^ ":=" ^ Value.to_string x
+            | Cs_override (v, x) -> var v ^ "?=" ^ value x)
+          ops))
+
+let checker_state_matches_reference (_, p, init, ops) =
+  let reads = Expr.vars p in
+  let env = Hashtbl.create 8 in
+  List.iter (fun (v, x) -> Hashtbl.replace env v x) init;
+  let holds_with v x =
+    Expr.holds ~env:(fun w -> if w = v then x else Hashtbl.find_opt env w) p
+  in
+  let st = Checker_state.create ~init p in
+  let committed = ref (Expr.holds ~env:(Hashtbl.find_opt env) p) in
+  let agree what ok =
+    if not ok then QCheck.Test.fail_reportf "%s disagrees" what
+  in
+  agree "create" (Checker_state.holds st = !committed);
+  List.iteri
+    (fun i op ->
+      (match op with
+      | Cs_apply (v, x) ->
+          let prev_ref = Hashtbl.find_opt env v in
+          Hashtbl.replace env v x;
+          let now = Expr.holds ~env:(Hashtbl.find_opt env) p in
+          let tr_ref =
+            match (!committed, now) with
+            | false, true -> Checker_state.Rose
+            | true, false -> Checker_state.Fell
+            | _ -> Checker_state.Same
+          in
+          committed := now;
+          let tr, prev =
+            Checker_state.apply st
+              (update ~src:v.Expr.loc ~var:v.Expr.name ~value:x ~seq:i ~t:i)
+          in
+          agree "transition" (tr = tr_ref);
+          agree "prev" (prev = if List.mem v reads then prev_ref else None)
+      | Cs_override (v, x) ->
+          agree "override"
+            (Checker_state.eval_with_override st ~var:v ~value:x = holds_with v x);
+          (* The next answer is the committed one: evaluate afresh
+             through another variable, bound to its committed value. *)
+          let w = List.find (fun w -> w <> v) reads in
+          agree "after override"
+            (Checker_state.eval_with_override st ~var:w
+               ~value:(Hashtbl.find_opt env w)
+            = !committed));
+      agree "holds" (Checker_state.holds st = !committed))
+    ops;
+  true
+
+let test_checker_state_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"= Hashtbl + Expr.holds reference"
+       (QCheck.make ~print:cs_print cs_gen_case)
+       checker_state_matches_reference)
+
 (* --- Detector harness helpers --- *)
 
 (* Script: (time_ms, src, var, value) emissions; runs detector to quiescence
@@ -701,7 +817,7 @@ let test_arena_matches_copy () =
   let copy ~unicast discipline engine =
     D.Linearizer.create ~init:init_ab engine ~n:2 ~delay:small_delay
       ~predicate:conj_ab ~discipline:(discipline ~n:2)
-      ~cfg:{ (D.Linearizer.default_cfg ~hold:(ms 5)) with unicast }
+      ~cfg:{ D.Linearizer.hold = ms 5; once = false; unicast }
   in
   let strobe =
     (arena Clock_kind.Strobe_vector, copy ~unicast:false copy_strobe_vector)
@@ -1096,6 +1212,7 @@ let () =
         [
           Alcotest.test_case "transitions" `Quick test_checker_state_transitions;
           Alcotest.test_case "override" `Quick test_checker_state_override;
+          test_checker_state_reference;
         ] );
       ( "linearizing detectors",
         [

@@ -57,6 +57,72 @@ let test_hall_conservation () =
      in
      ok (Psn.Report.truth report))
 
+(* E1's hall at Δ = 20 s under every clock, pinned.  Updates wait out a
+   20 s hold-back, so flushes defer ready updates behind smaller held
+   stamps and rises race: the vector and HLC rows fill the borderline
+   bin and the scalar strobes admit false positives.  Any change to the
+   hold-back's linearization or its race analysis moves a row. *)
+let test_hall_race_fingerprint () =
+  let cfg = { Hall.doors = 4; capacity = 15; visitors = 32; dwell_mean = 30.0 } in
+  let delta = Sim_time.of_sec 20 in
+  let row clock =
+    let report =
+      Hall.run ~cfg
+        {
+          Psn.Config.default with
+          n = cfg.Hall.doors;
+          clock;
+          delay =
+            Psn_sim.Delay_model.bounded_uniform
+              ~min:(Sim_time.scale delta 0.1) ~max:delta;
+          horizon = Sim_time.of_sec 1200;
+          seed = 11L;
+        }
+    in
+    let s = Psn.Report.summary report in
+    let detect_ns =
+      List.fold_left
+        (fun acc o ->
+          acc + Sim_time.to_ns o.Psn_detection.Occurrence.detect_time)
+        0 (Psn.Report.occurrences report)
+    in
+    Printf.sprintf
+      "tp=%d fp=%d fn=%d border=%d msgs=%d words=%d events=%d detect_ns=%d"
+      s.Metrics.tp s.fp s.fn s.borderline report.Psn.Report.messages
+      report.words report.sim_events detect_ns
+  in
+  let module C = Psn_clocks.Clock_kind in
+  List.iter
+    (fun (clock, expected) ->
+      Alcotest.(check string) (C.to_string clock) expected (row clock))
+    [
+      ( C.Perfect_physical,
+        "tp=99 fp=0 fn=1 border=0 msgs=3876 words=11628 events=7694 \
+         detect_ns=55343496118809" );
+      ( C.Synced_physical { eps = Sim_time.of_ms 1 },
+        "tp=99 fp=0 fn=1 border=0 msgs=3876 words=11628 events=7694 \
+         detect_ns=55343595118809" );
+      ( C.Logical_scalar,
+        "tp=4 fp=4 fn=96 border=8 msgs=972 words=2916 events=4817 \
+         detect_ns=1418208409589" );
+      ( C.Logical_vector,
+        "tp=4 fp=3 fn=96 border=8 msgs=972 words=5832 events=4817 \
+         detect_ns=4883314935625" );
+      ( C.Strobe_scalar,
+        "tp=45 fp=46 fn=55 border=83 msgs=3876 words=11628 events=7699 \
+         detect_ns=66279958137976" );
+      ( C.Strobe_vector,
+        "tp=48 fp=49 fn=52 border=130 msgs=3876 words=23256 events=7699 \
+         detect_ns=85426547731355" );
+      ( C.Physical_vector,
+        "tp=84 fp=9 fn=16 border=0 msgs=3876 words=11628 events=7694 \
+         detect_ns=52386286563196" );
+      ( C.Hybrid_logical
+          { max_offset = Sim_time.of_ms 250; max_drift_ppm = 100.0 },
+        "tp=74 fp=14 fn=26 border=33 msgs=3876 words=15504 events=7694 \
+         detect_ns=61655426195622" );
+    ]
+
 (* --- Smart office --- *)
 
 let test_office_runs () =
@@ -219,6 +285,8 @@ let () =
             test_hall_predicate_relational;
           Alcotest.test_case "deterministic" `Quick test_hall_deterministic;
           Alcotest.test_case "truth sane" `Quick test_hall_conservation;
+          Alcotest.test_case "race fingerprint" `Quick
+            test_hall_race_fingerprint;
         ] );
       ( "smart_office",
         [
