@@ -391,13 +391,6 @@ let lattice_count_4x6 =
   Test.make ~name:"lattice.count(4x6)" (Staged.stage @@ fun () ->
       ignore (Psn_lattice.Lattice.count_consistent stamps))
 
-(* The generic array-cut walk on the same 3x4 execution: the packed
-   engine's speedup is lattice.count(3x4) against this subject. *)
-let lattice_count_generic =
-  let stamps = independent_stamps ~n:3 ~k:4 in
-  Test.make ~name:"lattice.count_generic(3x4)" (Staged.stage @@ fun () ->
-      ignore (Psn_lattice.Lattice.count_consistent_generic stamps))
-
 (* Fused Definitely over the free 3x4 lattice with φ = ⊤ only: the walk
    sweeps all 124 non-top cuts before concluding [Some true]. *)
 let modal_definitely =
@@ -695,7 +688,7 @@ let subjects =
       ] );
     ( "lattice",
       [
-        lattice_count_4x6; lattice_count_generic; modal_definitely;
+        lattice_count_4x6; modal_definitely;
         lattice_stream_10k; lattice_stream_100k;
       ] );
     ("obs", [ analyze_posthoc; analyze_online; shardstats_overhead ]);

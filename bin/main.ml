@@ -335,7 +335,7 @@ let lattice_cmd =
           (fun () -> Psn_lattice.Lattice.count_consistent_plane plane handles)
       in
       Fmt.pr "consistent cuts : %a@." Psn_lattice.Lattice.pp_verdict consistent;
-      Fmt.pr "all cuts        : %d@."
+      Fmt.pr "all cuts        : %a@." Psn_lattice.Lattice.pp_verdict
         (Psn_lattice.Lattice.total_cuts_of_lens (Array.map Array.length handles));
       Fmt.pr "peak frontier   : %d@." !peak;
       Fmt.pr "chain (linear)  : %b@."

@@ -83,7 +83,9 @@ let run ?(quick = false) () =
           Psn_lattice.Lattice.count_consistent_plane plane handles
         in
         let total =
-          Psn_lattice.Lattice.total_cuts_of_lens (Array.map Array.length handles)
+          Psn_lattice.Lattice.verdict_count
+            (Psn_lattice.Lattice.total_cuts_of_lens
+               (Array.map Array.length handles))
         in
         let chain = Psn_lattice.Lattice.is_chain_plane plane handles in
         let count = Psn_lattice.Lattice.verdict_count consistent in

@@ -18,12 +18,10 @@
    with Δ = 0 collapses it to a single chain of n·p + 1 cuts ("slim
    lattice postulate").
 
-   Two walk engines sit behind the public functions: the packed-cut
-   engine ([Packed]) whenever the full lattice size fits in a tagged int
-   — a cut is one immediate int under a mixed-radix encoding, the BFS
-   runs allocation-free over flat int frontiers — and this file's
-   generic array-cut walk as the overflow fallback and the differential
-   -test oracle.  Both visit the same cuts in the same order. *)
+   Every walk runs on the packed-cut engine ([Packed]): a cut is a flat
+   entry of its code and components, and the BFS runs allocation-free
+   over flat int frontiers with a per-level dedup map, whatever the
+   execution size. *)
 
 type verdict = Packed.verdict = Exact of int | At_least of int
 
@@ -63,104 +61,23 @@ let is_consistent (stamps : stamps) (cut : Cut.t) =
   in
   proc 0
 
-(* Extending a consistent cut with one event of process i stays consistent
-   iff the new event's prerequisites are inside the extended cut. *)
-let extension_consistent (stamps : stamps) (cut : Cut.t) i =
-  let n = Array.length stamps in
-  let v = stamps.(i).(cut.(i)) in
-  let rec comp j = j >= n || ((j = i || v.(j) <= cut.(j)) && comp (j + 1)) in
-  comp 0
-
-(* Walk the sublattice of consistent cuts; [visit] sees each exactly once.
-   Returns the verdict on the total count under the cap.  This is the
-   generic array-cut engine — [Packed] reproduces its visit order
-   exactly; keep them in sync. *)
-let walk ?(cap = 2_000_000) (stamps : stamps) visit =
-  let l = lens stamps in
-  let n = Array.length stamps in
-  let seen = Hashtbl.create 1024 in
-  let queue = Queue.create () in
-  let bottom = Cut.bottom n in
-  Hashtbl.replace seen bottom ();
-  Queue.add bottom queue;
-  let count = ref 0 in
-  let capped = ref false in
-  while not (Queue.is_empty queue) do
-    let cut = Queue.pop queue in
-    incr count;
-    visit cut;
-    if !count >= cap then begin
-      capped := true;
-      Queue.clear queue
-    end
-    else
-      for i = 0 to n - 1 do
-        if cut.(i) < l.(i) && extension_consistent stamps cut i then begin
-          let c = Array.copy cut in
-          c.(i) <- c.(i) + 1;
-          if not (Hashtbl.mem seen c) then begin
-            Hashtbl.replace seen c ();
-            Queue.add c queue
-          end
-        end
-      done
-  done;
-  if !capped then At_least !count else Exact !count
-
-(* --- generic engine, exposed as the differential-test oracle --- *)
-
-let count_consistent_generic ?cap stamps =
+let count_consistent ?cap stamps =
   validate stamps;
-  walk ?cap stamps (fun _ -> ())
+  Packed.count (Packed.plan_of_stamps stamps) ?cap ()
 
-let consistent_cuts_generic ?cap stamps =
+let consistent_cuts ?cap stamps =
   validate stamps;
-  let acc = ref [] in
-  let verdict = walk ?cap stamps (fun c -> acc := Cut.copy c :: !acc) in
-  (List.rev !acc, verdict)
-
-(* --- public entry points: packed when possible, generic otherwise --- *)
-
-let count_consistent ?cap ?(parallel = false) stamps =
-  validate stamps;
-  match Packed.plan_of_stamps stamps with
-  | Some plan -> Packed.count plan ?cap ~parallel ()
-  | None -> walk ?cap stamps (fun _ -> ())
-
-let consistent_cuts ?cap ?(parallel = false) stamps =
-  validate stamps;
-  match Packed.plan_of_stamps stamps with
-  | Some plan -> Packed.cuts plan ?cap ~parallel ()
-  | None ->
-      let acc = ref [] in
-      let verdict = walk ?cap stamps (fun c -> acc := Cut.copy c :: !acc) in
-      (List.rev !acc, verdict)
+  Packed.cuts (Packed.plan_of_stamps stamps) ?cap ()
 
 (* Total cuts in the full (unconstrained) lattice: Π (len_i + 1). *)
-let total_cuts stamps =
-  Array.fold_left (fun acc evs -> acc * (Array.length evs + 1)) 1 stamps
-
-let total_cuts_of_lens lens =
-  Array.fold_left (fun acc l -> acc * (l + 1)) 1 lens
+let total_cuts_of_lens = Packed.box_size
+let total_cuts stamps = total_cuts_of_lens (lens stamps)
 
 (* Whether the consistent cuts form a single chain — the Δ = 0 linear
    order of §4.2.4. *)
-let is_chain_generic ?cap stamps =
-  let cuts, verdict = consistent_cuts_generic ?cap stamps in
-  let sorted =
-    List.sort (fun a b -> compare (Cut.level a : int) (Cut.level b)) cuts
-  in
-  let rec pairwise = function
-    | a :: (b :: _ as rest) -> Cut.leq a b && pairwise rest
-    | [ _ ] | [] -> true
-  in
-  match verdict with Exact _ -> pairwise sorted | At_least _ -> false
-
 let is_chain ?cap stamps =
   validate stamps;
-  match Packed.plan_of_stamps stamps with
-  | Some plan -> Packed.is_chain plan ?cap ()
-  | None -> is_chain_generic ?cap stamps
+  Packed.is_chain (Packed.plan_of_stamps stamps) ?cap ()
 
 (* --- stamp-plane executions: handles into a live arena, no copies --- *)
 
@@ -184,22 +101,18 @@ let validate_plane plane (handles : Stamp_plane.handle array array) =
         hs)
     handles
 
-(* Materialize the copied-stamp form — the generic-walk fallback and the
-   differential-test bridge between the two input representations. *)
+(* Materialize the copied-stamp form (Graphviz rendering, and the
+   bridge between the two input representations in tests). *)
 let stamps_of_plane plane (handles : Stamp_plane.handle array array) : stamps =
   Array.map (Array.map (Stamp_plane.read plane)) handles
 
-let count_consistent_plane ?cap ?(parallel = false) plane handles =
+let count_consistent_plane ?cap plane handles =
   validate_plane plane handles;
-  match Packed.plan_of_plane plane ~handles with
-  | Some plan -> Packed.count plan ?cap ~parallel ()
-  | None -> walk ?cap (stamps_of_plane plane handles) (fun _ -> ())
+  Packed.count (Packed.plan_of_plane plane ~handles) ?cap ()
 
 let is_chain_plane ?cap plane handles =
   validate_plane plane handles;
-  match Packed.plan_of_plane plane ~handles with
-  | Some plan -> Packed.is_chain plan ?cap ()
-  | None -> is_chain_generic ?cap (stamps_of_plane plane handles)
+  Packed.is_chain (Packed.plan_of_plane plane ~handles) ?cap ()
 
 let verdict_count = function Exact n -> n | At_least n -> n
 

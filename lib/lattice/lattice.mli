@@ -2,11 +2,8 @@
     derived from per-event vector stamps.
 
     Counting and enumeration run on the packed-cut engine ([Packed]:
-    cuts as immediate mixed-radix ints, allocation-free BFS) whenever
-    the full lattice size Π (eventsᵢ + 1) fits in a tagged int, and fall
-    back to the generic array-cut walk otherwise.  Both engines visit
-    the same cuts in the same order; the [_generic] variants force the
-    fallback and serve as the differential-test oracle. *)
+    cuts as flat int entries, an allocation-free BFS with a per-level
+    dedup map) for every execution size. *)
 
 type verdict = Packed.verdict = Exact of int | At_least of int
 
@@ -18,32 +15,19 @@ val lens : stamps -> int array
 
 val is_consistent : stamps -> Cut.t -> bool
 
-val extension_consistent : stamps -> Cut.t -> int -> bool
-(** Whether extending a consistent cut with process [i]'s next event stays
-    consistent (O(n); used by incremental lattice walks). *)
-
-val count_consistent : ?cap:int -> ?parallel:bool -> stamps -> verdict
+val count_consistent : ?cap:int -> stamps -> verdict
 (** Size of the consistent sublattice, exploring at most [cap] cuts
-    (default 2,000,000).  [parallel] (default false) expands BFS levels
-    in chunks on the [Psn_util.Parallel] domain pool with deterministic
-    merge order — the result is identical, only wall-clock changes. *)
+    (default 2,000,000). *)
 
-val consistent_cuts : ?cap:int -> ?parallel:bool -> stamps -> Cut.t list * verdict
+val consistent_cuts : ?cap:int -> stamps -> Cut.t list * verdict
 (** Enumerate consistent cuts (breadth-first by level). *)
 
-val count_consistent_generic : ?cap:int -> stamps -> verdict
-(** The generic array-cut walk, regardless of packability (the
-    differential-test oracle for the packed engine). *)
-
-val consistent_cuts_generic : ?cap:int -> stamps -> Cut.t list * verdict
-
-val is_chain_generic : ?cap:int -> stamps -> bool
-
-val total_cuts : stamps -> int
+val total_cuts : stamps -> verdict
 (** Size of the unconstrained lattice: Π (events_i + 1) — the paper's
-    O(p^n). *)
+    O(p^n) — [Exact] while it fits in an int, [At_least max_int]
+    past it. *)
 
-val total_cuts_of_lens : int array -> int
+val total_cuts_of_lens : int array -> verdict
 (** Same, from per-process event counts (no stamp materialization). *)
 
 val is_chain : ?cap:int -> stamps -> bool
@@ -72,11 +56,11 @@ val validate_plane :
 
 val stamps_of_plane :
   Psn_clocks.Stamp_plane.t -> Psn_clocks.Stamp_plane.handle array array -> stamps
-(** Materialize copied stamps (the generic-walk fallback and the bridge
-    to the copy-stamp API for differential tests). *)
+(** Materialize copied stamps (Graphviz rendering, and the bridge to the
+    copy-stamp API in tests). *)
 
 val count_consistent_plane :
-  ?cap:int -> ?parallel:bool -> Psn_clocks.Stamp_plane.t ->
+  ?cap:int -> Psn_clocks.Stamp_plane.t ->
   Psn_clocks.Stamp_plane.handle array array -> verdict
 (** [count_consistent] over plane handles. *)
 

@@ -1,47 +1,33 @@
-(* Packed-cut lattice engine.
+(* Packed-cut lattice engine: the one post-hoc walk of the consistent-cut
+   lattice, for every execution size.
 
-   The generic walk in [Lattice] represents every cut as a fresh [int
-   array], hashes cuts with the polymorphic hasher, and queues boxed
-   arrays — fine as a reference implementation, but allocation and
-   pointer chasing dominate the walk.  When the full lattice size
-   Π (lenᵢ + 1) fits in a tagged 63-bit int (every experiment and test
-   in this repo today), a cut can instead be a single immediate int
-   under a mixed-radix encoding:
+   A cut travels as a frontier entry of [n + 1] ints: its code followed
+   by its components (carried along so no decoding is needed on the hot
+   path).  The code of cut c is Σᵢ c.(i) · mixᵢ (mod 2⁶²), so advancing
+   process i is [code + mixᵢ] — O(1), no allocation:
 
-       code(c) = Σᵢ c.(i) · strideᵢ      strideᵢ = Π_{i' < i} (len_{i'} + 1)
-
-   so successor-by-one-event of process i is [code + strideᵢ] — no
-   allocation, no write barrier, and the visited table is either a
-   plain [Bytes] indexed by code (dense case) or an open-addressing int
-   hash set (sparse case), never the polymorphic hasher.
+     - while the full lattice size Π (lenᵢ + 1) fits in an int, mixᵢ is
+       the mixed-radix stride Π_{i' < i} (len_{i'} + 1) and codes are
+       exact: equal codes mean equal cuts;
+     - past that, mixᵢ is a fixed odd multiplier per process, the code is
+       a hash, and equal codes are confirmed by comparing components.
 
    The per-event vector stamps are flattened into one contiguous int
    plane so the consistency check walks cache-local memory instead of
    chasing [array array array] pointers.
 
-   The walk itself is a level-synchronous BFS over a flat int frontier:
-   each frontier entry is [n + 1] ints — the packed code followed by the
-   decoded components (carried along so no division is needed on the hot
-   path).  Sequential expansion fuses candidate generation, visited
-   dedup, and the append into the next frontier in one pass.  The
-   opt-in parallel mode instead fans the candidate generation (the
-   O(n²) consistency checks) out over the PR-2 [Psn_util.Parallel]
-   domain pool in frontier-order chunks and merges/dedups sequentially
-   in chunk order — the same candidate sequence, so the parallel walk
-   builds exactly the same frontiers as the sequential one.
+   One level-synchronous driver ([walk]) serves every query: it visits
+   the frontier (level L), then expands it into level L + 1.  Every
+   level-(L+1) cut extends a level-L cut by one event, so duplicates only
+   ever meet inside the level being built, and the dedup is a per-level
+   map ([Level_map]) from code to entry offset, emptied per level.  A
+   level stops growing once it holds the cap's remaining budget, so a
+   capped walk never builds more than [cap] cuts.
 
-   The dedup may mark a candidate visited before its consistency check:
-   extension consistency is intrinsic to the extended cut (given a
-   consistent parent, the extension is consistent iff the new event's
-   prerequisites lie inside it, and any parent of the same cut yields
-   the same verdict), so blacklisting an inconsistent candidate is safe.
-
-   Visit order is identical to the generic FIFO walk in [Lattice]: the
-   queue there drains level by level, successors are generated per cut
-   in process order and deduplicated at first generation — precisely
-   this engine's frontier order.  The differential tests in
-   test/test_lattice.ml pin the equivalence (counts, verdicts, cut
-   sequences, and cap behaviour). *)
+   Successors are generated per entry in process order and deduplicated
+   at first generation, so each level comes out in the order a FIFO walk
+   over array cuts visits it; the reference walk in test/test_lattice.ml
+   pins counts, verdicts, cut sequences and cap behaviour against it. *)
 
 type stamps = int array array array
 
@@ -52,9 +38,9 @@ let default_cap = 2_000_000
 type plan = {
   n : int;  (* processes *)
   lens : int array;  (* events per process *)
-  stride : int array;  (* mixed-radix place values *)
-  total : int;  (* Π (lens.(i) + 1) — full lattice size *)
-  top_code : int;  (* total - 1: the cut including every event *)
+  exact : bool;  (* codes are mixed-radix numbers, not hashes *)
+  mix : int array;  (* code increment when process i advances *)
+  top_code : int;  (* code of the cut including every event *)
   plane : int array;  (* stamp storage: component j of event (i,k) at
                          row_off.(ev_base.(i) + k) + j *)
   ev_base : int array;  (* event-index base of process i *)
@@ -64,91 +50,16 @@ type plan = {
                            load replaces the row multiply either way *)
 }
 
-(* Above this, the dense [Bytes] visited table would cost more memory
-   than the open-addressing int set; measured behaviour is identical
-   either way. *)
-let dense_limit = 1 lsl 22
+(* Π (lensᵢ + 1) while it fits in an int. *)
+let box_size lens =
+  Array.fold_left
+    (fun acc len ->
+      match acc with
+      | Exact total when total <= max_int / (len + 1) -> Exact (total * (len + 1))
+      | _ -> At_least max_int)
+    (Exact 1) lens
 
-(* [None] when Π (lenᵢ + 1) would overflow a 63-bit int — the caller
-   falls back to the generic array-cut walk (which caps anyway: such a
-   lattice has ≥ 2⁶² cuts). *)
-(* Shared radix/stride computation; [None] on overflow. *)
-let layout ~n ~(lens : int array) =
-  let stride = Array.make n 0 in
-  let total = ref 1 in
-  let overflow = ref false in
-  for i = 0 to n - 1 do
-    stride.(i) <- !total;
-    let radix = lens.(i) + 1 in
-    if !total > max_int / radix then overflow := true
-    else total := !total * radix
-  done;
-  if !overflow then None
-  else begin
-    let ev_base = Array.make n 0 in
-    let events = ref 0 in
-    for i = 0 to n - 1 do
-      ev_base.(i) <- !events;
-      events := !events + lens.(i)
-    done;
-    Some (stride, !total, ev_base, !events)
-  end
-
-let plan_of_stamps (stamps : stamps) : plan option =
-  let n = Array.length stamps in
-  let lens = Array.map Array.length stamps in
-  match layout ~n ~lens with
-  | None -> None
-  | Some (stride, total, ev_base, events) ->
-      let plane = Array.make (max 1 (events * n)) 0 in
-      let row_off = Array.make (max 1 events) 0 in
-      Array.iteri
-        (fun i evs ->
-          Array.iteri
-            (fun k v ->
-              let e = ev_base.(i) + k in
-              let off = e * n in
-              row_off.(e) <- off;
-              for j = 0 to n - 1 do
-                plane.(off + j) <- v.(j)
-              done)
-            evs)
-        stamps;
-      Some
-        { n; lens; stride; total; top_code = total - 1; plane; ev_base; row_off }
-
-(* Consume a live [Stamp_plane] directly: [handles.(i).(k)] is the stamp
-   of process i's (k+1)-th event, and the plan's [plane] is the arena's
-   backing array — no copy.  The backing reference is captured now; a
-   later growing [alloc] replaces the arena's array, but growth blits,
-   so reads of the already-allocated rows named here stay correct.
-   [reset] of the arena, however, invalidates the plan with its
-   handles.  Assumes the caller validated the handles
-   ([Lattice.validate_plane]). *)
-let plan_of_plane (sp : Psn_clocks.Stamp_plane.t)
-    ~(handles : Psn_clocks.Stamp_plane.handle array array) : plan option =
-  let n = Array.length handles in
-  let lens = Array.map Array.length handles in
-  match layout ~n ~lens with
-  | None -> None
-  | Some (stride, total, ev_base, events) ->
-      let row_off = Array.make (max 1 events) 0 in
-      Array.iteri
-        (fun i hs -> Array.iteri (fun k h -> row_off.(ev_base.(i) + k) <- h) hs)
-        handles;
-      Some
-        {
-          n;
-          lens;
-          stride;
-          total;
-          top_code = total - 1;
-          plane = Psn_clocks.Stamp_plane.backing sp;
-          ev_base;
-          row_off;
-        }
-
-(* --- growable flat int buffer (frontiers and candidate lists) --- *)
+(* --- growable flat int buffer (frontiers) --- *)
 
 module Ibuf = struct
   type t = { mutable a : int array; mutable len : int }
@@ -169,71 +80,153 @@ module Ibuf = struct
     end
 end
 
-(* --- visited table: dense byte plane or open-addressing int set --- *)
+(* --- per-level dedup map: cut code -> entry offset --- *)
 
-type visited =
-  | Dense of Bytes.t
-  | Sparse of sparse
+module Level_map = struct
+  (* A fixed odd multiplier per process for hashed codes (a splitmix-style
+     finalizer of the process index). *)
+  let hash_mix i =
+    let z = (i + 1) * 0x1E3779B97F4A7C15 in
+    let z = (z lxor (z lsr 31)) * 0x2545F4914F6CDD1D in
+    (z lxor (z lsr 29)) land max_int lor 1
 
-and sparse = { mutable keys : int array; mutable mask : int; mutable size : int }
+  (* Open addressing over interleaved slots: [slots.(2s)] holds a code
+     and [slots.(2s + 1)] its entry offset, negative when the slot is
+     empty — so codes may take any value, and a probe touches one cache
+     line. *)
+  type t = { mutable slots : int array; mutable size : int }
 
-let visited_create total =
-  if total <= dense_limit then Dense (Bytes.make total '\000')
-  else Sparse { keys = Array.make 4096 (-1); mask = 4095; size = 0 }
+  let create () = { slots = Array.make 32 (-1); size = 0 }
 
-(* Fibonacci hashing on the code; [land mask] keeps the slot in range
-   whatever the sign of the multiply's wrapped result. *)
-let[@inline] sparse_start code mask = ((code * 0x2545F4914F6CDD1D) lsr 17) land mask
+  let[@inline] start code mask = ((code * 0x2545F4914F6CDD1D) lsr 17) land mask
 
-let sparse_grow s =
-  let old = s.keys in
-  let cap = 2 * Array.length old in
-  let keys = Array.make cap (-1) in
-  let mask = cap - 1 in
-  Array.iter
-    (fun code ->
-      if code >= 0 then begin
-        let i = ref (sparse_start code mask) in
-        while keys.(!i) >= 0 do
+  (* Four slots per expected entry: a level is usually about as wide as
+     the one it grows from, and [find_or_add] grows the table past half
+     load anyway.  A table far larger than the hint is reallocated so
+     that emptying it stays proportional to the walk's current width. *)
+  let reset t ~hint =
+    let want = ref 16 in
+    while !want < 4 * hint do
+      want := 2 * !want
+    done;
+    let cap = Array.length t.slots / 2 in
+    if cap < !want || cap > 4 * !want then t.slots <- Array.make (2 * !want) (-1)
+    else Array.fill t.slots 0 (2 * cap) (-1);
+    t.size <- 0
+
+  let grow t =
+    let old = t.slots in
+    let cap = Array.length old in
+    let mask = cap - 1 in
+    let slots = Array.make (2 * cap) (-1) in
+    for s = 0 to (cap / 2) - 1 do
+      let off = old.((2 * s) + 1) in
+      if off >= 0 then begin
+        let code = old.(2 * s) in
+        let i = ref (start code mask) in
+        while slots.((2 * !i) + 1) >= 0 do
           i := (!i + 1) land mask
         done;
-        keys.(!i) <- code
-      end)
-    old;
-  s.keys <- keys;
-  s.mask <- mask
+        slots.(2 * !i) <- code;
+        slots.((2 * !i) + 1) <- off
+      end
+    done;
+    t.slots <- slots
 
-(* Mark [code] visited; [true] iff it was not already. *)
-let visited_add visited code =
-  match visited with
-  | Dense b ->
-      Bytes.unsafe_get b code = '\000'
-      && begin
-           Bytes.unsafe_set b code '\001';
-           true
-         end
-  | Sparse s ->
-      if 2 * (s.size + 1) >= Array.length s.keys then sparse_grow s;
-      let keys = s.keys and mask = s.mask in
-      let i = ref (sparse_start code mask) in
-      let k = ref (Array.unsafe_get keys !i) in
-      while !k >= 0 && !k <> code do
-        i := (!i + 1) land mask;
-        k := Array.unsafe_get keys !i
-      done;
-      !k <> code
-      && begin
-           Array.unsafe_set keys !i code;
-           s.size <- s.size + 1;
-           true
-         end
+  (* Whether the entry at [off] of [buf] holds the parent entry at [o] of
+     [src] advanced by one event of process [i]. *)
+  let[@inline] is_successor (buf : int array) off (src : int array) o i n =
+    let j = ref 0 in
+    while
+      !j < n
+      && Array.unsafe_get buf (off + 1 + !j)
+         = Array.unsafe_get src (o + 1 + !j) + if !j = i then 1 else 0
+    do
+      incr j
+    done;
+    !j = n
+
+  let find_or_add t ~exact ~n (buf : int array) q (src : int array) o i code =
+    if 4 * (t.size + 1) > Array.length t.slots then grow t;
+    let slots = t.slots in
+    let mask = (Array.length slots / 2) - 1 in
+    let s = ref (2 * start code mask) in
+    let res = ref (-2) in
+    while !res = -2 do
+      let off = Array.unsafe_get slots (!s + 1) in
+      if off < 0 then begin
+        Array.unsafe_set slots !s code;
+        Array.unsafe_set slots (!s + 1) q;
+        t.size <- t.size + 1;
+        res := -1
+      end
+      else if
+        Array.unsafe_get slots !s = code && (exact || is_successor buf off src o i n)
+      then res := off
+      else s := (!s + 2) land ((2 * mask) + 1)
+    done;
+    !res
+end
+
+(* --- plans --- *)
+
+let make_plan ~lens ~plane ~row_off =
+  let n = Array.length lens in
+  let exact, mix =
+    match box_size lens with
+    | Exact _ ->
+        let stride = Array.make n 1 in
+        for i = 1 to n - 1 do
+          stride.(i) <- stride.(i - 1) * (lens.(i - 1) + 1)
+        done;
+        (true, stride)
+    | At_least _ -> (false, Array.init n Level_map.hash_mix)
+  in
+  let top_code = ref 0 in
+  Array.iteri (fun i len -> top_code := (!top_code + (len * mix.(i))) land max_int) lens;
+  let ev_base = Array.make n 0 in
+  for i = 1 to n - 1 do
+    ev_base.(i) <- ev_base.(i - 1) + lens.(i - 1)
+  done;
+  { n; lens; exact; mix; top_code = !top_code; plane; ev_base; row_off }
+
+let plan_of_stamps (stamps : stamps) : plan =
+  let n = Array.length stamps in
+  let events = Array.fold_left (fun acc evs -> acc + Array.length evs) 0 stamps in
+  let plane = Array.make (events * n) 0 in
+  let row_off = Array.make events 0 in
+  let e = ref 0 in
+  Array.iter
+    (Array.iter (fun v ->
+         let off = !e * n in
+         row_off.(!e) <- off;
+         Array.blit v 0 plane off n;
+         incr e))
+    stamps;
+  make_plan ~lens:(Array.map Array.length stamps) ~plane ~row_off
+
+(* Consume a live [Stamp_plane] directly: [handles.(i).(k)] is the stamp
+   of process i's (k+1)-th event, and the plan's [plane] is the arena's
+   backing array — no copy.  The backing reference is captured now; a
+   later growing [alloc] replaces the arena's array, but growth blits,
+   so reads of the already-allocated rows named here stay correct.
+   [reset] of the arena, however, invalidates the plan with its
+   handles.  Assumes the caller validated the handles
+   ([Lattice.validate_plane]). *)
+let plan_of_plane (sp : Psn_clocks.Stamp_plane.t)
+    ~(handles : Psn_clocks.Stamp_plane.handle array array) : plan =
+  make_plan
+    ~lens:(Array.map Array.length handles)
+    ~plane:(Psn_clocks.Stamp_plane.backing sp)
+    ~row_off:(Array.concat (Array.to_list handles))
 
 (* --- frontier expansion --- *)
 
 (* Consistency of the single-event extension of the entry at [o] by
    process [i] whose next event index is [ci]: the new event's stamp
    must lie componentwise inside the extended cut (own component
-   excepted). *)
+   excepted).  Intrinsic to the extended cut: any consistent parent
+   gives the same answer. *)
 let[@inline] extension_ok plan (src : int array) o i ci =
   let n = plan.n in
   let off = Array.unsafe_get plan.row_off (Array.unsafe_get plan.ev_base i + ci) in
@@ -249,174 +242,92 @@ let[@inline] extension_ok plan (src : int array) o i ci =
   done;
   !ok
 
-(* Append the successor entry (parent at [src.(o)], process [i] advanced
-   to [ci + 1], packed code [code']) to [nx]. *)
-let[@inline] append_successor plan (src : int array) o i ci code' (nx : Ibuf.t) =
-  let n = plan.n in
-  Ibuf.ensure nx (n + 1);
-  let b = nx.Ibuf.a and q = nx.Ibuf.len in
-  Array.unsafe_set b q code';
-  for t = 0 to n - 1 do
-    Array.unsafe_set b (q + 1 + t) (Array.unsafe_get src (o + 1 + t))
+(* Squeeze out the entries [expand] dropped (code slot -1). *)
+let compact (nx : Ibuf.t) esz =
+  let b = nx.Ibuf.a in
+  let w = ref 0 in
+  let r = ref 0 in
+  while !r < nx.Ibuf.len do
+    if b.(!r) >= 0 then begin
+      if !w < !r then Array.blit b !r b !w esz;
+      w := !w + esz
+    end;
+    r := !r + esz
   done;
-  Array.unsafe_set b (q + 1 + i) (ci + 1);
-  nx.Ibuf.len <- q + n + 1
+  nx.Ibuf.len <- !w
 
-(* Fused sequential expansion of one frontier entry: generate, dedup,
-   and append unseen consistent successors to [nx] in one pass. *)
-let expand_entry plan visited (src : int array) o (nx : Ibuf.t) =
+(* Build level L + 1 ([nx]) from level L ([f]): consistent successors,
+   each once, in (entry, process) order, at most [budget] of them.  The
+   consistency check comes first, so the level and its map hold
+   consistent cuts only.  A successor [keep] rejects stays in the map,
+   so its other parents skip it without asking [keep] again, and is
+   squeezed out once the level is complete. *)
+let expand plan map ~keep ~budget (f : Ibuf.t) (nx : Ibuf.t) =
   let n = plan.n in
-  let lens = plan.lens and stride = plan.stride in
-  let code = Array.unsafe_get src o in
-  for i = 0 to n - 1 do
-    let ci = Array.unsafe_get src (o + 1 + i) in
-    if ci < Array.unsafe_get lens i then begin
-      let code' = code + Array.unsafe_get stride i in
-      if visited_add visited code' && extension_ok plan src o i ci then
-        append_successor plan src o i ci code' nx
-    end
-  done
+  let esz = n + 1 in
+  let lens = plan.lens and mix = plan.mix in
+  Ibuf.clear nx;
+  Level_map.reset map ~hint:(f.Ibuf.len / esz);
+  let live = ref 0 in
+  let dropped = ref false in
+  let src = f.Ibuf.a in
+  let o = ref 0 in
+  while !o < f.Ibuf.len && !live < budget do
+    let code = Array.unsafe_get src !o in
+    let i = ref 0 in
+    while !i < n && !live < budget do
+      let ci = Array.unsafe_get src (!o + 1 + !i) in
+      if ci < Array.unsafe_get lens !i && extension_ok plan src !o !i ci then begin
+        let code' = (code + Array.unsafe_get mix !i) land max_int in
+        let q = nx.Ibuf.len in
+        if Level_map.find_or_add map ~exact:plan.exact ~n nx.Ibuf.a q src !o !i code' < 0
+        then begin
+          Ibuf.ensure nx esz;
+          let b = nx.Ibuf.a in
+          Array.unsafe_set b q code';
+          for j = 1 to n do
+            Array.unsafe_set b (q + j) (Array.unsafe_get src (!o + j))
+          done;
+          Array.unsafe_set b (q + 1 + !i) (ci + 1);
+          nx.Ibuf.len <- q + esz;
+          if keep b q then incr live
+          else begin
+            Array.unsafe_set b q (-1);
+            dropped := true
+          end
+        end
+      end;
+      incr i
+    done;
+    o := !o + esz
+  done;
+  if !dropped then compact nx esz
 
-(* Candidate generation only (no dedup): used by the parallel path,
-   where workers must not touch the visited table.  Emits consistent
-   successors in (entry, process) order. *)
-let push_candidates plan (src : int array) o (out : Ibuf.t) =
-  let n = plan.n in
-  let lens = plan.lens and stride = plan.stride in
-  let code = Array.unsafe_get src o in
-  for i = 0 to n - 1 do
-    let ci = Array.unsafe_get src (o + 1 + i) in
-    if
-      ci < Array.unsafe_get lens i
-      && extension_ok plan src o i ci
-    then append_successor plan src o i ci (code + Array.unsafe_get stride i) out
-  done
-
-(* Below this many frontier entries the domain-pool dispatch costs more
-   than the consistency checks it spreads. *)
-let par_threshold = 128
-
-(* Parallel candidate generation: the frontier splits into
-   index-contiguous chunks mapped on the domain pool; chunk outputs
-   concatenate in chunk order, giving the same candidate sequence as a
-   sequential scan. *)
-let generate_parallel plan (f : Ibuf.t) (cand : Ibuf.t) =
-  let esz = plan.n + 1 in
-  let entries = f.Ibuf.len / esz in
-  let d = Psn_util.Parallel.default_domains () in
-  let nchunks = max 1 (min entries (d * 4)) in
-  let per = (entries + nchunks - 1) / nchunks in
-  let chunks =
-    Array.init nchunks (fun c -> (c * per, min entries ((c + 1) * per)))
-  in
-  let parts =
-    Psn_util.Parallel.map_array
-      (fun (lo, hi) ->
-        let out = Ibuf.create (max 16 ((hi - lo) * esz)) in
-        for e = lo to hi - 1 do
-          push_candidates plan f.Ibuf.a (e * esz) out
-        done;
-        (out.Ibuf.a, out.Ibuf.len))
-      chunks
-  in
-  Array.iter
-    (fun (a, len) ->
-      Ibuf.ensure cand len;
-      Array.blit a 0 cand.Ibuf.a cand.Ibuf.len len;
-      cand.Ibuf.len <- cand.Ibuf.len + len)
-    parts
-
-(* Observability hook: called once per BFS level with the frontier's
-   entry count, from every walk driver (count/walk/is_chain/modalities).
-   A plain ref so this library keeps its dependency set; [None] costs one
-   branch per level, nothing per entry.  Not domain-safe: install only
-   around sequential walks. *)
+(* Observability hook: called once per expanded BFS level with the
+   frontier's entry count.  A plain ref so this library keeps its
+   dependency set; [None] costs one branch per level, nothing per entry.
+   Not domain-safe: install only around sequential walks. *)
 let frontier_probe : (int -> unit) option ref = ref None
 
-(* Expand a whole frontier level into [nx].  [cand] is the reusable
-   scratch of the parallel path.  Sequential and parallel paths build
-   byte-identical next frontiers. *)
-let expand_level plan visited ~parallel (f : Ibuf.t) (nx : Ibuf.t)
-    (cand : Ibuf.t) =
-  let esz = plan.n + 1 in
-  (match !frontier_probe with
-  | Some probe -> probe (f.Ibuf.len / esz)
-  | None -> ());
-  Ibuf.clear nx;
-  if (not parallel) || f.Ibuf.len / esz < par_threshold then begin
-    let o = ref 0 in
-    while !o < f.Ibuf.len do
-      expand_entry plan visited f.Ibuf.a !o nx;
-      o := !o + esz
-    done
-  end
-  else begin
-    Ibuf.clear cand;
-    generate_parallel plan f cand;
-    let p = ref 0 in
-    while !p < cand.Ibuf.len do
-      if visited_add visited (Array.unsafe_get cand.Ibuf.a !p) then begin
-        Ibuf.ensure nx esz;
-        Array.blit cand.Ibuf.a !p nx.Ibuf.a nx.Ibuf.len esz;
-        nx.Ibuf.len <- nx.Ibuf.len + esz
-      end;
-      p := !p + esz
-    done
-  end
+(* --- the walk driver --- *)
 
-let seed_bottom plan (f : Ibuf.t) =
+(* Visit every cut [keep] admits, level by level: [visit buf off] sees
+   the entry at [off] of [buf] (code, then components).  Cuts [keep]
+   rejects are neither visited nor expanded.  The verdict is [At_least
+   cap] as soon as the cap-th cut is visited, even if nothing was left
+   to expand. *)
+let walk plan ?(cap = default_cap) ?(keep = fun _ _ -> true) visit =
   let esz = plan.n + 1 in
-  Ibuf.ensure f esz;
-  Array.fill f.Ibuf.a 0 esz 0;
-  f.Ibuf.len <- esz
-
-(* --- walk drivers --- *)
-
-(* Count-only walk: no per-cut callback at all — the cap check is
-   per-level arithmetic.  Mirrors the generic cap semantics: the walk
-   reports [At_least cap] as soon as the cap-th cut is visited, even if
-   nothing was left to explore. *)
-let count plan ?(cap = default_cap) ?(parallel = false) () =
-  let frontier = ref (Ibuf.create 64) in
-  let next = ref (Ibuf.create 64) in
-  let cand = Ibuf.create 16 in
-  seed_bottom plan !frontier;
-  let visited = visited_create plan.total in
-  ignore (visited_add visited 0);
-  let esz = plan.n + 1 in
+  let cur = ref (Ibuf.create 64) and nxt = ref (Ibuf.create 64) in
+  let map = Level_map.create () in
+  (* ⊥: code 0, every component 0 *)
+  Ibuf.ensure !cur esz;
+  Array.fill !cur.Ibuf.a 0 esz 0;
+  if keep !cur.Ibuf.a 0 then !cur.Ibuf.len <- esz;
   let count = ref 0 in
   let capped = ref false in
-  while !frontier.Ibuf.len > 0 && not !capped do
-    let f = !frontier in
-    let entries = f.Ibuf.len / esz in
-    if !count + entries >= cap then begin
-      count := cap;
-      capped := true
-    end
-    else begin
-      count := !count + entries;
-      expand_level plan visited ~parallel f !next cand;
-      let tmp = !frontier in
-      frontier := !next;
-      next := tmp
-    end
-  done;
-  if !capped then At_least !count else Exact !count
-
-(* Visiting walk: [visit buf off] sees each consistent cut exactly once,
-   in the generic walk's order (entry = code :: components). *)
-let walk plan ?(cap = default_cap) ?(parallel = false) visit =
-  let frontier = ref (Ibuf.create 64) in
-  let next = ref (Ibuf.create 64) in
-  let cand = Ibuf.create 16 in
-  seed_bottom plan !frontier;
-  let visited = visited_create plan.total in
-  ignore (visited_add visited 0);
-  let esz = plan.n + 1 in
-  let count = ref 0 in
-  let capped = ref false in
-  while !frontier.Ibuf.len > 0 && not !capped do
-    let f = !frontier in
+  while !cur.Ibuf.len > 0 && not !capped do
+    let f = !cur in
     let o = ref 0 in
     while (not !capped) && !o < f.Ibuf.len do
       visit f.Ibuf.a !o;
@@ -424,171 +335,91 @@ let walk plan ?(cap = default_cap) ?(parallel = false) visit =
       if !count >= cap then capped := true;
       o := !o + esz
     done;
-    if !capped then f.Ibuf.len <- 0
-    else begin
-      expand_level plan visited ~parallel f !next cand;
-      let tmp = !frontier in
-      frontier := !next;
-      next := tmp
+    if not !capped then begin
+      (match !frontier_probe with
+      | Some probe -> probe (f.Ibuf.len / esz)
+      | None -> ());
+      expand plan map ~keep ~budget:(cap - !count) f !nxt;
+      cur := !nxt;
+      nxt := f
     end
   done;
   if !capped then At_least !count else Exact !count
 
+let count plan ?cap () = walk plan ?cap (fun _ _ -> ())
+
 (* Enumerate in visit order; each cut is a fresh array (the public
    [Lattice.consistent_cuts] contract). *)
-let cuts plan ?cap ?parallel () =
+let cuts plan ?cap () =
   let n = plan.n in
   let acc = ref [] in
-  let verdict =
-    walk plan ?cap ?parallel (fun buf o -> acc := Array.sub buf (o + 1) n :: !acc)
-  in
+  let verdict = walk plan ?cap (fun buf o -> acc := Array.sub buf (o + 1) n :: !acc) in
   (List.rev !acc, verdict)
-
-(* The consistent cuts form a chain iff every BFS level holds exactly
-   one cut (the sublattice always reaches ⊤, and a single level-(k+1)
-   cut is a superset of the single level-k cut).  Matches the generic
-   [is_chain]: any level with two cuts has an incomparable pair, and a
-   capped walk reports [false]. *)
-let is_chain plan ?(cap = default_cap) () =
-  let frontier = ref (Ibuf.create 64) in
-  let next = ref (Ibuf.create 64) in
-  let cand = Ibuf.create 16 in
-  seed_bottom plan !frontier;
-  let visited = visited_create plan.total in
-  ignore (visited_add visited 0);
-  let esz = plan.n + 1 in
-  let count = ref 0 in
-  let result = ref true in
-  let continue = ref true in
-  while !continue && !frontier.Ibuf.len > 0 do
-    let f = !frontier in
-    incr count;
-    if f.Ibuf.len > esz || !count >= cap then begin
-      (* two same-level cuts are incomparable; a capped walk is [false]
-         just as the generic [At_least] verdict is *)
-      result := false;
-      continue := false
-    end
-    else begin
-      expand_level plan visited ~parallel:false f !next cand;
-      let tmp = !frontier in
-      frontier := !next;
-      next := tmp
-    end
-  done;
-  !result
-
-(* --- fused modalities (Cooper–Marzullo over the packed walk) --- *)
 
 exception Early of bool
 
-(* Possibly(φ): walk every consistent cut, stop at the first φ-cut.
-   The scratch cut handed to [holds] is reused between calls. *)
-let possibly plan ?cap ?parallel ~holds () : bool option =
+(* The consistent cuts form a chain iff every BFS level holds exactly
+   one cut, i.e. iff the k-th visited cut has level k: levels are
+   visited in order and none is skipped, so the first mismatch is a
+   second cut on one level — an incomparable pair.  A capped walk is
+   [false]. *)
+let is_chain plan ?cap () =
+  let n = plan.n in
+  let visited = ref 0 in
+  match
+    walk plan ?cap (fun buf o ->
+        let level = ref 0 in
+        for j = 1 to n do
+          level := !level + Array.unsafe_get buf (o + j)
+        done;
+        if !level <> !visited then raise_notrace (Early false);
+        incr visited)
+  with
+  | Exact _ -> true
+  | At_least _ -> false
+  | exception Early chain -> chain
+
+(* --- modalities (Cooper–Marzullo over the packed walk) --- *)
+
+(* Possibly(φ): stop at the first φ-cut.  The scratch cut handed to
+   [holds] is reused between calls. *)
+let possibly plan ?cap ~holds () : bool option =
   let n = plan.n in
   let scratch = Array.make n 0 in
   match
-    walk plan ?cap ?parallel (fun buf o ->
+    walk plan ?cap (fun buf o ->
         Array.blit buf (o + 1) scratch 0 n;
         if holds scratch then raise_notrace (Early true))
   with
   | Exact _ -> Some false
   | At_least _ -> None
-  | exception Early _ -> Some true
+  | exception Early found -> Some found
+
+let is_top plan (buf : int array) o =
+  buf.(o) = plan.top_code
+  && (plan.exact
+     ||
+     let j = ref 0 in
+     while !j < plan.n && buf.(o + 1 + !j) = plan.lens.(!j) do
+       incr j
+     done;
+     !j = plan.n)
 
 (* Definitely(φ): walk only ¬φ-cuts; Definitely fails iff ⊤ is reachable
    from ⊥ through ¬φ-cuts only (including the degenerate ⊥ = ⊤ case).
-   φ-cuts are pruned as candidates merge into the next frontier — so the
-   walk dies out early once every path is blocked — and reaching ⊤ stops
-   it immediately with [Some false].  [holds] always runs on the calling
-   domain, also in parallel mode. *)
-let definitely plan ?(cap = default_cap) ?(parallel = false) ~holds () :
-    bool option =
+   φ-cuts are dropped as they are generated, so the walk dies out once
+   every path is blocked, and reaching ⊤ stops it at once. *)
+let definitely plan ?cap ~holds () : bool option =
   let n = plan.n in
-  let esz = n + 1 in
   let scratch = Array.make n 0 in
-  let holds_entry buf o =
+  let keep buf o =
     Array.blit buf (o + 1) scratch 0 n;
-    holds scratch
+    not (holds scratch)
   in
-  let frontier = ref (Ibuf.create 64) in
-  let next = ref (Ibuf.create 64) in
-  let cand = Ibuf.create 64 in
-  seed_bottom plan !frontier;
-  if holds_entry !frontier.Ibuf.a 0 then
-    (* ⊥ satisfies φ: every observation starts there *)
-    Some true
-  else begin
-    let visited = visited_create plan.total in
-    ignore (visited_add visited 0);
-    let count = ref 0 in
-    let capped = ref false in
-    (* Expand one level, keeping only ¬φ successors.  Parallel mode
-       generates consistency-checked candidates on the pool, then
-       dedups and filters sequentially — same frontier, same order. *)
-    let expand_filtered (f : Ibuf.t) (nx : Ibuf.t) =
-      Ibuf.clear nx;
-      if (not parallel) || f.Ibuf.len / esz < par_threshold then begin
-        let o = ref 0 in
-        while !o < f.Ibuf.len do
-          let src = f.Ibuf.a in
-          let code = Array.unsafe_get src !o in
-          for i = 0 to n - 1 do
-            let ci = Array.unsafe_get src (!o + 1 + i) in
-            if ci < Array.unsafe_get plan.lens i then begin
-              let code' = code + Array.unsafe_get plan.stride i in
-              if
-                visited_add visited code'
-                && extension_ok plan src !o i ci
-              then begin
-                append_successor plan src !o i ci code' nx;
-                (* evaluate φ on the entry just appended; drop it again
-                   if φ holds (the cut is a blocked path) *)
-                let q = nx.Ibuf.len - esz in
-                if holds_entry nx.Ibuf.a q then nx.Ibuf.len <- q
-              end
-            end
-          done;
-          o := !o + esz
-        done
-      end
-      else begin
-        Ibuf.clear cand;
-        generate_parallel plan f cand;
-        let p = ref 0 in
-        while !p < cand.Ibuf.len do
-          if
-            visited_add visited (Array.unsafe_get cand.Ibuf.a !p)
-            && not (holds_entry cand.Ibuf.a !p)
-          then begin
-            Ibuf.ensure nx esz;
-            Array.blit cand.Ibuf.a !p nx.Ibuf.a nx.Ibuf.len esz;
-            nx.Ibuf.len <- nx.Ibuf.len + esz
-          end;
-          p := !p + esz
-        done
-      end
-    in
-    match
-      while !frontier.Ibuf.len > 0 && not !capped do
-        let f = !frontier in
-        let o = ref 0 in
-        while (not !capped) && !o < f.Ibuf.len do
-          if Array.unsafe_get f.Ibuf.a !o = plan.top_code then
-            raise_notrace (Early false);
-          incr count;
-          if !count >= cap then capped := true;
-          o := !o + esz
-        done;
-        if !capped then f.Ibuf.len <- 0
-        else begin
-          expand_filtered f !next;
-          let tmp = !frontier in
-          frontier := !next;
-          next := tmp
-        end
-      done
-    with
-    | () -> if !capped then None else Some true
-    | exception Early _ -> Some false
-  end
+  match
+    walk plan ?cap ~keep (fun buf o ->
+        if is_top plan buf o then raise_notrace (Early false))
+  with
+  | Exact _ -> Some true
+  | At_least _ -> None
+  | exception Early definite -> Some definite

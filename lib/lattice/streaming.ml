@@ -29,14 +29,14 @@
        components >= the frontier's componentwise min).  When the arena
        holds more than twice the live window it is reset (O(1)) and the
        live window re-allocated — amortized O(1) per event;
-     - dedup map: rebuilt per expansion, sized to the next frontier.
+     - dedup map: [Packed]'s per-level map, emptied per expansion.
 
    Packed codes are relative to [base]: radix_i = applied_i - base_i + 1
    over the live window, strides recomputed per expansion (O(n)).  When
-   the radix product overflows 62 bits the code lane degrades to a hash
-   of the components and the dedup map compares components on hit —
-   same frontiers, same order ([overflowed] records that this
-   happened). *)
+   the radix product overflows 62 bits the strides become [Packed]'s
+   per-process hash multipliers and the map compares components on a
+   code match — same frontiers, same order ([overflowed] records that
+   this happened). *)
 
 module Stamp_plane = Psn_clocks.Stamp_plane
 
@@ -72,9 +72,7 @@ type t = {
   mutable cur : Ibuf.t;       (* committed level [level] *)
   mutable nxt : Ibuf.t;
   mutable level : int;
-  (* dedup scratch, rebuilt per expansion *)
-  mutable keys : int array;   (* code -> entry offset map; -1 empty *)
-  mutable vals : int array;
+  map : Packed.Level_map.t;   (* dedup of the level being built *)
   (* radix/stride scratch *)
   stride : int array;
   scratch : int array;        (* cut handed to [holds] *)
@@ -149,41 +147,6 @@ let compact t =
     done
   end
 
-(* --- dedup map --- *)
-
-let map_ensure t entries =
-  let need = ref 16 in
-  while !need < 4 * entries do
-    need := !need * 2
-  done;
-  if Array.length t.keys < !need then begin
-    t.keys <- Array.make !need (-1);
-    t.vals <- Array.make !need 0
-  end
-  else Array.fill t.keys 0 (Array.length t.keys) (-1)
-
-let[@inline] map_start code mask = ((code * 0x2545F4914F6CDD1D) lsr 17) land mask
-
-(* Probe for [code]; when present return the stored entry offset, else
-   insert [off] and return -1.  In overflow mode codes are hashes, so a
-   hit additionally compares components at the stored offset. *)
-let map_find_or_add t code off ~check =
-  let keys = t.keys and vals = t.vals in
-  let mask = Array.length keys - 1 in
-  let i = ref (map_start code mask) in
-  let res = ref (-2) in
-  while !res = -2 do
-    let k = keys.(!i) in
-    if k < 0 then begin
-      keys.(!i) <- code;
-      vals.(!i) <- off;
-      res := -1
-    end
-    else if k = code && check vals.(!i) then res := vals.(!i)
-    else i := (!i + 1) land mask
-  done;
-  !res
-
 (* --- expansion --- *)
 
 (* Consistency of extending the cut at [src+o] by event (i, ci): the
@@ -200,26 +163,19 @@ let extension_ok t (src : int array) o i ci =
   done;
   !ok
 
-(* Relative packed code of the entry at [src+o] under the current
-   base/stride; meaningful only within one expansion. *)
+(* Code of the entry at [src+o] relative to the current base, under
+   the current strides; meaningful only within one expansion.  A
+   successor by process i adds [stride.(i)]. *)
 let code_of t (src : int array) o =
-  if t.overflowed then begin
-    let h = ref 0x1E3779B97F4A7C15 in
-    for j = 0 to t.n - 1 do
-      h := (!h lxor (src.(o + 1 + j) * 0x2545F4914F6CDD1D)) * 0x100000001B3
-    done;
-    !h land max_int
-  end
-  else begin
-    let c = ref 0 in
-    for j = 0 to t.n - 1 do
-      c := !c + ((src.(o + 1 + j) - t.base.(j)) * t.stride.(j))
-    done;
-    !c
-  end
+  let c = ref 0 in
+  for j = 0 to t.n - 1 do
+    c := !c + ((src.(o + 1 + j) - t.base.(j)) * t.stride.(j))
+  done;
+  !c land max_int
 
-(* Recompute strides for the live window; engages the overflow fallback
-   when Π radices would exceed a tagged int. *)
+(* Recompute mixed-radix strides for the live window; once Π radices
+   would exceed a tagged int, the strides become [Packed]'s hash
+   multipliers for good. *)
 let refresh_strides t =
   if not t.overflowed then begin
     let total = ref 1 in
@@ -229,6 +185,9 @@ let refresh_strides t =
       let radix = t.applied.(!j) - t.base.(!j) + 2 in
       if !total > max_int / radix then begin
         t.overflowed <- true;
+        for i = 0 to t.n - 1 do
+          t.stride.(i) <- Packed.Level_map.hash_mix i
+        done;
         j := t.n
       end
       else begin
@@ -265,39 +224,25 @@ let expand t =
   refresh_strides t;
   let f = t.cur and nx = t.nxt in
   Ibuf.clear nx;
-  map_ensure t (entry_count t f * n);
-  let check_off code off entry_off =
-    (* overflow mode: codes are hashes, confirm by components *)
-    ignore code;
-    let ok = ref true in
-    let j = ref 0 in
-    while !ok && !j < n do
-      if nx.Ibuf.a.(entry_off + 1 + !j) <> nx.Ibuf.a.(off + 1 + !j) then
-        ok := false;
-      incr j
-    done;
-    !ok
-  in
+  Packed.Level_map.reset t.map ~hint:(entry_count t f);
   let o = ref 0 in
   while (not t.capped) && !o < f.Ibuf.len do
     let src = f.Ibuf.a in
     let parent_nphi = src.(!o) land flag_nphi_path <> 0 in
+    let code = code_of t src !o in
     for i = 0 to n - 1 do
       let ci = src.(!o + 1 + i) in
       if ci < t.applied.(i) && extension_ok t src !o i ci then begin
-        (* stage the candidate at the end of [nx] so the dedup check can
-           compare components in place *)
-        Ibuf.ensure nx esz;
         let q = nx.Ibuf.len in
-        let b = nx.Ibuf.a in
-        Array.blit src (!o + 1) b (q + 1) n;
-        b.(q + 1 + i) <- ci + 1;
-        let code = code_of t b q in
         let hit =
-          map_find_or_add t code q ~check:(fun off ->
-              (not t.overflowed) || check_off code off q)
+          Packed.Level_map.find_or_add t.map ~exact:(not t.overflowed) ~n
+            nx.Ibuf.a q src !o i
+            ((code + t.stride.(i)) land max_int)
         in
         if hit < 0 then begin
+          Ibuf.ensure nx esz;
+          Array.blit src (!o + 1) nx.Ibuf.a (q + 1) n;
+          nx.Ibuf.a.(q + 1 + i) <- ci + 1;
           nx.Ibuf.len <- q + esz;
           seal_entry t nx q ~parent_nphi
         end
@@ -413,8 +358,7 @@ let create ~n ?(cap = 1_000_000) ?(on_edge = fun _ -> ()) ~holds () =
       cur = Ibuf.create 64;
       nxt = Ibuf.create 64;
       level = 0;
-      keys = Array.make 16 (-1);
-      vals = Array.make 16 0;
+      map = Packed.Level_map.create ();
       stride = Array.make n 0;
       scratch = Array.make n 0;
       committed = 0;

@@ -64,9 +64,11 @@ let chain_stamps ~n ~k =
           counter.(i) <- counter.(i) + 1;
           Array.copy counter))
 
+let verdict_t = Alcotest.testable Lattice.pp_verdict ( = )
+
 let test_lattice_independent_count () =
   let stamps = independent ~n:3 ~k:2 in
-  Alcotest.(check int) "total" 27 (Lattice.total_cuts stamps);
+  Alcotest.check verdict_t "total" (Lattice.Exact 27) (Lattice.total_cuts stamps);
   (match Lattice.count_consistent stamps with
   | Lattice.Exact n -> Alcotest.(check int) "all consistent" 27 n
   | Lattice.At_least _ -> Alcotest.fail "capped");
@@ -90,7 +92,7 @@ let test_lattice_message_prunes () =
   (* Inconsistent cuts: those including p1's events without p0's first. *)
   match Lattice.count_consistent stamps with
   | Lattice.Exact n ->
-      Alcotest.(check int) "total" 9 (Lattice.total_cuts stamps);
+      Alcotest.check verdict_t "total" (Lattice.Exact 9) (Lattice.total_cuts stamps);
       Alcotest.(check int) "pruned" 7 n
   | Lattice.At_least _ -> Alcotest.fail "capped"
 
@@ -197,10 +199,94 @@ let test_lattice_bounds =
       let n = 3 and k = 3 in
       let stamps = random_stamps ~seed ~n ~k in
       match Lattice.count_consistent stamps with
-      | Lattice.Exact c -> c >= (n * k) + 1 && c <= Lattice.total_cuts stamps
+      | Lattice.Exact c ->
+          c >= (n * k) + 1 && c <= Lattice.verdict_count (Lattice.total_cuts stamps)
       | Lattice.At_least _ -> false)
 
-(* --- packed engine vs generic array-cut oracle --- *)
+(* --- the array-cut reference walk --- *)
+
+(* Cuts hashed on every component: [Hashtbl.hash] reads at most ten, so
+   wider cuts differing only further right would all collide. *)
+module Cut_set = Hashtbl.Make (struct
+  type t = Cut.t
+
+  let equal = Cut.equal
+  let hash = Hashtbl.hash_param 256 256
+end)
+
+(* The differential reference for the packed engine: a FIFO walk over
+   fresh array cuts with a visited set of whole cuts, each successor
+   checked with [Lattice.is_consistent].  [admit] filters successors
+   before they are queued (Definitely's ¬φ walk).  Visits, then counts,
+   then caps: the verdict is [At_least cap] once the cap-th cut is
+   visited. *)
+let reference_walk ?(cap = 2_000_000) ?(admit = fun _ -> true) stamps visit =
+  let lens = Lattice.lens stamps in
+  let seen = Cut_set.create 1024 in
+  let queue = Queue.create () in
+  let bottom = Cut.bottom (Array.length stamps) in
+  if admit bottom then begin
+    Cut_set.replace seen bottom ();
+    Queue.add bottom queue
+  end;
+  let count = ref 0 in
+  let capped = ref false in
+  while not (Queue.is_empty queue) do
+    let cut = Queue.pop queue in
+    incr count;
+    visit cut;
+    if !count >= cap then begin
+      capped := true;
+      Queue.clear queue
+    end
+    else
+      List.iter
+        (fun (_, c) ->
+          if
+            (not (Cut_set.mem seen c)) && Lattice.is_consistent stamps c && admit c
+          then begin
+            Cut_set.replace seen c ();
+            Queue.add c queue
+          end)
+        (Cut.successors ~lens cut)
+  done;
+  if !capped then Lattice.At_least !count else Lattice.Exact !count
+
+let reference_cuts ?cap stamps =
+  let acc = ref [] in
+  let verdict = reference_walk ?cap stamps (fun c -> acc := c :: !acc) in
+  (List.rev !acc, verdict)
+
+(* A chain iff the level-sorted cuts are pairwise ordered; a capped walk
+   is not. *)
+let reference_is_chain (cuts, verdict) =
+  let sorted = List.stable_sort (fun a b -> compare (Cut.level a) (Cut.level b)) cuts in
+  let rec pairwise = function
+    | a :: (b :: _ as rest) -> Cut.leq a b && pairwise rest
+    | [ _ ] | [] -> true
+  in
+  match verdict with Lattice.Exact _ -> pairwise sorted | Lattice.At_least _ -> false
+
+let reference_possibly ?cap stamps ~holds =
+  let found = ref false in
+  match reference_walk ?cap stamps (fun c -> if holds c then found := true) with
+  | _ when !found -> Some true
+  | Lattice.At_least _ -> None
+  | Lattice.Exact _ -> Some false
+
+let reference_definitely ?cap stamps ~holds =
+  let top = Cut.top (Lattice.lens stamps) in
+  let escaped = ref false in
+  match
+    reference_walk ?cap stamps
+      ~admit:(fun c -> not (holds c))
+      (fun c -> if Cut.equal c top then escaped := true)
+  with
+  | _ when !escaped -> Some false
+  | Lattice.At_least _ -> None
+  | Lattice.Exact _ -> Some true
+
+(* --- stamp-plane executions vs copied stamps --- *)
 
 let same_verdict a b =
   match (a, b) with
@@ -211,83 +297,6 @@ let same_verdict a b =
 let same_cuts xs ys =
   List.length xs = List.length ys && List.for_all2 Cut.equal xs ys
 
-(* The packed walk must reproduce the generic walk bit for bit: same
-   counts, same verdicts, same cut sequence — with and without caps. *)
-let packed_matches_generic ?cap stamps =
-  let pc = Lattice.count_consistent ?cap stamps in
-  let gc = Lattice.count_consistent_generic ?cap stamps in
-  let pcuts, pv = Lattice.consistent_cuts ?cap stamps in
-  let gcuts, gv = Lattice.consistent_cuts_generic ?cap stamps in
-  same_verdict pc gc && same_verdict pv gv && same_cuts pcuts gcuts
-  && Lattice.is_chain ?cap stamps = Lattice.is_chain_generic ?cap stamps
-
-let test_packed_vs_generic =
-  qtest ~count:60 "packed = generic (random executions)" QCheck.int (fun seed ->
-      let stamps = random_stamps ~seed ~n:3 ~k:3 in
-      packed_matches_generic stamps
-      && packed_matches_generic ~cap:7 stamps
-      && packed_matches_generic ~cap:1 stamps)
-
-let test_packed_vs_generic_independent () =
-  (* The no-communication worst case: every cut consistent. *)
-  let stamps = independent ~n:3 ~k:4 in
-  Alcotest.(check bool) "free lattice" true (packed_matches_generic stamps);
-  Alcotest.(check bool) "free lattice capped" true
-    (packed_matches_generic ~cap:100 stamps);
-  (match Lattice.count_consistent stamps with
-  | Lattice.Exact n -> Alcotest.(check int) "5^3" 125 n
-  | Lattice.At_least _ -> Alcotest.fail "capped");
-  (* ... and the chain best case. *)
-  let chain = chain_stamps ~n:3 ~k:4 in
-  Alcotest.(check bool) "chain" true (packed_matches_generic chain);
-  Alcotest.(check bool) "chain capped" true (packed_matches_generic ~cap:5 chain)
-
-let test_packed_overflow_fallback () =
-  (* 63 processes x 1 event: the full lattice has 2^63 cuts — the packed
-     plan must decline and the public API must fall back to the generic
-     walk (capped, but alive). *)
-  let stamps = independent ~n:63 ~k:1 in
-  Alcotest.(check bool) "plan declines" true
-    (Option.is_none (Psn_lattice.Packed.plan_of_stamps stamps));
-  (match Lattice.count_consistent ~cap:100 stamps with
-  | Lattice.At_least n -> Alcotest.(check int) "capped fallback" 100 n
-  | Lattice.Exact _ -> Alcotest.fail "expected cap");
-  let cuts, _ = Lattice.consistent_cuts ~cap:10 stamps in
-  Alcotest.(check int) "fallback enumerates" 10 (List.length cuts)
-
-let test_packed_empty_execution () =
-  let stamps = [| [||]; [||] |] in
-  Alcotest.(check bool) "empty" true (packed_matches_generic stamps);
-  (match Lattice.count_consistent stamps with
-  | Lattice.Exact n -> Alcotest.(check int) "just bottom" 1 n
-  | Lattice.At_least _ -> Alcotest.fail "capped");
-  Alcotest.(check bool) "trivial chain" true (Lattice.is_chain stamps)
-
-(* Parallel frontier expansion must be byte-identical to sequential —
-   same counts, same cut sequence — once frontiers are wide enough to
-   actually engage the domain pool (4x6 independent: levels up to 231
-   cuts wide). *)
-let test_packed_parallel_identical () =
-  Psn_util.Parallel.set_default_domains (Some 2);
-  Fun.protect
-    ~finally:(fun () -> Psn_util.Parallel.set_default_domains None)
-    (fun () ->
-      let stamps = independent ~n:4 ~k:6 in
-      let seq_cuts, seq_v = Lattice.consistent_cuts stamps in
-      let par_cuts, par_v = Lattice.consistent_cuts ~parallel:true stamps in
-      Alcotest.(check bool) "verdicts equal" true (same_verdict seq_v par_v);
-      Alcotest.(check bool) "cut sequences equal" true
-        (same_cuts seq_cuts par_cuts);
-      Alcotest.(check int) "7^4" 2401 (Lattice.verdict_count par_v);
-      (match Lattice.count_consistent ~parallel:true stamps with
-      | Lattice.Exact n -> Alcotest.(check int) "count" 2401 n
-      | Lattice.At_least _ -> Alcotest.fail "capped");
-      (* capped parallel run stops at the same point *)
-      let c1 = Lattice.count_consistent ~cap:700 stamps in
-      let c2 = Lattice.count_consistent ~cap:700 ~parallel:true stamps in
-      Alcotest.(check bool) "capped equal" true (same_verdict c1 c2))
-
-(* --- stamp-plane executions vs copied stamps --- *)
 
 module Sp = Psn_clocks.Stamp_plane
 
@@ -307,6 +316,158 @@ let plane_matches_arrays ?cap stamps =
   && Lattice.is_chain_plane ?cap p handles = Lattice.is_chain ?cap stamps
   && Lattice.stamps_of_plane p handles = stamps
 
+(* --- packed engine vs the reference walk --- *)
+
+(* The packed walk must reproduce the reference bit for bit: same
+   counts, same verdicts, same cut sequence — with and without caps —
+   over copied stamps and over a stamp plane alike. *)
+let packed_matches_reference ?cap stamps =
+  let reference = reference_cuts ?cap stamps in
+  let rcuts, rv = reference in
+  let chain = reference_is_chain reference in
+  let pcuts, pv = Lattice.consistent_cuts ?cap stamps in
+  let p, handles = plane_of_stamps stamps in
+  same_verdict (Lattice.count_consistent ?cap stamps) rv
+  && same_verdict pv rv && same_cuts pcuts rcuts
+  && Lattice.is_chain ?cap stamps = chain
+  && same_verdict (Lattice.count_consistent_plane ?cap p handles) rv
+  && Lattice.is_chain_plane ?cap p handles = chain
+
+module Modal = Psn_lattice.Modal
+
+let modal_matches_reference ?cap stamps ~holds =
+  Modal.possibly ?cap stamps ~holds = reference_possibly ?cap stamps ~holds
+  && Modal.definitely ?cap stamps ~holds = reference_definitely ?cap stamps ~holds
+
+let test_packed_vs_reference =
+  qtest ~count:60 "packed = generic (random executions)" QCheck.int (fun seed ->
+      let stamps = random_stamps ~seed ~n:3 ~k:3 in
+      packed_matches_reference stamps
+      && packed_matches_reference ~cap:7 stamps
+      && packed_matches_reference ~cap:1 stamps)
+
+(* Wider executions, where codes need more components than [Hashtbl.hash]
+   reads: every query, capped, on random 12x2 and 16x2 strobe-like
+   executions, with threshold predicates on two processes. *)
+let test_packed_vs_reference_wide =
+  qtest ~count:15 "packed = reference (random 12x2, 16x2, capped)"
+    QCheck.(quad int small_nat small_nat (int_bound 2))
+    (fun (seed, a, b, t) ->
+      List.for_all
+        (fun n ->
+          let stamps = random_stamps ~seed ~n ~k:2 in
+          let a = a mod n and b = b mod n in
+          let holds (c : Cut.t) = c.(a) >= t && c.(b) < 2 in
+          List.for_all
+            (fun cap ->
+              packed_matches_reference ~cap stamps
+              && modal_matches_reference ~cap stamps ~holds)
+            [ 1; 40; 1_500 ])
+        [ 12; 16 ])
+
+let test_packed_vs_reference_independent () =
+  (* The no-communication worst case: every cut consistent. *)
+  let stamps = independent ~n:3 ~k:4 in
+  Alcotest.(check bool) "free lattice" true (packed_matches_reference stamps);
+  Alcotest.(check bool) "free lattice capped" true
+    (packed_matches_reference ~cap:100 stamps);
+  (match Lattice.count_consistent stamps with
+  | Lattice.Exact n -> Alcotest.(check int) "5^3" 125 n
+  | Lattice.At_least _ -> Alcotest.fail "capped");
+  (* ... and the chain best case. *)
+  let chain = chain_stamps ~n:3 ~k:4 in
+  Alcotest.(check bool) "chain" true (packed_matches_reference chain);
+  Alcotest.(check bool) "chain capped" true (packed_matches_reference ~cap:5 chain)
+
+let test_packed_overflow_fallback () =
+  (* 63 processes x 1 event: the full lattice has 2^63 cuts, past an
+     int, so codes are hashed — the walk must still match the reference
+     (capped), and the box size must say it overflowed. *)
+  let stamps = independent ~n:63 ~k:1 in
+  Alcotest.check verdict_t "box overflows" (Lattice.At_least max_int)
+    (Lattice.total_cuts stamps);
+  (match Lattice.count_consistent ~cap:100 stamps with
+  | Lattice.At_least n -> Alcotest.(check int) "capped" 100 n
+  | Lattice.Exact _ -> Alcotest.fail "expected cap");
+  let cuts, _ = Lattice.consistent_cuts ~cap:10 stamps in
+  Alcotest.(check int) "enumerates" 10 (List.length cuts);
+  Alcotest.(check bool) "63x1 = reference, capped" true
+    (packed_matches_reference ~cap:100 stamps);
+  (* 40 x 2 chain: 3^40 overflows too, yet the count is exact. *)
+  let chain = chain_stamps ~n:40 ~k:2 in
+  Alcotest.check verdict_t "chain count" (Lattice.Exact 81)
+    (Lattice.count_consistent chain);
+  Alcotest.(check bool) "chain" true (Lattice.is_chain chain);
+  Alcotest.(check bool) "40x2 chain = reference" true
+    (packed_matches_reference chain);
+  let top_only (c : Cut.t) = Array.for_all (fun x -> x = 2) c in
+  Alcotest.(check (option bool)) "definitely(top)" (Some true)
+    (Modal.definitely chain ~holds:top_only);
+  Alcotest.(check (option bool)) "definitely(never)" (Some false)
+    (Modal.definitely chain ~holds:(fun _ -> false))
+
+let test_total_cuts_overflow () =
+  Alcotest.check verdict_t "17 x 10 fits" (Lattice.Exact 505447028499293771)
+    (Lattice.total_cuts_of_lens (Array.make 17 10));
+  Alcotest.check verdict_t "18 x 10" (Lattice.At_least max_int)
+    (Lattice.total_cuts_of_lens (Array.make 18 10));
+  Alcotest.check verdict_t "63 x 1" (Lattice.At_least max_int)
+    (Lattice.total_cuts_of_lens (Array.make 63 1));
+  Alcotest.check verdict_t "61 x 1 fits" (Lattice.Exact (1 lsl 61))
+    (Lattice.total_cuts_of_lens (Array.make 61 1))
+
+let test_packed_empty_execution () =
+  let stamps = [| [||]; [||] |] in
+  Alcotest.(check bool) "empty" true (packed_matches_reference stamps);
+  (match Lattice.count_consistent stamps with
+  | Lattice.Exact n -> Alcotest.(check int) "just bottom" 1 n
+  | Lattice.At_least _ -> Alcotest.fail "capped");
+  Alcotest.(check bool) "trivial chain" true (Lattice.is_chain stamps)
+
+(* Definitely asks φ once per cut it builds, so its φ-call count shows
+   that a capped walk builds at most [cap] cuts: 1 + 3 cuts on levels
+   0-1, then level 2 stops at the remaining budget of 4 of its 6. *)
+let test_capped_walk_budget () =
+  let stamps = independent ~n:3 ~k:4 in
+  let calls = ref 0 in
+  let holds _ =
+    incr calls;
+    false
+  in
+  Alcotest.(check (option bool)) "capped" None (Modal.definitely ~cap:8 stamps ~holds);
+  Alcotest.(check int) "cuts built" 8 !calls
+
+(* The per-level map itself: hashed codes may collide, so equal codes
+   over different cuts must stay distinct entries, each found again;
+   exact codes hit on the code alone; growth keeps every entry. *)
+let test_level_map () =
+  let module M = Psn_lattice.Packed.Level_map in
+  let m = M.create () in
+  (* the level being built: cuts (1,2) at offset 0 and (2,1) at 3 *)
+  let level = [| 0; 1; 2; 0; 2; 1 |] in
+  (* parents (0,2) at 0, (2,0) at 3 and (1,1) at 6 *)
+  let parents = [| 0; 0; 2; 0; 2; 0; 0; 1; 1 |] in
+  let find ~exact q o i = M.find_or_add m ~exact ~n:2 level q parents o i 7 in
+  M.reset m ~hint:1;
+  Alcotest.(check int) "(1,2) new" (-1) (find ~exact:false 0 0 0);
+  Alcotest.(check int) "(2,1) new, same code" (-1) (find ~exact:false 3 3 1);
+  Alcotest.(check int) "(1,2) again" 0 (find ~exact:false 6 6 1);
+  Alcotest.(check int) "(2,1) again" 3 (find ~exact:false 6 6 0);
+  M.reset m ~hint:1;
+  Alcotest.(check int) "emptied" (-1) (find ~exact:true 0 0 0);
+  Alcotest.(check int) "exact: code alone" 0 (find ~exact:true 3 3 1);
+  M.reset m ~hint:1;
+  let added = ref true in
+  for e = 0 to 999 do
+    added := !added && M.find_or_add m ~exact:true ~n:2 level e parents 0 0 (e * 17) = -1
+  done;
+  Alcotest.(check bool) "1000 distinct added" true !added;
+  let found = ref true in
+  for e = 0 to 999 do
+    found := !found && M.find_or_add m ~exact:true ~n:2 level 0 parents 0 0 (e * 17) = e
+  done;
+  Alcotest.(check bool) "all found after growth" true !found
+
 let test_plane_vs_arrays =
   qtest ~count:60 "plane = copied stamps (random executions)" QCheck.int
     (fun seed ->
@@ -323,14 +484,11 @@ let test_plane_shapes () =
   (match Lattice.count_consistent_plane p handles with
   | Lattice.Exact n -> Alcotest.(check int) "5^3" 125 n
   | Lattice.At_least _ -> Alcotest.fail "capped");
-  (match Lattice.count_consistent_plane ~parallel:true p handles with
-  | Lattice.Exact n -> Alcotest.(check int) "5^3 parallel" 125 n
-  | Lattice.At_least _ -> Alcotest.fail "capped");
   let chain = chain_stamps ~n:3 ~k:4 in
   Alcotest.(check bool) "chain" true (plane_matches_arrays chain);
   let cp, ch = plane_of_stamps chain in
   Alcotest.(check bool) "chain verdict" true (Lattice.is_chain_plane cp ch);
-  Alcotest.(check int) "total from lens" 125
+  Alcotest.check verdict_t "total from lens" (Lattice.Exact 125)
     (Lattice.total_cuts_of_lens (Array.map Array.length handles))
 
 let test_plane_validation () =
@@ -354,7 +512,6 @@ let test_plane_validation () =
 
 (* --- Modal oracle --- *)
 
-module Modal = Psn_lattice.Modal
 module Expr = Psn_predicates.Expr
 module Value = Psn_world.Value
 
@@ -376,8 +533,7 @@ let conj =
   Expr.(
     (var ~name:"a" ~loc:0 ==? bool true) &&& (var ~name:"b" ~loc:1 ==? bool true))
 
-let holds stamps_updates cut =
-  Modal.holds_of_expr ~init:modal_init ~updates:stamps_updates conj cut
+let holds updates = Modal.holds_of_expr ~init:modal_init ~updates conj
 
 let test_modal_possibly_not_definitely () =
   let stamps = independent ~n:2 ~k:2 in
@@ -415,46 +571,17 @@ let test_modal_never () =
   Alcotest.(check (option bool)) "not definitely" (Some false)
     (Modal.definitely stamps ~holds:(holds updates))
 
-(* The fused packed modalities must agree with the generic explore —
+(* The fused packed modalities must agree with the reference walk —
    same Some/None verdicts, with and without caps — on random
    executions and random threshold predicates. *)
-let test_modal_packed_vs_generic =
+let test_modal_packed_vs_reference =
   qtest ~count:60 "modal: packed = generic"
     QCheck.(pair int (triple (int_bound 3) (int_bound 3) (int_bound 3)))
     (fun (seed, (t0, t1, t2)) ->
       let stamps = random_stamps ~seed ~n:3 ~k:3 in
       let holds (c : Cut.t) = c.(0) >= t0 && c.(1) >= t1 && c.(2) <= t2 in
-      Modal.possibly stamps ~holds = Modal.possibly_generic stamps ~holds
-      && Modal.definitely stamps ~holds
-         = Modal.definitely_generic stamps ~holds
-      && Modal.possibly ~cap:5 stamps ~holds
-         = Modal.possibly_generic ~cap:5 stamps ~holds
-      && Modal.definitely ~cap:5 stamps ~holds
-         = Modal.definitely_generic ~cap:5 stamps ~holds)
-
-let test_modal_parallel_identical () =
-  Psn_util.Parallel.set_default_domains (Some 2);
-  Fun.protect
-    ~finally:(fun () -> Psn_util.Parallel.set_default_domains None)
-    (fun () ->
-      let stamps = independent ~n:4 ~k:6 in
-      (* φ = ⊤ only: Definitely trivially true, the walk sweeps the whole
-         lattice and the parallel chunks must merge deterministically. *)
-      let top_only (c : Cut.t) = c.(0) = 6 && c.(1) = 6 && c.(2) = 6 && c.(3) = 6 in
-      Alcotest.(check (option bool))
-        "definitely(top) parallel = sequential"
-        (Modal.definitely stamps ~holds:top_only)
-        (Modal.definitely ~parallel:true stamps ~holds:top_only);
-      (* φ = one full middle level: blocks every path, so the fused walk
-         dies out early — identically in both modes. *)
-      let mid (c : Cut.t) = c.(0) + c.(1) + c.(2) + c.(3) = 13 in
-      Alcotest.(check (option bool))
-        "definitely(mid) holds" (Some true)
-        (Modal.definitely ~parallel:true stamps ~holds:mid);
-      Alcotest.(check (option bool))
-        "possibly(mid) parallel = sequential"
-        (Modal.possibly stamps ~holds:mid)
-        (Modal.possibly ~parallel:true stamps ~holds:mid))
+      modal_matches_reference stamps ~holds
+      && modal_matches_reference ~cap:5 stamps ~holds)
 
 let test_modal_definitely_implies_possibly =
   qtest ~count:60 "modal: definitely => possibly" QCheck.int (fun seed ->
@@ -496,6 +623,56 @@ let test_modal_cut_env () =
   Alcotest.(check bool) "b from init" true
     (env { Expr.name = "b"; loc = 1 } = Some (Value.Bool false));
   Alcotest.(check bool) "unknown loc" true (env { Expr.name = "x"; loc = 9 } = None)
+
+(* The rescan [Modal.cut_env] replaced, kept as its reference: the
+   latest write to [v] among the first [cut.(loc)] updates of loc, else
+   [init]. *)
+let rescan_env ~init ~(updates : (string * Value.t) array array) (cut : Cut.t)
+    (v : Expr.var) =
+  if v.loc < 0 || v.loc >= Array.length updates then None
+  else begin
+    let best = ref None in
+    for k = 0 to cut.(v.loc) - 1 do
+      let name, value = updates.(v.loc).(k) in
+      if String.equal name v.name then best := Some value
+    done;
+    match !best with Some _ -> !best | None -> List.assoc_opt v init
+  end
+
+let test_cut_env_vs_rescan =
+  qtest ~count:100 "modal: cut_env = rescan" QCheck.int (fun seed ->
+      let rng = Psn_util.Rng.create ~seed:(Int64.of_int seed) () in
+      let names = [| "a"; "b"; "c" |] in
+      let updates =
+        Array.init 3 (fun _ ->
+            Array.init (Psn_util.Rng.int rng 7) (fun _ ->
+                (Psn_util.Rng.pick rng names, Value.Int (Psn_util.Rng.int rng 5))))
+      in
+      let init =
+        [
+          ({ Expr.name = "a"; loc = 0 }, Value.Int 9);
+          ({ Expr.name = "c"; loc = 2 }, Value.Int 8);
+          ({ Expr.name = "b"; loc = 7 }, Value.Int 7);
+        ]
+      in
+      let env = Modal.cut_env ~init ~updates in
+      let lens = Array.map Array.length updates in
+      let ok = ref true in
+      for c0 = 0 to lens.(0) do
+        for c1 = 0 to lens.(1) do
+          for c2 = 0 to lens.(2) do
+            let cut = [| c0; c1; c2 |] in
+            for loc = -1 to 7 do
+              Array.iter
+                (fun name ->
+                  let v = { Expr.name; loc } in
+                  if env cut v <> rescan_env ~init ~updates cut v then ok := false)
+                names
+            done
+          done
+        done
+      done;
+      !ok)
 
 (* --- streaming frontier lattice vs packed post-hoc --- *)
 
@@ -687,10 +864,9 @@ let () =
             test_modal_definitely_with_causality;
           Alcotest.test_case "never" `Quick test_modal_never;
           test_modal_definitely_implies_possibly;
-          test_modal_packed_vs_generic;
-          Alcotest.test_case "parallel identical" `Quick
-            test_modal_parallel_identical;
+          test_modal_packed_vs_reference;
           Alcotest.test_case "cut_env" `Quick test_modal_cut_env;
+          test_cut_env_vs_rescan;
         ] );
       ( "cut",
         [
@@ -711,20 +887,23 @@ let () =
             test_lattice_closure_under_meet_join;
           Alcotest.test_case "cap" `Quick test_lattice_cap;
           Alcotest.test_case "validate" `Quick test_lattice_validate;
+          Alcotest.test_case "total cuts overflow" `Quick test_total_cuts_overflow;
           test_lattice_bounds;
           Alcotest.test_case "to_dot" `Quick test_lattice_to_dot;
         ] );
       ( "packed",
         [
-          test_packed_vs_generic;
+          test_packed_vs_reference;
           Alcotest.test_case "independent + chain" `Quick
-            test_packed_vs_generic_independent;
+            test_packed_vs_reference_independent;
           Alcotest.test_case "overflow fallback" `Quick
             test_packed_overflow_fallback;
           Alcotest.test_case "empty execution" `Quick
             test_packed_empty_execution;
-          Alcotest.test_case "parallel identical" `Quick
-            test_packed_parallel_identical;
+          test_packed_vs_reference_wide;
+          Alcotest.test_case "level map" `Quick test_level_map;
+          Alcotest.test_case "capped walk stays in budget" `Quick
+            test_capped_walk_budget;
         ] );
       ( "stamp_plane",
         [
