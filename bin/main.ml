@@ -428,7 +428,7 @@ let trace_cmd =
                 (Psn_obs.Metrics.timeline_recorded tl)
                 tl_path)
             timeline
-      | `Chrome -> Psn_obs.Export.write_chrome ?timeline oc sink
+      | `Chrome -> Psn_obs.Export.write_chrome ?timeline oc [ sink ]
     in
     traced_to ?timeline ~write out @@ fun () ->
     run_scenario ~seed ~horizon_s ~delta_ms ~clock scenario
@@ -556,8 +556,14 @@ let sharded_scenario_arg =
   (sc, "hall, banking, hospital, or calm")
 
 let shards_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive shard count, got %S" s))
+  in
   Arg.(
-    value & opt int 4
+    value
+    & opt (conv (parse, Format.pp_print_int)) 4
     & info [ "shards" ] ~docv:"K" ~doc:"Shard count for the sharded engine.")
 
 let run_sharded_scenario ~seed ~shards ~horizon_s ?sinks sc =
@@ -700,7 +706,7 @@ let shardstats_cmd =
             match sinks with
             | Some sinks ->
                 write_file path
-                  (Psn_obs.Export.merged_chrome (Array.to_list sinks))
+                  (Psn_obs.Export.chrome_string (Array.to_list sinks))
                   ~what:"merged trace"
             | None -> ())
           trace_out;
@@ -890,7 +896,7 @@ let detect_cmd =
       let dc = cfg.Sharded_sc.s_detect in
       let lookahead = Psn_sim.Delay_model.min_delay dc.Sharded_sc.delay in
       let exec =
-        if shards <= 1 then Psn_sim.Exec.single ~seed ()
+        if shards = 1 then Psn_sim.Exec.single ~seed ()
         else Psn_sim.Exec.sharded ~seed ~shards ~lookahead ()
       in
       let sinks =

@@ -204,8 +204,7 @@ let chrome_flow_slice buf ~sep ~slice_name ~phase ~ts_us ~cpid ~tid ~flow ~seq
 
 (* One trace record as Chrome events.  [tid_base] offsets every thread
    id, so per-group sinks of a sharded run can render side by side —
-   shard g owns the tid block starting at its base — while the
-   single-sink export keeps base 0 and its historical bytes. *)
+   shard g owns the tid block starting at its base. *)
 let chrome_record ~tid_base buf sep (r : Trace.record) =
   let ts_us = ts_us_of_ns r.time in
   let cpid = chrome_pid r.pid in
@@ -259,12 +258,32 @@ let process_name_row buf ~cpid ~name =
        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"%s\"}}"
        cpid name)
 
-let chrome_to_buffer ?timeline buf sink =
+(* One Chrome document for one sink, or for the per-group sinks of a
+   sharded run.  A span's lane is its Chrome tid, so merging per-group
+   sinks naively would collide every group onto lanes 0/1; instead sink
+   [g] renders into its own tid block [g * stride + lane], with [stride]
+   wide enough for the deepest lane any sink used — a deterministic
+   shard-id -> tid mapping, and a lone sink keeps base 0.  Emission
+   order is sinks in list order, records in emission order, so the
+   bytes are a pure function of the sink contents. *)
+let chrome_to_buffer ?timeline buf sinks =
   Buffer.add_string buf "{\"traceEvents\":[";
   (* Name the tracks: one metadata event per distinct pid, in order. *)
   let pids = Hashtbl.create 16 in
-  Trace.iter (fun r -> Hashtbl.replace pids r.Trace.pid ()) sink;
+  let max_lane = ref (Trace.lane_window + 1) in
+  List.iter
+    (fun sink ->
+      Trace.iter
+        (fun (r : Trace.record) ->
+          Hashtbl.replace pids r.pid ();
+          match r.event with
+          | Span_begin { lane; _ } | Span_end { lane; _ } ->
+              if lane + 1 > !max_lane then max_lane := lane + 1
+          | _ -> ())
+        sink)
+    sinks;
   if timeline <> None then Hashtbl.replace pids Trace.engine_pid ();
+  let stride = !max_lane in
   let sorted_pids =
     List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) pids [])
   in
@@ -279,7 +298,10 @@ let chrome_to_buffer ?timeline buf sink =
       sep ();
       process_name_row buf ~cpid:(chrome_pid pid) ~name)
     sorted_pids;
-  Trace.iter (chrome_record ~tid_base:0 buf sep) sink;
+  List.iteri
+    (fun g sink ->
+      Trace.iter (chrome_record ~tid_base:(g * stride) buf sep) sink)
+    sinks;
   (match timeline with
   | None -> ()
   | Some tl ->
@@ -300,73 +322,14 @@ let chrome_to_buffer ?timeline buf sink =
         (Metrics.timeline_samples tl));
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n"
 
-let chrome_string ?timeline sink =
+let chrome_string ?timeline sinks =
   let buf = Buffer.create 4096 in
-  chrome_to_buffer ?timeline buf sink;
+  chrome_to_buffer ?timeline buf sinks;
   Buffer.contents buf
 
-let write_chrome ?timeline oc sink =
+let write_chrome ?timeline oc sinks =
   let buf = Buffer.create 4096 in
-  chrome_to_buffer ?timeline buf sink;
-  Buffer.output_buffer oc buf
-
-(* --- merged Chrome export for per-group sinks --------------------------- *)
-
-(* One Chrome document for the per-group sinks of a sharded run.  The
-   single-sink export maps a span's lane straight to the Chrome tid, so
-   merging per-group sinks naively would collide every group onto lanes
-   0/1.  Here sink [g] renders into its own tid block
-   [g * stride + lane], with [stride] wide enough for the deepest lane
-   any sink used — a deterministic shard-id -> tid mapping.  Emission
-   order is sinks in list order, records in emission order, so the
-   bytes are a pure function of the sink contents. *)
-let merged_chrome_to_buffer buf sinks =
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let pids = Hashtbl.create 16 in
-  let max_lane = ref (Trace.lane_window + 1) in
-  List.iter
-    (fun sink ->
-      Trace.iter
-        (fun (r : Trace.record) ->
-          Hashtbl.replace pids r.pid ();
-          match r.event with
-          | Span_begin { lane; _ } | Span_end { lane; _ } ->
-              if lane + 1 > !max_lane then max_lane := lane + 1
-          | _ -> ())
-        sink)
-    sinks;
-  let stride = !max_lane in
-  let sorted_pids =
-    List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) pids [])
-  in
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf "\n"
-  in
-  List.iter
-    (fun pid ->
-      let name =
-        if pid = Trace.engine_pid then "engine"
-        else Printf.sprintf "proc %d" pid
-      in
-      sep ();
-      process_name_row buf ~cpid:(chrome_pid pid) ~name)
-    sorted_pids;
-  List.iteri
-    (fun g sink ->
-      Trace.iter (chrome_record ~tid_base:(g * stride) buf sep) sink)
-    sinks;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n"
-
-let merged_chrome sinks =
-  let buf = Buffer.create 4096 in
-  merged_chrome_to_buffer buf sinks;
-  Buffer.contents buf
-
-let write_merged_chrome oc sinks =
-  let buf = Buffer.create 4096 in
-  merged_chrome_to_buffer buf sinks;
+  chrome_to_buffer ?timeline buf sinks;
   Buffer.output_buffer oc buf
 
 (* --- shard-window Gantt from Shard_stats -------------------------------- *)

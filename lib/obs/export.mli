@@ -33,22 +33,18 @@ val timeline_jsonl_to_buffer : Buffer.t -> Metrics.timeline -> unit
 val timeline_jsonl_string : Metrics.timeline -> string
 val write_timeline_jsonl : out_channel -> Metrics.timeline -> unit
 
-val chrome_to_buffer : ?timeline:Metrics.timeline -> Buffer.t -> Trace.sink -> unit
+val chrome_to_buffer :
+  ?timeline:Metrics.timeline -> Buffer.t -> Trace.sink list -> unit
 (** A complete [{"traceEvents":[...]}] document: spans, flow arrows,
     instants, and (with [?timeline]) counter tracks, with process-name
-    metadata. *)
+    metadata.  Sink [g] of the list renders in tid block
+    [g * stride + lane] (with [stride] the deepest span lane any sink
+    used, at least 2), so the per-group sinks of a sharded run map to
+    tids deterministically instead of colliding on lanes 0/1; a single
+    sink's document is block 0. *)
 
-val chrome_string : ?timeline:Metrics.timeline -> Trace.sink -> string
-val write_chrome : ?timeline:Metrics.timeline -> out_channel -> Trace.sink -> unit
-
-val merged_chrome : Trace.sink list -> string
-(** One Chrome document for the per-group sinks of a sharded run.
-    Sink [g]'s events render in tid block [g * stride + lane] (with
-    [stride] the deepest span lane any sink used, at least 2), so
-    shard id maps to tid deterministically instead of every group
-    colliding on lanes 0/1 as with per-sink {!chrome_string}. *)
-
-val write_merged_chrome : out_channel -> Trace.sink list -> unit
+val chrome_string : ?timeline:Metrics.timeline -> Trace.sink list -> string
+val write_chrome : ?timeline:Metrics.timeline -> out_channel -> Trace.sink list -> unit
 
 val shard_chrome_string : Shard_stats.t -> string
 (** Host-time Gantt of a sharded run from its {!Shard_stats}: shard =

@@ -18,7 +18,7 @@ val delta : t -> Sim_time.t option
 val min_delay : t -> Sim_time.t
 (** Guaranteed minimum delay: every {!sample} of the model is at least
     this value.  This is the conservative-synchronization lookahead
-    bound used by [Sharded_engine] — a model whose [min_delay] is zero
+    bound used by {!Exec.sharded} — a model whose [min_delay] is zero
     offers no lookahead and cannot drive a sharded run. *)
 
 val mean_delay : t -> Sim_time.t

@@ -22,7 +22,7 @@ val create :
     terminates).
 
     [use_default_obs] (default [true]) controls that pickup: engines
-    destined for worker domains ([Sharded_engine] shards) pass [false],
+    destined for worker domains (the shards of an {!Exec}) pass [false],
     because the process-wide defaults are not domain-safe and a shard
     must not observe sinks installed for the coordinating run. *)
 

@@ -1,8 +1,30 @@
-(* One workload, two substrates: a single-queue oracle engine, or a
-   window-synchronized [Sharded_engine].  The single path mirrors the
-   sharded delivery mechanics (pooled records, flat lanes, one global
-   handler) so the only difference between substrates is where events
-   queue — which is exactly what the differential suite wants to vary.
+(* One substrate: K per-shard [Engine]s, run straight through by the
+   single queue (K = 1, no windows) or in conservative windows.
+
+   Windowed runs alternate two phases:
+
+     window:  every shard drains its queue up to [window_end - 1] on the
+              [Psn_util.Parallel] pool; shards share no mutable state —
+              cross-shard sends only append to their (src, dst) mailbox
+              ring, which no other domain touches during the window;
+
+     barrier: the coordinator (alone) drains every mailbox in src-major,
+              dst-minor, FIFO order into the destination queues, then
+              computes the next window from the new global minimum.
+
+   The pool's job hand-off (mutex + condition) gives the happens-before
+   edges: coordinator-before-window for the mailbox writes of the
+   previous drain, window-before-coordinator for the rings written by
+   the shards.
+
+   Mailbox ring layout: [stride] ints per message — delivery time,
+   destination pid, and the seven payload words — in one flat
+   [int array] that grows by doubling and is reused across windows, so
+   a steady-state cross-shard send writes 9 ints and allocates nothing.
+   Delivery closures are pooled per destination shard (same trick as
+   [Net]'s delivery records): acquired by the poster or, for mail, by
+   the coordinator at the barrier, released by the shard when they
+   fire, never concurrently.
 
    Workload determinism contract (what makes same-seed runs identical
    across substrates): derive every entity's RNG stream from
@@ -11,8 +33,16 @@
    insensitive to equal-time arrival order (sort on substrate-invariant
    keys before acting). *)
 
-type handler = Sharded_engine.handler
+type handler =
+  dst:int ->
+  w0:int -> w1:int -> w2:int -> w3:int -> w4:int -> w5:int -> w6:int -> unit
 
+let stride = 9 (* at, dst, w0..w6 *)
+
+(* A pooled delivery: mutable lanes plus a closure allocated once per
+   record.  [d_fire] copies the lanes to locals and releases the record
+   before invoking the handler, so re-entrant same-shard sends can reuse
+   it immediately. *)
 type delivery = {
   mutable v_dst : int;
   mutable v0 : int;
@@ -25,64 +55,94 @@ type delivery = {
   d_fire : unit -> unit;
 }
 
-type single = {
-  s_engine : Engine.t;
-  mutable s_handler : handler option;
-  mutable s_pool : delivery array;
-  mutable s_pool_len : int;
+type shard = {
+  engine : Engine.t;
+  mutable pool : delivery array; (* free stack, see header comment *)
+  mutable pool_len : int;
 }
 
-type kind = Single of single | Sharded of Sharded_engine.t
+type mailbox = { mutable buf : int array; mutable len : int (* ints used *) }
 
-type t = { kind : kind; t_seed : int64 }
+type t = {
+  seed : int64;
+  k : int;
+  lookahead : int; (* ns; > 0 when windowed *)
+  shard : shard array;
+  mail : mailbox array; (* src * k + dst; diagonal entries stay empty *)
+  mutable handler : handler option;
+  mutable window_end : int; (* exclusive end of the last window run *)
+  mutable rounds : int;
+  stats : Psn_obs.Shard_stats.t option;
+      (* [None] for the single queue, which runs no windows; otherwise
+         host-time window/barrier counters that never feed a sim
+         artifact *)
+}
 
-let single ?(seed = 42L) () =
-  {
-    kind =
-      Single
+let make ~seed ~shards ~lookahead stats =
+  let shard =
+    Array.init shards (fun s ->
         {
-          s_engine = Engine.create ~seed ~use_default_obs:false ();
-          s_handler = None;
-          s_pool = [||];
-          s_pool_len = 0;
-        };
-    t_seed = seed;
+          engine =
+            Engine.create
+              ~seed:(Int64.add seed (Int64.of_int (s * 0x9E3779B9)))
+              ~use_default_obs:false ();
+          pool = [||];
+          pool_len = 0;
+        })
+  in
+  {
+    seed;
+    k = shards;
+    lookahead;
+    shard;
+    mail = Array.init (shards * shards) (fun _ -> { buf = [||]; len = 0 });
+    handler = None;
+    window_end = 0;
+    rounds = 0;
+    stats;
   }
 
+let single ?(seed = 42L) () = make ~seed ~shards:1 ~lookahead:0 None
+
 let sharded ?(seed = 42L) ~shards ~lookahead () =
-  { kind = Sharded (Sharded_engine.create ~seed ~shards ~lookahead ()); t_seed = seed }
+  if shards < 1 then invalid_arg "Exec.sharded: shards must be >= 1";
+  if Sim_time.(lookahead <= Sim_time.zero) then
+    invalid_arg
+      "Exec.sharded: lookahead must be positive — a delay model with \
+       Delay_model.min_delay = 0 offers no conservative window and cannot \
+       drive a sharded run";
+  let lookahead = Sim_time.to_ns lookahead in
+  make ~seed ~shards ~lookahead
+    (Some (Psn_obs.Shard_stats.create ~shards ~lookahead_ns:lookahead))
 
-let seed t = t.t_seed
+let seed t = t.seed
+let shards t = t.k
+let is_sharded t = Option.is_some t.stats
+let engine t ~group = t.shard.(group mod t.k).engine
+let set_handler t h = t.handler <- Some h
+let windows t = t.rounds
+let stats t = t.stats
 
-let shards t =
-  match t.kind with Single _ -> 1 | Sharded se -> Sharded_engine.shards se
+let events_processed t =
+  Array.fold_left (fun acc s -> acc + Engine.events_processed s.engine) 0 t.shard
 
-let is_sharded t = match t.kind with Single _ -> false | Sharded _ -> true
+let shard_snapshots t =
+  Array.map (fun s -> Psn_obs.Metrics.snapshot (Engine.metrics s.engine)) t.shard
 
-let engine t ~group =
-  match t.kind with
-  | Single s -> s.s_engine
-  | Sharded se -> Sharded_engine.engine se (group mod Sharded_engine.shards se)
+let merged_metrics t =
+  Psn_obs.Metrics.merge_snapshots (Array.to_list (shard_snapshots t))
 
-let set_handler t h =
-  match t.kind with
-  | Single s -> s.s_handler <- Some h
-  | Sharded se ->
-      for sh = 0 to Sharded_engine.shards se - 1 do
-        Sharded_engine.set_handler se ~shard:sh h
-      done
-
-let release s r =
-  if s.s_pool_len = Array.length s.s_pool then begin
-    let np = Array.make (2 * max 4 (Array.length s.s_pool)) r in
-    Array.blit s.s_pool 0 np 0 s.s_pool_len;
-    s.s_pool <- np
+let release sh r =
+  if sh.pool_len = Array.length sh.pool then begin
+    let np = Array.make (2 * max 4 (Array.length sh.pool)) r in
+    Array.blit sh.pool 0 np 0 sh.pool_len;
+    sh.pool <- np
   end;
-  s.s_pool.(s.s_pool_len) <- r;
-  s.s_pool_len <- s.s_pool_len + 1
+  sh.pool.(sh.pool_len) <- r;
+  sh.pool_len <- sh.pool_len + 1
 
-let acquire s ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 =
-  if s.s_pool_len = 0 then
+let acquire t sh ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 =
+  if sh.pool_len = 0 then
     let rec r =
       {
         v_dst = dst;
@@ -92,16 +152,16 @@ let acquire s ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 =
             let dst = r.v_dst in
             let w0 = r.v0 and w1 = r.v1 and w2 = r.v2 and w3 = r.v3 in
             let w4 = r.v4 and w5 = r.v5 and w6 = r.v6 in
-            release s r;
-            match s.s_handler with
+            release sh r;
+            match t.handler with
             | Some h -> h ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6
             | None -> ());
       }
     in
     r
   else begin
-    s.s_pool_len <- s.s_pool_len - 1;
-    let r = s.s_pool.(s.s_pool_len) in
+    sh.pool_len <- sh.pool_len - 1;
+    let r = sh.pool.(sh.pool_len) in
     r.v_dst <- dst;
     r.v0 <- w0; r.v1 <- w1; r.v2 <- w2; r.v3 <- w3;
     r.v4 <- w4; r.v5 <- w5; r.v6 <- w6;
@@ -109,41 +169,136 @@ let acquire s ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 =
   end
 
 let post t ~src_group ~dst_group ~at ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 =
-  match t.kind with
-  | Single s ->
-      let r = acquire s ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 in
-      Engine.schedule_at_unit s.s_engine at r.d_fire
-  | Sharded se ->
-      let k = Sharded_engine.shards se in
-      Sharded_engine.post se ~src_shard:(src_group mod k)
-        ~dst_shard:(dst_group mod k) ~at ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6
+  let src_shard = src_group mod t.k and dst_shard = dst_group mod t.k in
+  if src_shard = dst_shard then begin
+    (* Same shard — always, on the single queue: schedule directly.
+       This keeps K = 1 windowed runs event-for-event identical to the
+       single queue.  Runs on the shard's own domain, touching only its
+       own pool and queue. *)
+    let sh = t.shard.(src_shard) in
+    let r = acquire t sh ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 in
+    Engine.schedule_at_unit sh.engine at r.d_fire
+  end
+  else begin
+    let box = t.mail.((src_shard * t.k) + dst_shard) in
+    let need = box.len + stride in
+    if need > Array.length box.buf then begin
+      let cap = ref (max (stride * 16) (Array.length box.buf)) in
+      while !cap < need do
+        cap := !cap * 2
+      done;
+      let nb = Array.make !cap 0 in
+      Array.blit box.buf 0 nb 0 box.len;
+      box.buf <- nb
+    end;
+    let b = box.buf and o = box.len in
+    b.(o) <- Sim_time.to_ns at;
+    b.(o + 1) <- dst;
+    b.(o + 2) <- w0; b.(o + 3) <- w1; b.(o + 4) <- w2; b.(o + 5) <- w3;
+    b.(o + 6) <- w4; b.(o + 7) <- w5; b.(o + 8) <- w6;
+    box.len <- need;
+    (* Shard-local slot of the conservation counter: safe mid-window.
+       Two shards imply a windowed run, so [stats] is present. *)
+    match t.stats with
+    | Some st -> Psn_obs.Shard_stats.note_posted st ~src:src_shard
+    | None -> ()
+  end
+
+(* Barrier drain: coordinator only.  Deterministic src-major, dst-minor,
+   FIFO-within-box order; every entry must land at or past the window
+   end the lookahead promised. *)
+let drain t st =
+  let occupancy = ref 0 in
+  for src = 0 to t.k - 1 do
+    for dst = 0 to t.k - 1 do
+      let box = t.mail.((src * t.k) + dst) in
+      if box.len > 0 then begin
+        occupancy := !occupancy + box.len;
+        Psn_obs.Shard_stats.note_traffic st ~src ~dst ~msgs:(box.len / stride);
+        let sh = t.shard.(dst) in
+        let b = box.buf in
+        let o = ref 0 in
+        while !o < box.len do
+          let at = b.(!o) in
+          if at < t.window_end then
+            invalid_arg
+              (Printf.sprintf
+                 "Exec: lookahead violation — message from shard %d to \
+                  shard %d delivered at %dns inside the window ending at \
+                  %dns; the transport sampled a delay below the engine's \
+                  lookahead bound"
+                 src dst at t.window_end);
+          let r =
+            acquire t sh ~dst:b.(!o + 1) ~w0:b.(!o + 2) ~w1:b.(!o + 3)
+              ~w2:b.(!o + 4) ~w3:b.(!o + 5) ~w4:b.(!o + 6) ~w5:b.(!o + 7)
+              ~w6:b.(!o + 8)
+          in
+          Engine.schedule_at_unit sh.engine at r.d_fire;
+          o := !o + stride
+        done;
+        box.len <- 0
+      end
+    done
+  done;
+  Psn_obs.Shard_stats.note_occupancy st ~ints:!occupancy
+
+let global_next t =
+  Array.fold_left
+    (fun acc s -> min acc (Engine.next_time_ns s.engine))
+    max_int t.shard
+
+let run_windows t st ~until =
+  let r0 = Psn_obs.Shard_stats.now_ns () in
+  let until_ns = Sim_time.to_ns until in
+  let continue = ref true in
+  while !continue do
+    (* Drain before measuring: the previous window's cross-shard sends —
+       and any posts made before the first [run] (initial conditions) —
+       must be in the queues for the global minimum to see them. *)
+    Psn_obs.Shard_stats.round_begin st;
+    let d0 = Psn_obs.Shard_stats.now_ns () in
+    Psn_obs.Profile.phase "sharded.drain" (fun () -> drain t st);
+    let d1 = Psn_obs.Shard_stats.now_ns () in
+    Psn_obs.Shard_stats.drain_done st ~host_ns:(d1 - d0);
+    let next = global_next t in
+    let d2 = Psn_obs.Shard_stats.now_ns () in
+    Psn_obs.Shard_stats.fold_done st ~host_ns:(d2 - d1);
+    (* Only now — with the rings drained into the queues — is the
+       previous window's limit knowable. *)
+    Psn_obs.Shard_stats.classify_prev st ~next_ns:next;
+    if next > until_ns then begin
+      Psn_obs.Shard_stats.round_abort st;
+      continue := false
+    end
+    else begin
+      let cand = next + t.lookahead in
+      let cand = if cand < next then max_int else cand (* overflow *) in
+      let w_end = min cand (until_ns + 1) in
+      t.window_end <- w_end;
+      Psn_obs.Shard_stats.window_open st ~start_ns:next ~end_ns:w_end;
+      let w_last = Sim_time.of_ns (w_end - 1) in
+      Psn_obs.Profile.phase "sharded.window" (fun () ->
+          ignore
+            (Psn_util.Parallel.init t.k (fun s ->
+                 let b0 = Psn_obs.Shard_stats.now_ns () in
+                 let sh = t.shard.(s) in
+                 Engine.run ~until:w_last sh.engine;
+                 (* Writes only slot [s]; the pool join publishes it. *)
+                 Psn_obs.Shard_stats.shard_report st ~shard:s
+                   ~events_total:(Engine.events_processed sh.engine)
+                   ~busy_ns:(Psn_obs.Shard_stats.now_ns () - b0))));
+      Psn_obs.Shard_stats.window_close st ~clipped:(cand > until_ns + 1)
+        ~par_ns:(Psn_obs.Shard_stats.now_ns () - d2);
+      t.rounds <- t.rounds + 1
+    end
+  done;
+  (* Align every clock on the horizon (queues hold only events beyond
+     it, so this drains nothing). *)
+  Array.iter (fun s -> Engine.run ~until s.engine) t.shard;
+  Psn_obs.Shard_stats.run_done st
+    ~wall_ns:(Psn_obs.Shard_stats.now_ns () - r0)
 
 let run t ~until =
-  match t.kind with
-  | Single s -> Engine.run ~until s.s_engine
-  | Sharded se -> Sharded_engine.run se ~until
-
-let events_processed t =
-  match t.kind with
-  | Single s -> Engine.events_processed s.s_engine
-  | Sharded se -> Sharded_engine.events_processed se
-
-let windows t =
-  match t.kind with Single _ -> 0 | Sharded se -> Sharded_engine.windows se
-
-let merged_metrics t =
-  match t.kind with
-  | Single s -> Psn_obs.Metrics.snapshot (Engine.metrics s.s_engine)
-  | Sharded se -> Sharded_engine.merged_metrics se
-
-let stats t =
-  match t.kind with
-  | Single _ -> None
-  | Sharded se -> Some (Sharded_engine.stats se)
-
-let shard_snapshots t =
-  match t.kind with
-  | Single s -> [| Psn_obs.Metrics.snapshot (Engine.metrics s.s_engine) |]
-  | Sharded se ->
-      Array.init (Sharded_engine.shards se) (fun s ->
-          Psn_obs.Metrics.snapshot (Engine.metrics (Sharded_engine.engine se s)))
+  match t.stats with
+  | None -> Engine.run ~until t.shard.(0).engine
+  | Some st -> run_windows t st ~until

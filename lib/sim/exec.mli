@@ -1,14 +1,32 @@
-(** Execution substrate: one workload construction, two engines.
+(** Execution substrate: one workload construction on K per-shard
+    engines.
 
     A shard-aware workload is written once against this interface —
     processes grouped into {e groups}, flat-lane message posts, a global
-    delivery handler — and then runs either on a single-queue
-    {!Engine.t} (the differential oracle) or on a
-    {!Sharded_engine.t} with K shards (groups are mapped onto shards as
-    [group mod K]).  Because the construction, the per-entity RNG
-    streams, and the delivery times are substrate-independent, a
-    same-seed run must produce the same observable results on both —
-    the correctness contract the qcheck differential suite enforces.
+    delivery handler — and runs on K shards, each owning its own
+    {!Engine.t} (event queue, RNG streams, metrics registry); group [g]
+    lives on shard [g mod K].  {!single} is the differential oracle: one
+    shard run straight through, with no windows and no mailboxes.
+    {!sharded} runs conservative windows at any K, in the classic PDES
+    sense: the coordinator repeatedly computes the global safe horizon
+
+    {v window_end = (min over shards of next event time) + lookahead v}
+
+    and lets every shard drain events strictly below it in parallel on
+    the {!Psn_util.Parallel} domain pool.  [lookahead] must be a
+    guaranteed lower bound on cross-shard message delay
+    ({!Delay_model.min_delay} of the transport's model), so a message
+    sent inside a window arrives at or past its end.  Cross-shard posts
+    append to a per-(src, dst) mailbox ring, drained into the
+    destination queues at the window barrier in src-major, dst-minor,
+    FIFO order; same-shard posts schedule directly, exactly as on the
+    single queue.
+
+    Because the construction, the per-entity RNG streams, and the
+    delivery times are substrate-independent, a same-seed run must
+    produce the same observable results on {!single} and on {!sharded}
+    at any K and any domain count ([PSN_DOMAINS=1] included) — the
+    correctness contract the qcheck differential suite enforces.
 
     Groups exist so the workload's structure does not depend on K: a
     scenario partitions itself into a fixed number of groups (strips of
@@ -18,57 +36,73 @@
 
 type t
 
-type handler = Sharded_engine.handler
+type handler =
+  dst:int ->
+  w0:int -> w1:int -> w2:int -> w3:int -> w4:int -> w5:int -> w6:int -> unit
+(** Delivery callback: [dst] is the destination process id, [w0..w6]
+    the payload lanes.  Runs on the destination group's domain with
+    that shard's engine clock at the delivery time. *)
 
 val single : ?seed:int64 -> unit -> t
-(** The single-queue oracle.  Its engine is created with
-    [~use_default_obs:false], matching the shards, so substrate choice
-    cannot change observability. *)
+(** The single-queue oracle: one shard, run straight through. *)
 
 val sharded : ?seed:int64 -> shards:int -> lookahead:Sim_time.t -> unit -> t
-(** Raises like {!Sharded_engine.create} (in particular on
-    [lookahead <= 0]). *)
+(** Raises [Invalid_argument] when [shards < 1] or [lookahead <= 0]: a
+    zero-lookahead delay model offers no conservative window. *)
 
 val seed : t -> int64
 val shards : t -> int
 (** 1 for {!single}. *)
 
 val is_sharded : t -> bool
+(** [false] exactly for {!single}. *)
 
 val engine : t -> group:int -> Engine.t
-(** The engine that owns [group]'s processes: the one engine for
-    {!single}, shard [group mod K] for {!sharded}.  Group-local setup
-    (worlds, clocks, periodic events) must schedule here. *)
+(** The engine that owns [group]'s processes: shard [group mod K].
+    Group-local setup (worlds, clocks, periodic events) must schedule
+    here.  Every shard engine is created with [~use_default_obs:false]:
+    process-wide default sinks are not domain-safe, and the substrate
+    choice must not change observability. *)
 
 val set_handler : t -> handler -> unit
 (** Install the global delivery dispatcher (same callback on every
-    shard).  It runs on the destination group's domain. *)
+    shard). *)
 
 val post :
   t -> src_group:int -> dst_group:int -> at:Sim_time.t -> dst:int ->
   w0:int -> w1:int -> w2:int -> w3:int -> w4:int -> w5:int -> w6:int -> unit
-(** Deliver lanes to process [dst] at absolute time [at].  On the
-    single substrate this schedules directly (through a pooled delivery
-    record, like the sharded path), preserving the cost model. *)
+(** Deliver lanes to process [dst] at absolute time [at], through a
+    pooled delivery record, so steady-state delivery allocates nothing.
+    A cross-shard post is scheduled at the next barrier, where {!run}
+    raises [Invalid_argument] if [at] lies inside the window just run
+    (a lookahead violation: the transport sampled a delay below the
+    lookahead it promised). *)
 
 val run : t -> until:Sim_time.t -> unit
+(** Run to [until]; every shard's clock ends exactly there.  {!sharded}
+    brackets its phases as {!Psn_obs.Profile.phase} ["sharded.drain"] /
+    ["sharded.window"]. *)
 
 val events_processed : t -> int
+(** Sum over shards. *)
+
 val windows : t -> int
-(** Barrier rounds; 0 on the single substrate. *)
+(** Barrier rounds; 0 for {!single}. *)
 
 val merged_metrics : t -> Psn_obs.Metrics.snapshot
-(** Registry snapshot of the run: the one registry for {!single},
-    {!Psn_obs.Metrics.merge_snapshots} of the shard registries for
-    {!sharded}.  Sharded layers register only counters and histograms,
-    so the two agree. *)
+(** {!Psn_obs.Metrics.merge_snapshots} of {!shard_snapshots} (the one
+    registry's snapshot for {!single}).  Sharded layers register only
+    counters and histograms, so every K agrees. *)
 
 val stats : t -> Psn_obs.Shard_stats.t option
-(** The sharded engine's per-window observability counters
-    ({!Sharded_engine.stats}); [None] on the single substrate, which
-    has no windows or barriers to attribute. *)
+(** The run's per-window observability counters: per-shard events and
+    busy host time, coordinator drain/fold time, mailbox traffic, and
+    window-limit classification, recorded at every barrier.  Host-time
+    readings live only here (the {!Psn_obs.Profile} quarantine rule):
+    same-seed sim artifacts are byte-identical whether or not stats are
+    consumed.  [None] for {!single}, which has no windows or barriers to
+    attribute. *)
 
 val shard_snapshots : t -> Psn_obs.Metrics.snapshot array
-(** Per-shard registry snapshots (a one-element array for {!single}) —
-    the un-merged view behind {!merged_metrics}, for per-shard
-    breakdowns in reports. *)
+(** Per-shard registry snapshots — the un-merged view behind
+    {!merged_metrics}, for per-shard breakdowns in reports. *)

@@ -342,7 +342,7 @@ let chrome_golden =
 let test_chrome_golden () =
   let sink, tl = synthetic_sink_and_timeline () in
   Alcotest.(check string) "chrome export bytes" chrome_golden
-    (Export.chrome_string ~timeline:tl sink)
+    (Export.chrome_string ~timeline:tl [ sink ])
 
 let test_timeline_jsonl_golden () =
   let _, tl = synthetic_sink_and_timeline () in
@@ -353,7 +353,7 @@ let test_timeline_jsonl_golden () =
 
 let test_chrome_export_parses () =
   let sink = traced_office_run () in
-  match Json.of_string (Export.chrome_string sink) with
+  match Json.of_string (Export.chrome_string [ sink ]) with
   | Error e -> Alcotest.fail ("chrome export unparsable: " ^ e)
   | Ok doc -> (
       match Json.member "traceEvents" doc with
@@ -367,7 +367,7 @@ let () =
   match Sys.getenv_opt "DUMP_CHROME_GOLDEN" with
   | Some _ ->
       let sink, tl = synthetic_sink_and_timeline () in
-      print_string (Export.chrome_string ~timeline:tl sink);
+      print_string (Export.chrome_string ~timeline:tl [ sink ]);
       exit 0
   | None -> ()
 

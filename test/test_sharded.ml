@@ -9,7 +9,6 @@
 
 module Engine = Psn_sim.Engine
 module Exec = Psn_sim.Exec
-module Sharded_engine = Psn_sim.Sharded_engine
 module Sim_time = Psn_sim.Sim_time
 module Delay_model = Psn_sim.Delay_model
 module Loss_model = Psn_sim.Loss_model
@@ -18,6 +17,7 @@ module Parallel = Psn_util.Parallel
 module Trace = Psn_obs.Trace
 module Export = Psn_obs.Export
 module Metrics = Psn_obs.Metrics
+module Profile = Psn_obs.Profile
 module Expr = Psn_predicates.Expr
 module Value = Psn_world.Value
 module Sharded_detector = Psn_detection.Sharded_detector
@@ -294,6 +294,11 @@ let test_min_delay_bound =
           !ok)
         models_with_names)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let test_zero_lookahead_rejected () =
   List.iter
     (fun bad ->
@@ -302,15 +307,25 @@ let test_zero_lookahead_rejected () =
       | _ -> Alcotest.fail "zero/negative lookahead must be rejected")
     [ Sim_time.zero ];
   (* The message should steer users toward min_delay. *)
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   (match Exec.sharded ~shards:2 ~lookahead:Sim_time.zero () with
   | exception Invalid_argument msg ->
       Alcotest.(check bool) "mentions lookahead" true (contains msg "lookahead")
   | _ -> Alcotest.fail "expected Invalid_argument")
+
+let test_lookahead_violation () =
+  (* A group-0 event at 100 ms opens the window [100, 110) ms and posts
+     to group 1 at 101 ms — inside it, below the promised lookahead.
+     The barrier drain must refuse the message rather than deliver it
+     into group 1's past. *)
+  let t = Exec.sharded ~shards:2 ~lookahead:(ms 10) () in
+  Engine.schedule_at_unit (Exec.engine t ~group:0) (ms 100) (fun () ->
+      Exec.post t ~src_group:0 ~dst_group:1 ~at:(ms 101) ~dst:1 ~w0:0 ~w1:0
+        ~w2:0 ~w3:0 ~w4:0 ~w5:0 ~w6:0);
+  match Exec.run t ~until:(Sim_time.of_sec 1) with
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "names the lookahead" true
+        (contains msg "lookahead")
+  | () -> Alcotest.fail "a post inside the open window must raise"
 
 (* {2 Engine-level window mechanics} *)
 
@@ -318,26 +333,75 @@ let test_window_rounds () =
   (* Two shards exchanging pings: rounds advance, clocks align at the
      horizon, and events land exactly where the oracle puts them. *)
   let lookahead = ms 10 in
-  let t = Sharded_engine.create ~shards:2 ~lookahead () in
+  let t = Exec.sharded ~shards:2 ~lookahead () in
   let log = ref [] in
-  for s = 0 to 1 do
-    Sharded_engine.set_handler t ~shard:s
-      (fun ~dst ~w0 ~w1:_ ~w2:_ ~w3:_ ~w4:_ ~w5:_ ~w6:_ ->
-        log := (dst, w0) :: !log)
-  done;
-  (* Cross-shard ping every 25 ms, both directions. *)
+  Exec.set_handler t (fun ~dst ~w0 ~w1:_ ~w2:_ ~w3:_ ~w4:_ ~w5:_ ~w6:_ ->
+      log := (dst, w0) :: !log);
+  (* Cross-group ping every 25 ms, both directions. *)
   for i = 0 to 9 do
     let at = Sim_time.add (ms 25) (Sim_time.scale (ms 25) (float_of_int i)) in
-    Sharded_engine.post t ~src_shard:0 ~dst_shard:1 ~at ~dst:1 ~w0:i ~w1:0
-      ~w2:0 ~w3:0 ~w4:0 ~w5:0 ~w6:0;
-    Sharded_engine.post t ~src_shard:1 ~dst_shard:0 ~at ~dst:0 ~w0:(100 + i)
-      ~w1:0 ~w2:0 ~w3:0 ~w4:0 ~w5:0 ~w6:0
+    Exec.post t ~src_group:0 ~dst_group:1 ~at ~dst:1 ~w0:i ~w1:0 ~w2:0 ~w3:0
+      ~w4:0 ~w5:0 ~w6:0;
+    Exec.post t ~src_group:1 ~dst_group:0 ~at ~dst:0 ~w0:(100 + i) ~w1:0
+      ~w2:0 ~w3:0 ~w4:0 ~w5:0 ~w6:0
   done;
-  Sharded_engine.run t ~until:(Sim_time.of_sec 1);
+  Exec.run t ~until:(Sim_time.of_sec 1);
   Alcotest.(check int) "all pings delivered" 20 (List.length !log);
-  Alcotest.(check bool) "windows advanced" true (Sharded_engine.windows t > 0);
-  Alcotest.(check int) "clock at horizon" (Sim_time.to_ns (Sim_time.of_sec 1))
-    (Sim_time.to_ns (Sharded_engine.now t))
+  Alcotest.(check bool) "windows advanced" true (Exec.windows t > 0);
+  for group = 0 to 1 do
+    Alcotest.(check int) "clock at horizon" (Sim_time.to_ns (Sim_time.of_sec 1))
+      (Sim_time.to_ns (Engine.now (Exec.engine t ~group)))
+  done
+
+let test_single_queue_contract () =
+  (* The single queue is one shard run straight through: no windows, no
+     barrier phases, no stats.  A one-shard windowed run of the same
+     posts pays for its windows and must deliver the same sequence. *)
+  let run exec =
+    let engine = Exec.engine exec ~group:0 in
+    let log = ref [] in
+    Exec.set_handler exec (fun ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 ->
+        let now = Engine.now engine in
+        log := (Sim_time.to_ns now, dst, [ w0; w1; w2; w3; w4; w5; w6 ]) :: !log;
+        (* Re-entrant reply: reuses the record this delivery released. *)
+        if w0 < 3 then
+          Exec.post exec ~src_group:dst ~dst_group:(dst + 1)
+            ~at:(Sim_time.add now (ms 7)) ~dst:(dst + 1) ~w0:(w0 + 1) ~w1
+            ~w2:(w2 * 3) ~w3 ~w4 ~w5 ~w6:(w6 - 1));
+    for i = 0 to 9 do
+      Exec.post exec ~src_group:(i mod 3) ~dst_group:((i + 1) mod 3)
+        ~at:(ms (5 * i)) ~dst:i ~w0:(i mod 4) ~w1:i ~w2:(i + 1) ~w3:(-i)
+        ~w4:(i * i) ~w5:max_int ~w6:i
+    done;
+    let profile = Profile.create () in
+    Profile.with_default profile (fun () ->
+        Exec.run exec ~until:(Sim_time.of_sec 1));
+    (List.rev !log, List.map (fun p -> p.Profile.name) (Profile.phases profile))
+  in
+  let single = Exec.single () in
+  let s_log, s_phases = run single in
+  Alcotest.(check int) "single: shards" 1 (Exec.shards single);
+  Alcotest.(check int) "single: windows" 0 (Exec.windows single);
+  Alcotest.(check bool) "single: no stats" true (Exec.stats single = None);
+  Alcotest.(check bool) "single: not sharded" false (Exec.is_sharded single);
+  Alcotest.(check (list string)) "single: no sharded.* phase" []
+    (List.filter (String.starts_with ~prefix:"sharded.") s_phases);
+  let one = Exec.sharded ~shards:1 ~lookahead:(ms 5) () in
+  let o_log, o_phases = run one in
+  Alcotest.(check bool) "K=1: windows run" true (Exec.windows one > 0);
+  Alcotest.(check bool) "K=1: drain phase" true
+    (List.mem "sharded.drain" o_phases);
+  Alcotest.(check bool) "K=1: window phase" true
+    (List.mem "sharded.window" o_phases);
+  (match Exec.stats one with
+  | Some st ->
+      Alcotest.(check int) "K=1: stats count every event"
+        (Exec.events_processed one)
+        (Psn_obs.Shard_stats.total_events st)
+  | None -> Alcotest.fail "K=1 windowed run must keep stats");
+  Alcotest.(check bool) "deliveries happened" true (List.length s_log > 10);
+  Alcotest.(check (list (triple int int (list int))))
+    "same (time, dst, lanes) sequence" s_log o_log
 
 let test_psn_domains_env () =
   let prev = try Some (Sys.getenv "PSN_DOMAINS") with Not_found -> None in
@@ -791,11 +855,15 @@ let () =
           test_min_delay_bound;
           Alcotest.test_case "zero lookahead rejected" `Quick
             test_zero_lookahead_rejected;
+          Alcotest.test_case "violation at the barrier" `Quick
+            test_lookahead_violation;
         ] );
       ( "engine",
         [
           Alcotest.test_case "window rounds + clock alignment" `Quick
             test_window_rounds;
+          Alcotest.test_case "single queue: one shard, no windows" `Quick
+            test_single_queue_contract;
           Alcotest.test_case "PSN_DOMAINS env knob" `Quick
             test_psn_domains_env;
         ] );

@@ -275,7 +275,7 @@ let test_merged_chrome_tids () =
   let sink_b = Trace.create () in
   span sink_a ~time:0 ~pid:1 "w";
   span sink_b ~time:5 ~pid:2 "w";
-  let doc = Export.merged_chrome [ sink_a; sink_b ] in
+  let doc = Export.chrome_string [ sink_a; sink_b ] in
   (match Json.of_string doc with
   | Error e -> Alcotest.fail ("merged chrome unparsable: " ^ e)
   | Ok _ -> ());
