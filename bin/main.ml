@@ -12,6 +12,18 @@ open Cmdliner
 
 (* Shared options. *)
 
+(* An int option with a lower bound: a value below it is a usage error
+   (exit 124) before anything runs. *)
+let int_at_least lo what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= lo -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive what = int_at_least 1 ("positive " ^ what)
+
 let quick =
   Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps and horizons.")
 
@@ -20,12 +32,12 @@ let seed =
 
 let horizon_s =
   Arg.(
-    value & opt int 3600
+    value & opt (positive "horizon") 3600
     & info [ "horizon" ] ~docv:"SECONDS" ~doc:"Simulated duration.")
 
 let delta_ms =
   Arg.(
-    value & opt int 100
+    value & opt (int_at_least 0 "non-negative delay") 100
     & info [ "delta" ] ~docv:"MS"
         ~doc:"Message delay bound Delta in milliseconds (0 = synchronous).")
 
@@ -556,14 +568,9 @@ let sharded_scenario_arg =
   (sc, "hall, banking, hospital, or calm")
 
 let shards_arg =
-  let parse s =
-    match int_of_string_opt s with
-    | Some k when k >= 1 -> Ok k
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive shard count, got %S" s))
-  in
   Arg.(
     value
-    & opt (conv (parse, Format.pp_print_int)) 4
+    & opt (positive "shard count") 4
     & info [ "shards" ] ~docv:"K" ~doc:"Shard count for the sharded engine.")
 
 let run_sharded_scenario ~seed ~shards ~horizon_s ?sinks sc =
@@ -620,7 +627,7 @@ let shardstats_cmd =
   in
   let horizon_s =
     Arg.(
-      value & opt int 60
+      value & opt (positive "horizon") 60
       & info [ "horizon" ] ~docv:"SECONDS"
           ~doc:"Simulated duration of the $(b,--run) scenario.")
   in
@@ -823,18 +830,18 @@ let detect_cmd =
   in
   let window_ms =
     Arg.(
-      value & opt int 50
+      value & opt (positive "window") 50
       & info [ "window" ] ~docv:"MS"
           ~doc:"Checker flush window (the hold-back flush period).")
   in
   let horizon_s_small =
     Arg.(
-      value & opt int 120
+      value & opt (positive "horizon") 120
       & info [ "horizon" ] ~docv:"SECONDS" ~doc:"Simulated duration.")
   in
   let cap =
     Arg.(
-      value & opt int 200_000
+      value & opt (positive "cap") 200_000
       & info [ "cap" ] ~docv:"CUTS"
           ~doc:"Live-slab width bound; past it the walk freezes undecided.")
   in

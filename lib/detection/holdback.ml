@@ -28,7 +28,7 @@ type t = {
   clocks : Physical_clock.t array;
   vars : string array array;            (* pid -> var slots, set at 1st emit *)
   seqs : int array;                     (* per-source update sequence *)
-  by_group : Observation.update list ref array; (* ground-truth stream *)
+  logs : int array array;               (* per-source ground truth *)
   pend : Pending_arena.t;               (* checker-local *)
   mutable apply : now:Sim_time.t -> int -> unit;  (* set by [on_flush] *)
   c_updates : Metrics.counter array;    (* per group *)
@@ -76,7 +76,7 @@ let create ?loss ?sinks exec ~who ~label ~updates_metric ~n ~groups ~group_of
     clocks;
     vars = Array.init n (fun _ -> Array.make max_vars "");
     seqs = Array.make n 0;
-    by_group = Array.init groups (fun _ -> ref []);
+    logs = Array.make n [||];
     pend = Pending_arena.create ();
     apply = (fun ~now:_ _ -> ());
     c_updates =
@@ -104,6 +104,27 @@ let var_slot t ~src var =
     let i = slot_of t.vars.(src) var in
     if i < max_vars && String.equal t.vars.(src).(i) var then i else -1
 
+(* Ground truth: entry [seq] of a source's log is two ints, the value
+   and the sense time in ns with the variable slot in its low [var_bits]
+   (the wire lane packs [seq] the same way), so sense times stop at
+   [sense_limit], 2^60 ns or about 36 years.  The log doubles as it
+   fills; only the source's group writes it. *)
+let sense_limit = 1 lsl (Sys.int_size - 1 - var_bits)
+
+let log_append t ~src ~seq ~value ~sense ~var_idx =
+  let log = t.logs.(src) in
+  let log =
+    if 2 * seq < Array.length log then log
+    else begin
+      let grown = Array.make (max 16 (2 * Array.length log)) 0 in
+      Array.blit log 0 grown 0 (Array.length log);
+      t.logs.(src) <- grown;
+      grown
+    end
+  in
+  log.(2 * seq) <- value;
+  log.((2 * seq) + 1) <- (sense lsl var_bits) lor var_idx
+
 let admit t ~src ~var ~value =
   if src < 0 || src >= t.n then invalid_arg (t.who ^ ".emit: src out of range");
   let names = t.vars.(src) in
@@ -113,15 +134,13 @@ let admit t ~src ~var ~value =
   (* Written once, by the source's domain; the checker reads it only
      after a window barrier has ordered the write before the read. *)
   if String.equal names.(var_idx) "" then names.(var_idx) <- var;
+  let g = t.group_of src in
+  let sense = Sim_time.to_ns (Engine.now (Exec.engine t.exec ~group:g)) in
+  if sense >= sense_limit then
+    invalid_arg (t.who ^ ".emit: sense time past 2^60 ns");
   let seq = t.seqs.(src) in
   t.seqs.(src) <- seq + 1;
-  let g = t.group_of src in
-  let now = Engine.now (Exec.engine t.exec ~group:g) in
-  let u =
-    { Observation.src; var; value = Value.Int value; seq; sense_time = now }
-  in
-  let buf = t.by_group.(g) in
-  buf := u :: !buf;
+  log_append t ~src ~seq ~value ~sense ~var_idx;
   Metrics.tick t.c_updates.(g);
   (seq lsl var_bits) lor var_idx
 
@@ -176,7 +195,22 @@ let flush_all t apply =
 let update_count t = Array.fold_left ( + ) 0 t.seqs
 
 let updates t =
-  let all =
-    Array.fold_left (fun acc buf -> List.rev_append !buf acc) [] t.by_group
-  in
-  List.sort Ground_truth.compare_updates all
+  let all = Array.make (update_count t) Observation.dummy in
+  let k = ref 0 in
+  for src = 0 to t.n - 1 do
+    let log = t.logs.(src) in
+    for seq = 0 to t.seqs.(src) - 1 do
+      let w = log.((2 * seq) + 1) in
+      all.(!k) <-
+        {
+          Observation.src;
+          var = t.vars.(src).(w land (max_vars - 1));
+          value = Value.Int log.(2 * seq);
+          seq;
+          sense_time = Sim_time.of_ns (w lsr var_bits);
+        };
+      incr k
+    done
+  done;
+  Array.stable_sort Ground_truth.compare_updates all;
+  Array.to_list all

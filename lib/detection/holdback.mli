@@ -7,7 +7,7 @@
     sensor pids plus the checker, pid [n], always group 0), per-pid
     [synced_within] clocks seeded from [(Exec.seed, pid)], the wire
     format, per-source variable-name tables and sequence counters, the
-    per-group ground truth, and the flush of a {!Pending_arena}.
+    per-source ground-truth log, and the flush of a {!Pending_arena}.
     Receive times, stamps and sequence numbers are substrate-invariant,
     so every flush batch is too.
 
@@ -28,9 +28,16 @@
     the sequence number with the variable-name index in its low two
     bits, and one detector-owned word (a stamp-plane handle, or [-1]).
 
+    Ground truth: each source keeps a flat [int array] log, two ints per
+    update, indexed by sequence number: the value, and the sense time in
+    ns with the variable slot in its low two bits (as the lane packs the
+    sequence number).  The log is the only part of the front end that
+    grows with the run; {!updates} builds the record list from it on
+    demand.
+
     Cross-domain discipline: a source's name table, sequence counter,
-    group ground-truth buffer and update counter are written only by its
-    group's events; the checker's arena only by checker events.  The
+    ground-truth log and its group's update counter are written only by
+    its group's events; the checker's arena only by checker events.  The
     checker reads a name table only for updates the source emitted,
     hence after a window barrier. *)
 
@@ -57,9 +64,11 @@ val net : t -> Psn_network.Shard_net.t
 
 val admit : t -> src:int -> var:string -> value:int -> int
 (** From a sense event on [src]'s group: checks [src], finds or assigns
-    [var]'s slot, takes the next sequence number and records the update
-    in the ground truth.  Returns the lane for {!send}.  Raises
-    [Invalid_argument] for [src] outside [0 .. n-1] or a fifth name. *)
+    [var]'s slot, takes the next sequence number and appends the update
+    to [src]'s ground-truth log.  Returns the lane for {!send}.  Raises
+    [Invalid_argument] for [src] outside [0 .. n-1], a fifth name, or a
+    sense time (the group engine's clock) at or past 2^60 ns, which the
+    log cannot pack. *)
 
 val send :
   t -> src:int -> lane:int -> value:int -> vh:int ->
@@ -89,7 +98,9 @@ val var_slot : t -> src:int -> string -> int
 (** The slot of a name [src] has emitted, else [-1]. *)
 
 val updates : t -> Observation.update list
-(** Every admitted update in (sense_time, src, seq) order. *)
+(** Every admitted update in (sense_time, src, seq) order
+    ({!Ground_truth.compare_updates}), built from the logs on each
+    call. *)
 
 val update_count : t -> int
 (** [List.length (updates t)], from the per-source sequence counters:

@@ -23,12 +23,14 @@
    flush boundaries did.  Both the batch key and the sequence numbers
    are substrate-invariant, so the observe order is too.
 
-   Memory: the walk's live slab is bounded (the tentpole claim, pinned
-   by [Streaming.peak_live_cuts]); the value-history rings and reorder
-   rings track only the live window [base .. applied] per source and
-   reclaim behind {!Psn_lattice.Streaming.base_component}.  The
-   transport-side stamp planes are append-only (handles must outlive
-   the hold-back), as in every plane-carrying detector here. *)
+   Memory: bounded are the walk's live slab (pinned by
+   [Streaming.peak_live_cuts]), the value-history rings and reorder
+   rings, which track only the live window [base .. applied] per source
+   and reclaim behind {!Psn_lattice.Streaming.base_component}, and the
+   hold-back arena.  Two things still grow with the run: the
+   transport-side stamp planes, append-only (handles must outlive the
+   hold-back) as in every plane-carrying detector here, and
+   {!Holdback}'s ground-truth log, two ints per update. *)
 
 module Engine = Psn_sim.Engine
 module Exec = Psn_sim.Exec

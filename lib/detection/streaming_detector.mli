@@ -97,8 +97,9 @@ val stream : t -> Psn_lattice.Streaming.t
     slab evidence). *)
 
 val updates : t -> Observation.update list
-(** Every update emitted, merged across groups in (sense_time, src, seq)
-    order — the ground-truth stream. *)
+(** Every update emitted, merged across sources in (sense_time, src,
+    seq) order — the ground-truth stream, built from {!Holdback}'s
+    per-source logs on each call. *)
 
 val update_count : t -> int
 (** [List.length (updates t)] without building the list. *)

@@ -4,9 +4,10 @@
    wireless sensornet the overlay L is a multi-hop graph, so the broadcast
    is realized by flooding: each node rebroadcasts a flood it has not seen
    before to its current neighbors.  Duplicate suppression is by
-   (origin, sequence) pairs.  Because the topology is read at each hop,
-   flooding composes with overlay churn — the paper's "dynamically
-   changing graph". *)
+   (origin, sequence) pairs: one bit per pair in a per-(node, origin)
+   bitset, since each origin numbers its floods densely from 1.  Because
+   the topology is read at each hop, flooding composes with overlay
+   churn — the paper's "dynamically changing graph". *)
 
 module Engine = Psn_sim.Engine
 module Graph = Psn_util.Graph
@@ -21,10 +22,44 @@ type 'a t = {
   net : 'a flood_msg Net.t;
   topology : Graph.t;
   n : int;
-  seen : (int * int, unit) Hashtbl.t array;  (* per-node duplicate filter *)
+  seen : Bytes.t array array;  (* node -> origin -> bit per seq *)
   handlers : (origin:int -> 'a -> unit) option array;
   seqs : int array;
 }
+
+(* Sets bit [seq] of [node]'s filter for [origin]; [true] when it was
+   clear.  The origin row and the bitset (16 bytes at first) grow by
+   doubling. *)
+let mark t ~node ~origin ~seq =
+  let row = t.seen.(node) in
+  let row =
+    if origin < Array.length row then row
+    else begin
+      let len = Array.length row in
+      let grown = Array.make (max (origin + 1) (2 * len)) Bytes.empty in
+      Array.blit row 0 grown 0 len;
+      t.seen.(node) <- grown;
+      grown
+    end
+  in
+  let bits = row.(origin) in
+  let byte = seq lsr 3 and bit = 1 lsl (seq land 7) in
+  if byte < Bytes.length bits && Char.code (Bytes.get bits byte) land bit <> 0
+  then false
+  else begin
+    let bits =
+      if byte < Bytes.length bits then bits
+      else begin
+        let len = Bytes.length bits in
+        let grown = Bytes.make (max (byte + 1) (max 16 (2 * len))) '\000' in
+        Bytes.blit bits 0 grown 0 len;
+        row.(origin) <- grown;
+        grown
+      end
+    in
+    Bytes.set bits byte (Char.chr (Char.code (Bytes.get bits byte) lor bit));
+    true
+  end
 
 let create ?loss ?(payload_words = fun _ -> 1) ?(label = "flood") engine
     ~topology ~delay =
@@ -40,16 +75,14 @@ let create ?loss ?(payload_words = fun _ -> 1) ?(label = "flood") engine
       net;
       topology;
       n;
-      seen = Array.init n (fun _ -> Hashtbl.create 64);
+      seen = Array.make n [||];
       handlers = Array.make n None;
       seqs = Array.make n 0;
     }
   in
   for dst = 0 to n - 1 do
     Net.set_handler net dst (fun ~src:_ msg ->
-        let key = (msg.origin, msg.seq) in
-        if not (Hashtbl.mem t.seen.(dst) key) then begin
-          Hashtbl.replace t.seen.(dst) key ();
+        if mark t ~node:dst ~origin:msg.origin ~seq:msg.seq then begin
           (match t.handlers.(dst) with
           | Some handler -> handler ~origin:msg.origin msg.payload
           | None -> ());
@@ -71,7 +104,7 @@ let flood t ~src payload =
   if src < 0 || src >= t.n then invalid_arg "Flood.flood: src out of range";
   t.seqs.(src) <- t.seqs.(src) + 1;
   let msg = { origin = src; seq = t.seqs.(src); payload } in
-  Hashtbl.replace t.seen.(src) (msg.origin, msg.seq) ();
+  ignore (mark t ~node:src ~origin:src ~seq:msg.seq);
   List.iter
     (fun nb -> Net.send t.net ~src ~dst:nb msg)
     (Graph.neighbors t.topology src)

@@ -1,19 +1,47 @@
 (* Shard-aware scenario workloads over the {!Psn_sim.Exec} substrate.
 
-   Each workload is constructed once — processes partitioned into a
-   fixed number of groups, every sense event pre-scheduled on its
-   group's engine from per-entity RNG streams — and then executed on
-   either substrate.  Construction happens entirely before [Exec.run],
-   on the coordinating domain, so scheduling order (and with it the
-   FIFO tie-break among equal-time events) is substrate-invariant by
-   construction.  All run-time randomness (message loss, delay) flows
-   through the transport's per-source streams.
+   Each workload partitions its processes into a fixed number of groups
+   and drives every process's sense events from a per-entity RNG stream
+   on its group's engine.  Two schedules feed those engines:
+
+     - the hall and banking pre-schedule every sense event before
+       [Exec.run], on the coordinating domain (a hall visitor's next
+       door can lie in another group, and a successor posted there
+       mid-window would break Exec's lookahead contract);
+     - calm, stream and hospital run one self-rescheduling generator
+       per entity ({!sense_walk}): the entity's one pending sense event
+       schedules its successor on its own group's engine, before its
+       body runs, so the queue holds one sense event per entity instead
+       of the whole run.
+
+   Substrate invariance.  Pre-scheduling fixes every sense event's time,
+   draws and FIFO seq before [Exec.run], so scheduling order is the same
+   on every substrate by construction.  A generator keeps the times and
+   draws: gaps come from a second copy of the entity's stream, and the
+   body's copy first skips every gap, so each body draws what it drew
+   when all gaps were queued up front.  It keeps the order too: a sense
+   event is scheduled ranked ({!Psn_sim.Engine.schedule_ranked_unit}),
+   so among equal-time events it runs before every run-time event, and
+   before the sense events of higher-numbered entities, which is where
+   pre-scheduling put it.  The equal-time case that needs this is a
+   sense event and a delivery to the same process at the same ns (in
+   [stream], a strobe merged into the process's clock): the sense event
+   runs first, as before, whether the delivery was posted before or
+   after its predecessor fired, and at every K.  Nothing is scheduled on
+   another shard.  All run-time randomness beyond the entity streams
+   (message loss, delay) flows through the transport's per-source
+   streams.
 
    The resulting {!Psn.Report.t} goes through the same scoring pipeline
    as {!Psn.Runner.run}: ground-truth intervals from the merged update
    stream, occurrence scoring with the configured tolerance.  The
    differential suite compares these reports verbatim between the
-   single-queue oracle and sharded runs. *)
+   single-queue oracle and sharded runs.
+
+   Memory: the queue holds one pending sense event per generated entity
+   (every sense event of the run for the pre-scheduled hall and
+   banking); the ground truth is {!Psn_detection.Holdback}'s two-int log
+   per update. *)
 
 module Engine = Psn_sim.Engine
 module Exec = Psn_sim.Exec
@@ -63,6 +91,39 @@ let entity_rng exec tag =
       (Int64.add (Exec.seed exec)
          (Int64.mul (Int64.of_int (tag + 1)) 0xBF58476D1CE4E5B9L))
     ()
+
+(* One self-rescheduling sense generator per entity [0 .. entities-1]:
+   the entity's next sense event is a gap of mean [mean] seconds after
+   its last (or after 0), on its group's engine, while before [horizon].
+   [body e draws] builds entity [e]'s event body over its draw stream.
+
+   The gaps come from one copy of the entity stream; [draws] is a second
+   copy, first advanced past every gap the horizon admits and the one
+   that crosses it, as if they had all been drawn up front.  Skipping
+   keeps nothing.  Each fired event schedules its successor, ranked by
+   the entity, before its body runs. *)
+let sense_walk exec ~entities ~group_of ~mean ~horizon body =
+  for e = 0 to entities - 1 do
+    let gaps = entity_rng exec e and draws = entity_rng exec e in
+    let after rng t =
+      Sim_time.add t (Sim_time.of_sec_float (Rng.exponential rng ~mean))
+    in
+    let rec skip t =
+      let at = after draws t in
+      if Sim_time.( < ) at horizon then skip at
+    in
+    skip Sim_time.zero;
+    let engine = Exec.engine exec ~group:(group_of e) in
+    let fire = body e draws in
+    let rec arm t =
+      let at = after gaps t in
+      if Sim_time.( < ) at horizon then
+        Engine.schedule_ranked_unit engine at ~rank:e (fun () ->
+            arm at;
+            fire ())
+    in
+    arm Sim_time.zero
+  done
 
 (* Build detector + world, run, score — shared by every workload. *)
 let execute (dc : detect_cfg) exec ?sinks ~n ~group_of ~predicate ~init
@@ -304,34 +365,24 @@ let calm_init cfg =
   List.init cfg.monitors (fun i ->
       ({ Expr.name = "load"; loc = i }, Value.Int 80))
 
-(* Pre-schedule every monitor's load samples on its group's engine,
-   from the monitor's entity stream; [emit] publishes each sample. *)
+(* Every monitor's load samples, from its {!sense_walk} generator;
+   [emit] publishes each sample. *)
 let calm_walk exec ~monitors ~group_of ~sample_period ~horizon emit =
-  for m = 0 to monitors - 1 do
-    let rng = entity_rng exec m in
-    let engine = Exec.engine exec ~group:(group_of m) in
-    let load = ref 80 in
-    let rec samples t =
-      let gap = Rng.exponential rng ~mean:sample_period in
-      let at = Sim_time.add t (Sim_time.of_sec_float gap) in
-      if Sim_time.( < ) at horizon then begin
-        Engine.schedule_at_unit engine at (fun () ->
-            (* Downward-drifting walk (step in -6 .. +4) with rare
-               spikes, so the all-calm conjunction keeps flipping:
-               drift pulls every monitor under [limit], a spike breaks
-               one conjunct, the drift repairs it. *)
-            let spiked = Rng.int rng 25 = 0 in
-            load :=
-              (if spiked then 70 + Rng.int rng 30
-               else
-                 let step = Rng.int rng 11 - 6 in
-                 Stdlib.max 0 (Stdlib.min 100 (!load + step)));
-            emit ~src:m ~var:"load" ~value:!load);
-        samples at
-      end
-    in
-    samples Sim_time.zero
-  done
+  sense_walk exec ~entities:monitors ~group_of ~mean:sample_period ~horizon
+    (fun m rng ->
+      let load = ref 80 in
+      fun () ->
+        (* Downward-drifting walk (step in -6 .. +4) with rare spikes, so
+           the all-calm conjunction keeps flipping: drift pulls every
+           monitor under [limit], a spike breaks one conjunct, the drift
+           repairs it. *)
+        let spiked = Rng.int rng 25 = 0 in
+        load :=
+          (if spiked then 70 + Rng.int rng 30
+           else
+             let step = Rng.int rng 11 - 6 in
+             Stdlib.max 0 (Stdlib.min 100 (!load + step)));
+        emit ~src:m ~var:"load" ~value:!load)
 
 let calm ?(cfg = calm_default) ?sinks exec =
   if cfg.monitors <= 0 then invalid_arg "Sharded.calm: monitors";
@@ -442,22 +493,11 @@ let hospital ?(cfg = hospital_default) ?sinks exec =
   execute dc exec ?sinks ~n:cfg.wards ~group_of
     ~predicate:(hospital_predicate cfg) ~init:(hospital_init cfg)
     ~populate:(fun det ->
-      for ward = 0 to cfg.wards - 1 do
-        let rng = entity_rng exec ward in
-        let engine = Exec.engine exec ~group:(group_of ward) in
-        let vital = ref 100 in
-        let rec samples t =
-          let gap = Rng.exponential rng ~mean:cfg.sample_period in
-          let at = Sim_time.add t (Sim_time.of_sec_float gap) in
-          if Sim_time.( < ) at dc.horizon then begin
-            Engine.schedule_at_unit engine at (fun () ->
-                let step = Rng.int rng 11 - 5 in
-                vital := Stdlib.max 50 (Stdlib.min 160 (!vital + step));
-                Sharded_detector.emit det ~src:ward ~var:"vital"
-                  ~value:!vital);
-            samples at
-          end
-        in
-        samples Sim_time.zero
-      done)
+      sense_walk exec ~entities:cfg.wards ~group_of ~mean:cfg.sample_period
+        ~horizon:dc.horizon (fun ward rng ->
+          let vital = ref 100 in
+          fun () ->
+            let step = Rng.int rng 11 - 5 in
+            vital := Stdlib.max 50 (Stdlib.min 160 (!vital + step));
+            Sharded_detector.emit det ~src:ward ~var:"vital" ~value:!vital))
     ()

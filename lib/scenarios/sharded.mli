@@ -2,9 +2,12 @@
 
     Substrate-invariant restatements of the exhibition hall, banking,
     and hospital scenarios: processes are partitioned into a fixed
-    number of groups, every sense event is pre-scheduled on its group's
-    engine from per-entity RNG streams, and detection runs on the
-    {!Psn_detection.Sharded_detector} hold-back checker.  Running the
+    number of groups, sense events run on their group's engine from
+    per-entity RNG streams, and detection runs on the
+    {!Psn_detection.Sharded_detector} hold-back checker.  The hall and
+    banking schedule every sense event before the run; calm, stream and
+    hospital keep one pending sense event per entity, which schedules
+    its successor when it fires, in the same order.  Running the
     same configuration and seed on {!Psn_sim.Exec.single} and on
     {!Psn_sim.Exec.sharded} with any shard count must produce equal
     reports — the property the differential suite checks.

@@ -98,6 +98,14 @@ let schedule_after_unit t delay action =
     invalid_arg "Engine.schedule_after_unit: negative delay";
   schedule_at_unit t (Sim_time.add t.now delay) action
 
+let schedule_ranked_unit t time ~rank action =
+  if Sim_time.(time < t.now) then
+    invalid_arg "Engine.schedule_ranked_unit: time is in the past";
+  Event_queue.add_ranked t.queue ~time_ns:(Sim_time.to_ns time) ~rank
+    (Fast action);
+  Metrics.tick t.c_scheduled;
+  trace_schedule t time
+
 let create ?(seed = 42L) ?tracer ?timeline ?(use_default_obs = true) () =
   let metrics = Metrics.create () in
   let timeline =

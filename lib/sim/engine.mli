@@ -71,6 +71,17 @@ val schedule_at_unit : t -> Sim_time.t -> (unit -> unit) -> unit
 val schedule_after_unit : t -> Sim_time.t -> (unit -> unit) -> unit
 (** [schedule_at_unit] at [now + delay]; raises on negative delay. *)
 
+val schedule_ranked_unit :
+  t -> Sim_time.t -> rank:int -> (unit -> unit) -> unit
+(** [schedule_at_unit] with another tie-break: the event runs before
+    every equal-time event the other functions scheduled, whenever
+    either was scheduled, and equal-time ranked events run in increasing
+    [rank].  A generator that keeps one pending event per entity, ranked
+    by the entity's index, thus fires in the order that scheduling all
+    its events up front, entity by entity, would give.  At most one
+    pending event per rank and time; raises if the time is before [now]
+    or [rank] is negative. *)
+
 val cancel : handle -> unit
 (** Cancelling a pending event marks it and counts it in the
     [engine.cancelled] metric; the closure is skipped when its slot pops.

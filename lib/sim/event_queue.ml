@@ -23,10 +23,13 @@
    is always found at [slots.(len)].
 
    The sequence plane is the FIFO tie-break: equal times pop in
-   insertion order, which is what keeps simulations deterministic.  The
-   payload slot vacated by a pop (and every slot dropped by [clear]) is
-   overwritten with [dummy] so fired closures are not retained — the
-   space leak the generic heap's [pop] had.
+   insertion order, which is what keeps simulations deterministic.
+   [add_ranked] writes a key below every insertion sequence instead, so
+   a ranked payload pops before every [add]ed one of equal time and
+   equal-time ranked payloads pop by rank.  The payload slot vacated by
+   a pop (and every slot dropped by [clear]) is overwritten with [dummy]
+   so fired closures are not retained — the space leak the generic
+   heap's [pop] had.
 
    Why 4-ary: sift-down dominates a DES queue (every pop sifts a tail
    element down from the root), and a 4-ary heap does ⌈log₄ n⌉ levels of
@@ -158,18 +161,28 @@ let sift_down q i0 =
     Array.unsafe_set slots !i sl
   end
 
-let add q ~time_ns payload =
+let[@inline] insert q ~time_ns ~seq payload =
   if q.len = Array.length q.times then grow q;
   let i = q.len in
   (* [slots.(i)] already names a free arena index (permutation
      invariant). *)
   let sl = Array.unsafe_get q.slots i in
   Array.unsafe_set q.times i time_ns;
-  Array.unsafe_set q.seqs i q.next_seq;
+  Array.unsafe_set q.seqs i seq;
   Array.unsafe_set q.payloads sl payload;
-  q.next_seq <- q.next_seq + 1;
   q.len <- i + 1;
   sift_up q i
+
+let add q ~time_ns payload =
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
+  insert q ~time_ns ~seq payload
+
+(* Insertion sequences count up from 0, so [min_int + rank] sorts below
+   every one of them. *)
+let add_ranked q ~time_ns ~rank payload =
+  if rank < 0 then invalid_arg "Event_queue.add_ranked: negative rank";
+  insert q ~time_ns ~seq:(min_int + rank) payload
 
 let min_time_ns q =
   if q.len = 0 then invalid_arg "Event_queue.min_time_ns: empty";

@@ -21,6 +21,14 @@ val is_empty : 'a t -> bool
 val add : 'a t -> time_ns:int -> 'a -> unit
 (** Amortized O(log₄ n); allocation only on capacity growth. *)
 
+val add_ranked : 'a t -> time_ns:int -> rank:int -> 'a -> unit
+(** Like {!add}, but keyed below insertion order: the payload pops before
+    every {!add}ed payload of equal time, whenever either was added, and
+    equal-time ranked payloads pop in increasing [rank].  Two pending
+    payloads with equal time and rank pop in an unspecified order, so a
+    caller keeps at most one pending payload per rank.  Raises
+    [Invalid_argument] for a negative [rank]. *)
+
 val min_time_ns : 'a t -> int
 (** Key of the next event to pop. Raises [Invalid_argument] when empty. *)
 

@@ -307,6 +307,46 @@ let test_flood_multiple_sources () =
   Alcotest.(check int) "both floods delivered everywhere" 8
     (Hashtbl.length per_origin)
 
+(* The duplicate filter keeps one bit per (node, origin, seq) and grows
+   with the seq; 320 floods per origin run it past its first growth,
+   with random delays reordering floods in flight.  Handlers run at most
+   once per flood, and exactly once at every other node without loss. *)
+let test_flood_filter_many ~loss () =
+  let n = 7 and floods = 320 in
+  let engine = Engine.create ~seed:9L () in
+  let flood =
+    Flood.create ?loss engine ~topology:(Graph.ring ~n)
+      ~delay:
+        (Psn_sim.Delay_model.bounded_uniform ~min:(Sim_time.of_ms 1)
+           ~max:(Sim_time.of_ms 50))
+  in
+  let calls = Array.init n (fun _ -> Array.make_matrix n (floods + 1) 0) in
+  for node = 0 to n - 1 do
+    Flood.set_handler flood node (fun ~origin k ->
+        calls.(node).(origin).(k) <- calls.(node).(origin).(k) + 1)
+  done;
+  let rng = Psn_util.Rng.create ~seed:5L () in
+  for origin = 0 to n - 1 do
+    let at = ref 0 in
+    for k = 1 to floods do
+      at := !at + Psn_util.Rng.int rng 20_000_000;
+      Engine.schedule_at_unit engine (Sim_time.of_ns !at) (fun () ->
+          Flood.flood flood ~src:origin k)
+    done
+  done;
+  Engine.run engine;
+  for node = 0 to n - 1 do
+    for origin = 0 to n - 1 do
+      for k = 1 to floods do
+        let c = calls.(node).(origin).(k) in
+        let want = if node = origin then 0 else 1 in
+        if c > 1 || (c <> want && (loss = None || node = origin)) then
+          Alcotest.failf "node %d got flood %d of origin %d %d times" node k
+            origin c
+      done
+    done
+  done
+
 let test_flood_line_hops () =
   (* On a line, delivery time grows with hop distance. *)
   let engine = Engine.create () in
@@ -565,6 +605,12 @@ let () =
         [
           Alcotest.test_case "reaches all" `Quick test_flood_reaches_all;
           Alcotest.test_case "multiple sources" `Quick test_flood_multiple_sources;
+          Alcotest.test_case "filter: 320 floods per origin, exactly once"
+            `Quick (test_flood_filter_many ~loss:None);
+          Alcotest.test_case "filter: 320 floods per origin, lossy, at most once"
+            `Quick
+            (test_flood_filter_many
+               ~loss:(Some (Psn_sim.Loss_model.bernoulli 0.3)));
           Alcotest.test_case "line hops" `Quick test_flood_line_hops;
         ] );
       ( "churn",

@@ -57,6 +57,42 @@ let test_hall_conservation () =
      in
      ok (Psn.Report.truth report))
 
+(* E9 runs each seed once and scores it under every borderline policy:
+   that is sound only while the policy feeds nothing but the scoring.
+   Under racing traffic (E9's hall, strobe vectors, Δ = 500 ms) each
+   policy's run must equal the As_positive run re-scored. *)
+let test_hall_policy_only_scores () =
+  let cfg = { Hall.doors = 6; capacity = 24; visitors = 48; dwell_mean = 15.0 } in
+  let config =
+    {
+      Psn.Config.default with
+      n = cfg.Hall.doors;
+      clock = Psn_clocks.Clock_kind.Strobe_vector;
+      delay =
+        Psn_sim.Delay_model.bounded_uniform ~min:(Sim_time.of_ms 50)
+          ~max:(Sim_time.of_ms 500);
+      horizon = Sim_time.of_sec 1800;
+      seed = 11L;
+    }
+  in
+  let base = Hall.run ~cfg config in
+  Alcotest.(check bool) "races reach the borderline bin" true
+    ((Psn.Report.summary base).Metrics.borderline > 0);
+  List.iter
+    (fun (name, policy) ->
+      let rescored =
+        Metrics.score ~tolerance:config.tolerance ~policy
+          ~truth:(Psn.Report.truth base)
+          ~detections:(Psn.Report.occurrences base) ()
+      in
+      let run = Psn.Report.summary (Hall.run ~cfg ~policy config) in
+      Alcotest.(check bool) name true (compare run rescored = 0))
+    [
+      ("as positive", Metrics.As_positive);
+      ("as negative", Metrics.As_negative);
+      ("dropped", Metrics.Drop);
+    ]
+
 (* E1's hall at Δ = 20 s under every clock, pinned.  Updates wait out a
    20 s hold-back, so flushes defer ready updates behind smaller held
    stamps and rises race: the vector and HLC rows fill the borderline
@@ -287,6 +323,8 @@ let () =
           Alcotest.test_case "truth sane" `Quick test_hall_conservation;
           Alcotest.test_case "race fingerprint" `Quick
             test_hall_race_fingerprint;
+          Alcotest.test_case "policy only scores" `Quick
+            test_hall_policy_only_scores;
         ] );
       ( "smart_office",
         [

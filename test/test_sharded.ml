@@ -834,6 +834,106 @@ let test_flush_schedule =
           batches;
       true)
 
+(* {2 Streamed memory}
+
+   Each monitor keeps one pending sense event, so the queues hold the
+   live traffic only: a few sense events, in-flight strobes and
+   unicasts, and one flush.  Scheduling every sample up front queued
+   thousands before the first event.  The hook runs on the checker's
+   shard; at K = 2 its read of the other shard's queue length may be
+   stale, and every value it can see is one the queue held. *)
+let test_stream_queue_bound shards () =
+  let dc = stream_cfg.Sharded.s_detect in
+  let cfg =
+    { stream_cfg with
+      Sharded.s_detect = { dc with horizon = Sim_time.of_sec 10_000 } }
+  in
+  let exec =
+    if shards = 1 then Exec.single ~seed:42L ()
+    else Exec.sharded ~seed:42L ~shards ~lookahead:stream_lookahead ()
+  in
+  let peak = ref 0 in
+  let on_observe ~pid:_ ~stamp:_ =
+    for g = 0 to dc.groups - 1 do
+      peak := max !peak (Engine.pending (Exec.engine exec ~group:g))
+    done
+  in
+  let r, _ = Sharded.stream ~cfg ~on_observe exec in
+  Alcotest.(check bool) "samples observed" true (r.Sharded.sr_observed > 1_000);
+  if !peak > 64 then Alcotest.failf "%d events pending on one engine" !peak
+
+(* The ground-truth log packs each update into two ints; [updates] must
+   give back exactly what was emitted, at sense times up to 2^59 ns and
+   with values at both ends of the int range. *)
+let log_case =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (1, return min_int); (1, return max_int); (1, return 0);
+        (3, small_signed_int); (3, int) ]
+  in
+  let at = map (fun x -> x land ((1 lsl 59) - 1)) int in
+  let* n = int_range 1 4 in
+  let* names = list_repeat n (int_range 1 4) in
+  let emit =
+    let* src = int_bound (n - 1) in
+    let* var = int_bound (List.nth names src - 1) in
+    let* at = oneof [ at; map (fun x -> x land 0xFFFF) int ] in
+    let+ value = value in
+    (src, var, at, value)
+  in
+  let+ emits = list_size (int_range 0 40) emit in
+  (n, emits)
+
+(* [n] sources in one group on the single queue. *)
+let one_group_detector ~n exec =
+  Sharded_detector.create exec
+    ~cfg:
+      { Sharded_detector.n; groups = 1; group_of = (fun _ -> 0); eps = ms 1;
+        hold = ms 20; flush_period = ms 10; causal_stamps = false }
+    ~delay:delay_small ~predicate:Expr.(var ~name:"v0" ~loc:0 >? int 0) ()
+
+let test_log_round_trip =
+  qtest ~count:100 "ground-truth log: updates round-trip to 2^59 ns"
+    (QCheck.make log_case ~print:(fun (n, emits) ->
+         Printf.sprintf "n = %d: %s" n
+           (String.concat "; "
+              (List.map
+                 (fun (src, var, at, value) ->
+                   Printf.sprintf "(%d, v%d, %d ns, %d)" src var at value)
+                 emits))))
+    (fun (n, emits) ->
+      let exec = Exec.single ~seed:3L () in
+      let det = one_group_detector ~n exec in
+      let engine = Exec.engine exec ~group:0 in
+      let seqs = Array.make n 0 and reference = ref [] in
+      List.iter
+        (fun (src, var, at, value) ->
+          let var = Printf.sprintf "v%d" var in
+          Engine.schedule_at_unit engine (Sim_time.of_ns at) (fun () ->
+              reference :=
+                { Psn_detection.Observation.src; var; value = Value.Int value;
+                  seq = seqs.(src); sense_time = Engine.now engine }
+                :: !reference;
+              seqs.(src) <- seqs.(src) + 1;
+              Sharded_detector.emit det ~src ~var ~value))
+        emits;
+      Exec.run exec ~until:(Sim_time.of_ns (1 lsl 59));
+      let want =
+        List.sort Psn_detection.Ground_truth.compare_updates !reference
+      in
+      Sharded_detector.updates det = want)
+
+let test_sense_time_bound () =
+  let exec = Exec.single () in
+  let det = one_group_detector ~n:1 exec in
+  let at = Sim_time.of_ns (1 lsl 60) in
+  Engine.schedule_at_unit (Exec.engine exec ~group:0) at (fun () ->
+      Sharded_detector.emit det ~src:0 ~var:"v0" ~value:1);
+  Alcotest.check_raises "emit at 2^60 ns"
+    (Invalid_argument "Sharded_detector.emit: sense time past 2^60 ns")
+    (fun () -> Exec.run exec ~until:at)
+
 let () =
   Alcotest.run "psn_sharded"
     [
@@ -875,11 +975,18 @@ let () =
           test_stream_matches_packed;
           Alcotest.test_case "online tap == post-hoc bytes" `Quick
             test_stream_tap_equals_retained;
+          Alcotest.test_case "queues stay bounded at 10^4 s (K=1)" `Quick
+            (test_stream_queue_bound 1);
+          Alcotest.test_case "queues stay bounded at 10^4 s (K=2)" `Quick
+            (test_stream_queue_bound 2);
         ] );
       ( "holdback",
         [
           Alcotest.test_case "both detectors reject bad config and emits"
             `Quick test_holdback_checks;
           test_flush_schedule;
+          test_log_round_trip;
+          Alcotest.test_case "sense time at 2^60 ns rejected" `Quick
+            test_sense_time_bound;
         ] );
     ]

@@ -125,6 +125,31 @@ let test_engine_unit_fifo_interleaved () =
   Alcotest.(check (list string)) "FIFO across both scheduling paths"
     [ "a"; "b"; "c" ] (List.rev !order)
 
+(* A ranked event runs before every equal-time unranked one, even one
+   scheduled earlier, and equal-time ranked events run by rank: the
+   order a self-rescheduling generator needs to match events scheduled
+   up front. *)
+let test_engine_ranked () =
+  let engine = Engine.create () in
+  let order = ref [] in
+  let note s () = order := s :: !order in
+  let at = Sim_time.of_ms 5 in
+  Engine.schedule_at_unit engine at (note "unranked");
+  Engine.schedule_ranked_unit engine at ~rank:2 (note "rank 2");
+  Engine.schedule_at_unit engine (Sim_time.of_ms 1) (fun () ->
+      note "at 1 ms" ();
+      Engine.schedule_ranked_unit engine at ~rank:0 (fun () ->
+          note "rank 0" ();
+          Engine.schedule_ranked_unit engine at ~rank:0 (note "rank 0 again")));
+  Engine.run engine;
+  Alcotest.(check (list string)) "ranked before unranked, by rank"
+    [ "at 1 ms"; "rank 0"; "rank 0 again"; "rank 2"; "unranked" ]
+    (List.rev !order);
+  Alcotest.(check int) "processed" 5 (Engine.events_processed engine);
+  Alcotest.check_raises "negative rank"
+    (Invalid_argument "Event_queue.add_ranked: negative rank") (fun () ->
+      Engine.schedule_ranked_unit engine at ~rank:(-1) ignore)
+
 let test_engine_unit_past_raises () =
   let engine = Engine.create () in
   Engine.schedule_at_unit engine (Sim_time.of_ms 10) (fun () -> ());
@@ -452,6 +477,7 @@ let () =
             test_engine_unit_fifo_interleaved;
           Alcotest.test_case "unit past raises" `Quick
             test_engine_unit_past_raises;
+          Alcotest.test_case "ranked ties" `Quick test_engine_ranked;
           Alcotest.test_case "cancel after fire" `Quick
             test_engine_cancel_after_fire;
           Alcotest.test_case "past raises" `Quick test_engine_past_raises;
