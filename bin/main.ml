@@ -75,24 +75,25 @@ let trace_file =
           "Write a structured JSONL event trace of the run to $(docv). \
            Forces single-domain execution so the trace order is total.")
 
-(* Install a process-wide sink (and optionally a metric timeline) around
-   [f] and flush to [path] on the way out (even on exceptions, so partial
-   runs still leave evidence). *)
+(* Install a default sink (and optionally a metric timeline) around [f]
+   and flush to [path] on the way out (even on exceptions, so partial runs
+   still leave evidence).  Both defaults keep [f]'s maps on this domain,
+   so the trace is total. *)
 let traced_to ?timeline ~write path f =
   let sink = Psn_obs.Trace.create () in
-  Psn_obs.Trace.set_default (Some sink);
-  Psn_obs.Metrics.set_default_timeline timeline;
-  Psn_util.Parallel.set_sequential true;
+  let run () =
+    match timeline with
+    | None -> f ()
+    | Some tl -> Psn_obs.Metrics.with_default_timeline tl f
+  in
   Fun.protect
     ~finally:(fun () ->
-      Psn_obs.Trace.set_default None;
-      Psn_obs.Metrics.set_default_timeline None;
       try
         let oc = open_out path in
         Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc sink);
         Fmt.epr "trace: %d events -> %s@." (Psn_obs.Trace.length sink) path
       with Sys_error msg -> Fmt.epr "trace: cannot write trace: %s@." msg)
-    f
+    (fun () -> Psn_obs.Trace.with_default sink run)
 
 let with_trace trace_file f =
   match trace_file with
@@ -180,7 +181,9 @@ let experiment_cmd =
 let hall_cmd =
   let doc = "Exhibition hall occupancy scenario (paper S5)." in
   let doors =
-    Arg.(value & opt int 4 & info [ "doors" ] ~docv:"D" ~doc:"Door count.")
+    Arg.(
+      value & opt (positive "door count") 4
+      & info [ "doors" ] ~docv:"D" ~doc:"Door count.")
   in
   let capacity =
     Arg.(value & opt int 15 & info [ "capacity" ] ~docv:"C" ~doc:"Room capacity.")
@@ -233,10 +236,14 @@ let office_cmd =
 let hospital_cmd =
   let doc = "Hospital ward proximity scenario." in
   let patients =
-    Arg.(value & opt int 2 & info [ "patients" ] ~docv:"P" ~doc:"Patients.")
+    Arg.(
+      value & opt (positive "patient count") 2
+      & info [ "patients" ] ~docv:"P" ~doc:"Patients.")
   in
   let visitors =
-    Arg.(value & opt int 5 & info [ "visitors" ] ~docv:"V" ~doc:"Visitors.")
+    Arg.(
+      value & opt (int_at_least 0 "non-negative visitor count") 5
+      & info [ "visitors" ] ~docv:"V" ~doc:"Visitors.")
   in
   let run seed horizon_s delta_ms clock trace_file patients visitors =
     with_trace trace_file @@ fun () ->
@@ -251,10 +258,14 @@ let hospital_cmd =
 
 let habitat_cmd =
   let doc = "Habitat duty-cycle coordination scenario." in
-  let nodes = Arg.(value & opt int 8 & info [ "nodes" ] ~docv:"N" ~doc:"Nodes.") in
+  let nodes =
+    Arg.(
+      value & opt (int_at_least 2 "node count of at least 2") 8
+      & info [ "nodes" ] ~docv:"N" ~doc:"Nodes (at least 2).")
+  in
   let duration_ms =
     Arg.(
-      value & opt int 1500
+      value & opt (int_at_least 0 "non-negative duration") 1500
       & info [ "duration" ] ~docv:"MS" ~doc:"Phenomenon duration (ms).")
   in
   let run seed horizon_s duration_ms nodes =
@@ -282,7 +293,7 @@ let banking_cmd =
   let doc = "Secure banking: biometric-after-password timing relation." in
   let eps_ms =
     Arg.(
-      value & opt int 100
+      value & opt (int_at_least 0 "non-negative skew") 100
       & info [ "eps" ] ~docv:"MS" ~doc:"Clock synchronization skew (ms).")
   in
   let run seed horizon_s eps_ms =
@@ -311,7 +322,9 @@ let lattice_cmd =
      print the consistent-state lattice (counts, or Graphviz with --dot)."
   in
   let nodes =
-    Arg.(value & opt int 3 & info [ "procs" ] ~docv:"N" ~doc:"Processes.")
+    Arg.(
+      value & opt (positive "process count") 3
+      & info [ "procs" ] ~docv:"N" ~doc:"Processes.")
   in
   let events =
     Arg.(
@@ -339,11 +352,9 @@ let lattice_cmd =
       (* Peak antichain width of the BFS, via the packed walk's
          per-level probe: how "slim" the lattice actually is. *)
       let peak = ref 0 in
-      Psn_lattice.Packed.frontier_probe :=
-        Some (fun width -> if width > !peak then peak := width);
       let consistent =
-        Fun.protect
-          ~finally:(fun () -> Psn_lattice.Packed.frontier_probe := None)
+        Psn_lattice.Packed.with_frontier_probe
+          (fun width -> if width > !peak then peak := width)
           (fun () -> Psn_lattice.Lattice.count_consistent_plane plane handles)
       in
       Fmt.pr "consistent cuts : %a@." Psn_lattice.Lattice.pp_verdict consistent;
@@ -498,7 +509,7 @@ let analyze_cmd =
   in
   let top =
     Arg.(
-      value & opt int 16
+      value & opt (positive "link count") 16
       & info [ "top" ] ~docv:"N" ~doc:"Largest links to list in the report.")
   in
   let run seed horizon_s delta_ms clock file run_live horizon_ms json_out top =
@@ -523,11 +534,8 @@ let analyze_cmd =
              the analyzer; the trace never accumulates. *)
           let sink = Psn_obs.Trace.create ~retain:false () in
           Psn_obs.Trace.set_tap sink (Some (Psn_obs.Analyze.feed az));
-          Psn_obs.Trace.set_default (Some sink);
-          Psn_util.Parallel.set_sequential true;
-          Fun.protect
-            ~finally:(fun () -> Psn_obs.Trace.set_default None)
-            (fun () -> run_scenario ~seed ~horizon_s ~delta_ms ~clock scenario);
+          Psn_obs.Trace.with_default sink (fun () ->
+              run_scenario ~seed ~horizon_s ~delta_ms ~clock scenario);
           Ok ()
     in
     match outcome with
@@ -732,9 +740,10 @@ let profile_cmd =
   let doc =
     "Run an experiment — or a sharded scenario ($(b,--run)) — under the \
      host-time profiler: per-phase wall time and GC deltas (psn-profile/1 \
-     JSON). Sharded runs split into sharded.window (parallel execution) \
-     and sharded.drain (coordinator barrier) phases. Host readings stay \
-     in the profile artifact; simulated-time traces are unaffected."
+     JSON). Sharded runs split into sharded.window (the window loop, \
+     every shard in turn) and sharded.drain (the barrier) phases. Host \
+     readings stay in the profile artifact; simulated-time traces are \
+     unaffected."
   in
   let id =
     Arg.(
@@ -822,7 +831,7 @@ let detect_cmd =
   in
   let monitors =
     Arg.(
-      value & opt int 3
+      value & opt (positive "monitor count") 3
       & info [ "monitors" ] ~docv:"N"
           ~doc:
             "Monitor processes.  The cut lattice is exponential in \
@@ -880,9 +889,7 @@ let detect_cmd =
   in
   let run seed shards horizon_s window_ms monitors cap stream_flag posthoc
       differential json trace_out =
-    ignore stream_flag;
-    if monitors <= 0 then `Error (false, "--monitors must be positive")
-    else if posthoc && stream_flag then
+    if posthoc && stream_flag then
       `Error (false, "pass --stream or --posthoc, not both")
     else begin
       let groups = max 1 (min 2 monitors) in

@@ -13,19 +13,16 @@ module Sim_time = Psn_sim.Sim_time
 type t = {
   offset_ns : float;            (* fixed offset from true time, ns *)
   drift_ppm : float;            (* constant rate error, parts per million *)
-  granularity_ns : float;       (* reading quantization, ns *)
   mutable corr_offset_ns : float;  (* correction applied by sync protocol *)
   mutable corr_drift_ppm : float;
   mutable corr_applied_at : Sim_time.t;
 }
 
-let create ?(granularity_ns = 1.0) rng ~max_offset ~max_drift_ppm =
-  if granularity_ns <= 0.0 then invalid_arg "Physical_clock.create: granularity";
+let create rng ~max_offset ~max_drift_ppm =
   let max_offset_ns = Sim_time.to_sec_float max_offset *. 1e9 in
   {
     offset_ns = Psn_util.Rng.uniform rng (-.max_offset_ns) max_offset_ns;
     drift_ppm = Psn_util.Rng.uniform rng (-.max_drift_ppm) max_drift_ppm;
-    granularity_ns;
     corr_offset_ns = 0.0;
     corr_drift_ppm = 0.0;
     corr_applied_at = Sim_time.zero;
@@ -35,7 +32,6 @@ let perfect () =
   {
     offset_ns = 0.0;
     drift_ppm = 0.0;
-    granularity_ns = 1.0;
     corr_offset_ns = 0.0;
     corr_drift_ppm = 0.0;
     corr_applied_at = Sim_time.zero;
@@ -49,7 +45,6 @@ let synced_within rng ~eps =
   {
     offset_ns = Psn_util.Rng.uniform rng (-.eps_ns /. 2.0) (eps_ns /. 2.0);
     drift_ppm = 0.0;
-    granularity_ns = 1.0;
     corr_offset_ns = 0.0;
     corr_drift_ppm = 0.0;
     corr_applied_at = Sim_time.zero;
@@ -59,12 +54,10 @@ let raw_error_ns t ~(now : Sim_time.t) =
   let tns = Sim_time.to_sec_float now *. 1e9 in
   t.offset_ns +. (t.drift_ppm *. 1e-6 *. tns)
 
-(* Uncorrected hardware reading at true time [now]. *)
+(* Uncorrected hardware reading at true time [now], quantized to 1 ns. *)
 let read_raw t ~now =
   let tns = Sim_time.to_sec_float now *. 1e9 in
-  let reading = tns +. raw_error_ns t ~now in
-  let q = t.granularity_ns in
-  let reading = Float.round (reading /. q) *. q in
+  let reading = Float.round (tns +. raw_error_ns t ~now) in
   Sim_time.of_sec_float (Float.max 0.0 (reading /. 1e9))
 
 (* Reading after the currently installed correction. *)

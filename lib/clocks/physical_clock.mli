@@ -7,9 +7,9 @@
 type t
 
 val create :
-  ?granularity_ns:float -> Psn_util.Rng.t -> max_offset:Psn_sim.Sim_time.t ->
-  max_drift_ppm:float -> t
-(** Random offset in [±max_offset], drift in [±max_drift_ppm]. *)
+  Psn_util.Rng.t -> max_offset:Psn_sim.Sim_time.t -> max_drift_ppm:float -> t
+(** Random offset in [±max_offset], drift in [±max_drift_ppm]; raw
+    readings are quantized to 1 ns. *)
 
 val perfect : unit -> t
 (** Reads true time exactly — the pervasive-computing literature's

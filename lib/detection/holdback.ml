@@ -131,8 +131,8 @@ let admit t ~src ~var ~value =
   let var_idx = slot_of names var in
   if var_idx >= max_vars then
     invalid_arg (t.who ^ ".emit: more than 4 variables on one process");
-  (* Written once, by the source's domain; the checker reads it only
-     after a window barrier has ordered the write before the read. *)
+  (* Written once, by the source's group; the checker reads it only at
+     delivery, a window after the write. *)
   if String.equal names.(var_idx) "" then names.(var_idx) <- var;
   let g = t.group_of src in
   let sense = Sim_time.to_ns (Engine.now (Exec.engine t.exec ~group:g)) in

@@ -35,11 +35,11 @@
     grows with the run; {!updates} builds the record list from it on
     demand.
 
-    Cross-domain discipline: a source's name table, sequence counter,
+    Group locality: a source's name table, sequence counter,
     ground-truth log and its group's update counter are written only by
     its group's events; the checker's arena only by checker events.  The
     checker reads a name table only for updates the source emitted,
-    hence after a window barrier. *)
+    hence at a later window than the write. *)
 
 type t
 

@@ -2,22 +2,17 @@
    single-queue oracle and the sharded engine execute the same
    construction (see the .mli for the determinism argument).
 
-   Cross-domain discipline, for every mutable piece:
+   Group locality, for every mutable piece (the rule that makes the
+   order of a window's shards unobservable):
 
      - the front end (clocks, name tables, ground truth, the checker's
-       pending arena) follows {!Holdback}'s discipline;
+       pending arena) follows {!Holdback}'s rule;
      - vector clocks and stamp planes are written only by events of
-       their group, which the substrate runs on one shard (one domain
-       at a time);
+       their group, which the substrate places on one shard;
      - the checker's env, verdict and occurrence list are written only
        by checker events (shard 0);
-     - the checker reads plane stamps only at delivery, which the window
-       barrier places at least one happens-before edge after the source
-       wrote them.  A source shard
-       may grow its plane concurrently with a checker read of an older
-       stamp; growth blits, so every stamp from before the barrier is
-       visible whichever backing array the read lands on, and the live
-       length only grows, so the handle check cannot spuriously fail.
+     - the checker reads plane stamps only at delivery, a window after
+       the source wrote them, and a written stamp never changes.
 
    Checker backends (selected with [?checker], default [Compiled]):
 
@@ -61,8 +56,8 @@ type checker = Interp | Compiled
 type program = { prog : Compiled.t; cenv : Compiled.env; slots : int array }
 
 (* The name table is written at the source's first emit; the checker
-   reads it (after a barrier) only for updates that were emitted, so
-   the entry is always populated. *)
+   reads it (at delivery, a window later) only for updates that were
+   emitted, so the entry is always populated. *)
 let find_slot p hb ~src ~var_idx =
   let key = (src * Holdback.max_vars) + var_idx in
   let s = p.slots.(key) in

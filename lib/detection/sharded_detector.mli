@@ -18,11 +18,10 @@
     Per-shard stamp planes: with [causal_stamps] on, every source
     additionally runs a vector clock whose stamps bump-allocate in its
     {e group's} {!Psn_clocks.Stamp_plane} arena — each shard owns its
-    planes, writes are group-local (race-free intra-window), and the
-    checker merges received handles across planes into a causal frontier
-    after the barrier's happens-before edge.  The frontier is a
-    commutative max-merge, hence substrate-invariant; tests compare it
-    verbatim. *)
+    planes, writes are group-local, and the checker merges received
+    handles across planes into a causal frontier at delivery.  The
+    frontier is a commutative max-merge, hence substrate-invariant;
+    tests compare it verbatim. *)
 
 type t
 

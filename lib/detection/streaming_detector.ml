@@ -4,16 +4,16 @@
    enumeration.  See the .mli for the determinism and liveness
    arguments.
 
-   Cross-shard discipline, for every mutable piece:
+   Group locality, for every mutable piece (the rule that makes the
+   order of a window's shards unobservable):
 
-     - per-group stamp planes are written only by their group's sources
-       (strobe ticks run on the source's shard); a strobe *receiver* on
-       another shard reads the foreign plane stamp only at delivery,
-       which the window barrier orders after the write (growth blits,
-       so stale backing references still see pre-barrier stamps);
+     - per-group stamp planes are written only by their group's sources;
+       a strobe receiver in another group reads a foreign plane stamp
+       only at delivery, a window after the write, and a written stamp
+       never changes;
      - the reorder rings, value histories, and the walk itself are
        written only by checker events (shard 0); the front end's
-       pieces follow {!Holdback}'s discipline.
+       pieces follow {!Holdback}'s rule.
 
    Per-source sequence order: the arena's (stamp, src, seq) batch order
    is per-source monotone *within* a flush (synced clocks are pure and
@@ -325,7 +325,7 @@ let create ?loss ?sinks ?on_observe exec ~cfg ~delay ~predicate () =
       t.rr_buf.(src).(seq mod t.rr_cap.(src) * rr_stride) <- vh;
       if seq > t.rr_max.(src) then t.rr_max.(src) <- seq);
   (* Source delivery: a strobe from another source — SVC2 merge, no
-     tick, reading the sender group's plane after the barrier. *)
+     tick, reading the sender group's plane a window after the write. *)
   let net = Holdback.net hb in
   for pid = 0 to n - 1 do
     Shard_net.set_handler net pid (fun ~src ~a ~b:_ ~c:_ ~d:_ ~e:_ ->

@@ -34,10 +34,10 @@
     the gap (later sequence numbers can never apply); run lossless for
     exact differential work.
 
-    {b Cross-shard discipline} matches {!Sharded_detector}: per-group
-    stamp planes are written only by their group's sources; the checker
-    and strobe receivers read foreign plane stamps only at delivery,
-    which the window barrier orders after the write. *)
+    {b Group locality} matches {!Sharded_detector}: per-group stamp
+    planes are written only by their group's sources; the checker and
+    strobe receivers read foreign plane stamps only at delivery, a
+    window after the write. *)
 
 type cfg = {
   n : int;  (** sensor pids [0 .. n-1]; the checker is pid [n] *)

@@ -28,9 +28,9 @@ let render o =
 
 let print o = print_string (render o)
 
-(* Host-time profiling hook: sweeps charge their phases to the
-   process-wide profile when one is installed ([psn-sim profile]); with
-   none installed this is the identity. *)
+(* Host-time profiling hook: sweeps charge their phases to the calling
+   domain's profile when one is installed ([psn-sim profile]); with none
+   installed this is the identity. *)
 let phase = Psn_obs.Profile.phase
 
 (* Aggregate metric summaries over repetitions. *)
@@ -103,12 +103,13 @@ let cost_of_reports reports =
    already installed (the CLI's [--trace]), the analyzer taps it — the
    outer sink keeps every record and flow ids stay unique.  Otherwise an
    unretained sink is installed for the duration, so the analyzer sees
-   the stream without the trace accumulating; default-sink pickup is not
-   domain-safe, so parallel fan-out is forced sequential while it is
-   live.  Tracing never perturbs the simulation (flow ids come from the
-   sink, the rng is untouched), so wrapped runs report the same tables. *)
-let analyzed ?horizon_ns f =
-  let az = Psn_obs.Analyze.create ?horizon_ns () in
+   the stream without the trace accumulating.  Either way the sink is
+   this domain's default, so only the engines [f] creates here feed the
+   analyzer.  Tracing never perturbs the simulation (flow ids come from
+   the sink, the rng is untouched), so wrapped runs report the same
+   tables. *)
+let analyzed f =
+  let az = Psn_obs.Analyze.create () in
   let feed = Psn_obs.Analyze.feed az in
   match Psn_obs.Trace.default () with
   | Some outer ->
@@ -120,14 +121,7 @@ let analyzed ?horizon_ns f =
   | None ->
       let sink = Psn_obs.Trace.create ~retain:false () in
       Psn_obs.Trace.set_tap sink (Some feed);
-      let was_sequential = Psn_util.Parallel.sequential () in
-      Psn_util.Parallel.set_sequential true;
-      let r =
-        Fun.protect
-          ~finally:(fun () -> Psn_util.Parallel.set_sequential was_sequential)
-          (fun () -> Psn_obs.Trace.with_default sink f)
-      in
-      (r, az)
+      (Psn_obs.Trace.with_default sink f, az)
 
 let f1 = Psn_util.Table.fmt_float ~digits:1
 let f2 = Psn_util.Table.fmt_float ~digits:2

@@ -23,9 +23,9 @@ type t = {
   s_hi : int option;
 }
 
-let make ~proc ~seq ~value ~t_lo ~t_hi ?v_lo ?v_hi ?s_lo ?s_hi () =
+let make ~proc ~seq ~value ~t_lo ~t_hi ?v_lo ?v_hi () =
   if Sim_time.( > ) t_lo t_hi then invalid_arg "Interval.make: t_lo > t_hi";
-  { proc; seq; value; t_lo; t_hi; v_lo; v_hi; s_lo; s_hi }
+  { proc; seq; value; t_lo; t_hi; v_lo; v_hi; s_lo = None; s_hi = None }
 
 let duration t = Sim_time.sub t.t_hi t.t_lo
 

@@ -16,8 +16,9 @@ type t = {
 
 val make :
   proc:int -> seq:int -> value:Psn_world.Value.t -> t_lo:Psn_sim.Sim_time.t ->
-  t_hi:Psn_sim.Sim_time.t -> ?v_lo:int array -> ?v_hi:int array ->
-  ?s_lo:int -> ?s_hi:int -> unit -> t
+  t_hi:Psn_sim.Sim_time.t -> ?v_lo:int array -> ?v_hi:int array -> unit -> t
+(** Scalar stamps ([s_lo], [s_hi]) are left [None]; {!of_timeline}
+    fills them. *)
 
 val duration : t -> Psn_sim.Sim_time.t
 val overlaps_real : t -> t -> bool

@@ -121,11 +121,13 @@ let pp_verdict ppf = function
   | At_least n -> Fmt.pf ppf ">=%d" n
 
 (* Graphviz rendering of the consistent sublattice (small executions only:
-   caps at [max_nodes] cuts).  Each node is a cut; edges are single-event
-   extensions; an optional [label] annotates cuts (e.g. predicate truth). *)
-let to_dot ?(max_nodes = 500) ?label stamps =
+   caps at [dot_max_nodes] cuts).  Each node is a cut; edges are
+   single-event extensions. *)
+let dot_max_nodes = 500
+
+let to_dot stamps =
   validate stamps;
-  let cuts, _ = consistent_cuts ~cap:max_nodes stamps in
+  let cuts, _ = consistent_cuts ~cap:dot_max_nodes stamps in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph lattice {\n  rankdir=BT;\n";
   let name c =
@@ -135,18 +137,7 @@ let to_dot ?(max_nodes = 500) ?label stamps =
      instead of a linear scan per candidate successor. *)
   let members = Hashtbl.create (2 * List.length cuts) in
   List.iter (fun c -> Hashtbl.replace members c ()) cuts;
-  List.iter
-    (fun c ->
-      let extra =
-        match label with
-        | Some f -> (
-            match f c with
-            | Some s -> Printf.sprintf " [label=%s, style=filled]" ("\"" ^ s ^ "\"")
-            | None -> "")
-        | None -> ""
-      in
-      Buffer.add_string buf (Printf.sprintf "  %s%s;\n" (name c) extra))
-    cuts;
+  List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "  %s;\n" (name c))) cuts;
   let l = lens stamps in
   List.iter
     (fun c ->

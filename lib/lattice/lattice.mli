@@ -37,10 +37,9 @@ val is_chain : ?cap:int -> stamps -> bool
 val verdict_count : verdict -> int
 val pp_verdict : Format.formatter -> verdict -> unit
 
-val to_dot :
-  ?max_nodes:int -> ?label:(Cut.t -> string option) -> stamps -> string
-(** Graphviz digraph of the consistent sublattice (bottom at the bottom);
-    [label] can annotate/fill chosen cuts. Intended for small executions. *)
+val to_dot : stamps -> string
+(** Graphviz digraph of the consistent sublattice (bottom at the bottom),
+    at most 500 cuts.  Intended for small executions. *)
 
 (** {2 Stamp-plane executions}
 

@@ -304,10 +304,16 @@ let expand plan map ~keep ~budget (f : Ibuf.t) (nx : Ibuf.t) =
   if !dropped then compact nx esz
 
 (* Observability hook: called once per expanded BFS level with the
-   frontier's entry count.  A plain ref so this library keeps its
-   dependency set; [None] costs one branch per level, nothing per entry.
-   Not domain-safe: install only around sequential walks. *)
-let frontier_probe : (int -> unit) option ref = ref None
+   frontier's entry count.  Domain-local, so a probe sees only the walks
+   of the domain that installed it; [None] costs one branch per level,
+   nothing per entry. *)
+let frontier_probe : (int -> unit) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let with_frontier_probe probe f =
+  let saved = Domain.DLS.get frontier_probe in
+  Domain.DLS.set frontier_probe (Some probe);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set frontier_probe saved) f
 
 (* --- the walk driver --- *)
 
@@ -326,6 +332,7 @@ let walk plan ?(cap = default_cap) ?(keep = fun _ _ -> true) visit =
   if keep !cur.Ibuf.a 0 then !cur.Ibuf.len <- esz;
   let count = ref 0 in
   let capped = ref false in
+  let probe = Domain.DLS.get frontier_probe in
   while !cur.Ibuf.len > 0 && not !capped do
     let f = !cur in
     let o = ref 0 in
@@ -336,9 +343,7 @@ let walk plan ?(cap = default_cap) ?(keep = fun _ _ -> true) visit =
       o := !o + esz
     done;
     if not !capped then begin
-      (match !frontier_probe with
-      | Some probe -> probe (f.Ibuf.len / esz)
-      | None -> ());
+      (match probe with Some p -> p (f.Ibuf.len / esz) | None -> ());
       expand plan map ~keep ~budget:(cap - !count) f !nxt;
       cur := !nxt;
       nxt := f

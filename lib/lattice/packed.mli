@@ -58,13 +58,13 @@ val definitely : plan -> ?cap:int -> holds:(Cut.t -> bool) -> unit -> bool optio
     consistent cut generated.  Same scratch-buffer caveat as
     [possibly]. *)
 
-val frontier_probe : (int -> unit) option ref
-(** Observability hook: when set, called once per expanded BFS level
-    with that level's frontier width (number of cuts), e.g. to record
-    the peak antichain width of an exploration.  One branch per level
-    when unset.  Not domain-safe — install around sequential walks
-    only.  {!Streaming} reports each committed frontier through the same
-    hook, so one probe observes both engines. *)
+val with_frontier_probe : (int -> unit) -> (unit -> 'a) -> 'a
+(** [with_frontier_probe probe f] runs [f] with an observability hook
+    installed on the calling domain: every walk that domain runs calls
+    [probe] once per expanded BFS level with that level's frontier
+    width (number of cuts), e.g. to record the peak antichain width of
+    an exploration.  The previous hook is restored even on exceptions.
+    One branch per level when no hook is installed. *)
 
 (** Growable flat int buffer — the frontier representation, shared with
     the streaming engine ({!Streaming}). *)

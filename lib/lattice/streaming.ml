@@ -265,9 +265,6 @@ let expand t =
     t.nxt <- f;
     let entries = entry_count t t.cur in
     if entries > 0 then t.level <- t.level + 1;
-    (match !Packed.frontier_probe with
-    | Some probe -> if entries > 0 then probe entries
-    | None -> ());
     if entries > t.peak_live_cuts then t.peak_live_cuts <- entries;
     (* A level-[events] cut contains every observed event, so it is the
        (current) top; record whether it survives on a ¬φ path.  Only
@@ -392,7 +389,6 @@ let create ~n ?(cap = 1_000_000) ?(on_edge = fun _ -> ()) ~holds () =
     (* ⊥ is also the top of the empty execution *)
     t.top_nphi <- true
   end;
-  (match !Packed.frontier_probe with Some probe -> probe 1 | None -> ());
   t
 
 let observe t ~pid ~stamp =

@@ -135,8 +135,4 @@ val overflowed : t -> bool
     fell back to hashed components. *)
 
 val capped : t -> bool
-(** Whether the live slab hit [cap] and the walk froze.
-
-    Every committed frontier additionally reports its width through
-    {!Packed.frontier_probe} when that hook is installed, so one probe
-    observes the streaming and the post-hoc engines uniformly. *)
+(** Whether the live slab hit [cap] and the walk froze. *)

@@ -76,12 +76,10 @@ let rec drain t =
     drain t
   end
 
-let create ?loss ?(payload_words = fun _ -> 1) engine ~n ~delay ~deliver () =
+let create engine ~n ~delay ~deliver () =
   if n < 2 then invalid_arg "Causal_broadcast.create: need >= 2 processes";
   let net =
-    Net.create ?loss
-      ~payload_words:(fun m -> payload_words m.payload + n)
-      ~label:"causal" engine ~n ~delay
+    Net.create ~payload_words:(fun _ -> 1 + n) ~label:"causal" engine ~n ~delay
   in
   let t =
     {

@@ -4,11 +4,12 @@
 type 'a t
 
 val create :
-  ?loss:Psn_sim.Loss_model.t -> ?payload_words:('a -> int) ->
   Psn_sim.Engine.t -> n:int -> delay:Psn_sim.Delay_model.t ->
   deliver:(dst:int -> src:int -> 'a -> unit) -> unit -> 'a t
 (** Broadcast vectors live in a shared {!Psn_clocks.Stamp_plane}:
-    messages carry int handles, with no per-message array copy. *)
+    messages carry int handles, with no per-message array copy.  The
+    network is lossless, and a message costs one payload word plus the
+    [n]-word vector. *)
 
 val broadcast : 'a t -> src:int -> 'a -> unit
 (** The sender counts as having delivered its own broadcast immediately. *)

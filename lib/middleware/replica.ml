@@ -39,12 +39,11 @@ type 'v t = {
   mutable applied : int;
 }
 
-let create ?loss ?(payload_words = fun _ -> 1) engine ~n ~delay ~hw ~init =
+let create engine ~n ~delay ~hw ~init =
   if Array.length hw <> n then invalid_arg "Replica.create: clock count mismatch";
   let net =
-    Net.create ?loss
-      ~payload_words:(fun v -> payload_words v.value + (2 * n) + 1)
-      ~label:"replica" engine ~n ~delay
+    Net.create ~payload_words:(fun _ -> (2 * n) + 2) ~label:"replica" engine ~n
+      ~delay
   in
   let blank _ =
     { value = init; vv = Array.make n 0; wall = Array.make n Sim_time.zero;

@@ -12,9 +12,10 @@ type 'v version = {
 type 'v t
 
 val create :
-  ?loss:Psn_sim.Loss_model.t -> ?payload_words:('v -> int) ->
   Psn_sim.Engine.t -> n:int -> delay:Psn_sim.Delay_model.t ->
   hw:Psn_clocks.Physical_clock.t array -> init:'v -> 'v t
+(** The network is lossless; a message costs one value word plus its
+    version vector and wall-time vector ([2n + 1] words). *)
 
 val write : 'v t -> replica:int -> 'v -> unit
 val read : 'v t -> replica:int -> 'v

@@ -103,12 +103,10 @@ let handle t ~dst ~src = function
         check_complete t
       end
 
-let create ?loss ?(payload_words = fun _ -> 1) engine ~n ~delay ~local_state
-    ~apply () =
+let create engine ~n ~delay ~local_state ~apply () =
   if n < 2 then invalid_arg "Snapshot.create: need at least two processes";
-  let words = function App a -> payload_words a | Marker -> 1 in
   let net =
-    Net.create ?loss ~fifo:true ~payload_words:words ~label:"snapshot" engine
+    Net.create ~fifo:true ~payload_words:(fun _ -> 1) ~label:"snapshot" engine
       ~n ~delay
   in
   let m = Engine.metrics engine in

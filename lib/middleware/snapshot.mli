@@ -11,12 +11,12 @@ type ('state, 'app) snapshot = {
 type ('state, 'app) t
 
 val create :
-  ?loss:Psn_sim.Loss_model.t -> ?payload_words:('app -> int) ->
   Psn_sim.Engine.t -> n:int -> delay:Psn_sim.Delay_model.t ->
   local_state:(int -> 'state) ->
   apply:(dst:int -> src:int -> 'app -> unit) -> unit -> ('state, 'app) t
 (** [local_state i] must read process i's current state; [apply] delivers
-    application messages. *)
+    application messages.  Channels are lossless FIFO; an application
+    message and a marker each cost one word. *)
 
 val send_app : ('state, 'app) t -> src:int -> dst:int -> 'app -> unit
 val on_complete : ('state, 'app) t -> (('state, 'app) snapshot -> unit) -> unit

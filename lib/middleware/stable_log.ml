@@ -55,12 +55,10 @@ let handle t ~dst ~src (m : 'a msg) =
   | None -> ());
   prune t dst
 
-let create ?loss ?(payload_words = fun _ -> 1) engine ~n ~delay () =
+let create engine ~n ~delay () =
   if n < 2 then invalid_arg "Stable_log.create: need at least two replicas";
-  let words m =
-    (n * n) + (match m.entry with Some (_, p) -> 1 + payload_words p | None -> 0)
-  in
-  let net = Net.create ?loss ~payload_words:words ~label:"stable-log" engine ~n ~delay in
+  let words m = (n * n) + (match m.entry with Some _ -> 2 | None -> 0) in
+  let net = Net.create ~payload_words:words ~label:"stable-log" engine ~n ~delay in
   let t =
     {
       n;

@@ -3,9 +3,9 @@
 
 type 'a t
 
-val create :
-  ?loss:Psn_sim.Loss_model.t -> ?payload_words:('a -> int) ->
-  Psn_sim.Engine.t -> n:int -> delay:Psn_sim.Delay_model.t -> unit -> 'a t
+val create : Psn_sim.Engine.t -> n:int -> delay:Psn_sim.Delay_model.t -> unit -> 'a t
+(** The network is lossless; a message costs its [n × n] matrix clock
+    plus two words for an entry (its header and a one-word payload). *)
 
 val publish : 'a t -> src:int -> 'a -> unit
 val gossip : 'a t -> src:int -> unit

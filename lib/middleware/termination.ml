@@ -93,9 +93,9 @@ let handle t ~dst ~src:_ msg =
       node.has_token <- Some { h_sum = sum; h_color = color };
       maybe_forward t dst
 
-let create ?loss engine ~n ~delay ~on_terminate =
+let create engine ~n ~delay ~on_terminate =
   if n < 2 then invalid_arg "Termination.create: need at least two processes";
-  let net = Net.create ?loss ~payload_words:(fun _ -> 2) ~label:"termination" engine ~n ~delay in
+  let net = Net.create ~payload_words:(fun _ -> 2) ~label:"termination" engine ~n ~delay in
   let t =
     {
       n;

@@ -4,8 +4,9 @@
 type t
 
 val create :
-  ?loss:Psn_sim.Loss_model.t -> Psn_sim.Engine.t -> n:int ->
-  delay:Psn_sim.Delay_model.t -> on_terminate:(unit -> unit) -> t
+  Psn_sim.Engine.t -> n:int -> delay:Psn_sim.Delay_model.t ->
+  on_terminate:(unit -> unit) -> t
+(** Over a lossless network. *)
 
 val set_worker : t -> int -> (int -> unit) -> unit
 (** Handler run when process i receives work; it may [send_work] before

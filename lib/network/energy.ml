@@ -23,14 +23,12 @@ let default_cost =
   { tx_per_word = 0.01; rx_per_word = 0.011; listen_per_sec = 0.6;
     sleep_per_sec = 0.0006 }
 
-type t = {
-  cost : cost;
-  per_node : float array;
-}
+(* Accumulated mJ per node, priced at [default_cost]. *)
+type t = { per_node : float array }
 
-let create ?(cost = default_cost) ~n () =
+let create ~n () =
   if n <= 0 then invalid_arg "Energy.create: n must be positive";
-  { cost; per_node = Array.make n 0.0 }
+  { per_node = Array.make n 0.0 }
 
 let check t node =
   if node < 0 || node >= Array.length t.per_node then
@@ -38,23 +36,24 @@ let check t node =
 
 let charge_tx t node ~words =
   check t node;
-  t.per_node.(node) <- t.per_node.(node) +. (float_of_int words *. t.cost.tx_per_word)
+  t.per_node.(node) <-
+    t.per_node.(node) +. (float_of_int words *. default_cost.tx_per_word)
 
 let charge_rx t node ~words =
   check t node;
-  t.per_node.(node) <- t.per_node.(node) +. (float_of_int words *. t.cost.rx_per_word)
+  t.per_node.(node) <-
+    t.per_node.(node) +. (float_of_int words *. default_cost.rx_per_word)
 
 (* Time-based charge: [awake] seconds of listening + the rest sleeping. *)
 let charge_radio_time t node ~awake ~asleep =
   check t node;
   t.per_node.(node) <-
     t.per_node.(node)
-    +. (Sim_time.to_sec_float awake *. t.cost.listen_per_sec)
-    +. (Sim_time.to_sec_float asleep *. t.cost.sleep_per_sec)
+    +. (Sim_time.to_sec_float awake *. default_cost.listen_per_sec)
+    +. (Sim_time.to_sec_float asleep *. default_cost.sleep_per_sec)
 
 let node_total t node =
   check t node;
   t.per_node.(node)
 
 let total t = Array.fold_left ( +. ) 0.0 t.per_node
-let cost t = t.cost

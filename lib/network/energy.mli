@@ -9,11 +9,12 @@ type cost = {
 }
 
 val default_cost : cost
-(** CC2420-flavoured ratios; idle listening dominates at low traffic. *)
+(** CC2420-flavoured ratios; idle listening dominates at low traffic.
+    Every account charges at these prices. *)
 
 type t
 
-val create : ?cost:cost -> n:int -> unit -> t
+val create : n:int -> unit -> t
 val charge_tx : t -> int -> words:int -> unit
 val charge_rx : t -> int -> words:int -> unit
 
@@ -22,4 +23,3 @@ val charge_radio_time :
 
 val node_total : t -> int -> float
 val total : t -> float
-val cost : t -> cost

@@ -99,8 +99,8 @@ let create ?loss ?(label = "data") ?sinks exec ~n ~groups ~group_of ~delay () =
       uniq = !uniq;
     }
   in
-  (* Delivery dispatch: runs on the destination group's domain with that
-     group's engine at the delivery time. *)
+  (* Delivery dispatch: runs with the destination group's engine at the
+     delivery time. *)
   Exec.set_handler exec (fun ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 ->
       let src = w0 and flow = w1 in
       let g_dst = t.group_of dst in

@@ -136,10 +136,16 @@ let st_delivered = 1
 let st_dropped = 2
 let st_absent = 3 (* gap in the id space, or expired by the horizon *)
 
+(* The process whose occurrences get critical paths: the linearizing
+   detectors all check at process 0. *)
+let checker_pid = 0
+
+(* How many of the most recent critical paths the report keeps verbatim;
+   aggregates cover all. *)
+let keep_paths = 32
+
 type t = {
   horizon : int; (* max_int = unbounded *)
-  checker : int;
-  keep_paths : int;
   (* totals *)
   mutable records : int;
   mutable sends : int;
@@ -208,16 +214,13 @@ type t = {
   mutable lat_live_peak : int;
 }
 
-let create ?horizon_ns ?(checker_pid = 0) ?(keep_paths = 32) () =
+let create ?horizon_ns () =
   (match horizon_ns with
   | Some h when h <= 0 ->
       invalid_arg "Analyze.create: horizon_ns must be positive"
   | _ -> ());
-  if keep_paths <= 0 then invalid_arg "Analyze.create: keep_paths must be positive";
   {
     horizon = (match horizon_ns with Some h -> h | None -> max_int);
-    checker = checker_pid;
-    keep_paths;
     records = 0;
     sends = 0;
     delivers = 0;
@@ -473,7 +476,7 @@ let occurrence t (r : Trace.record) verdict window =
   (* The binding trigger chain: latest-arriving checker delivery whose
      send coincides with the occurrence's sense instant. *)
   let best = ref (-1) in
-  if r.pid = t.checker then begin
+  if r.pid = checker_pid then begin
     (* Deliveries arrive in non-decreasing time and a delivery never
        precedes its send, so entries older than [sense] cannot match:
        scan backward and stop there.  The scan is bounded by the
@@ -528,7 +531,7 @@ let occurrence t (r : Trace.record) verdict window =
         ];
     }
   in
-  t.path_ring.(t.path_n mod t.keep_paths) <- p;
+  t.path_ring.(t.path_n mod keep_paths) <- p;
   t.path_n <- t.path_n + 1
 
 (* --- feed ---------------------------------------------------------------- *)
@@ -555,7 +558,7 @@ let feed t (r : Trace.record) =
           let lat = r.time - send_time in
           observe t.delivery lat;
           observe (link t ~src ~dst ~kind:k).l_hist lat;
-          if dst = t.checker then
+          if dst = checker_pid then
             deliver_push t ~time:r.time ~send_time ~src ~flow
       | None -> ())
   | Trace.Net_drop { src; dst; kind; flow } ->
@@ -619,9 +622,9 @@ let delivery_quantiles t =
       }
 
 let paths t =
-  let n = min t.path_n t.keep_paths in
+  let n = min t.path_n keep_paths in
   List.init n (fun i ->
-      t.path_ring.((t.path_n - n + i) mod t.keep_paths))
+      t.path_ring.((t.path_n - n + i) mod keep_paths))
 
 let occurrences t = t.occ
 let resolved t = t.occ_resolved
@@ -936,23 +939,26 @@ let to_json ?(top = 16) t =
 (* --- sharded-run analysis ---------------------------------------------- *)
 
 (* Everything below reads a [Shard_stats.t] — host-time counters the
-   sharded engine recorded at its barriers — and derives the three
-   answers ROADMAP item 1 left open: where wall time goes
-   (parallel / drain / fold / other), how unevenly the shards are
-   loaded, and what speedup C cores would buy (an Amdahl projection
-   from the measured per-window busy profile, not a hand-wave).
+   sharded engine recorded at its barriers — and derives three answers:
+   where wall time goes (window loop / drain / fold / other), how
+   unevenly the shards are loaded, and what speedup C cores would buy
+   (an Amdahl projection from the measured per-window busy profile).
+   Windows run inline, one shard after another, so the measured run is
+   the one-core case and the curve is what a parallel window loop
+   would have to beat.
 
    The projection model: serial work (coordinator drain + fold +
-   unattributed time + dispatch overhead) does not scale; each
-   window's parallel region takes at least its critical path
-   [max_s busy] and at least its total busy time divided over C
-   cores.  T(1) under this model is exactly serial + total busy, so
-   the curve starts at 1.0 by construction. *)
+   unattributed time + loop overhead) does not scale; each window's
+   loop takes at least its critical path [max_s busy] and at least its
+   total busy time divided over C cores.  T(1) under this model is
+   exactly serial + total busy, so the curve starts at 1.0 by
+   construction. *)
 
 type shard_row = {
   sh_events : int;
   sh_busy_ns : int;
-  sh_wait_ns : int;  (* Σ over windows of (par_ns - busy), clamped *)
+  sh_wait_ns : int;  (* Σ over windows of (par_ns - busy), clamped:
+                         the other shards' turns *)
   sh_sent : int;
   sh_recv : int;
 }
@@ -966,13 +972,14 @@ type sharded_report = {
   sr_limit_queue : int;
   sr_limit_horizon : int;
   sr_wall_ns : int;  (* measured run wall; T(1) when unmeasured *)
-  sr_par_ns : int;  (* Σ parallel regions *)
+  sr_par_ns : int;  (* Σ window loops *)
   sr_drain_ns : int;  (* coordinator drains, epilogue included *)
   sr_fold_ns : int;  (* next-window folds, epilogue included *)
-  sr_other_ns : int;  (* wall - parallel - drain - fold, clamped *)
+  sr_other_ns : int;  (* wall - window loops - drain - fold, clamped *)
   sr_busy_ns : int;  (* Σ over shards and windows *)
   sr_critical_ns : int;  (* Σ over windows of max_s busy *)
-  sr_dispatch_ns : int;  (* Σ over windows of (par - Σ busy), clamped *)
+  sr_dispatch_ns : int;  (* Σ over windows of (par - Σ busy), clamped:
+                             loop overhead *)
   sr_parallel_frac : float;
   sr_serial_frac : float;
   sr_imbalance_events : float;

@@ -32,14 +32,13 @@
 
 type t
 
-val create : ?horizon_ns:int -> ?checker_pid:int -> ?keep_paths:int -> unit -> t
+val create : ?horizon_ns:int -> unit -> t
 (** [horizon_ns]: sim-time retirement horizon for unmatched flow edges
     and the recent-delivery window (omitted = unbounded, the post-hoc
-    default).  Raises [Invalid_argument] when non-positive.
-    [checker_pid] (default 0): the process whose occurrences get
-    critical paths — the linearizing detectors all check at process 0.
-    [keep_paths] (default 32): how many of the most recent critical
-    paths are kept verbatim for the report; aggregates cover all. *)
+    default).  Raises [Invalid_argument] when non-positive.  Critical
+    paths are built for process 0's occurrences (the linearizing
+    detectors all check there), and the 32 most recent are kept
+    verbatim for the report; aggregates cover all. *)
 
 val feed : t -> Trace.record -> unit
 (** Consume one record.  Records must arrive in emission order (the
@@ -71,7 +70,7 @@ type path = {
 }
 
 val paths : t -> path list
-(** The [keep_paths] most recent critical paths, oldest first. *)
+(** The 32 most recent critical paths, oldest first. *)
 
 val occurrences : t -> int
 val resolved : t -> int
@@ -121,21 +120,27 @@ val to_json : ?top:int -> t -> string
 (** {2 Sharded-run analysis}
 
     Post-hoc analysis of the {!Shard_stats} counters a sharded run
-    recorded: wall-time attribution (parallel region vs. coordinator
-    drain/fold vs. unattributed), per-shard load and barrier wait,
+    recorded: wall-time attribution (window loop vs. coordinator
+    drain/fold vs. unattributed), per-shard load and wait,
     load-imbalance coefficients, and an Amdahl-style projected-speedup
     curve derived from the measured per-window busy profile — serial
     work does not scale, and each window takes at least its critical
     path [max over shards of busy] and at least its total busy time
     divided over the projected core count.  All inputs are host-time
-    readings; nothing here touches sim artifacts. *)
+    readings; nothing here touches sim artifacts.
+
+    The engine runs a window's shards one after another on one domain,
+    so the measured wall time is the one-core time and the Amdahl curve
+    is a projection: what a parallel window loop would have to beat.
+    The field names (and the rendered ["parallel"] share) are those of
+    the pooled windows the inline loop replaced. *)
 
 type shard_row = {
   sh_events : int;
   sh_busy_ns : int;
   sh_wait_ns : int;
-      (** Σ over windows of (parallel-region time − this shard's busy
-          time): time the shard sat at the barrier. *)
+      (** Σ over windows of (window-loop time − this shard's busy
+          time): the time the other shards ran. *)
   sh_sent : int;  (** cross-shard messages sent *)
   sh_recv : int;
 }
@@ -151,15 +156,15 @@ type sharded_report = {
   sr_wall_ns : int;
       (** measured run wall time; the model's T(1) when no run was
           timed (hand-built stats). *)
-  sr_par_ns : int;
+  sr_par_ns : int;  (** Σ over windows of the window loop's host time *)
   sr_drain_ns : int;
   sr_fold_ns : int;
   sr_other_ns : int;
   sr_busy_ns : int;
   sr_critical_ns : int;
   sr_dispatch_ns : int;
-      (** parallel-region time not covered by any shard's busy time:
-          pool hand-off overhead. *)
+      (** window-loop time not covered by any shard's busy time: the
+          loop's own overhead. *)
   sr_parallel_frac : float;
   sr_serial_frac : float;
   sr_imbalance_events : float;

@@ -339,9 +339,12 @@ let write_chrome ?timeline oc sinks =
    s + 1, and a flow arrow per (src, dst) pair that exchanged mail
    across a barrier.  The time axis is a synthetic host-ns cursor —
    slices are laid end to end in execution order (drain, fold, then the
-   parallel region), which is exactly the serial/parallel structure the
-   Amdahl analysis attributes.  Deterministic given the stats values,
-   so hand-built stats golden cleanly. *)
+   window loop), with every shard's slice starting where the loop
+   starts: the engine runs the shards one after another, so this draws
+   the layout a parallel window loop would have, which is the
+   serial/parallel structure the Amdahl analysis projects.
+   Deterministic given the stats values, so hand-built stats golden
+   cleanly. *)
 let shard_chrome_to_buffer buf st =
   let k = Shard_stats.shards st in
   let n = Shard_stats.windows st in

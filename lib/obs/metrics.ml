@@ -314,14 +314,18 @@ let timeline_samples tl =
   let first = tl.tl_recorded - kept in
   List.init kept (fun i -> tl.tl_ring.((first + i) mod tl.tl_cap))
 
-(* Process-wide default, picked up by [Psn_sim.Engine.create] exactly like
-   the default trace sink: installing one makes every engine created under
-   it sample its registry on the timeline's period. *)
-let default_tl : timeline option ref = ref None
-let set_default_timeline tl = default_tl := tl
-let default_timeline () = !default_tl
+(* Per-domain default, picked up by [Psn_sim.Engine.create] exactly like
+   the default trace sink: installing one makes every engine created
+   under it, on this domain, sample its registry on the timeline's
+   period. *)
+let default_tl : timeline option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let default_timeline () = Domain.DLS.get default_tl
 
 let with_default_timeline tl f =
-  let saved = !default_tl in
-  default_tl := Some tl;
-  Fun.protect ~finally:(fun () -> default_tl := saved) f
+  let saved = default_timeline () in
+  Domain.DLS.set default_tl (Some tl);
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set default_tl saved)
+    (fun () -> Psn_util.Parallel.sequentially f)

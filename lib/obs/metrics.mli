@@ -112,15 +112,17 @@ val timeline_recorded : timeline -> int
 val timeline_dropped : timeline -> int
 (** How many of the recorded samples the ring has overwritten. *)
 
-(** {3 Process-wide default timeline}
+(** {3 Per-domain default timeline}
 
-    Mirrors [Trace.set_default]: engines created while a default timeline
-    is installed sample their registry on its period.  Same caveat: keep
-    the run single-domain. *)
+    Mirrors {!Trace.with_default}: engines created on the calling domain
+    while a default timeline is installed sample their registry on its
+    period; engines on other domains do not see it. *)
 
-val set_default_timeline : timeline option -> unit
 val default_timeline : unit -> timeline option
+(** The calling domain's default timeline. *)
 
 val with_default_timeline : timeline -> (unit -> 'a) -> 'a
-(** Installs the timeline, runs the thunk, restores the previous default
-    even on exceptions. *)
+(** Installs the timeline on the calling domain, runs the thunk with
+    that domain's {!Psn_util.Parallel} maps kept at home
+    ({!Psn_util.Parallel.sequentially}), and restores the previous
+    default even on exceptions. *)

@@ -137,17 +137,18 @@ let pp ppf t =
         p.minor_words p.major_words p.minor_collections p.major_collections)
     (phases t)
 
-(* Process-wide default, mirroring [Trace.default]: experiment internals
+(* Per-domain default, mirroring [Trace.default]: experiment internals
    call [phase] unconditionally; it costs two clock reads only when a
-   profile is installed. *)
-let default_profile : t option ref = ref None
-let set_default p = default_profile := p
-let default () = !default_profile
+   profile is installed on the calling domain. *)
+let default_profile : t option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
 let with_default p f =
-  let saved = !default_profile in
-  default_profile := Some p;
-  Fun.protect ~finally:(fun () -> default_profile := saved) f
+  let saved = Domain.DLS.get default_profile in
+  Domain.DLS.set default_profile (Some p);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set default_profile saved) f
 
 let phase name f =
-  match !default_profile with Some p -> with_phase p name f | None -> f ()
+  match Domain.DLS.get default_profile with
+  | Some p -> with_phase p name f
+  | None -> f ()

@@ -41,13 +41,14 @@ val to_json : t -> string
 val pp : Format.formatter -> t -> unit
 (** Human-readable table: name, count, wall ms, allocation, GC counts. *)
 
-(** {1 Process-wide default}
+(** {1 Per-domain default}
 
-    Mirrors [Trace.set_default]: installs a profile that the
-    instrumentation helper [phase] charges to. Without a default
-    installed, [phase name f] is just [f ()]. *)
+    Mirrors {!Trace.with_default}: installs a profile that the
+    instrumentation helper [phase] charges to, on the calling domain
+    only.  Without a default installed there, [phase name f] is just
+    [f ()], so a phase entered on another domain is not charged.  A
+    sharded run executes its windows on the calling domain, so its
+    ["sharded.window"] phase covers every shard's work. *)
 
-val set_default : t option -> unit
-val default : unit -> t option
 val with_default : t -> (unit -> 'a) -> 'a
 val phase : string -> (unit -> 'a) -> 'a

@@ -8,7 +8,7 @@
      2  limit        0 lookahead- / 1 queue- / 2 horizon-limited
      3  drain_ns     host ns, coordinator mailbox drain
      4  fold_ns      host ns, coordinator next-window fold
-     5  par_ns       host ns, the whole parallel region
+     5  par_ns       host ns, the window loop (every shard in turn)
      6  mail_msgs    cross-shard messages drained at this barrier
      7  mail_ints    ring occupancy (ints) at this barrier, pre-drain
      8 .. 8+k-1          per-shard events executed in the window
@@ -16,11 +16,7 @@
      8+2k .. 8+2k+k²-1   messages src→dst drained at this barrier
 
    The arena grows by doubling and rows are reused on abort, so
-   steady-state recording allocates nothing (the pending_arena idiom).
-
-   Shard-domain writers (shard_report, note_posted) get their own
-   padded slot — [pad] ints apart — so concurrent increments on
-   neighbouring shards do not share a cache line. *)
+   steady-state recording allocates nothing (the pending_arena idiom). *)
 
 let header = 8
 let o_start = 0
@@ -31,7 +27,6 @@ let o_fold = 4
 let o_par = 5
 let o_msgs = 6
 let o_ints = 7
-let pad = 8
 
 type limit = Lookahead | Queue | Horizon
 
@@ -50,10 +45,8 @@ type t = {
   mutable rows : int array;
   mutable n : int; (* committed rows *)
   mutable cur : int; (* offset of the open row; -1 when none *)
-  events_scratch : int array; (* slot s*pad: shard s's cumulative count *)
-  busy_scratch : int array; (* slot s*pad: shard s's window busy ns *)
-  posted : int array; (* slot s*pad: shard s's cross-shard posts *)
-  last_events : int array; (* coordinator-only: previous cumulative *)
+  posted : int array; (* per shard: cross-shard posts *)
+  last_events : int array; (* per shard: previous cumulative count *)
   mutable drained : int;
   mutable peak_ints : int;
   mutable wall_ns : int;
@@ -74,9 +67,7 @@ let create ~shards ~lookahead_ns =
     rows = Array.make (stride * 64) 0;
     n = 0;
     cur = -1;
-    events_scratch = Array.make (shards * pad) 0;
-    busy_scratch = Array.make (shards * pad) 0;
-    posted = Array.make (shards * pad) 0;
+    posted = Array.make shards 0;
     last_events = Array.make shards 0;
     drained = 0;
     peak_ints = 0;
@@ -125,19 +116,15 @@ let window_open t ~start_ns ~end_ns =
   t.rows.(t.cur + o_end) <- end_ns
 
 let shard_report t ~shard ~events_total ~busy_ns =
-  t.events_scratch.(shard * pad) <- events_total;
-  t.busy_scratch.(shard * pad) <- busy_ns
+  let o = t.cur in
+  t.rows.(o + header + shard) <- events_total - t.last_events.(shard);
+  t.last_events.(shard) <- events_total;
+  t.rows.(o + header + t.k + shard) <- busy_ns
 
 let window_close t ~clipped ~par_ns =
   let o = t.cur in
   t.rows.(o + o_limit) <- int_of_limit (if clipped then Horizon else Queue);
   t.rows.(o + o_par) <- par_ns;
-  for s = 0 to t.k - 1 do
-    let total = t.events_scratch.(s * pad) in
-    t.rows.(o + header + s) <- total - t.last_events.(s);
-    t.last_events.(s) <- total;
-    t.rows.(o + header + t.k + s) <- t.busy_scratch.(s * pad)
-  done;
   t.n <- t.n + 1;
   t.cur <- -1;
   t.unclassified <- not clipped
@@ -157,8 +144,7 @@ let round_abort t =
   t.ep_msgs <- t.ep_msgs + t.rows.(o + o_msgs);
   t.cur <- -1
 
-let note_posted t ~src =
-  t.posted.(src * pad) <- t.posted.(src * pad) + 1
+let note_posted t ~src = t.posted.(src) <- t.posted.(src) + 1
 
 let run_done t ~wall_ns = t.wall_ns <- t.wall_ns + wall_ns
 
@@ -190,12 +176,7 @@ let total_events t =
   done;
   !acc
 
-let posted_total t =
-  let acc = ref 0 in
-  for s = 0 to t.k - 1 do
-    acc := !acc + t.posted.(s * pad)
-  done;
-  !acc
+let posted_total t = Array.fold_left ( + ) 0 t.posted
 
 let drained_total t = t.drained
 let pending t = posted_total t - drained_total t

@@ -5,10 +5,19 @@
     coordinator into a grow-by-doubling [int array] (the
     [pending_arena] idiom), so steady-state recording allocates
     nothing.  A row holds the window's sim-time bounds, its limiting
-    factor, the coordinator's drain/fold host time, the parallel
-    region's host time, mailbox traffic (per-(src, dst) message matrix
-    plus ring occupancy), and per-shard events executed and busy host
+    factor, the coordinator's drain/fold host time, the window loop's
+    host time, mailbox traffic (per-(src, dst) message matrix plus ring
+    occupancy), and per-shard events executed and busy host
     nanoseconds.
+
+    {b Inline windows.}  The engine runs a window's shards one after
+    another on the calling domain, so the per-row fields read:
+    [par_ns] is the whole window loop; a shard's [busy_ns] is its own
+    turn in that loop, so [par_ns - busy_ns] (Analyze's wait) is the
+    time the {e other} shards ran; and [par_ns - Σ busy_ns] (Analyze's
+    dispatch) is the loop's own overhead.  The field names and the
+    ["psn-shardstats/1"] schema are those of the pooled windows they
+    replaced.
 
     {b Host/sim quarantine.}  Like {!Profile}, this is an observer of
     the {e host} clock: readings are taken by the engine with
@@ -16,14 +25,7 @@
     sink or metrics registry — same-seed sim artifacts stay
     byte-identical whether or not stats are read.  Because every
     recording entry point takes explicit values, tests can hand-build
-    a stats object with fixed numbers and golden its renderings.
-
-    {b Domain discipline.}  All entry points run on the coordinator
-    domain between windows, except {!shard_report} and {!note_posted},
-    which run on shard domains but write only the calling shard's own
-    slot of a scratch array; the coordinator reads those slots only
-    after the pool joins the window, which gives the happens-before
-    edge. *)
+    a stats object with fixed numbers and golden its renderings. *)
 
 type t
 
@@ -71,14 +73,13 @@ val window_open : t -> start_ns:int -> end_ns:int -> unit
     exclusive). *)
 
 val shard_report : t -> shard:int -> events_total:int -> busy_ns:int -> unit
-(** Called by shard [shard] as its window job finishes:
-    [events_total] is the engine's cumulative event count (the row
-    stores the per-window delta), [busy_ns] the job's host time.
-    Writes only slot [shard]; safe from the shard's domain. *)
+(** Called as shard [shard] finishes its turn in the window loop:
+    [events_total] is the engine's cumulative event count (the open row
+    stores the per-window delta), [busy_ns] the turn's host time. *)
 
 val window_close : t -> clipped:bool -> par_ns:int -> unit
-(** Commit the row: [par_ns] is the host time of the whole parallel
-    region (so [par_ns - busy] is a shard's barrier wait).  [clipped]
+(** Commit the row: [par_ns] is the host time of the whole window loop
+    (so [par_ns - busy] is the time the other shards ran).  [clipped]
     marks a {!Horizon}-limited window; otherwise the row is
     provisionally {!Queue} until the next round's {!classify_prev}
     sees the post-drain global minimum — only then is it known
@@ -97,8 +98,7 @@ val round_abort : t -> unit
     row's drain/fold/traffic into the epilogue totals and discard it. *)
 
 val note_posted : t -> src:int -> unit
-(** One cross-shard message appended to a mailbox ring by shard [src].
-    Writes only slot [src]; safe from the shard's domain. *)
+(** One cross-shard message appended to a mailbox ring by shard [src]. *)
 
 val run_done : t -> wall_ns:int -> unit
 (** Host wall time of one [run] call; accumulates across calls. *)

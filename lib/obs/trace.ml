@@ -106,17 +106,23 @@ let event_name = function
 (* Balanced span over [f], both endpoints at the caller-supplied times.
    [time_end] is read after [f] returns because simulated time may have
    advanced during it. *)
-let with_span sink ~time ~pid ?(lane = lane_sync) name f ~time_end =
-  emit sink ~time ~pid (Span_begin { name; lane });
-  let finally () = emit sink ~time:(time_end ()) ~pid (Span_end { name; lane }) in
+let with_span sink ~time ~pid name f ~time_end =
+  emit sink ~time ~pid (Span_begin { name; lane = lane_sync });
+  let finally () =
+    emit sink ~time:(time_end ()) ~pid (Span_end { name; lane = lane_sync })
+  in
   Fun.protect ~finally f
 
-(* Process-wide default, picked up by [Engine.create]. *)
-let default_sink : sink option ref = ref None
-let set_default s = default_sink := s
-let default () = !default_sink
+(* Per-domain default, picked up by [Engine.create] on the installing
+   domain only. *)
+let default_sink : sink option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let default () = Domain.DLS.get default_sink
 
 let with_default s f =
-  let saved = !default_sink in
-  default_sink := Some s;
-  Fun.protect ~finally:(fun () -> default_sink := saved) f
+  let saved = default () in
+  Domain.DLS.set default_sink (Some s);
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set default_sink saved)
+    (fun () -> Psn_util.Parallel.sequentially f)

@@ -84,10 +84,11 @@ val fresh_flow : sink -> int
     same ids. *)
 
 val with_span :
-  sink -> time:int -> pid:int -> ?lane:int -> string ->
+  sink -> time:int -> pid:int -> string ->
   (unit -> 'a) -> time_end:(unit -> int) -> 'a
 (** [with_span sink ~time ~pid name f ~time_end] emits a balanced
-    [Span_begin]/[Span_end] pair around [f] (the end also on exceptions);
+    [Span_begin]/[Span_end] pair on {!lane_sync} around [f] (the end
+    also on exceptions);
     [time_end] is consulted after [f] since simulated time may advance
     during it. *)
 
@@ -100,17 +101,21 @@ val event_name : event -> string
 (** Dotted layer-qualified name, e.g. ["net.send"] or ["engine.fire"];
     spans and marks answer their own name. *)
 
-(** {2 Process-wide default sink}
+(** {2 Per-domain default sink}
 
     Layers that create their own engines deep inside a run (scenarios,
     experiment sweeps) pick the default sink up at engine creation, so a
     CLI flag can enable tracing without threading a value through every
-    constructor. Not domain-safe: callers that enable a default sink must
-    keep the run single-domain (see [Psn_util.Parallel.set_sequential]). *)
+    constructor.  The default is domain-local: an engine created on
+    another domain does not see it. *)
 
-val set_default : sink option -> unit
 val default : unit -> sink option
+(** The calling domain's default sink. *)
 
 val with_default : sink -> (unit -> 'a) -> 'a
-(** [with_default s f] installs [s], runs [f], and restores the previous
-    default even on exceptions. *)
+(** [with_default s f] installs [s] as the calling domain's default, runs
+    [f], and restores the previous default even on exceptions.  While [f]
+    runs, {!Psn_util.Parallel} maps issued from this domain stay on it
+    ({!Psn_util.Parallel.sequentially}), so every engine a map creates
+    picks [s] up and the record stream is the same at any domain
+    count. *)

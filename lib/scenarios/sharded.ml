@@ -5,9 +5,9 @@
    on its group's engine.  Two schedules feed those engines:
 
      - the hall and banking pre-schedule every sense event before
-       [Exec.run], on the coordinating domain (a hall visitor's next
-       door can lie in another group, and a successor posted there
-       mid-window would break Exec's lookahead contract);
+       [Exec.run] (a hall visitor's next door can lie in another group,
+       and a successor posted there mid-window would break Exec's
+       lookahead contract);
      - calm, stream and hospital run one self-rescheduling generator
        per entity ({!sense_walk}): the entity's one pending sense event
        schedules its successor on its own group's engine, before its

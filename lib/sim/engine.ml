@@ -15,9 +15,9 @@
    metric counts real cancellations only.
 
    Observability: the engine owns the run's metrics registry and an
-   optional trace sink (picked up from [Psn_obs.Trace.default] at
-   creation, so a CLI flag enables tracing without threading a value
-   through every constructor).  The tracer branch is hoisted out of the
+   optional trace sink (picked up from the creating domain's
+   [Psn_obs.Trace.default], so a CLI flag enables tracing without
+   threading a value through every constructor).  The tracer branch is hoisted out of the
    [run] drain loop: the untraced loop never tests the option, so with
    no sink installed the per-event overhead is zero rather than a branch. *)
 

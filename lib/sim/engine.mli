@@ -12,19 +12,19 @@ val create :
   ?timeline:Psn_obs.Metrics.timeline ->
   ?use_default_obs:bool ->
   unit -> t
-(** When [tracer] is omitted, the process-wide [Psn_obs.Trace.default]
-    sink (if any) is picked up, so deeply nested engine creations trace
-    without plumbing; likewise [timeline] falls back to
-    [Psn_obs.Metrics.default_timeline].  With a timeline in play the
-    engine registers an [engine.queue_depth] gauge and snapshots its
+(** When [tracer] is omitted, the calling domain's
+    [Psn_obs.Trace.default] sink (if any) is picked up, so deeply nested
+    engine creations trace without plumbing; likewise [timeline] falls
+    back to [Psn_obs.Metrics.default_timeline].  With a timeline in play
+    the engine registers an [engine.queue_depth] gauge and snapshots its
     registry every [timeline_period_ns] of simulated time, stopping when
     the rest of the queue drains (so [run] without a horizon still
     terminates).
 
-    [use_default_obs] (default [true]) controls that pickup: engines
-    destined for worker domains (the shards of an {!Exec}) pass [false],
-    because the process-wide defaults are not domain-safe and a shard
-    must not observe sinks installed for the coordinating run. *)
+    [use_default_obs] (default [true]) controls that pickup: the shards
+    of an {!Exec} pass [false], because the choice of substrate must not
+    change what a run observes — a sharded workload traces through its
+    own per-group sinks, on the single queue and at any K alike. *)
 
 val now : t -> Sim_time.t
 val rng : t -> Psn_util.Rng.t

@@ -54,8 +54,11 @@ let identity_from arr lo =
     Array.unsafe_set arr i i
   done
 
-let create ?(capacity = 16) ~dummy () =
-  let capacity = if capacity < 1 then 1 else capacity in
+(* The queue grows by doubling from here. *)
+let initial_capacity = 16
+
+let create ~dummy () =
+  let capacity = initial_capacity in
   let slots = Array.make capacity 0 in
   identity_from slots 0;
   {

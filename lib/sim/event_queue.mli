@@ -11,7 +11,7 @@
 
 type 'a t
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
+val create : dummy:'a -> unit -> 'a t
 (** [dummy] fills empty payload slots; it is never returned by
     [pop_exn] unless it was explicitly added. *)
 

@@ -1,21 +1,23 @@
 (* One substrate: K per-shard [Engine]s, run straight through by the
    single queue (K = 1, no windows) or in conservative windows.
 
-   Windowed runs alternate two phases:
+   Windowed runs alternate two phases, both on the calling domain:
 
-     window:  every shard drains its queue up to [window_end - 1] on the
-              [Psn_util.Parallel] pool; shards share no mutable state —
-              cross-shard sends only append to their (src, dst) mailbox
-              ring, which no other domain touches during the window;
+     window:  shards 0 .. K-1, in turn, drain their queues up to
+              [window_end - 1]; a cross-shard send only appends to its
+              (src, dst) mailbox ring, which nothing reads before the
+              barrier;
 
-     barrier: the coordinator (alone) drains every mailbox in src-major,
+     barrier: the coordinator drains every mailbox in src-major,
               dst-minor, FIFO order into the destination queues, then
               computes the next window from the new global minimum.
 
-   The pool's job hand-off (mutex + condition) gives the happens-before
-   edges: coordinator-before-window for the mailbox writes of the
-   previous drain, window-before-coordinator for the rings written by
-   the shards.
+   Windows run inline rather than on the domain pool: on a 2-CPU host,
+   handing every window to the pool made K = 2 runs several times
+   slower than running them on one domain (DESIGN.md, "Sharded
+   engine").  Nothing in a run crosses a domain;
+   what makes the shards independent — and a parallel window loop
+   possible again — is group locality (see the contract below).
 
    Mailbox ring layout: [stride] ints per message — delivery time,
    destination pid, and the seven payload words — in one flat
@@ -24,7 +26,7 @@
    Delivery closures are pooled per destination shard (same trick as
    [Net]'s delivery records): acquired by the poster or, for mail, by
    the coordinator at the barrier, released by the shard when they
-   fire, never concurrently.
+   fire.
 
    Workload determinism contract (what makes same-seed runs identical
    across substrates): derive every entity's RNG stream from
@@ -173,8 +175,7 @@ let post t ~src_group ~dst_group ~at ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 =
   if src_shard = dst_shard then begin
     (* Same shard — always, on the single queue: schedule directly.
        This keeps K = 1 windowed runs event-for-event identical to the
-       single queue.  Runs on the shard's own domain, touching only its
-       own pool and queue. *)
+       single queue. *)
     let sh = t.shard.(src_shard) in
     let r = acquire t sh ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 in
     Engine.schedule_at_unit sh.engine at r.d_fire
@@ -197,16 +198,15 @@ let post t ~src_group ~dst_group ~at ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 =
     b.(o + 2) <- w0; b.(o + 3) <- w1; b.(o + 4) <- w2; b.(o + 5) <- w3;
     b.(o + 6) <- w4; b.(o + 7) <- w5; b.(o + 8) <- w6;
     box.len <- need;
-    (* Shard-local slot of the conservation counter: safe mid-window.
-       Two shards imply a windowed run, so [stats] is present. *)
+    (* Two shards imply a windowed run, so [stats] is present. *)
     match t.stats with
     | Some st -> Psn_obs.Shard_stats.note_posted st ~src:src_shard
     | None -> ()
   end
 
-(* Barrier drain: coordinator only.  Deterministic src-major, dst-minor,
-   FIFO-within-box order; every entry must land at or past the window
-   end the lookahead promised. *)
+(* Barrier drain.  Deterministic src-major, dst-minor, FIFO-within-box
+   order; every entry must land at or past the window end the lookahead
+   promised. *)
 let drain t st =
   let occupancy = ref 0 in
   for src = 0 to t.k - 1 do
@@ -278,15 +278,14 @@ let run_windows t st ~until =
       Psn_obs.Shard_stats.window_open st ~start_ns:next ~end_ns:w_end;
       let w_last = Sim_time.of_ns (w_end - 1) in
       Psn_obs.Profile.phase "sharded.window" (fun () ->
-          ignore
-            (Psn_util.Parallel.init t.k (fun s ->
-                 let b0 = Psn_obs.Shard_stats.now_ns () in
-                 let sh = t.shard.(s) in
-                 Engine.run ~until:w_last sh.engine;
-                 (* Writes only slot [s]; the pool join publishes it. *)
-                 Psn_obs.Shard_stats.shard_report st ~shard:s
-                   ~events_total:(Engine.events_processed sh.engine)
-                   ~busy_ns:(Psn_obs.Shard_stats.now_ns () - b0))));
+          for s = 0 to t.k - 1 do
+            let b0 = Psn_obs.Shard_stats.now_ns () in
+            let sh = t.shard.(s) in
+            Engine.run ~until:w_last sh.engine;
+            Psn_obs.Shard_stats.shard_report st ~shard:s
+              ~events_total:(Engine.events_processed sh.engine)
+              ~busy_ns:(Psn_obs.Shard_stats.now_ns () - b0)
+          done);
       Psn_obs.Shard_stats.window_close st ~clipped:(cand > until_ns + 1)
         ~par_ns:(Psn_obs.Shard_stats.now_ns () - d2);
       t.rounds <- t.rounds + 1

@@ -12,8 +12,9 @@
 
     {v window_end = (min over shards of next event time) + lookahead v}
 
-    and lets every shard drain events strictly below it in parallel on
-    the {!Psn_util.Parallel} domain pool.  [lookahead] must be a
+    and lets every shard, in turn, drain events strictly below it.
+    Windows run inline on the calling domain, shards 0 … K−1 in a plain
+    loop: nothing in a run crosses a domain.  [lookahead] must be a
     guaranteed lower bound on cross-shard message delay
     ({!Delay_model.min_delay} of the transport's model), so a message
     sent inside a window arrives at or past its end.  Cross-shard posts
@@ -25,14 +26,16 @@
     Because the construction, the per-entity RNG streams, and the
     delivery times are substrate-independent, a same-seed run must
     produce the same observable results on {!single} and on {!sharded}
-    at any K and any domain count ([PSN_DOMAINS=1] included) — the
-    correctness contract the qcheck differential suite enforces.
+    at any K — the correctness contract the qcheck differential suite
+    enforces.
 
     Groups exist so the workload's structure does not depend on K: a
     scenario partitions itself into a fixed number of groups (strips of
     a hall, wards of a hospital), and every group's mutable state is
     only ever touched by processes of that group — which the mapping
-    places on one shard, making intra-window execution race-free. *)
+    places on one shard.  That group-locality rule is what makes the
+    order in which a window's shards run unobservable, and so what
+    carries substrate invariance. *)
 
 type t
 
@@ -40,8 +43,8 @@ type handler =
   dst:int ->
   w0:int -> w1:int -> w2:int -> w3:int -> w4:int -> w5:int -> w6:int -> unit
 (** Delivery callback: [dst] is the destination process id, [w0..w6]
-    the payload lanes.  Runs on the destination group's domain with
-    that shard's engine clock at the delivery time. *)
+    the payload lanes.  Runs with the destination shard's engine clock
+    at the delivery time. *)
 
 val single : ?seed:int64 -> unit -> t
 (** The single-queue oracle: one shard, run straight through. *)
@@ -61,8 +64,7 @@ val engine : t -> group:int -> Engine.t
 (** The engine that owns [group]'s processes: shard [group mod K].
     Group-local setup (worlds, clocks, periodic events) must schedule
     here.  Every shard engine is created with [~use_default_obs:false]:
-    process-wide default sinks are not domain-safe, and the substrate
-    choice must not change observability. *)
+    the substrate choice must not change observability. *)
 
 val set_handler : t -> handler -> unit
 (** Install the global delivery dispatcher (same callback on every
@@ -80,8 +82,8 @@ val post :
 
 val run : t -> until:Sim_time.t -> unit
 (** Run to [until]; every shard's clock ends exactly there.  {!sharded}
-    brackets its phases as {!Psn_obs.Profile.phase} ["sharded.drain"] /
-    ["sharded.window"]. *)
+    brackets its phases as {!Psn_obs.Profile.phase} ["sharded.drain"]
+    (the barrier) / ["sharded.window"] (the inline window loop). *)
 
 val events_processed : t -> int
 (** Sum over shards. *)
@@ -96,8 +98,12 @@ val merged_metrics : t -> Psn_obs.Metrics.snapshot
 
 val stats : t -> Psn_obs.Shard_stats.t option
 (** The run's per-window observability counters: per-shard events and
-    busy host time, coordinator drain/fold time, mailbox traffic, and
-    window-limit classification, recorded at every barrier.  Host-time
+    busy host time (each shard's turn in the window loop), coordinator
+    drain/fold time, the window loop's time ([par_ns]), mailbox
+    traffic, and window-limit classification, recorded at every
+    barrier.  With inline windows a shard's wait ([par_ns - busy]) is
+    the time the other shards ran, and dispatch ([par_ns - Σ busy]) is
+    the loop's own overhead.  Host-time
     readings live only here (the {!Psn_obs.Profile} quarantine rule):
     same-seed sim artifacts are byte-identical whether or not stats are
     consumed.  [None] for {!single}, which has no windows or barriers to

@@ -13,17 +13,9 @@
    exhausted.  The pool grows on demand when a call requests more
    domains than currently exist; it never shrinks. *)
 
-(* Overrides the auto-detected worker count for maps that do not pass
-   [?domains] — the hook that lets tests (and a future CLI flag) engage
-   the pool on boxes whose [recommended_domain_count] is 1. *)
-let default_override = ref None
-
-let set_default_domains n = default_override := n
-
 (* [PSN_DOMAINS] pins the worker count from the outside — CI uses it to
    re-run the whole suite single-domain without touching test code.  It
-   sits below [set_default_domains] so programmatic overrides still win,
-   and is read per call so a test harness can flip it. *)
+   is read per call so a test harness can flip it. *)
 let env_domains () =
   match Sys.getenv_opt "PSN_DOMAINS" with
   | None | Some "" -> None
@@ -32,20 +24,22 @@ let env_domains () =
                | Some _ | None -> None)
 
 let default_domains () =
-  match !default_override with
-  | Some d -> if d < 1 then 1 else d
-  | None -> (
-      match env_domains () with
-      | Some d -> d
-      | None -> max 1 (Domain.recommended_domain_count () - 1))
+  match env_domains () with
+  | Some d -> d
+  | None -> max 1 (Domain.recommended_domain_count () - 1)
 
-(* Global single-domain switch: tracing into a process-wide sink is not
-   domain-safe, so the CLI flips this before running with --trace. Runs
-   stay deterministic either way (results come back in input order). *)
-let sequential_only = ref false
+(* Per-domain single-domain switch: a domain that installed a default
+   trace sink or timeline (both domain-local) keeps its maps at home, so
+   no task runs where the default is not visible.  Runs stay
+   deterministic either way (results come back in input order). *)
+let sequential_only = Domain.DLS.new_key (fun () -> false)
 
-let set_sequential b = sequential_only := b
-let sequential () = !sequential_only
+let set_sequential b = Domain.DLS.set sequential_only b
+
+let sequentially f =
+  let saved = Domain.DLS.get sequential_only in
+  Domain.DLS.set sequential_only true;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set sequential_only saved) f
 
 (* A nested map issued from inside a worker must not block waiting for
    the pool (the pool is busy running its caller): detect it through
@@ -177,7 +171,7 @@ let run_pooled d f xs n results =
 let map_array ?domains f xs =
   let n = Array.length xs in
   let d =
-    if !sequential_only then 1
+    if Domain.DLS.get sequential_only then 1
     else match domains with Some d -> max 1 d | None -> default_domains ()
   in
   let d = min d n in
@@ -192,7 +186,5 @@ let map_array ?domains f xs =
         let results = Array.make n r0 in
         run_pooled d f xs n results;
         results)
-
-let map_list ?domains f xs = Array.to_list (map_array ?domains f (Array.of_list xs))
 
 let init ?domains n f = map_array ?domains f (Array.init n (fun i -> i))

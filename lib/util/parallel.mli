@@ -11,27 +11,31 @@
     domain participates.  An exception in any task is re-raised on the
     calling domain.  A map issued from inside a pool worker (or while
     another map is driving the pool) runs sequentially instead of
-    deadlocking. *)
+    deadlocking.
+
+    The pool sizes experiment sweep maps only: a sharded run executes its
+    windows inline on the calling domain. *)
 
 val default_domains : unit -> int
 (** Recommended worker count, leaving one core for the main domain.
     The [PSN_DOMAINS] environment variable, when set to a positive
     integer, pins this from the outside (CI re-runs the suite with
-    [PSN_DOMAINS=1]); a [set_default_domains] override still wins. *)
-
-val set_default_domains : int option -> unit
-(** Override what [default_domains] reports (and so what maps without
-    [?domains] use); [None] restores auto-detection. *)
+    [PSN_DOMAINS=1]); it is read per call. *)
 
 val set_sequential : bool -> unit
-(** Force every map onto the calling domain. Required while a process-wide
-    trace sink is installed (the sink is not domain-safe); results are
-    identical either way, only wall-clock changes. *)
+(** Force every map issued from the calling domain onto that domain (a
+    per-domain flag).  Results are identical either way, only wall-clock
+    changes. *)
 
-val sequential : unit -> bool
+val sequentially : (unit -> 'a) -> 'a
+(** [sequentially f] runs [f] with the calling domain's maps forced
+    sequential, and restores the previous setting even on exceptions.
+    {!Psn_obs.Trace.with_default} and
+    {!Psn_obs.Metrics.with_default_timeline} wrap their thunk in it: the
+    defaults they install are per domain, so a task on a worker domain
+    would not see them. *)
 
 val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val init : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [init n f] computes [f 0 .. f (n-1)] in parallel. *)

@@ -3,28 +3,21 @@
    Every experiment prints its results through this module so that the
    tables in EXPERIMENTS.md and the output of `bench/main.exe` line up. *)
 
-type align = Left | Right
-
-let pad align width s =
+(* The first column is left-aligned, every other right-aligned. *)
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
   else
     let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+    if left then s ^ fill else fill ^ s
 
-let render ?(aligns = []) ~headers ~rows () =
+let render ~headers ~rows () =
   let ncols = List.length headers in
   List.iter
     (fun row ->
       if List.length row <> ncols then
         invalid_arg "Table.render: row width does not match headers")
     rows;
-  let aligns =
-    if aligns = [] then List.init ncols (fun i -> if i = 0 then Left else Right)
-    else if List.length aligns <> ncols then
-      invalid_arg "Table.render: aligns width does not match headers"
-    else aligns
-  in
   let widths = Array.of_list (List.map String.length headers) in
   List.iter
     (fun row ->
@@ -32,7 +25,7 @@ let render ?(aligns = []) ~headers ~rows () =
     rows;
   let render_row row =
     let cells =
-      List.mapi (fun i cell -> pad (List.nth aligns i) widths.(i) cell) row
+      List.mapi (fun i cell -> pad ~left:(i = 0) widths.(i) cell) row
     in
     "| " ^ String.concat " | " cells ^ " |"
   in
@@ -52,8 +45,7 @@ let render ?(aligns = []) ~headers ~rows () =
     rows;
   Buffer.contents buf
 
-let print ?aligns ~headers ~rows () =
-  print_string (render ?aligns ~headers ~rows ())
+let print ~headers ~rows () = print_string (render ~headers ~rows ())
 
 let fmt_float ?(digits = 3) x =
   if Float.is_nan x then "nan"

@@ -1,14 +1,10 @@
 (** Plain-text table rendering for experiment output. *)
 
-type align = Left | Right
-
-val render :
-  ?aligns:align list -> headers:string list -> rows:string list list -> unit -> string
-(** Markdown-style table. Default alignment: first column left, rest right.
+val render : headers:string list -> rows:string list list -> unit -> string
+(** Markdown-style table: first column left-aligned, the rest right.
     Raises [Invalid_argument] when a row width differs from the header. *)
 
-val print :
-  ?aligns:align list -> headers:string list -> rows:string list list -> unit -> unit
+val print : headers:string list -> rows:string list list -> unit -> unit
 
 val fmt_float : ?digits:int -> float -> string
 val fmt_pct : ?digits:int -> float -> string

@@ -153,6 +153,15 @@ let test_aggregate () =
   Alcotest.(check (float 1e-9)) "precision avg" 1.0 agg.Exp_common.precision;
   Alcotest.(check (float 1e-9)) "tp avg" 0.0 agg.Exp_common.tp
 
+(* Run [f] with [PSN_DOMAINS] set to [v], restoring the caller's value
+   (or the empty string, which the pool reads as unset) afterwards. *)
+let with_psn_domains v f =
+  let prev = Sys.getenv_opt "PSN_DOMAINS" in
+  Unix.putenv "PSN_DOMAINS" v;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "PSN_DOMAINS" (Option.value prev ~default:""))
+    f
+
 (* The persistent domain pool must be invisible in results: the same
    experiment rendered sequentially and through the pool (forced on,
    whatever this machine's core count) must be byte-identical. *)
@@ -160,11 +169,8 @@ let test_pooled_table_identical () =
   let render () =
     Exp_common.render (Psn_experiments.E01_accuracy_vs_delta.run ~quick:true ())
   in
-  Psn_util.Parallel.set_default_domains (Some 1);
-  let seq = render () in
-  Psn_util.Parallel.set_default_domains (Some 4);
-  let pooled = render () in
-  Psn_util.Parallel.set_default_domains None;
+  let seq = with_psn_domains "1" render in
+  let pooled = with_psn_domains "4" render in
   Alcotest.(check string) "pooled table byte-identical to sequential" seq pooled
 
 let () =

@@ -261,6 +261,55 @@ let test_profile_phases () =
   Alcotest.(check int) "no stray phase recorded" 1
     (List.length (Profile.phases p))
 
+(* --- per-domain defaults ------------------------------------------------- *)
+
+(* A default sink, timeline or profile belongs to the domain that
+   installed it: an engine created on a spawned domain picks none of
+   them up, and a phase entered there is not charged. *)
+let test_defaults_are_per_domain () =
+  let sink = Trace.create () in
+  let tl = Metrics.timeline_create ~period_ns:1_000_000 () in
+  let p = Profile.create () in
+  let observes () =
+    let e = Engine.create () in
+    Profile.phase "probe" ignore;
+    (Option.is_some (Engine.tracer e), Option.is_some (Engine.timeline e))
+  in
+  let home, away =
+    Trace.with_default sink (fun () ->
+        Metrics.with_default_timeline tl (fun () ->
+            Profile.with_default p (fun () ->
+                let home = observes () in
+                (home, Domain.join (Domain.spawn observes)))))
+  in
+  Alcotest.(check (pair bool bool)) "installing domain sees both" (true, true)
+    home;
+  Alcotest.(check (pair bool bool)) "spawned domain sees neither"
+    (false, false) away;
+  match Profile.phases p with
+  | [ ph ] -> Alcotest.(check int) "only the home phase charged" 1 ph.Profile.count
+  | phs -> Alcotest.fail (Printf.sprintf "expected 1 phase, got %d" (List.length phs))
+
+(* While a default sink or timeline is installed, maps issued from the
+   installing domain run every task there.  Each task sleeps, so pool
+   workers would wake and take chunks if the map were handed to them. *)
+let test_maps_stay_home_under_defaults () =
+  let me = Domain.self () in
+  let away () =
+    Psn_util.Parallel.map_array ~domains:4
+      (fun () ->
+        Unix.sleepf 0.001;
+        Domain.self () <> me)
+      (Array.make 32 ())
+    |> Array.fold_left (fun n b -> if b then n + 1 else n) 0
+  in
+  Alcotest.(check int) "trace default: no task left the caller" 0
+    (Trace.with_default (Trace.create ()) away);
+  Alcotest.(check int) "timeline default: no task left the caller" 0
+    (Metrics.with_default_timeline
+       (Metrics.timeline_create ~period_ns:1_000_000 ())
+       away)
+
 (* --- json printer/parser ------------------------------------------------ *)
 
 let test_json_float_roundtrip =
@@ -402,6 +451,13 @@ let () =
         ] );
       ( "profile",
         [ Alcotest.test_case "phases aggregate" `Quick test_profile_phases ] );
+      ( "domains",
+        [
+          Alcotest.test_case "engines on other domains see no default" `Quick
+            test_defaults_are_per_domain;
+          Alcotest.test_case "maps stay on the installing domain" `Quick
+            test_maps_stay_home_under_defaults;
+        ] );
       ( "json",
         [
           test_json_float_roundtrip;

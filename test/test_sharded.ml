@@ -403,20 +403,52 @@ let test_single_queue_contract () =
   Alcotest.(check (list (triple int int (list int))))
     "same (time, dst, lanes) sequence" s_log o_log
 
+(* Run [f] with [PSN_DOMAINS] set to [v], restoring the caller's value
+   (or the empty string, which the pool reads as unset) afterwards. *)
+let with_psn_domains v f =
+  let prev = Sys.getenv_opt "PSN_DOMAINS" in
+  Unix.putenv "PSN_DOMAINS" v;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "PSN_DOMAINS" (Option.value prev ~default:""))
+    f
+
 let test_psn_domains_env () =
-  let prev = try Some (Sys.getenv "PSN_DOMAINS") with Not_found -> None in
-  let restore () =
-    match prev with
-    | Some v -> Unix.putenv "PSN_DOMAINS" v
-    | None -> Unix.putenv "PSN_DOMAINS" ""
-  in
-  Fun.protect ~finally:restore (fun () ->
-      Unix.putenv "PSN_DOMAINS" "3";
+  with_psn_domains "3" (fun () ->
       Alcotest.(check int) "PSN_DOMAINS pins default_domains" 3
-        (Parallel.default_domains ());
-      Unix.putenv "PSN_DOMAINS" "not-a-number";
+        (Parallel.default_domains ()));
+  with_psn_domains "not-a-number" (fun () ->
       Alcotest.(check bool) "garbage ignored" true
         (Parallel.default_domains () >= 1))
+
+(* Nothing in a run crosses domains: with the pool sized for four
+   domains, every delivery and every scheduled closure of a K = 4 run
+   executes on the caller's domain.  Each closure sleeps a little, so
+   pool workers would wake and take shards if windows were handed to
+   them. *)
+let test_windows_run_inline () =
+  with_psn_domains "4" @@ fun () ->
+  let me = Domain.self () in
+  let here = Atomic.make 0 and away = Atomic.make 0 in
+  let note () =
+    Atomic.incr (if Domain.self () = me then here else away);
+    Unix.sleepf 0.0002
+  in
+  let t = Exec.sharded ~shards:4 ~lookahead:(ms 10) () in
+  Exec.set_handler t (fun ~dst:_ ~w0:_ ~w1:_ ~w2:_ ~w3:_ ~w4:_ ~w5:_ ~w6:_ ->
+      note ());
+  for g = 0 to 3 do
+    let engine = Exec.engine t ~group:g in
+    for i = 0 to 9 do
+      let at = ms ((20 * i) + g) in
+      ignore (Engine.schedule_at engine at note);
+      Exec.post t ~src_group:g ~dst_group:((g + 1) mod 4)
+        ~at:(Sim_time.add at (ms 15)) ~dst:((g + 1) mod 4) ~w0:i ~w1:0 ~w2:0
+        ~w3:0 ~w4:0 ~w5:0 ~w6:0
+    done
+  done;
+  Exec.run t ~until:(Sim_time.of_sec 1);
+  Alcotest.(check int) "every closure and delivery ran" 80 (Atomic.get here);
+  Alcotest.(check int) "none ran on another domain" 0 (Atomic.get away)
 
 (* {2 Metrics merge} *)
 
@@ -966,6 +998,8 @@ let () =
             test_single_queue_contract;
           Alcotest.test_case "PSN_DOMAINS env knob" `Quick
             test_psn_domains_env;
+          Alcotest.test_case "windows run on the caller's domain" `Quick
+            test_windows_run_inline;
         ] );
       ( "metrics",
         [ Alcotest.test_case "merge_snapshots" `Quick test_merge_snapshots ] );
