@@ -186,10 +186,14 @@ let hall_cmd =
       & info [ "doors" ] ~docv:"D" ~doc:"Door count.")
   in
   let capacity =
-    Arg.(value & opt int 15 & info [ "capacity" ] ~docv:"C" ~doc:"Room capacity.")
+    Arg.(
+      value & opt (int_at_least 0 "non-negative capacity") 15
+      & info [ "capacity" ] ~docv:"C" ~doc:"Room capacity.")
   in
   let visitors =
-    Arg.(value & opt int 32 & info [ "visitors" ] ~docv:"V" ~doc:"Visitors.")
+    Arg.(
+      value & opt (int_at_least 0 "non-negative visitor count") 32
+      & info [ "visitors" ] ~docv:"V" ~doc:"Visitors.")
   in
   let run seed horizon_s delta_ms clock trace_file doors capacity visitors =
     with_trace trace_file @@ fun () ->
@@ -328,7 +332,8 @@ let lattice_cmd =
   in
   let events =
     Arg.(
-      value & opt int 4 & info [ "events" ] ~docv:"K" ~doc:"Events per process.")
+      value & opt (positive "event count") 4
+      & info [ "events" ] ~docv:"K" ~doc:"Events per process.")
   in
   let dot = Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz instead of counts.") in
   let no_strobes =
@@ -421,7 +426,7 @@ let trace_cmd =
   in
   let timeline_ms =
     Arg.(
-      value & opt int 0
+      value & opt (int_at_least 0 "non-negative period") 0
       & info [ "timeline" ] ~docv:"MS"
           ~doc:
             "Sample every registered metric each $(docv) of simulated \
@@ -430,7 +435,7 @@ let trace_cmd =
   in
   let run seed horizon_s delta_ms clock scenario out format timeline_ms =
     let timeline =
-      if timeline_ms <= 0 then None
+      if timeline_ms = 0 then None
       else
         Some
           (Psn_obs.Metrics.timeline_create
@@ -493,7 +498,7 @@ let analyze_cmd =
   in
   let horizon_ms =
     Arg.(
-      value & opt int 0
+      value & opt (int_at_least 0 "non-negative horizon") 0
       & info [ "horizon-ms" ] ~docv:"MS"
           ~doc:
             "Sim-time retirement horizon: flow edges unmatched after \
@@ -514,7 +519,7 @@ let analyze_cmd =
   in
   let run seed horizon_s delta_ms clock file run_live horizon_ms json_out top =
     let horizon_ns =
-      if horizon_ms <= 0 then None else Some (horizon_ms * 1_000_000)
+      if horizon_ms = 0 then None else Some (horizon_ms * 1_000_000)
     in
     let az = Psn_obs.Analyze.create ?horizon_ns () in
     let outcome =

@@ -90,15 +90,13 @@ let run ?(quick = false) () =
   let detector_rows =
     List.map
       (fun (dlabel, delay, ca, cb, family) ->
-        let matches =
-          List.for_all
-            (fun seed ->
-              key (summary_of ~clock:ca ~delay ~seed ~horizon)
-              = key (summary_of ~clock:cb ~delay ~seed ~horizon))
-            seeds
+        let runs clock =
+          repeat_reports ~seeds (fun seed ->
+              summary_of ~clock ~delay ~seed ~horizon)
         in
-        let a = repeat ~seeds (fun seed -> summary_of ~clock:ca ~delay ~seed ~horizon) in
-        let b = repeat ~seeds (fun seed -> summary_of ~clock:cb ~delay ~seed ~horizon) in
+        let ra = runs ca and rb = runs cb in
+        let matches = List.for_all2 (fun x y -> key x = key y) ra rb in
+        let a = aggregate ra and b = aggregate rb in
         [
           dlabel;
           family;

@@ -139,14 +139,18 @@ let pp ppf t =
 
 (* Per-domain default, mirroring [Trace.default]: experiment internals
    call [phase] unconditionally; it costs two clock reads only when a
-   profile is installed on the calling domain. *)
+   profile is installed on the calling domain.  Like [Trace.with_default],
+   installing one keeps that domain's maps at home, so a phase is charged
+   for every task its maps run. *)
 let default_profile : t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let with_default p f =
   let saved = Domain.DLS.get default_profile in
   Domain.DLS.set default_profile (Some p);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set default_profile saved) f
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set default_profile saved)
+    (fun () -> Psn_util.Parallel.sequentially f)
 
 let phase name f =
   match Domain.DLS.get default_profile with

@@ -46,8 +46,11 @@ val pp : Format.formatter -> t -> unit
     Mirrors {!Trace.with_default}: installs a profile that the
     instrumentation helper [phase] charges to, on the calling domain
     only.  Without a default installed there, [phase name f] is just
-    [f ()], so a phase entered on another domain is not charged.  A
-    sharded run executes its windows on the calling domain, so its
+    [f ()], so a phase entered on another domain is not charged.  While
+    the thunk runs, {!Psn_util.Parallel} maps issued from this domain
+    stay on it ({!Psn_util.Parallel.sequentially}), so a phase counts
+    the time and allocation of every task its maps run.  A sharded run
+    executes its windows on the calling domain, so its
     ["sharded.window"] phase covers every shard's work. *)
 
 val with_default : t -> (unit -> 'a) -> 'a

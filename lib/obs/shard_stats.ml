@@ -15,8 +15,14 @@
      8+k .. 8+2k-1       per-shard busy host ns
      8+2k .. 8+2k+k²-1   messages src→dst drained at this barrier
 
-   The arena grows by doubling and rows are reused on abort, so
-   steady-state recording allocates nothing (the pending_arena idiom). *)
+   Rows are written once into fixed chunks of [chunk_rows] (1024) rows:
+   row [w] lives in chunk [w lsr chunk_bits] at offset [(w land
+   chunk_mask) * stride].  A chunk is allocated when its first row opens
+   and is never copied; only the chunk directory grows (by doubling).
+   At K = 2 a row is 128 B, so 67 518 windows hold about 8.6 MB, and no
+   growth step keeps two copies of the rows live.  An aborted round's
+   row is reused by the next round, so recording allocates nothing
+   between chunks. *)
 
 let header = 8
 let o_start = 0
@@ -27,6 +33,9 @@ let o_fold = 4
 let o_par = 5
 let o_msgs = 6
 let o_ints = 7
+let chunk_bits = 10
+let chunk_rows = 1 lsl chunk_bits
+let chunk_mask = chunk_rows - 1
 
 type limit = Lookahead | Queue | Horizon
 
@@ -42,9 +51,10 @@ type t = {
   k : int;
   la_ns : int;
   stride : int; (* header + 2k + k² *)
-  mutable rows : int array;
+  mutable chunks : int array array; (* directory; [||] until a row opens *)
   mutable n : int; (* committed rows *)
-  mutable cur : int; (* offset of the open row; -1 when none *)
+  mutable row : int array; (* chunk of the open row *)
+  mutable cur : int; (* offset of the open row in [row]; -1 when none *)
   posted : int array; (* per shard: cross-shard posts *)
   last_events : int array; (* per shard: previous cumulative count *)
   mutable drained : int;
@@ -64,8 +74,9 @@ let create ~shards ~lookahead_ns =
     k = shards;
     la_ns = lookahead_ns;
     stride;
-    rows = Array.make (stride * 64) 0;
+    chunks = Array.make 4 [||];
     n = 0;
+    row = [||];
     cur = -1;
     posted = Array.make shards 0;
     last_events = Array.make shards 0;
@@ -83,65 +94,66 @@ let now_ns () = Int64.to_int (Monotonic_clock.now ())
 (* --- recording --------------------------------------------------------- *)
 
 let round_begin t =
-  let need = (t.n + 1) * t.stride in
-  if need > Array.length t.rows then begin
-    let cap = ref (Array.length t.rows) in
-    while !cap < need do
-      cap := !cap * 2
-    done;
-    let nr = Array.make !cap 0 in
-    Array.blit t.rows 0 nr 0 (t.n * t.stride);
-    t.rows <- nr
+  let c = t.n lsr chunk_bits in
+  if c = Array.length t.chunks then begin
+    let d = Array.make (2 * c) [||] in
+    Array.blit t.chunks 0 d 0 c;
+    t.chunks <- d
   end;
-  let o = t.n * t.stride in
-  Array.fill t.rows o t.stride 0;
+  if Array.length t.chunks.(c) = 0 then
+    t.chunks.(c) <- Array.make (chunk_rows * t.stride) 0;
+  let o = (t.n land chunk_mask) * t.stride in
+  t.row <- t.chunks.(c);
+  Array.fill t.row o t.stride 0;
   t.cur <- o
 
 let note_traffic t ~src ~dst ~msgs =
   let o = t.cur in
   let cell = o + header + (2 * t.k) + (src * t.k) + dst in
-  t.rows.(cell) <- t.rows.(cell) + msgs;
-  t.rows.(o + o_msgs) <- t.rows.(o + o_msgs) + msgs;
+  t.row.(cell) <- t.row.(cell) + msgs;
+  t.row.(o + o_msgs) <- t.row.(o + o_msgs) + msgs;
   t.drained <- t.drained + msgs
 
 let note_occupancy t ~ints =
-  t.rows.(t.cur + o_ints) <- t.rows.(t.cur + o_ints) + ints;
+  t.row.(t.cur + o_ints) <- t.row.(t.cur + o_ints) + ints;
   if ints > t.peak_ints then t.peak_ints <- ints
 
-let drain_done t ~host_ns = t.rows.(t.cur + o_drain) <- host_ns
-let fold_done t ~host_ns = t.rows.(t.cur + o_fold) <- host_ns
+let drain_done t ~host_ns = t.row.(t.cur + o_drain) <- host_ns
+let fold_done t ~host_ns = t.row.(t.cur + o_fold) <- host_ns
 
 let window_open t ~start_ns ~end_ns =
-  t.rows.(t.cur + o_start) <- start_ns;
-  t.rows.(t.cur + o_end) <- end_ns
+  t.row.(t.cur + o_start) <- start_ns;
+  t.row.(t.cur + o_end) <- end_ns
 
 let shard_report t ~shard ~events_total ~busy_ns =
   let o = t.cur in
-  t.rows.(o + header + shard) <- events_total - t.last_events.(shard);
+  t.row.(o + header + shard) <- events_total - t.last_events.(shard);
   t.last_events.(shard) <- events_total;
-  t.rows.(o + header + t.k + shard) <- busy_ns
+  t.row.(o + header + t.k + shard) <- busy_ns
 
 let window_close t ~clipped ~par_ns =
   let o = t.cur in
-  t.rows.(o + o_limit) <- int_of_limit (if clipped then Horizon else Queue);
-  t.rows.(o + o_par) <- par_ns;
+  t.row.(o + o_limit) <- int_of_limit (if clipped then Horizon else Queue);
+  t.row.(o + o_par) <- par_ns;
   t.n <- t.n + 1;
   t.cur <- -1;
   t.unclassified <- not clipped
 
 let classify_prev t ~next_ns =
   if t.unclassified && t.n > 0 then begin
-    let o = (t.n - 1) * t.stride in
-    if next_ns - t.rows.(o + o_end) < t.la_ns then
-      t.rows.(o + o_limit) <- int_of_limit Lookahead;
+    let w = t.n - 1 in
+    let row = t.chunks.(w lsr chunk_bits) in
+    let o = (w land chunk_mask) * t.stride in
+    if next_ns - row.(o + o_end) < t.la_ns then
+      row.(o + o_limit) <- int_of_limit Lookahead;
     t.unclassified <- false
   end
 
 let round_abort t =
   let o = t.cur in
-  t.ep_drain <- t.ep_drain + t.rows.(o + o_drain);
-  t.ep_fold <- t.ep_fold + t.rows.(o + o_fold);
-  t.ep_msgs <- t.ep_msgs + t.rows.(o + o_msgs);
+  t.ep_drain <- t.ep_drain + t.row.(o + o_drain);
+  t.ep_fold <- t.ep_fold + t.row.(o + o_fold);
+  t.ep_msgs <- t.ep_msgs + t.row.(o + o_msgs);
   t.cur <- -1
 
 let note_posted t ~src = t.posted.(src) <- t.posted.(src) + 1
@@ -153,19 +165,22 @@ let run_done t ~wall_ns = t.wall_ns <- t.wall_ns + wall_ns
 let shards t = t.k
 let lookahead_ns t = t.la_ns
 let windows t = t.n
-let start_ns t w = t.rows.((w * t.stride) + o_start)
-let end_ns t w = t.rows.((w * t.stride) + o_end)
-let limit t w = limit_of_int t.rows.((w * t.stride) + o_limit)
-let drain_ns t w = t.rows.((w * t.stride) + o_drain)
-let fold_ns t w = t.rows.((w * t.stride) + o_fold)
-let par_ns t w = t.rows.((w * t.stride) + o_par)
-let mail_msgs t w = t.rows.((w * t.stride) + o_msgs)
-let mail_ints t w = t.rows.((w * t.stride) + o_ints)
-let events t w ~shard = t.rows.((w * t.stride) + header + shard)
-let busy_ns t w ~shard = t.rows.((w * t.stride) + header + t.k + shard)
+let get t w field =
+  t.chunks.(w lsr chunk_bits).(((w land chunk_mask) * t.stride) + field)
+
+let start_ns t w = get t w o_start
+let end_ns t w = get t w o_end
+let limit t w = limit_of_int (get t w o_limit)
+let drain_ns t w = get t w o_drain
+let fold_ns t w = get t w o_fold
+let par_ns t w = get t w o_par
+let mail_msgs t w = get t w o_msgs
+let mail_ints t w = get t w o_ints
+let events t w ~shard = get t w (header + shard)
+let busy_ns t w ~shard = get t w (header + t.k + shard)
 
 let traffic t w ~src ~dst =
-  t.rows.((w * t.stride) + header + (2 * t.k) + (src * t.k) + dst)
+  get t w (header + (2 * t.k) + (src * t.k) + dst)
 
 let total_events t =
   let acc = ref 0 in
@@ -319,16 +334,16 @@ let of_json j =
           if List.length ev <> k || List.length busy <> k then
             Error "shardstats: per-shard list length mismatch"
           else begin
-            t.rows.(o + o_start) <- s;
-            t.rows.(o + o_end) <- e;
-            t.rows.(o + o_limit) <- lim;
-            t.rows.(o + o_drain) <- drain;
-            t.rows.(o + o_fold) <- fold;
-            t.rows.(o + o_par) <- par;
-            t.rows.(o + o_msgs) <- msgs;
-            t.rows.(o + o_ints) <- ints;
-            List.iteri (fun s v -> t.rows.(o + header + s) <- v) ev;
-            List.iteri (fun s v -> t.rows.(o + header + k + s) <- v) busy;
+            t.row.(o + o_start) <- s;
+            t.row.(o + o_end) <- e;
+            t.row.(o + o_limit) <- lim;
+            t.row.(o + o_drain) <- drain;
+            t.row.(o + o_fold) <- fold;
+            t.row.(o + o_par) <- par;
+            t.row.(o + o_msgs) <- msgs;
+            t.row.(o + o_ints) <- ints;
+            List.iteri (fun s v -> t.row.(o + header + s) <- v) ev;
+            List.iteri (fun s v -> t.row.(o + header + k + s) <- v) busy;
             let* () =
               match Json.member "traffic" row with
               | None -> Ok ()
@@ -338,7 +353,7 @@ let of_json j =
                     Error "shardstats: traffic matrix length mismatch"
                   else begin
                     List.iteri
-                      (fun i v -> t.rows.(o + header + (2 * k) + i) <- v)
+                      (fun i v -> t.row.(o + header + (2 * k) + i) <- v)
                       m;
                     Ok ()
                   end

@@ -290,25 +290,42 @@ let test_defaults_are_per_domain () =
   | [ ph ] -> Alcotest.(check int) "only the home phase charged" 1 ph.Profile.count
   | phs -> Alcotest.fail (Printf.sprintf "expected 1 phase, got %d" (List.length phs))
 
-(* While a default sink or timeline is installed, maps issued from the
-   installing domain run every task there.  Each task sleeps, so pool
-   workers would wake and take chunks if the map were handed to them. *)
-let test_maps_stay_home_under_defaults () =
+(* How many tasks of a 32-task map ran off the calling domain.  Each
+   task sleeps, so pool workers would wake and take chunks if the map
+   were handed to them. *)
+let tasks_away ?domains () =
   let me = Domain.self () in
-  let away () =
-    Psn_util.Parallel.map_array ~domains:4
-      (fun () ->
-        Unix.sleepf 0.001;
-        Domain.self () <> me)
-      (Array.make 32 ())
-    |> Array.fold_left (fun n b -> if b then n + 1 else n) 0
-  in
+  Psn_util.Parallel.map_array ?domains
+    (fun () ->
+      Unix.sleepf 0.001;
+      Domain.self () <> me)
+    (Array.make 32 ())
+  |> Array.fold_left (fun n b -> if b then n + 1 else n) 0
+
+(* While a default sink or timeline is installed, maps issued from the
+   installing domain run every task there. *)
+let test_maps_stay_home_under_defaults () =
+  let away () = tasks_away ~domains:4 () in
   Alcotest.(check int) "trace default: no task left the caller" 0
     (Trace.with_default (Trace.create ()) away);
   Alcotest.(check int) "timeline default: no task left the caller" 0
     (Metrics.with_default_timeline
        (Metrics.timeline_create ~period_ns:1_000_000 ())
        away)
+
+(* The same for a default profile, with the map sized the way an
+   experiment sweep sizes it: from PSN_DOMAINS (here 4), not an
+   explicit count.  A task run on a worker would escape the phase that
+   issued it. *)
+let test_profile_keeps_maps_home () =
+  let saved = Option.value (Sys.getenv_opt "PSN_DOMAINS") ~default:"" in
+  Unix.putenv "PSN_DOMAINS" "4";
+  let away =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "PSN_DOMAINS" saved)
+      (fun () -> Profile.with_default (Profile.create ()) tasks_away)
+  in
+  Alcotest.(check int) "profile default: no task left the caller" 0 away
 
 (* --- json printer/parser ------------------------------------------------ *)
 
@@ -457,6 +474,8 @@ let () =
             test_defaults_are_per_domain;
           Alcotest.test_case "maps stay on the installing domain" `Quick
             test_maps_stay_home_under_defaults;
+          Alcotest.test_case "profile keeps maps on the installing domain"
+            `Quick test_profile_keeps_maps_home;
         ] );
       ( "json",
         [

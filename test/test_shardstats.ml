@@ -1,7 +1,8 @@
 (* Shard-aware observability: conservation invariants of the
    [Shard_stats] arena against real sharded runs, byte-goldens of the
    analyzer renderings on a hand-built deterministic stats object, the
-   JSON round trip behind [psn-sim shardstats FILE], the merged-chrome
+   chunked row store across chunk boundaries, the JSON round trip
+   behind [psn-sim shardstats FILE], the merged-chrome
    tid mapping, the report's shard breakdown, and the engine's profile
    phases.
 
@@ -264,6 +265,158 @@ let test_of_json_rejects_garbage () =
       | Ok _ -> Alcotest.fail "accepted a document with no counters"
       | Error _ -> ())
 
+(* {2 Chunked rows}
+
+   Rows live in fixed chunks of 1024 rows that are written in place and
+   never copied.  [many_windows n] hand-records [n] two-shard
+   windows with a distinct value in every field the API lets the caller
+   choose: row [w]'s slot [f] holds [cell w f].  The limit cycles
+   lookahead / queue / horizon, and [mail_msgs] is the sum of the
+   traffic cells.  A round that opens no window is aborted at rows 1024
+   and 2048, where the open row starts a new chunk; its [classify_prev]
+   settles the last row of the chunk before. *)
+
+let chunk_rows = 1024
+let cell w f = (w * 64) + f + 1
+
+let limit_of w =
+  match w mod 3 with
+  | 0 -> Shard_stats.Lookahead
+  | 1 -> Shard_stats.Queue
+  | _ -> Shard_stats.Horizon
+
+let many_windows n =
+  let la = 1_000_000 in
+  let st = Shard_stats.create ~shards:2 ~lookahead_ns:la in
+  let cum = Array.make 2 0 in
+  (* The next round's global minimum that settles row [w - 1]. *)
+  let settle w =
+    if w > 0 then
+      let prev_end = cell (w - 1) 1 in
+      Shard_stats.classify_prev st
+        ~next_ns:
+          (if limit_of (w - 1) = Shard_stats.Lookahead then prev_end
+           else prev_end + la)
+  in
+  for w = 0 to n - 1 do
+    if w mod chunk_rows = 0 && w > 0 then begin
+      Shard_stats.round_begin st;
+      Shard_stats.note_traffic st ~src:1 ~dst:0 ~msgs:5;
+      Shard_stats.note_occupancy st ~ints:3;
+      Shard_stats.drain_done st ~host_ns:7;
+      Shard_stats.fold_done st ~host_ns:11;
+      settle w;
+      Shard_stats.round_abort st
+    end;
+    Shard_stats.round_begin st;
+    for i = 0 to 3 do
+      Shard_stats.note_traffic st ~src:(i / 2) ~dst:(i mod 2)
+        ~msgs:(cell w (12 + i))
+    done;
+    Shard_stats.note_occupancy st ~ints:(cell w 7);
+    Shard_stats.drain_done st ~host_ns:(cell w 3);
+    Shard_stats.fold_done st ~host_ns:(cell w 4);
+    settle w;
+    Shard_stats.window_open st ~start_ns:(cell w 0) ~end_ns:(cell w 1);
+    Shard_stats.note_posted st ~src:(w mod 2);
+    for s = 0 to 1 do
+      cum.(s) <- cum.(s) + cell w (8 + s);
+      Shard_stats.shard_report st ~shard:s ~events_total:cum.(s)
+        ~busy_ns:(cell w (10 + s))
+    done;
+    Shard_stats.window_close st
+      ~clipped:(limit_of w = Shard_stats.Horizon)
+      ~par_ns:(cell w 5)
+  done;
+  Shard_stats.round_begin st;
+  settle n;
+  Shard_stats.round_abort st;
+  Shard_stats.run_done st ~wall_ns:123_456;
+  st
+
+let check_many_windows name st n =
+  Alcotest.(check int) (name ^ ": windows") n (Shard_stats.windows st);
+  let events = ref 0 and msgs = ref 0 in
+  for w = 0 to n - 1 do
+    let field f got =
+      if got <> cell w f then
+        Alcotest.failf "%s: window %d slot %d reads %d, wrote %d" name w f got
+          (cell w f)
+    in
+    field 0 (Shard_stats.start_ns st w);
+    field 1 (Shard_stats.end_ns st w);
+    field 3 (Shard_stats.drain_ns st w);
+    field 4 (Shard_stats.fold_ns st w);
+    field 5 (Shard_stats.par_ns st w);
+    field 7 (Shard_stats.mail_ints st w);
+    for s = 0 to 1 do
+      field (8 + s) (Shard_stats.events st w ~shard:s);
+      field (10 + s) (Shard_stats.busy_ns st w ~shard:s);
+      events := !events + cell w (8 + s)
+    done;
+    let row_msgs = ref 0 in
+    for i = 0 to 3 do
+      field (12 + i) (Shard_stats.traffic st w ~src:(i / 2) ~dst:(i mod 2));
+      row_msgs := !row_msgs + cell w (12 + i)
+    done;
+    msgs := !msgs + !row_msgs;
+    if Shard_stats.mail_msgs st w <> !row_msgs then
+      Alcotest.failf "%s: window %d mail_msgs %d <> %d" name w
+        (Shard_stats.mail_msgs st w) !row_msgs;
+    if Shard_stats.limit st w <> limit_of w then
+      Alcotest.failf "%s: window %d limit %s, expected %s" name w
+        (Shard_stats.limit_to_string (Shard_stats.limit st w))
+        (Shard_stats.limit_to_string (limit_of w))
+  done;
+  let aborts = (n - 1) / chunk_rows in
+  let check what want got = Alcotest.(check int) (name ^ ": " ^ what) want got in
+  check "events" !events (Shard_stats.total_events st);
+  check "posted" n (Shard_stats.posted_total st);
+  check "drained" (!msgs + (5 * aborts)) (Shard_stats.drained_total st);
+  check "peak ints" (cell (n - 1) 7) (Shard_stats.peak_mail_ints st);
+  check "run wall" 123_456 (Shard_stats.run_wall_ns st);
+  check "epilogue drain" (7 * aborts) (Shard_stats.epilogue_drain_ns st);
+  check "epilogue fold" (11 * aborts) (Shard_stats.epilogue_fold_ns st);
+  check "epilogue msgs" (5 * aborts) (Shard_stats.epilogue_mail_msgs st)
+
+let test_many_windows () =
+  let n = (2 * chunk_rows) + 452 in
+  let st = many_windows n in
+  check_many_windows "recorded" st n;
+  let doc =
+    Json.Obj
+      (("schema", Json.Str "psn-shardstats/1") :: Shard_stats.raw_members st)
+  in
+  match Shard_stats.of_json doc with
+  | Error e -> Alcotest.fail ("of_json rejected raw_members: " ^ e)
+  | Ok st2 -> check_many_windows "reloaded" st2 n
+
+(* A real K = 2 stream whose windows span several chunks. *)
+let test_json_round_trip_many_chunks () =
+  let cfg =
+    let d = Sharded.stream_default.Sharded.s_detect in
+    { Sharded.stream_default with
+      Sharded.s_detect = { d with horizon = Sim_time.of_sec 2000 } }
+  in
+  let exec =
+    Exec.sharded ~seed:42L ~shards:2
+      ~lookahead:(Delay_model.min_delay cfg.Sharded.s_detect.delay)
+      ()
+  in
+  ignore (Sharded.stream ~cfg exec);
+  let st = Option.get (Exec.stats exec) in
+  Alcotest.(check bool) "windows span more than three chunks" true
+    (Shard_stats.windows st > 3 * chunk_rows);
+  let json1 = Analyze.sharded_to_json st in
+  match Json.of_string json1 with
+  | Error e -> Alcotest.fail ("shardstats json unparsable: " ^ e)
+  | Ok doc -> (
+      match Shard_stats.of_json doc with
+      | Error e -> Alcotest.fail ("of_json rejected own dump: " ^ e)
+      | Ok st2 ->
+          Alcotest.(check string) "re-dump is byte-identical" json1
+            (Analyze.sharded_to_json st2))
+
 (* {2 Merged chrome: per-sink tid blocks} *)
 
 let test_merged_chrome_tids () =
@@ -367,6 +520,13 @@ let () =
             test_json_round_trip_real_run;
           Alcotest.test_case "rejects garbage" `Quick
             test_of_json_rejects_garbage;
+        ] );
+      ( "chunks",
+        [
+          Alcotest.test_case "every field of three chunks of rows" `Quick
+            test_many_windows;
+          Alcotest.test_case "round trip (K = 2 stream, several chunks)"
+            `Quick test_json_round_trip_many_chunks;
         ] );
       ( "chrome",
         [
