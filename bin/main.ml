@@ -831,8 +831,10 @@ let detect_cmd =
      ($(b,--stream), the default) or the packed post-hoc oracle replayed \
      over the exact prefix the walk consumed ($(b,--posthoc)); \
      $(b,--differential) runs both and fails on any divergence.  Reports \
-     the bounded-memory evidence (peak live cuts / events) and the \
-     engine work (events, barrier windows) either way."
+     the memory evidence (peak live cuts / events, the most stamp-plane \
+     rows one group held live, and the ints the ground-truth log \
+     allocated) and the engine work (events, barrier windows) either \
+     way."
   in
   let monitors =
     Arg.(
@@ -1018,6 +1020,10 @@ let detect_cmd =
                  ("committed_exact", Bool committed_exact);
                  ("peak_live_cuts", Int r.Sharded_sc.sr_peak_live_cuts);
                  ("peak_live_events", Int r.Sharded_sc.sr_peak_live_events);
+                 ( "peak_plane_rows",
+                   Int (Psn_detection.Streaming_detector.peak_plane_rows det) );
+                 ( "log_words",
+                   Int (Psn_detection.Streaming_detector.log_words det) );
                  ("messages", Int r.Sharded_sc.sr_messages);
                  ("dropped", Int r.Sharded_sc.sr_dropped);
                  ("sim_events", Int (Psn_sim.Exec.events_processed exec));
@@ -1063,6 +1069,10 @@ let detect_cmd =
             committed_n;
           Fmt.pr "peak live cuts   : %d@." r.Sharded_sc.sr_peak_live_cuts;
           Fmt.pr "peak live events : %d@." r.Sharded_sc.sr_peak_live_events;
+          Fmt.pr "peak plane rows  : %d@."
+            (Psn_detection.Streaming_detector.peak_plane_rows det);
+          Fmt.pr "log words        : %d@."
+            (Psn_detection.Streaming_detector.log_words det);
           Fmt.pr "messages         : %d (dropped %d)@." r.Sharded_sc.sr_messages
             r.Sharded_sc.sr_dropped;
           Fmt.pr "engine events    : %d (windows %d)@."

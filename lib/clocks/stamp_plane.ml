@@ -11,11 +11,20 @@
    Representation:
      - a plane has a fixed [width] (components per stamp, the process
        count n);
-     - handle h names components [data.(h) .. data.(h + width - 1)];
-       handles are always multiples of [width];
+     - handle h names components [data.(h - base) .. data.(h - base +
+       width - 1)]; handles are always multiples of [width], and [base]
+       is 0 until the plane first releases;
      - [alloc] bumps [len]; when the backing array is full it grows by
        doubling and blits, so existing handles stay valid (they are
        offsets, not pointers);
+     - [release] raises the release floor: handles below it are dead,
+       and [index] rejects them.  A full plane whose released rows fill
+       at least half the backing slides its live rows down to index 0
+       and moves [base] up to the floor instead of doubling; a growth
+       copies only the live rows.  Handles stay global offsets, so a
+       handle riding a message names the same stamp across either.  A
+       plane that never releases has [base] = [floor] = 0 and grows
+       exactly as it did without the floor;
      - [reset] recycles the whole arena for a new run: O(1), but it
        invalidates every outstanding handle (aliasing rule: a handle is
        dead after [reset] of its plane; validity checks catch handles
@@ -28,7 +37,10 @@
 type t = {
   width : int;
   mutable data : int array;
-  mutable len : int;  (* ints in use; always a multiple of [width] *)
+  mutable base : int;   (* handle stored at [data.(0)] *)
+  mutable floor : int;  (* handles below it are released *)
+  mutable len : int;    (* end of the last stamp, as a handle; a multiple
+                           of [width] *)
 }
 
 type handle = int
@@ -36,50 +48,77 @@ type handle = int
 let create ?(initial = 64) ~n () =
   if n <= 0 then invalid_arg "Stamp_plane.create: n must be positive";
   if initial <= 0 then invalid_arg "Stamp_plane.create: initial must be positive";
-  { width = n; data = Array.make (initial * n) 0; len = 0 }
+  { width = n; data = Array.make (initial * n) 0; base = 0; floor = 0; len = 0 }
 
 let width t = t.width
 let count t = t.len / t.width
+let live t = (t.len - t.floor) / t.width
+let floor t = t.floor
 let capacity t = Array.length t.data / t.width
-let reset t = t.len <- 0
+
+let reset t =
+  t.base <- 0;
+  t.floor <- 0;
+  t.len <- 0
+
+let release t ~below =
+  if below mod t.width <> 0 || below > t.len then
+    invalid_arg "Stamp_plane.release: not a handle of this plane";
+  if below > t.floor then t.floor <- below
 
 (* Bounds check for a handle: one compare pair per operation (no [mod]
    — that would be an integer division on every hot-path call), after
-   which the component loops may use unsafe accesses. *)
-let[@inline] check t h =
-  if h < 0 || h + t.width > t.len then
-    invalid_arg "Stamp_plane: dead or foreign handle"
+   which the component loops may use unsafe accesses at the returned
+   index into [data]. *)
+let[@inline] index t h =
+  if h < t.floor || h + t.width > t.len then
+    invalid_arg "Stamp_plane: dead or foreign handle";
+  h - t.base
 
 (* The full alignment check, for validation layers (the lattice planner). *)
-let is_valid t h = h >= 0 && h mod t.width = 0 && h + t.width <= t.len
+let is_valid t h = h >= t.floor && h mod t.width = 0 && h + t.width <= t.len
 
-let grow t need =
-  let cap = ref (Array.length t.data) in
-  while !cap < need do
-    cap := !cap * 2
-  done;
-  let a = Array.make !cap 0 in
-  Array.blit t.data 0 a 0 t.len;
-  t.data <- a
+(* Room for one more stamp.  A plane at least half released slides its
+   live rows down in place; otherwise the backing doubles until the
+   live rows and one more stamp fit, and the copy moves only the live
+   rows.  With nothing released ([floor] = [base] = 0) this is the
+   plain doubling growth. *)
+let make_room t =
+  let cap = Array.length t.data in
+  let dead = t.floor - t.base and live = t.len - t.floor in
+  if dead > 0 && 2 * dead >= cap then
+    Array.blit t.data dead t.data 0 live
+  else begin
+    let need = live + t.width in
+    let cap = ref cap in
+    while !cap < need do
+      cap := !cap * 2
+    done;
+    let a = Array.make !cap 0 in
+    Array.blit t.data dead a 0 live;
+    t.data <- a
+  end;
+  t.base <- t.floor
 
 (* Contents of the new stamp are unspecified (the arena recycles space
-   after [reset]); every caller below overwrites all [width] components. *)
+   after [reset] and a slide); every caller below overwrites all
+   [width] components. *)
 let alloc t =
   let h = t.len in
   let need = h + t.width in
-  if need > Array.length t.data then grow t need;
+  if need - t.base > Array.length t.data then make_room t;
   t.len <- need;
   h
 
 let get t h j =
-  check t h;
+  let i = index t h in
   if j < 0 || j >= t.width then invalid_arg "Stamp_plane.get: component";
-  Array.unsafe_get t.data (h + j)
+  Array.unsafe_get t.data (i + j)
 
 let set t h j v =
-  check t h;
+  let i = index t h in
   if j < 0 || j >= t.width then invalid_arg "Stamp_plane.set: component";
-  Array.unsafe_set t.data (h + j) v
+  Array.unsafe_set t.data (i + j) v
 
 (* Copy [w] ints between a small array and the plane.  [Array.blit] is
    a C call ([caml_array_blit]); its fixed call-and-check overhead is
@@ -100,28 +139,28 @@ let of_array t (src : int array) =
   if Array.length src <> t.width then
     invalid_arg "Stamp_plane.of_array: width mismatch";
   let h = alloc t in
-  copy_ints src 0 t.data h t.width;
+  copy_ints src 0 t.data (h - t.base) t.width;
   h
 
 let read t h =
-  check t h;
-  Array.sub t.data h t.width
+  let i = index t h in
+  Array.sub t.data i t.width
 
-let blit_to t h dst =
-  check t h;
-  if Array.length dst <> t.width then
-    invalid_arg "Stamp_plane.blit_to: width mismatch";
-  copy_ints t.data h dst 0 t.width
+let blit_to t h dst ~pos =
+  let i = index t h in
+  if pos < 0 || pos > Array.length dst - t.width then
+    invalid_arg "Stamp_plane.blit_to: destination too short";
+  copy_ints t.data i dst pos t.width
 
 (* Componentwise max of stamp [h] into [dst] — the merge half of VC3 /
    SVC2 writing straight into a live clock vector. *)
 let max_into_array t h (dst : int array) =
-  check t h;
+  let i = index t h in
   if Array.length dst <> t.width then
     invalid_arg "Stamp_plane.max_into_array: width mismatch";
   let d = t.data in
   for j = 0 to t.width - 1 do
-    let x = Array.unsafe_get d (h + j) in
+    let x = Array.unsafe_get d (i + j) in
     if x > Array.unsafe_get dst j then Array.unsafe_set dst j x
   done
 
@@ -131,31 +170,32 @@ let max_into_array t h (dst : int array) =
    walks (and paying one handle check instead of two) is what brings
    [Vector_clock.receive_into] below the legacy copy path.  [h] is
    checked before [alloc] so a dead handle still fails loudly; it stays
-   valid across a growing [alloc] because handles are offsets. *)
+   valid across a growing [alloc] because handles are offsets, and its
+   index is taken after [alloc], which may move the rows. *)
 let receive_snapshot t h (vec : int array) ~me =
-  check t h;
+  ignore (index t h : int);
   if Array.length vec <> t.width then
     invalid_arg "Stamp_plane.receive_snapshot: width mismatch";
   if me < 0 || me >= t.width then
     invalid_arg "Stamp_plane.receive_snapshot: me out of range";
   let out = alloc t in
   let d = t.data in  (* re-read: [alloc] may have grown the backing *)
+  let i = h - t.base and o = out - t.base in
   for j = 0 to t.width - 1 do
-    let x = Array.unsafe_get d (h + j) and y = Array.unsafe_get vec j in
+    let x = Array.unsafe_get d (i + j) and y = Array.unsafe_get vec j in
     let m = if x >= y then x else y in
     Array.unsafe_set vec j m;
-    Array.unsafe_set d (out + j) m
+    Array.unsafe_set d (o + j) m
   done;
   let m = Array.unsafe_get vec me + 1 in
   Array.unsafe_set vec me m;
-  Array.unsafe_set d (out + me) m;
+  Array.unsafe_set d (o + me) m;
   out
 
 (* --- handle-level stamp order (mirrors Vector_clock on arrays) --- *)
 
 let leq t a b =
-  check t a;
-  check t b;
+  let a = index t a and b = index t b in
   let d = t.data and w = t.width in
   let rec go j =
     j >= w
@@ -166,20 +206,18 @@ let leq t a b =
 let equal t a b =
   a = b
   ||
-  (check t a;
-   check t b;
-   let d = t.data and w = t.width in
-   let rec go j =
-     j >= w || (Array.unsafe_get d (a + j) = Array.unsafe_get d (b + j) && go (j + 1))
-   in
-   go 0)
+  let a = index t a and b = index t b in
+  let d = t.data and w = t.width in
+  let rec go j =
+    j >= w || (Array.unsafe_get d (a + j) = Array.unsafe_get d (b + j) && go (j + 1))
+  in
+  go 0
 
 let happened_before t a b = leq t a b && not (equal t a b)
 
 (* Fused two-way scan: stop as soon as both directions are refuted. *)
 let concurrent t a b =
-  check t a;
-  check t b;
+  let a = index t a and b = index t b in
   let d = t.data and w = t.width in
   let ab = ref true and ba = ref true in
   let j = ref 0 in
@@ -193,8 +231,7 @@ let concurrent t a b =
 (* First differing component decides — the same order [Stdlib.compare]
    induces on equal-length int arrays, without the polymorphic C call. *)
 let compare_lex t a b =
-  check t a;
-  check t b;
+  let a = index t a and b = index t b in
   let d = t.data and w = t.width in
   let rec go j =
     if j >= w then 0
@@ -211,29 +248,32 @@ let compare_partial t a b =
   else None
 
 let total t h =
-  check t h;
+  let i = index t h in
   let d = t.data and w = t.width in
   let acc = ref 0 in
   for j = 0 to w - 1 do
-    acc := !acc + Array.unsafe_get d (h + j)
+    acc := !acc + Array.unsafe_get d (i + j)
   done;
   !acc
 
 (* New stamp = componentwise max.  [alloc] may grow (and replace) the
-   backing array, so it runs before [d] is read. *)
+   backing array or slide its rows, so it runs before [d] and the
+   indices are read. *)
 let merge t a b =
-  check t a;
-  check t b;
+  ignore (index t a : int);
+  ignore (index t b : int);
   let h = alloc t in
   let d = t.data and w = t.width in
+  let a = a - t.base and b = b - t.base and o = h - t.base in
   for j = 0 to w - 1 do
     let x = Array.unsafe_get d (a + j) and y = Array.unsafe_get d (b + j) in
-    Array.unsafe_set d (h + j) (if x >= y then x else y)
+    Array.unsafe_set d (o + j) (if x >= y then x else y)
   done;
   h
 
-let backing t = t.data
+let backing t =
+  if t.floor > 0 then invalid_arg "Stamp_plane.backing: the plane has released";
+  t.data
 
 let pp_stamp t ppf h =
-  check t h;
   Fmt.pf ppf "[%a]" Fmt.(array ~sep:(any ";") int) (read t h)

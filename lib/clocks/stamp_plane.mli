@@ -6,11 +6,20 @@
     compared without ever allocating.  The arena grows by doubling, and
     growth preserves handles (they are offsets, not pointers).
 
-    Aliasing rules: a handle is valid until {!reset} of its plane; a
-    handle must only be used with the plane that allocated it (a foreign
-    handle past the live length raises [Invalid_argument], one below it
-    silently names another stamp).  {!backing} exposes the live backing
-    array for bulk consumers (the packed lattice engine); the reference
+    A plane may also {!release} its oldest stamps: handles below the
+    release floor are dead, and every accessor rejects them.  When the
+    backing array is full and at least half of it is released, the live
+    stamps slide down to its start instead of doubling; handles stay
+    global offsets, so every live handle names the same stamp across a
+    slide.  A plane that never releases allocates exactly as one without
+    the floor.
+
+    Aliasing rules: a handle is valid until {!reset} of its plane or a
+    {!release} past it; a handle must only be used with the plane that
+    allocated it (a foreign handle past the live length raises
+    [Invalid_argument], one within it silently names another stamp).
+    {!backing} exposes the live backing array for bulk consumers (the
+    packed lattice engine) of planes that never release; the reference
     is stale after a growing {!alloc}, but stale reads still see every
     stamp allocated before the growth (growth blits). *)
 
@@ -26,19 +35,35 @@ val create : ?initial:int -> n:int -> unit -> t
 
 val width : t -> int
 val count : t -> int
-(** Stamps currently allocated. *)
+(** Stamps allocated since creation or the last {!reset}, released ones
+    included: the next {!alloc} returns handle [count * width]. *)
+
+val live : t -> int
+(** Stamps allocated and not released. *)
 
 val capacity : t -> int
-(** Stamps the backing array can hold before the next growth. *)
+(** Stamps the backing array can hold before the next growth or slide. *)
 
 val reset : t -> unit
-(** Recycle the arena: O(1), invalidates all outstanding handles. *)
+(** Recycle the arena: O(1), invalidates all outstanding handles and
+    lowers the release floor to 0. *)
+
+val floor : t -> handle
+(** The release floor: the lowest handle still live (or {!count}
+    [* width] when every stamp is released). *)
+
+val release : t -> below:handle -> unit
+(** Raise the release floor to [below]: every stamp with a smaller
+    handle is dead.  A [below] at or under the floor changes nothing.
+    Raises [Invalid_argument] unless [below] is a multiple of the width
+    at most [count * width]. *)
 
 val alloc : t -> handle
 (** Bump-allocate one stamp; contents are unspecified — callers must
     write all [width] components (or use {!of_array} / {!merge}). *)
 
 val is_valid : t -> handle -> bool
+(** Allocated, aligned, and not released. *)
 
 val get : t -> handle -> int -> int
 val set : t -> handle -> int -> int -> unit
@@ -49,7 +74,9 @@ val of_array : t -> int array -> handle
 val read : t -> handle -> int array
 (** Copy out (for logs, tests, and the generic-walk fallback). *)
 
-val blit_to : t -> handle -> int array -> unit
+val blit_to : t -> handle -> int array -> pos:int -> unit
+(** Copy the stamp's components into [dst.(pos) .. dst.(pos + width -
+    1)]. *)
 
 val max_into_array : t -> handle -> int array -> unit
 (** Componentwise max of the stamp into a live clock vector — the merge
@@ -77,6 +104,8 @@ val merge : t -> handle -> handle -> handle
 (** Fresh stamp = componentwise max. *)
 
 val backing : t -> int array
-(** The live backing array (see aliasing rules above). *)
+(** The live backing array, where handle [h] starts at index [h] (see
+    aliasing rules above).  Raises [Invalid_argument] once the plane has
+    released a stamp: its rows may then have slid. *)
 
 val pp_stamp : t -> Format.formatter -> handle -> unit

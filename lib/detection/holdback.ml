@@ -20,7 +20,7 @@ type t = {
   exec : Exec.t;
   who : string;
   n : int;
-  group_of : int -> int;
+  group : int array;                    (* sensor pid -> group *)
   hold : Sim_time.t;
   flush_period : Sim_time.t;
   net : Shard_net.t;
@@ -28,7 +28,8 @@ type t = {
   clocks : Physical_clock.t array;
   vars : string array array;            (* pid -> var slots, set at 1st emit *)
   seqs : int array;                     (* per-source update sequence *)
-  logs : int array array;               (* per-source ground truth *)
+  logs : int array list array;          (* per source: ground-truth log
+                                           segments, newest first *)
   pend : Pending_arena.t;               (* checker-local *)
   mutable apply : now:Sim_time.t -> int -> unit;  (* set by [on_flush] *)
   c_updates : Metrics.counter array;    (* per group *)
@@ -68,7 +69,7 @@ let create ?loss ?sinks exec ~who ~label ~updates_metric ~n ~groups ~group_of
     exec;
     who;
     n;
-    group_of;
+    group = Array.init n group_of;
     hold;
     flush_period;
     net;
@@ -76,7 +77,7 @@ let create ?loss ?sinks exec ~who ~label ~updates_metric ~n ~groups ~group_of
     clocks;
     vars = Array.init n (fun _ -> Array.make max_vars "");
     seqs = Array.make n 0;
-    logs = Array.make n [||];
+    logs = Array.make n [];
     pend = Pending_arena.create ();
     apply = (fun ~now:_ _ -> ());
     c_updates =
@@ -107,23 +108,36 @@ let var_slot t ~src var =
 (* Ground truth: entry [seq] of a source's log is two ints, the value
    and the sense time in ns with the variable slot in its low [var_bits]
    (the wire lane packs [seq] the same way), so sense times stop at
-   [sense_limit], 2^60 ns or about 36 years.  The log doubles as it
-   fills; only the source's group writes it. *)
+   [sense_limit], 2^60 ns or about 36 years.  Only the source's group
+   writes its log.
+
+   The log is a list of segments, each written in place and never
+   copied.  Int [i = 2 * seq] lives at [i land (length - 1)] of its
+   segment: the first holds ints [0, 16), the k-th after it ints
+   [2^(k+3), 2^(k+4)) until segments reach [log_cap] ints, and every
+   later one [log_cap] ints from a multiple of [log_cap].  Every
+   segment length is a power of two, so a segment is full exactly when
+   the next int's offset in it is 0.  The segments of m updates total
+   what a doubling array from 16 ints would hold up to [log_cap], and
+   past it the next multiple of [log_cap] at or above 2m, never more. *)
 let sense_limit = 1 lsl (Sys.int_size - 1 - var_bits)
+let log_first = 16
+let log_cap = 1 lsl 13
 
 let log_append t ~src ~seq ~value ~sense ~var_idx =
-  let log = t.logs.(src) in
-  let log =
-    if 2 * seq < Array.length log then log
+  let i = 2 * seq in
+  let seg = match t.logs.(src) with seg :: _ -> seg | [] -> [||] in
+  let off = i land (Array.length seg - 1) in
+  let seg =
+    if off <> 0 then seg
     else begin
-      let grown = Array.make (max 16 (2 * Array.length log)) 0 in
-      Array.blit log 0 grown 0 (Array.length log);
-      t.logs.(src) <- grown;
-      grown
+      let fresh = Array.make (max log_first (min log_cap i)) 0 in
+      t.logs.(src) <- fresh :: t.logs.(src);
+      fresh
     end
   in
-  log.(2 * seq) <- value;
-  log.((2 * seq) + 1) <- (sense lsl var_bits) lor var_idx
+  seg.(off) <- value;
+  seg.(off + 1) <- (sense lsl var_bits) lor var_idx
 
 let admit t ~src ~var ~value =
   if src < 0 || src >= t.n then invalid_arg (t.who ^ ".emit: src out of range");
@@ -134,7 +148,7 @@ let admit t ~src ~var ~value =
   (* Written once, by the source's group; the checker reads it only at
      delivery, a window after the write. *)
   if String.equal names.(var_idx) "" then names.(var_idx) <- var;
-  let g = t.group_of src in
+  let g = t.group.(src) in
   let sense = Sim_time.to_ns (Engine.now (Exec.engine t.exec ~group:g)) in
   if sense >= sense_limit then
     invalid_arg (t.who ^ ".emit: sense time past 2^60 ns");
@@ -145,7 +159,7 @@ let admit t ~src ~var ~value =
   (seq lsl var_bits) lor var_idx
 
 let send t ~src ~lane ~value ~vh ~tick =
-  let g = t.group_of src in
+  let g = t.group.(src) in
   let now = Engine.now (Exec.engine t.exec ~group:g) in
   let stamp = Sim_time.to_ns (Physical_clock.read t.clocks.(src) ~now) in
   (match t.sinks with
@@ -194,23 +208,34 @@ let flush_all t apply =
 
 let update_count t = Array.fold_left ( + ) 0 t.seqs
 
+let log_words t =
+  Array.fold_left
+    (List.fold_left (fun acc seg -> acc + Array.length seg))
+    0 t.logs
+
 let updates t =
   let all = Array.make (update_count t) Observation.dummy in
   let k = ref 0 in
   for src = 0 to t.n - 1 do
-    let log = t.logs.(src) in
-    for seq = 0 to t.seqs.(src) - 1 do
-      let w = log.((2 * seq) + 1) in
-      all.(!k) <-
-        {
-          Observation.src;
-          var = t.vars.(src).(w land (max_vars - 1));
-          value = Value.Int log.(2 * seq);
-          seq;
-          sense_time = Sim_time.of_ns (w lsr var_bits);
-        };
-      incr k
-    done
+    let seq = ref 0 in
+    List.iter
+      (fun seg ->
+        let off = ref 0 in
+        while !off < Array.length seg && !seq < t.seqs.(src) do
+          let w = seg.(!off + 1) in
+          all.(!k) <-
+            {
+              Observation.src;
+              var = t.vars.(src).(w land (max_vars - 1));
+              value = Value.Int seg.(!off);
+              seq = !seq;
+              sense_time = Sim_time.of_ns (w lsr var_bits);
+            };
+          incr k;
+          incr seq;
+          off := !off + 2
+        done)
+      (List.rev t.logs.(src))
   done;
   Array.stable_sort Ground_truth.compare_updates all;
   Array.to_list all

@@ -28,12 +28,17 @@
     the sequence number with the variable-name index in its low two
     bits, and one detector-owned word (a stamp-plane handle, or [-1]).
 
-    Ground truth: each source keeps a flat [int array] log, two ints per
-    update, indexed by sequence number: the value, and the sense time in
-    ns with the variable slot in its low two bits (as the lane packs the
-    sequence number).  The log is the only part of the front end that
-    grows with the run; {!updates} builds the record list from it on
-    demand.
+    Ground truth: each source keeps a log of two ints per update, in
+    sequence order: the value, and the sense time in ns with the
+    variable slot in its low two bits (as the lane packs the sequence
+    number).  The log lives in segments written in place and never
+    copied, of 16, 16, 32, 64, ... ints up to a fixed cap of 8 192
+    ints, so a source of m updates holds no more than a doubling array
+    from 16 ints would.  The log is the only part of the front end that grows with
+    the run, at 16 B per update; {!updates} builds the record list from
+    it on demand.
+
+    [group_of] is called once per pid, at {!create}.
 
     Group locality: a source's name table, sequence counter,
     ground-truth log and its group's update counter are written only by
@@ -72,9 +77,10 @@ val admit : t -> src:int -> var:string -> value:int -> int
 
 val send :
   t -> src:int -> lane:int -> value:int -> vh:int ->
-  tick:Psn_obs.Trace.event -> unit
+  tick:Psn_obs.Trace.event -> int
 (** Stamps the admitted update, traces [tick] and unicasts it to the
-    checker with [vh] as the detector word. *)
+    checker with [vh] as the detector word.  Returns the delivery time
+    {!Psn_network.Shard_net.send} sampled, in ns, or [-1] for a drop. *)
 
 val on_arrival : t -> (src:int -> seq:int -> vh:int -> unit) -> unit
 (** Installs the checker's delivery handler: the hook runs, then the
@@ -101,6 +107,9 @@ val updates : t -> Observation.update list
 (** Every admitted update in (sense_time, src, seq) order
     ({!Ground_truth.compare_updates}), built from the logs on each
     call. *)
+
+val log_words : t -> int
+(** Ints the ground-truth logs hold, segments allocated in full. *)
 
 val update_count : t -> int
 (** [List.length (updates t)], from the per-source sequence counters:

@@ -231,8 +231,10 @@ let emit t ~src ~var ~value =
       Vector_clock.tick_into t.planes.(t.cfg.group_of src) t.vclocks.(src)
     else -1
   in
-  Holdback.send t.hb ~src ~lane ~value ~vh
-    ~tick:(Trace.Clock_tick { clock = "physical" })
+  ignore
+    (Holdback.send t.hb ~src ~lane ~value ~vh
+       ~tick:(Trace.Clock_tick { clock = "physical" })
+      : int)
 
 let updates t = Holdback.updates t.hb
 let occurrences t = List.rev t.occs

@@ -7,10 +7,11 @@
    Group locality, for every mutable piece (the rule that makes the
    order of a window's shards unobservable):
 
-     - per-group stamp planes are written only by their group's sources;
-       a strobe receiver in another group reads a foreign plane stamp
-       only at delivery, a window after the write, and a written stamp
-       never changes;
+     - per-group stamp planes, their delivery rings and peak counters
+       are written only by their group's sources; a strobe receiver in
+       another group, or the checker, reads a foreign plane stamp only
+       at delivery, a window after the write, and a written stamp never
+       changes while it is live;
      - the reorder rings, value histories, and the walk itself are
        written only by checker events (shard 0); the front end's
        pieces follow {!Holdback}'s rule.
@@ -26,11 +27,18 @@
    Memory: bounded are the walk's live slab (pinned by
    [Streaming.peak_live_cuts]), the value-history rings and reorder
    rings, which track only the live window [base .. applied] per source
-   and reclaim behind {!Psn_lattice.Streaming.base_component}, and the
-   hold-back arena.  Two things still grow with the run: the
-   transport-side stamp planes, append-only (handles must outlive the
-   hold-back) as in every plane-carrying detector here, and
-   {!Holdback}'s ground-truth log, two ints per update. *)
+   and reclaim behind {!Psn_lattice.Streaming.base_component}, the
+   hold-back arena, the engine queues (traffic in flight), and the
+   stamp planes.  A plane row is read only at
+   its deliveries: the checker copies the stamp into the reorder slot
+   when the unicast arrives, and each strobe receiver merges it on
+   arrival.  [emit] records the latest delivery time the transport
+   sampled for each row, and at the group's next emit frees the oldest
+   rows whose latest delivery lies more than a lookahead in the past,
+   so a plane holds the rows still in flight ([peak_plane_rows]; 4 on
+   [stream_1m]) and slides them down instead of growing.  Only
+   {!Holdback}'s ground-truth log grows with the run, two ints (16 B)
+   per update. *)
 
 module Engine = Psn_sim.Engine
 module Exec = Psn_sim.Exec
@@ -60,23 +68,42 @@ type edge = {
   trigger : Observation.update option;
 }
 
-(* Reorder-ring lanes, stride 5, indexed [seq mod cap]:
-   0 = strobe-stamp handle (written at delivery; -1 empty),
-   1 = value, 2 = var_idx, 3 = sense, 4 = ready flag
-   (1..4 written at flush apply). *)
-let rr_stride = 5
+(* Reorder-ring lanes, stride [4 + n], indexed [seq mod cap]:
+   0 = value, 1 = var_idx, 2 = sense, 3 = ready flag (written at flush
+   apply), 4 .. 3 + n = the strobe stamp (copied from its group's plane
+   at delivery). *)
+let rr_stamp = 4
 let rr_initial = 16
 let vh_initial = 8
 
+(* The decision context for [on_edge], set before each observe: the
+   applied update, or [src] = -1 for edges decided at [finish]. *)
+type ctx = {
+  mutable now : Sim_time.t;
+  mutable sense : int;
+  mutable src : int;
+  mutable seq : int;
+  mutable var_idx : int;
+  mutable value : int;
+}
+
 type t = {
   cfg : cfg;
+  exec : Exec.t;
   hb : Holdback.t;
+  group : int array;                    (* sensor pid -> group *)
   svclocks : Strobe_vector.t array;
   planes : Stamp_plane.t array;         (* per group, width n *)
+  lookahead : int;                      (* ns; 0 on the single queue *)
+  (* Per group: the latest delivery time (ns, -1 when every send was
+     dropped) of each live plane row, oldest first. *)
+  due : int Queue.t array;
+  peak_rows : int array;                (* per group: most live rows *)
   sinks : Trace.sink array option;
   stream : Streaming.t;
   scratch : int array;                  (* stamp decode buffer, width n *)
   (* Per-source reorder rings (checker-local). *)
+  rr_stride : int;
   rr_buf : int array array;
   rr_cap : int array;                   (* in entries *)
   rr_next : int array;                  (* next seq to feed *)
@@ -85,10 +112,7 @@ type t = {
      k updates; entry 0 = unbound sentinel. *)
   vh_buf : int array array;
   vh_cap : int array;                   (* in entries *)
-  (* Decision context for [on_edge], set before each observe. *)
-  cur_now : Sim_time.t ref;
-  cur_sense : int ref;
-  cur_trigger : Observation.update option ref;
+  ctx : ctx;
   edges : edge list ref;                (* newest first *)
   on_observe : (pid:int -> stamp:int array -> unit) option;
   mutable finished : bool;
@@ -125,10 +149,6 @@ let vh_write t ~src ~seq ~var_idx ~value =
 
 (* -- reorder rings -------------------------------------------------- *)
 
-let rr_clear_slot buf off =
-  buf.(off) <- -1;
-  buf.(off + 4) <- 0
-
 (* Make room so every live seq in [rr_next .. max seq] maps to its own
    slot; grow re-places the live span. *)
 let rr_ensure t ~src ~seq =
@@ -137,35 +157,52 @@ let rr_ensure t ~src ~seq =
     while seq - t.rr_next.(src) >= !cap do
       cap := !cap * 2
     done;
-    let nb = Array.make (!cap * rr_stride) 0 in
-    for i = 0 to !cap - 1 do
-      rr_clear_slot nb (i * rr_stride)
-    done;
+    let stride = t.rr_stride in
+    let nb = Array.make (!cap * stride) 0 in
     let ob = t.rr_buf.(src) and ocap = t.rr_cap.(src) in
     for k = t.rr_next.(src) to t.rr_max.(src) do
-      Array.blit ob (k mod ocap * rr_stride) nb (k mod !cap * rr_stride)
-        rr_stride
+      Array.blit ob (k mod ocap * stride) nb (k mod !cap * stride) stride
     done;
     t.rr_buf.(src) <- nb;
     t.rr_cap.(src) <- !cap
   end
 
+(* -- plane release -------------------------------------------------- *)
+
+(* A group's row is read only at its deliveries: by the checker, which
+   copies it into a reorder slot, and by each strobe receiver.  Once its
+   latest delivery lies more than one window (the lookahead) before the
+   group's clock, every shard has run past it, so the row can go; on the
+   single queue a delivery strictly before [now] has run.  Rows go
+   oldest first, so one late row holds back the younger ones. *)
+let release_delivered t g ~now =
+  let due = t.due.(g) and horizon = now - t.lookahead in
+  let k = ref 0 in
+  while (not (Queue.is_empty due)) && Queue.peek due < horizon do
+    ignore (Queue.pop due : int);
+    incr k
+  done;
+  if !k > 0 then begin
+    let plane = t.planes.(g) in
+    Stamp_plane.release plane
+      ~below:(Stamp_plane.floor plane + (!k * t.cfg.n))
+  end
+
 (* -- the feed path -------------------------------------------------- *)
 
-let feed t ~now ~src ~seq ~vh ~value ~var_idx ~sense =
+let feed t ~now ~src ~seq buf off =
+  let value = buf.(off) and var_idx = buf.(off + 1) in
   vh_write t ~src ~seq ~var_idx ~value;
-  t.cur_now := now;
-  t.cur_sense := sense;
-  t.cur_trigger :=
-    Some
-      {
-        Observation.src;
-        var = Holdback.var_name t.hb ~src ~var_idx;
-        value = Value.Int value;
-        seq;
-        sense_time = Sim_time.of_ns sense;
-      };
-  Stamp_plane.blit_to t.planes.(t.cfg.group_of src) vh t.scratch;
+  let c = t.ctx in
+  c.now <- now;
+  c.sense <- buf.(off + 2);
+  c.src <- src;
+  c.seq <- seq;
+  c.var_idx <- var_idx;
+  c.value <- value;
+  for j = 0 to t.cfg.n - 1 do
+    t.scratch.(j) <- buf.(off + rr_stamp + j)
+  done;
   (match t.on_observe with
   | Some f -> f ~pid:src ~stamp:t.scratch
   | None -> ());
@@ -175,15 +212,11 @@ let rec drain t ~now ~src =
   let nx = t.rr_next.(src) in
   if nx <= t.rr_max.(src) then begin
     let buf = t.rr_buf.(src) in
-    let off = nx mod t.rr_cap.(src) * rr_stride in
-    if buf.(off + 4) = 1 then begin
-      let vh = buf.(off)
-      and value = buf.(off + 1)
-      and var_idx = buf.(off + 2)
-      and sense = buf.(off + 3) in
-      rr_clear_slot buf off;
+    let off = nx mod t.rr_cap.(src) * t.rr_stride in
+    if buf.(off + 3) = 1 then begin
+      buf.(off + 3) <- 0;
       t.rr_next.(src) <- nx + 1;
-      feed t ~now ~src ~seq:nx ~vh ~value ~var_idx ~sense;
+      feed t ~now ~src ~seq:nx buf off;
       drain t ~now ~src
     end
   end
@@ -220,11 +253,11 @@ let apply_batch t ~now m =
              { var = Holdback.var_name t.hb ~src ~var_idx; seq })
     | None -> ());
     let buf = t.rr_buf.(src) in
-    let off = seq mod t.rr_cap.(src) * rr_stride in
-    buf.(off + 1) <- Pending_arena.value pend i;
-    buf.(off + 2) <- var_idx;
-    buf.(off + 3) <- Pending_arena.sense pend i;
-    buf.(off + 4) <- 1;
+    let off = seq mod t.rr_cap.(src) * t.rr_stride in
+    buf.(off) <- Pending_arena.value pend i;
+    buf.(off + 1) <- var_idx;
+    buf.(off + 2) <- Pending_arena.sense pend i;
+    buf.(off + 3) <- 1;
     drain t ~now ~src
   done;
   if m > 0 then trace_commit t ~now
@@ -251,9 +284,8 @@ let create ?loss ?sinks ?on_observe exec ~cfg ~delay ~predicate () =
     Array.init n (fun _ -> Array.make (vh_initial * Holdback.max_vars) min_int)
   and vh_cap = Array.make n vh_initial in
   let cur_cut = ref [||] in
-  let cur_now = ref Sim_time.zero
-  and cur_sense = ref 0
-  and cur_trigger = ref None
+  let ctx =
+    { now = Sim_time.zero; sense = 0; src = -1; seq = 0; var_idx = 0; value = 0 }
   and edges = ref [] in
   let sinks_opt = sinks in
   (* One lookup closure per detector (not per cut): located variable ->
@@ -271,9 +303,23 @@ let create ?loss ?sinks ?on_observe exec ~cfg ~delay ~predicate () =
     cur_cut := cut;
     Expr.holds ~env:env_fn predicate
   in
+  (* The trigger record is built here, for the few updates that decide
+     an edge, not at every feed. *)
   let on_edge e =
     Metrics.tick c_edges;
-    edges := { edge = e; at = !cur_now; trigger = !cur_trigger } :: !edges;
+    let trigger =
+      if ctx.src < 0 then None
+      else
+        Some
+          {
+            Observation.src = ctx.src;
+            var = Holdback.var_name hb ~src:ctx.src ~var_idx:ctx.var_idx;
+            value = Value.Int ctx.value;
+            seq = ctx.seq;
+            sense_time = Sim_time.of_ns ctx.sense;
+          }
+    in
+    edges := { edge = e; at = ctx.now; trigger } :: !edges;
     match sinks_opt with
     | Some s ->
         let verdict =
@@ -283,46 +329,47 @@ let create ?loss ?sinks ?on_observe exec ~cfg ~delay ~predicate () =
           | Streaming.Possibly_fails -> "possibly_fails"
           | Streaming.Definitely_fails -> "definitely_fails"
         in
-        Trace.emit s.(0) ~time:!cur_now ~pid:n
+        Trace.emit s.(0) ~time:ctx.now ~pid:n
           (Trace.Detector_occurrence
-             { verdict; window_ns = Sim_time.to_ns !cur_now - !cur_sense })
+             { verdict; window_ns = Sim_time.to_ns ctx.now - ctx.sense })
     | None -> ()
   in
   let stream = Streaming.create ~n ~cap:cfg.cap ~on_edge ~holds () in
+  let rr_stride = rr_stamp + n in
   let t =
     {
       cfg;
+      exec;
       hb;
+      group = Array.init n cfg.group_of;
       svclocks;
       planes;
+      lookahead = Sim_time.to_ns (Exec.lookahead exec);
+      due = Array.init cfg.groups (fun _ -> Queue.create ());
+      peak_rows = Array.make cfg.groups 0;
       sinks;
       stream;
       scratch = Array.make n 0;
-      rr_buf =
-        Array.init n (fun _ ->
-            let b = Array.make (rr_initial * rr_stride) 0 in
-            for i = 0 to rr_initial - 1 do
-              rr_clear_slot b (i * rr_stride)
-            done;
-            b);
+      rr_stride;
+      rr_buf = Array.init n (fun _ -> Array.make (rr_initial * rr_stride) 0);
       rr_cap = Array.make n rr_initial;
       rr_next = Array.make n 0;
       rr_max = Array.make n (-1);
       vh_buf;
       vh_cap;
-      cur_now;
-      cur_sense;
-      cur_trigger;
+      ctx;
       edges;
       on_observe;
       finished = false;
     }
   in
-  (* Checker delivery: park the strobe handle at its sequence slot, then
-     hold back; applied at flush. *)
+  (* Checker delivery: copy the stamp into its sequence slot (the last
+     read of that plane row by the checker), then hold back; applied at
+     flush. *)
   Holdback.on_arrival hb (fun ~src ~seq ~vh ->
       rr_ensure t ~src ~seq;
-      t.rr_buf.(src).(seq mod t.rr_cap.(src) * rr_stride) <- vh;
+      Stamp_plane.blit_to t.planes.(t.group.(src)) vh t.rr_buf.(src)
+        ~pos:((seq mod t.rr_cap.(src) * rr_stride) + rr_stamp);
       if seq > t.rr_max.(src) then t.rr_max.(src) <- seq);
   (* Source delivery: a strobe from another source — SVC2 merge, no
      tick, reading the sender group's plane a window after the write. *)
@@ -330,7 +377,7 @@ let create ?loss ?sinks ?on_observe exec ~cfg ~delay ~predicate () =
   for pid = 0 to n - 1 do
     Shard_net.set_handler net pid (fun ~src ~a ~b:_ ~c:_ ~d:_ ~e:_ ->
         Strobe_vector.receive_strobe_from
-          t.planes.(cfg.group_of src)
+          t.planes.(t.group.(src))
           t.svclocks.(pid) a)
   done;
   Holdback.on_flush hb (apply_batch t);
@@ -338,31 +385,40 @@ let create ?loss ?sinks ?on_observe exec ~cfg ~delay ~predicate () =
 
 let emit t ~src ~var ~value =
   let lane = Holdback.admit t.hb ~src ~var ~value in
+  let g = t.group.(src) in
+  let plane = t.planes.(g) in
+  release_delivered t g
+    ~now:(Sim_time.to_ns (Engine.now (Exec.engine t.exec ~group:g)));
   (* SVC1: tick + allocate the post-tick snapshot in this group's
      plane; the handle rides both the checker unicast and the strobes. *)
-  let vh =
-    Strobe_vector.tick_and_strobe_into
-      t.planes.(t.cfg.group_of src)
-      t.svclocks.(src)
+  let vh = Strobe_vector.tick_and_strobe_into plane t.svclocks.(src) in
+  let live = Stamp_plane.live plane in
+  if live > t.peak_rows.(g) then t.peak_rows.(g) <- live;
+  let last =
+    ref
+      (Holdback.send t.hb ~src ~lane ~value ~vh
+         ~tick:(Trace.Clock_strobe { clock = "strobe_vector" }))
   in
-  Holdback.send t.hb ~src ~lane ~value ~vh
-    ~tick:(Trace.Clock_strobe { clock = "strobe_vector" });
   (* Strobe the snapshot to every other source; receivers merge without
      ticking, so these deliveries are not lattice events.  A lost strobe
      only weakens the causal bound (wider slab), never correctness. *)
   let net = Holdback.net t.hb in
   for dst = 0 to t.cfg.n - 1 do
-    if dst <> src then Shard_net.send net ~src ~dst ~a:vh ~b:0 ~c:0 ~d:0 ~e:0
-  done
+    if dst <> src then begin
+      let at = Shard_net.send net ~src ~dst ~a:vh ~b:0 ~c:0 ~d:0 ~e:0 in
+      if at > !last then last := at
+    end
+  done;
+  Queue.push !last t.due.(g)
 
 let finish t =
   if not t.finished then begin
     t.finished <- true;
     Holdback.flush_all t.hb (fun ~now m ->
         apply_batch t ~now m;
-        t.cur_now := now;
-        t.cur_sense := Sim_time.to_ns now;
-        t.cur_trigger := None;
+        t.ctx.now <- now;
+        t.ctx.sense <- Sim_time.to_ns now;
+        t.ctx.src <- -1;
         for pid = 0 to t.cfg.n - 1 do
           Streaming.close_pid t.stream ~pid
         done;
@@ -377,3 +433,5 @@ let updates t = Holdback.updates t.hb
 let update_count t = Holdback.update_count t.hb
 let edges t = List.rev !(t.edges)
 let observed t = Streaming.events_observed t.stream
+let peak_plane_rows t = Array.fold_left max 0 t.peak_rows
+let log_words t = Holdback.log_words t.hb

@@ -13,7 +13,14 @@
     walk, which commits consistent cuts as levels finalize, evaluates
     the predicate on every committed cut, reclaims the retired slab, and
     emits Possibly/Definitely verdict {e edges} the moment they are
-    decided — bounded peak memory whatever the run length.
+    decided.
+
+    {b Memory.}  Bounded in run length: the walk's live slab, the
+    per-source reorder and value-history rings, the hold-back arena,
+    the engine queues, and the per-group stamp planes, whose rows are
+    freed once delivered (see {!peak_plane_rows}).  Growing: the
+    ground-truth log behind {!updates}, 16 B per update ({!log_words};
+    about 9.6 MB at 10{^6} s of the default stream).
 
     {b Determinism.}  Updates apply in the arena's (stamp, src, seq)
     order within each flush and in per-source sequence order across
@@ -35,9 +42,10 @@
     exact differential work.
 
     {b Group locality} matches {!Sharded_detector}: per-group stamp
-    planes are written only by their group's sources; the checker and
-    strobe receivers read foreign plane stamps only at delivery, a
-    window after the write. *)
+    planes are written, and their rows freed, only by their group's
+    sources; the checker and strobe receivers read foreign plane stamps
+    only at delivery, a window after the write, and a row is freed only
+    once its latest delivery lies more than a lookahead in the past. *)
 
 type cfg = {
   n : int;  (** sensor pids [0 .. n-1]; the checker is pid [n] *)
@@ -109,3 +117,11 @@ val edges : t -> edge list
 
 val observed : t -> int
 (** Updates fed to the walk so far (= [Streaming.events_observed]). *)
+
+val peak_plane_rows : t -> int
+(** The most stamps any group's plane held live (allocated and not yet
+    released) at once. *)
+
+val log_words : t -> int
+(** Ints {!Holdback}'s ground-truth log allocated, two per update plus
+    the unused tail of each source's last segment. *)

@@ -35,7 +35,7 @@ type group_cells = {
 type t = {
   exec : Exec.t;
   n : int;
-  group_of : int -> int;
+  group : int array;           (* pid -> group, tabulated at [create] *)
   delay : Psn_sim.Delay_model.t;
   loss : Psn_sim.Loss_model.t;
   rngs : Psn_util.Rng.t array; (* per source pid *)
@@ -87,7 +87,7 @@ let create ?loss ?(label = "data") ?sinks exec ~n ~groups ~group_of ~delay () =
     {
       exec;
       n;
-      group_of;
+      group = Array.init n group_of;
       delay;
       loss = (match loss with Some l -> l | None -> Psn_sim.Loss_model.no_loss);
       rngs = Array.init n (fun src -> Psn_util.Rng.create ~seed:(mix_seed seed src) ());
@@ -103,7 +103,7 @@ let create ?loss ?(label = "data") ?sinks exec ~n ~groups ~group_of ~delay () =
      delivery time. *)
   Exec.set_handler exec (fun ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 ->
       let src = w0 and flow = w1 in
-      let g_dst = t.group_of dst in
+      let g_dst = t.group.(dst) in
       Metrics.tick t.cells.(g_dst).c_delivered;
       (match t.sinks with
       | Some s ->
@@ -127,7 +127,7 @@ let send t ~src ~dst ~a ~b ~c ~d ~e =
   if src < 0 || src >= t.n then invalid_arg "Shard_net.send: src out of range";
   if dst < 0 || dst >= t.n then invalid_arg "Shard_net.send: dst out of range";
   if src = dst then invalid_arg "Shard_net.send: src = dst";
-  let g_src = t.group_of src in
+  let g_src = t.group.(src) in
   let cell = t.cells.(g_src) in
   let rng = t.rngs.(src) in
   let now = Engine.now (Exec.engine t.exec ~group:g_src) in
@@ -149,18 +149,20 @@ let send t ~src ~dst ~a ~b ~c ~d ~e =
   in
   if Psn_sim.Loss_model.drops t.loss rng then begin
     Metrics.tick cell.c_dropped;
-    match t.sinks with
+    (match t.sinks with
     | Some s ->
         Trace.emit s.(g_src) ~time:now ~pid:dst
           (Trace.Net_drop { src; dst; kind = t.label; flow })
-    | None -> ()
+    | None -> ());
+    -1
   end
   else begin
     let delay = Psn_sim.Delay_model.sample t.delay rng in
     Metrics.observe cell.h_delay (Sim_time.to_ms_float delay);
-    Exec.post t.exec ~src_group:g_src ~dst_group:(t.group_of dst)
-      ~at:(Sim_time.add now delay) ~dst ~w0:src ~w1:flow ~w2:a ~w3:b ~w4:c
-      ~w5:d ~w6:e
+    let at = Sim_time.add now delay in
+    Exec.post t.exec ~src_group:g_src ~dst_group:t.group.(dst) ~at ~dst
+      ~w0:src ~w1:flow ~w2:a ~w3:b ~w4:c ~w5:d ~w6:e;
+    Sim_time.to_ns at
   end
 
 let total f t = List.fold_left (fun acc cell -> acc + f cell) 0 t.uniq

@@ -37,17 +37,19 @@ val create :
   unit -> t
 (** [n] processes (pids [0 .. n-1]); [group_of pid] must be in
     [0 .. groups-1] and, with [sinks], [Array.length sinks = groups].
-    Per-source streams derive from [Exec.seed]. *)
+    [group_of] is called once per pid, here.  Per-source streams derive
+    from [Exec.seed]. *)
 
 val delay_model : t -> Psn_sim.Delay_model.t
 
 val set_handler :
   t -> int -> (src:int -> a:int -> b:int -> c:int -> d:int -> e:int -> unit) -> unit
 
-val send : t -> src:int -> dst:int -> a:int -> b:int -> c:int -> d:int -> e:int -> unit
+val send : t -> src:int -> dst:int -> a:int -> b:int -> c:int -> d:int -> e:int -> int
 (** Sample loss then delay from [src]'s stream; on survival, deliver the
-    lanes to [dst]'s handler at [now + delay].  Must be called from an
-    event executing on [src]'s group engine. *)
+    lanes to [dst]'s handler at [now + delay] and return that time in
+    ns, else return [-1].  Must be called from an event executing on
+    [src]'s group engine. *)
 
 val sent : t -> int
 val dropped : t -> int

@@ -40,8 +40,14 @@
 
    Memory: the queue holds one pending sense event per generated entity
    (every sense event of the run for the pre-scheduled hall and
-   banking); the ground truth is {!Psn_detection.Holdback}'s two-int log
-   per update. *)
+   banking).  In [stream], the lattice slab, the reorder and value
+   rings, the hold-back arena, the queues and the stamp planes, which
+   free each row after its last delivery, are bounded
+   ({!Psn_detection.Streaming_detector}); the ground truth,
+   {!Psn_detection.Holdback}'s log of two ints (16 B) per update, is
+   the one thing that grows with the run.  [Sharded_detector]'s
+   causal-stamp planes, which only tests enable, still keep every
+   row. *)
 
 module Engine = Psn_sim.Engine
 module Exec = Psn_sim.Exec

@@ -119,6 +119,7 @@ let sharded ?(seed = 42L) ~shards ~lookahead () =
 
 let seed t = t.seed
 let shards t = t.k
+let lookahead t = Sim_time.of_ns t.lookahead
 let is_sharded t = Option.is_some t.stats
 let engine t ~group = t.shard.(group mod t.k).engine
 let set_handler t h = t.handler <- Some h

@@ -57,6 +57,9 @@ val seed : t -> int64
 val shards : t -> int
 (** 1 for {!single}. *)
 
+val lookahead : t -> Sim_time.t
+(** The window lookahead {!sharded} was given; 0 for {!single}. *)
+
 val is_sharded : t -> bool
 (** [false] exactly for {!single}. *)
 

@@ -351,7 +351,7 @@ let test_plane_basics () =
   Alcotest.(check (array int)) "merge" [| 4; 9; 3 |] (Sp.read p m);
   Alcotest.(check int) "total" 16 (Sp.total p m);
   let dst = Array.make 3 0 in
-  Sp.blit_to p h dst;
+  Sp.blit_to p h dst ~pos:0;
   Alcotest.(check (array int)) "blit_to" [| 1; 9; 3 |] dst;
   Alcotest.(check bool) "of_array width mismatch" true
     (try
@@ -391,6 +391,92 @@ let test_plane_reset () =
   let h' = Sp.of_array p [| 7; 8 |] in
   Alcotest.(check int) "offsets recycled" h h';
   Alcotest.(check (array int)) "fresh contents" [| 7; 8 |] (Sp.read p h')
+
+(* Released handles are dead to every accessor, like handles past the
+   live length; the live ones still read back. *)
+let test_plane_release_rejects () =
+  let p = Sp.create ~n:2 () in
+  let h0 = Sp.of_array p [| 1; 2 |] in
+  let h1 = Sp.of_array p [| 3; 4 |] in
+  Sp.release p ~below:h1;
+  Alcotest.(check int) "floor" h1 (Sp.floor p);
+  Alcotest.(check int) "live" 1 (Sp.live p);
+  Alcotest.(check int) "count keeps released stamps" 2 (Sp.count p);
+  Alcotest.(check bool) "released handle invalid" false (Sp.is_valid p h0);
+  let dead = Invalid_argument "Stamp_plane: dead or foreign handle" in
+  List.iter
+    (fun (name, f) -> Alcotest.check_raises name dead f)
+    [
+      ("read", fun () -> ignore (Sp.read p h0));
+      ("get", fun () -> ignore (Sp.get p h0 0));
+      ("set", fun () -> Sp.set p h0 0 9);
+      ("blit_to", fun () -> Sp.blit_to p h0 (Array.make 2 0) ~pos:0);
+      ("max_into_array", fun () -> Sp.max_into_array p h0 (Array.make 2 0));
+      ( "receive_snapshot",
+        fun () -> ignore (Sp.receive_snapshot p h0 (Array.make 2 0) ~me:0) );
+      ("leq", fun () -> ignore (Sp.leq p h1 h0));
+      ("merge", fun () -> ignore (Sp.merge p h1 h0));
+    ];
+  Alcotest.(check (array int)) "live handle reads" [| 3; 4 |] (Sp.read p h1);
+  Sp.release p ~below:0;
+  Alcotest.(check int) "a lower floor changes nothing" h1 (Sp.floor p);
+  let bad = Invalid_argument "Stamp_plane.release: not a handle of this plane" in
+  Alcotest.check_raises "misaligned" bad (fun () -> Sp.release p ~below:3);
+  Alcotest.check_raises "past the end" bad (fun () -> Sp.release p ~below:6);
+  Alcotest.check_raises "backing of a released plane"
+    (Invalid_argument "Stamp_plane.backing: the plane has released")
+    (fun () -> ignore (Sp.backing p));
+  Sp.release p ~below:4;
+  Alcotest.(check int) "everything released" 0 (Sp.live p);
+  Sp.reset p;
+  Alcotest.(check int) "reset lowers the floor" 0 (Sp.floor p)
+
+(* A window of live stamps moving along the plane: each full backing is
+   at least half released, so the rows slide down instead of doubling,
+   and every live handle reads what was written, across every slide. *)
+let test_plane_slide =
+  qtest ~count:100 "plane: live handles read the same across a slide"
+    QCheck.(pair (int_range 1 5) (int_range 0 12))
+    (fun (n, window) ->
+      let p = Sp.create ~initial:4 ~n () in
+      let stamp i = Array.init n (fun j -> (i * 10) + j) in
+      let live = Queue.create () in
+      let ok = ref true in
+      for i = 0 to 500 do
+        Queue.push (i, Sp.of_array p (stamp i)) live;
+        while Queue.length live > window do
+          ignore (Queue.pop live)
+        done;
+        Sp.release p
+          ~below:
+            (match Queue.peek_opt live with
+            | Some (_, h) -> h
+            | None -> Sp.count p * n);
+        Queue.iter (fun (i, h) -> if Sp.read p h <> stamp i then ok := false) live
+      done;
+      if Sp.capacity p > 4 * (window + 1) then
+        QCheck.Test.fail_reportf "capacity %d for a window of %d"
+          (Sp.capacity p) window;
+      !ok && Sp.live p = window)
+
+(* A plane that never releases grows by plain doubling: after [k]
+   allocations its capacity is the least [initial * 2^j] at or above
+   [k], as before planes could release. *)
+let test_plane_doubling_unchanged () =
+  List.iter
+    (fun (initial, n) ->
+      let p = Sp.create ~initial ~n () in
+      let want = ref initial in
+      for k = 1 to 2_000 do
+        ignore (Sp.alloc p);
+        while !want < k do
+          want := 2 * !want
+        done;
+        if Sp.capacity p <> !want then
+          Alcotest.failf "initial %d, width %d: capacity %d after %d allocs, \
+                          expected %d" initial n (Sp.capacity p) k !want
+      done)
+    [ (1, 1); (3, 2); (64, 3); (5, 7) ]
 
 let test_plane_comparisons_agree =
   let arr = QCheck.(array_of_size (Gen.return 5) (int_bound 6)) in
@@ -661,6 +747,11 @@ let () =
           Alcotest.test_case "growth preserves handles" `Quick
             test_plane_growth_preserves_handles;
           Alcotest.test_case "reset" `Quick test_plane_reset;
+          Alcotest.test_case "released handles rejected" `Quick
+            test_plane_release_rejects;
+          test_plane_slide;
+          Alcotest.test_case "doubling unchanged without release" `Quick
+            test_plane_doubling_unchanged;
           test_plane_comparisons_agree;
           test_plane_vc_differential;
           test_plane_strobe_differential;

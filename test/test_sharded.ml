@@ -802,7 +802,7 @@ let test_flush_schedule =
               senses.(g) <- senses.(g) + 1;
               let value = senses.(g) in
               let lane = Holdback.admit hb ~src ~var:"v" ~value in
-              Holdback.send hb ~src ~lane ~value ~vh:(-1) ~tick)
+              ignore (Holdback.send hb ~src ~lane ~value ~vh:(-1) ~tick : int))
         done
       done;
       let horizon_ns = Sim_time.to_ns (ms c.f_horizon_ms) in
@@ -894,6 +894,63 @@ let test_stream_queue_bound shards () =
   Alcotest.(check bool) "samples observed" true (r.Sharded.sr_observed > 1_000);
   if !peak > 64 then Alcotest.failf "%d events pending on one engine" !peak
 
+(* {2 Streamed plane release}
+
+   Each group frees a plane row once its latest delivery lies more than
+   a lookahead behind the group's clock, so a 10^5 s stream keeps a few
+   live rows where it used to keep all 60 000.  A row freed before its
+   last read would raise at that read (the plane rejects released
+   handles), and the K = 2 run, which frees on a different clock, must
+   still equal the K = 1 run. *)
+let release_cfg ~loss ~delay =
+  let dc = stream_cfg.Sharded.s_detect in
+  { stream_cfg with
+    Sharded.s_detect =
+      { dc with horizon = Sim_time.of_sec 100_000; loss; delay } }
+
+let check_plane_rows ~what det =
+  let rows = Streaming_detector.peak_plane_rows det in
+  if rows > 64 then Alcotest.failf "%s: %d plane rows live at once" what rows
+
+let test_plane_release ~loss () =
+  let cfg = release_cfg ~loss ~delay:delay_small in
+  let run exec =
+    let r, det = Sharded.stream ~cfg exec in
+    (r, Streaming_detector.updates det, det)
+  in
+  let r1, u1, d1 = run (Exec.single ~seed:42L ()) in
+  let r2, u2, d2 =
+    run (Exec.sharded ~seed:42L ~shards:2 ~lookahead:stream_lookahead ())
+  in
+  Alcotest.(check bool) "updates emitted" true (List.length u1 > 50_000);
+  check_plane_rows ~what:"K = 1" d1;
+  check_plane_rows ~what:"K = 2" d2;
+  Alcotest.(check bool) "K = 2 result and edges equal K = 1" true (r1 = r2);
+  Alcotest.(check bool) "K = 2 updates equal K = 1" true (u1 = u2)
+
+(* Unbounded delays on the single queue: a row waits for its slowest
+   delivery, and the walk's committed count must still equal the packed
+   count over the stamps it consumed. *)
+let test_plane_release_unbounded () =
+  let cfg =
+    release_cfg ~loss:Loss_model.no_loss
+      ~delay:(Delay_model.unbounded_exponential ~mean:(ms 20))
+  in
+  let captured = Array.make cfg.Sharded.s_monitors [] in
+  let r, det =
+    Sharded.stream ~cfg
+      ~on_observe:(fun ~pid ~stamp ->
+        captured.(pid) <- Array.copy stamp :: captured.(pid))
+      (Exec.single ~seed:42L ())
+  in
+  Alcotest.(check bool) "samples observed" true (r.Sharded.sr_observed > 50_000);
+  check_plane_rows ~what:"unbounded exponential" det;
+  let stamps = Array.map (fun l -> Array.of_list (List.rev l)) captured in
+  Alcotest.(check bool) "committed cuts equal the packed count" true
+    (match (r.Sharded.sr_committed, Lattice.count_consistent stamps) with
+    | Lattice.Exact a, Lattice.Exact b -> a = b
+    | _ -> false)
+
 (* The ground-truth log packs each update into two ints; [updates] must
    give back exactly what was emitted, at sense times up to 2^59 ns and
    with values at both ends of the int range. *)
@@ -956,6 +1013,58 @@ let test_log_round_trip =
       in
       Sharded_detector.updates det = want)
 
+(* The log fills segments of 16, 16, 32, ... ints up to 8 192, then
+   8 192 each.  Across every boundary [updates] must give back what was
+   admitted, and the log holds no more ints than the doubling array it
+   replaced: 16 for up to 8 updates, 64 for 17 to 32 (each of 1 000
+   sources of 27 is the hall's shape), and 16 384 for 5 000 updates,
+   one full-size segment past the doubling ones. *)
+let test_log_segments () =
+  let run ~n ~per_src =
+    let exec = Exec.single ~seed:5L () in
+    let hb =
+      Holdback.create exec ~who:"Log_test" ~label:"log_test"
+        ~updates_metric:"log_test.updates" ~n ~groups:1
+        ~group_of:(fun _ -> 0) ~eps:(ms 1) ~hold:(ms 20) ~flush_period:(ms 10)
+        ~delay:delay_small
+    in
+    let engine = Exec.engine exec ~group:0 in
+    let reference = ref [] in
+    for src = 0 to n - 1 do
+      for seq = 0 to per_src - 1 do
+        let var = Printf.sprintf "v%d" ((seq + src) mod 4) in
+        let value =
+          match seq mod 5 with
+          | 0 -> min_int
+          | 1 -> max_int
+          | _ -> (seq * 7919) - src
+        in
+        let at = Sim_time.of_ns ((seq * 1_000_000) + (src * 7)) in
+        Engine.schedule_at_unit engine at (fun () ->
+            reference :=
+              { Psn_detection.Observation.src; var; value = Value.Int value;
+                seq; sense_time = Engine.now engine }
+              :: !reference;
+            ignore (Holdback.admit hb ~src ~var ~value : int))
+      done
+    done;
+    Exec.run exec ~until:(Sim_time.of_sec (per_src + 1));
+    let want = List.sort Psn_detection.Ground_truth.compare_updates !reference in
+    if Holdback.updates hb <> want then
+      Alcotest.failf "%d source(s) of %d updates: updates differ" n per_src;
+    Holdback.log_words hb
+  in
+  List.iter
+    (fun (n, per_src, words) ->
+      Alcotest.(check int)
+        (Printf.sprintf "log words, %d source(s) of %d updates" n per_src)
+        words (run ~n ~per_src))
+    [
+      (1, 0, 0); (1, 1, 16); (1, 7, 16); (1, 8, 16); (1, 9, 32);
+      (1, 15, 32); (1, 16, 32); (1, 17, 64); (1, 5_000, 16_384);
+      (1_000, 27, 64_000);
+    ]
+
 let test_sense_time_bound () =
   let exec = Exec.single () in
   let det = one_group_detector ~n:1 exec in
@@ -1013,6 +1122,12 @@ let () =
             (test_stream_queue_bound 1);
           Alcotest.test_case "queues stay bounded at 10^4 s (K=2)" `Quick
             (test_stream_queue_bound 2);
+          Alcotest.test_case "plane rows freed at 10^5 s (K=1, K=2)" `Quick
+            (test_plane_release ~loss:Loss_model.no_loss);
+          Alcotest.test_case "plane rows freed under 20 % loss" `Quick
+            (test_plane_release ~loss:(Loss_model.bernoulli 0.2));
+          Alcotest.test_case "plane rows freed under unbounded delays"
+            `Quick test_plane_release_unbounded;
         ] );
       ( "holdback",
         [
@@ -1020,6 +1135,8 @@ let () =
             `Quick test_holdback_checks;
           test_flush_schedule;
           test_log_round_trip;
+          Alcotest.test_case "ground-truth log across segments" `Quick
+            test_log_segments;
           Alcotest.test_case "sense time at 2^60 ns rejected" `Quick
             test_sense_time_bound;
         ] );
