@@ -614,7 +614,7 @@ let run_sharded_scenario ~seed ~shards ~horizon_s ?sinks sc =
 
 let shardstats_cmd =
   let doc =
-    "Shard-aware runtime observability: per-window per-shard event counts, \
+    "Shard-aware runtime observability: per-round per-shard event counts, \
      busy/wait/drain host-time attribution, load-imbalance coefficients, \
      and an Amdahl projected-speedup curve — live over a sharded scenario \
      run ($(b,--run)), or post-hoc over a psn-shardstats/1 JSON FILE \
@@ -636,7 +636,7 @@ let shardstats_cmd =
           ~doc:
             ("Run " ^ names
            ^ " on the sharded engine (K = $(b,--shards)) and report its \
-              window statistics."))
+              round statistics."))
   in
   let horizon_s =
     Arg.(
@@ -649,7 +649,7 @@ let shardstats_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Print the psn-shardstats/1 JSON document (raw per-window data \
+            "Print the psn-shardstats/1 JSON document (raw per-round data \
              plus the analysis) to stdout instead of the text report.")
   in
   let chrome_out =
@@ -659,8 +659,8 @@ let shardstats_cmd =
       & info [ "chrome" ] ~docv:"FILE"
           ~doc:
             "Write a host-time Gantt of the run to $(docv) (Chrome \
-             trace_event JSON): shard = pid row, window = slice, \
-             coordinator drain/fold = explicit slices, cross-shard mail = \
+             trace_event JSON): shard = pid row, round = slice, \
+             drain/fold = explicit slices, cross-shard mail = \
              flow arrows.")
   in
   let trace_out =
@@ -745,8 +745,9 @@ let profile_cmd =
   let doc =
     "Run an experiment — or a sharded scenario ($(b,--run)) — under the \
      host-time profiler: per-phase wall time and GC deltas (psn-profile/1 \
-     JSON). Sharded runs split into sharded.window (the window loop, \
-     every shard in turn) and sharded.drain (the barrier) phases. Host \
+     JSON). Sharded runs split each shard's turn into sharded.drain (its \
+     mailbox drain) and sharded.window (its events below its horizon) \
+     phases. Host \
      readings stay in the profile artifact; simulated-time traces are \
      unaffected."
   in
@@ -833,7 +834,7 @@ let detect_cmd =
      $(b,--differential) runs both and fails on any divergence.  Reports \
      the memory evidence (peak live cuts / events, the most stamp-plane \
      rows one group held live, and the ints the ground-truth log \
-     allocated) and the engine work (events, barrier windows) either \
+     allocated) and the engine work (events, rounds) either \
      way."
   in
   let monitors =

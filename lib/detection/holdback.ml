@@ -146,7 +146,7 @@ let admit t ~src ~var ~value =
   if var_idx >= max_vars then
     invalid_arg (t.who ^ ".emit: more than 4 variables on one process");
   (* Written once, by the source's group; the checker reads it only at
-     delivery, a window after the write. *)
+     delivery, at least a lookahead after the write. *)
   if String.equal names.(var_idx) "" then names.(var_idx) <- var;
   let g = t.group.(src) in
   let sense = Sim_time.to_ns (Engine.now (Exec.engine t.exec ~group:g)) in

@@ -44,7 +44,7 @@
     ground-truth log and its group's update counter are written only by
     its group's events; the checker's arena only by checker events.  The
     checker reads a name table only for updates the source emitted,
-    hence at a later window than the write. *)
+    hence at a delivery at least a lookahead after the write. *)
 
 type t
 

@@ -3,7 +3,7 @@
    construction (see the .mli for the determinism argument).
 
    Group locality, for every mutable piece (the rule that makes the
-   order of a window's shards unobservable):
+   order of a round's turns unobservable):
 
      - the front end (clocks, name tables, ground truth, the checker's
        pending arena) follows {!Holdback}'s rule;
@@ -11,8 +11,9 @@
        their group, which the substrate places on one shard;
      - the checker's env, verdict and occurrence list are written only
        by checker events (shard 0);
-     - the checker reads plane stamps only at delivery, a window after
-       the source wrote them, and a written stamp never changes.
+     - the checker reads plane stamps only at delivery, at least a
+       lookahead after the source wrote them, and a written stamp never
+       changes.
 
    Checker backends (selected with [?checker], default [Compiled]):
 
@@ -56,8 +57,8 @@ type checker = Interp | Compiled
 type program = { prog : Compiled.t; cenv : Compiled.env; slots : int array }
 
 (* The name table is written at the source's first emit; the checker
-   reads it (at delivery, a window later) only for updates that were
-   emitted, so the entry is always populated. *)
+   reads it (at delivery, at least a lookahead later) only for updates
+   that were emitted, so the entry is always populated. *)
 let find_slot p hb ~src ~var_idx =
   let key = (src * Holdback.max_vars) + var_idx in
   let s = p.slots.(key) in

@@ -10,8 +10,8 @@
     [hold], in (stamp, src, seq) order — a total order computed from
     substrate-invariant keys, so the applied sequence (and with it every
     occurrence) is identical on the single-queue oracle and on any shard
-    count, whatever equal-time arrival interleaving the window barrier
-    produced.  An occurrence is [Borderline] when its trigger's stamp is
+    count, whatever equal-time arrival interleaving the substrate's
+    rounds produced.  An occurrence is [Borderline] when its trigger's stamp is
     within [2 * eps] of an adjacent applied update from another process
     (the paper's race bin), [Positive] otherwise.
 

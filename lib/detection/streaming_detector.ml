@@ -5,13 +5,13 @@
    arguments.
 
    Group locality, for every mutable piece (the rule that makes the
-   order of a window's shards unobservable):
+   order of a round's turns unobservable):
 
      - per-group stamp planes, their delivery rings and peak counters
        are written only by their group's sources; a strobe receiver in
        another group, or the checker, reads a foreign plane stamp only
-       at delivery, a window after the write, and a written stamp never
-       changes while it is live;
+       at delivery, at least a lookahead after the write, and a written
+       stamp never changes while it is live;
      - the reorder rings, value histories, and the walk itself are
        written only by checker events (shard 0); the front end's
        pieces follow {!Holdback}'s rule.
@@ -27,9 +27,10 @@
    Memory: bounded are the walk's live slab (pinned by
    [Streaming.peak_live_cuts]), the value-history rings and reorder
    rings, which track only the live window [base .. applied] per source
-   and reclaim behind {!Psn_lattice.Streaming.base_component}, the
-   hold-back arena, the engine queues (traffic in flight), and the
-   stamp planes.  A plane row is read only at
+   and reclaim behind {!Psn_lattice.Streaming.base_component} (a
+   reorder ring stays bounded past a lost update only under a delay
+   bound, see [truncate_lost]), the hold-back arena, the engine queues
+   (traffic in flight), and the stamp planes.  A plane row is read only at
    its deliveries: the checker copies the stamp into the reorder slot
    when the unicast arrives, and each strobe receiver merges it on
    arrival.  [emit] records the latest delivery time the transport
@@ -108,6 +109,11 @@ type t = {
   rr_cap : int array;                   (* in entries *)
   rr_next : int array;                  (* next seq to feed *)
   rr_max : int array;                   (* highest seq delivered; -1 none *)
+  rr_ready : int array;                 (* applied entries not yet fed *)
+  (* Lost-update detection, under a Δ-bounded delay model only. *)
+  lost_after : int;                     (* hold + Δ in ns; -1 unbounded *)
+  truncated : bool array;               (* per source: its ring is gone *)
+  mutable dropped : int;                (* arrivals truncation discarded *)
   (* Per-source value histories: entry k = cumulative slot values after
      k updates; entry 0 = unbound sentinel. *)
   vh_buf : int array array;
@@ -170,10 +176,12 @@ let rr_ensure t ~src ~seq =
 (* -- plane release -------------------------------------------------- *)
 
 (* A group's row is read only at its deliveries: by the checker, which
-   copies it into a reorder slot, and by each strobe receiver.  Once its
-   latest delivery lies more than one window (the lookahead) before the
-   group's clock, every shard has run past it, so the row can go; on the
-   single queue a delivery strictly before [now] has run.  Rows go
+   copies it into a reorder slot, and by each strobe receiver.  [Exec]
+   lets no shard's clock pass [d + lookahead] while a delivery at [d] is
+   still pending anywhere, so once a row's latest delivery lies more
+   than a lookahead before the group's clock, every delivery of the row
+   has run, on every shard, and the row can go; on the single queue
+   (lookahead 0) a delivery strictly before [now] has run.  Rows go
    oldest first, so one late row holds back the younger ones. *)
 let release_delivered t g ~now =
   let due = t.due.(g) and horizon = now - t.lookahead in
@@ -216,6 +224,7 @@ let rec drain t ~now ~src =
     if buf.(off + 3) = 1 then begin
       buf.(off + 3) <- 0;
       t.rr_next.(src) <- nx + 1;
+      t.rr_ready.(src) <- t.rr_ready.(src) - 1;
       feed t ~now ~src ~seq:nx buf off;
       drain t ~now ~src
     end
@@ -252,15 +261,47 @@ let apply_batch t ~now m =
           (Trace.Detector_update
              { var = Holdback.var_name t.hb ~src ~var_idx; seq })
     | None -> ());
-    let buf = t.rr_buf.(src) in
-    let off = seq mod t.rr_cap.(src) * t.rr_stride in
-    buf.(off) <- Pending_arena.value pend i;
-    buf.(off + 1) <- var_idx;
-    buf.(off + 2) <- Pending_arena.sense pend i;
-    buf.(off + 3) <- 1;
-    drain t ~now ~src
+    if t.truncated.(src) then t.dropped <- t.dropped + 1
+    else begin
+      let buf = t.rr_buf.(src) in
+      let off = seq mod t.rr_cap.(src) * t.rr_stride in
+      buf.(off) <- Pending_arena.value pend i;
+      buf.(off + 1) <- var_idx;
+      buf.(off + 2) <- Pending_arena.sense pend i;
+      buf.(off + 3) <- 1;
+      t.rr_ready.(src) <- t.rr_ready.(src) + 1;
+      drain t ~now ~src
+    end
   done;
   if m > 0 then trace_commit t ~now
+
+(* After a flush at [now], under a delay bound Δ: a source whose next
+   sequence number is missing while an applied update of it, sensed at
+   [s <= now - hold - Δ], waits behind the gap has lost that update.
+   Every earlier update was sensed by [s], so it arrived by [s + Δ <=
+   now - hold] and this flush or an earlier one took it.  The gap never
+   fills and nothing of the source reaches the walk again, so its ring
+   goes and its later arrivals are dropped as they come.  The walk sees
+   exactly what it would have seen with the ring parked forever. *)
+let truncate_lost t ~now =
+  if t.lost_after >= 0 then
+    for src = 0 to t.cfg.n - 1 do
+      if t.rr_ready.(src) > 0 then begin
+        (* The oldest parked update: the first ready slot past the gap. *)
+        let buf = t.rr_buf.(src) and cap = t.rr_cap.(src) in
+        let k = ref (t.rr_next.(src) + 1) in
+        while buf.((!k mod cap * t.rr_stride) + 3) = 0 do
+          incr k
+        done;
+        let sense = buf.((!k mod cap * t.rr_stride) + 2) in
+        if sense <= Sim_time.to_ns now - t.lost_after then begin
+          t.truncated.(src) <- true;
+          t.dropped <- t.dropped + t.rr_ready.(src);
+          t.rr_ready.(src) <- 0;
+          t.rr_buf.(src) <- [||]
+        end
+      end
+    done
 
 let create ?loss ?sinks ?on_observe exec ~cfg ~delay ~predicate () =
   Psn_obs.Profile.phase "detector.setup" @@ fun () ->
@@ -355,6 +396,13 @@ let create ?loss ?sinks ?on_observe exec ~cfg ~delay ~predicate () =
       rr_cap = Array.make n rr_initial;
       rr_next = Array.make n 0;
       rr_max = Array.make n (-1);
+      rr_ready = Array.make n 0;
+      lost_after =
+        (match Psn_sim.Delay_model.delta delay with
+        | Some d -> Sim_time.to_ns cfg.hold + Sim_time.to_ns d
+        | None -> -1);
+      truncated = Array.make n false;
+      dropped = 0;
       vh_buf;
       vh_cap;
       ctx;
@@ -367,12 +415,15 @@ let create ?loss ?sinks ?on_observe exec ~cfg ~delay ~predicate () =
      read of that plane row by the checker), then hold back; applied at
      flush. *)
   Holdback.on_arrival hb (fun ~src ~seq ~vh ->
-      rr_ensure t ~src ~seq;
-      Stamp_plane.blit_to t.planes.(t.group.(src)) vh t.rr_buf.(src)
-        ~pos:((seq mod t.rr_cap.(src) * rr_stride) + rr_stamp);
-      if seq > t.rr_max.(src) then t.rr_max.(src) <- seq);
+      if not t.truncated.(src) then begin
+        rr_ensure t ~src ~seq;
+        Stamp_plane.blit_to t.planes.(t.group.(src)) vh t.rr_buf.(src)
+          ~pos:((seq mod t.rr_cap.(src) * rr_stride) + rr_stamp);
+        if seq > t.rr_max.(src) then t.rr_max.(src) <- seq
+      end);
   (* Source delivery: a strobe from another source — SVC2 merge, no
-     tick, reading the sender group's plane a window after the write. *)
+     tick, reading the sender group's plane at least a lookahead after
+     the write. *)
   let net = Holdback.net hb in
   for pid = 0 to n - 1 do
     Shard_net.set_handler net pid (fun ~src ~a ~b:_ ~c:_ ~d:_ ~e:_ ->
@@ -380,7 +431,9 @@ let create ?loss ?sinks ?on_observe exec ~cfg ~delay ~predicate () =
           t.planes.(t.group.(src))
           t.svclocks.(pid) a)
   done;
-  Holdback.on_flush hb (apply_batch t);
+  Holdback.on_flush hb (fun ~now m ->
+      apply_batch t ~now m;
+      truncate_lost t ~now);
   t
 
 let emit t ~src ~var ~value =
@@ -434,4 +487,5 @@ let update_count t = Holdback.update_count t.hb
 let edges t = List.rev !(t.edges)
 let observed t = Streaming.events_observed t.stream
 let peak_plane_rows t = Array.fold_left max 0 t.peak_rows
+let dropped t = t.dropped
 let log_words t = Holdback.log_words t.hb

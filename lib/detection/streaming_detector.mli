@@ -16,11 +16,19 @@
     decided.
 
     {b Memory.}  Bounded in run length: the walk's live slab, the
-    per-source reorder and value-history rings, the hold-back arena,
-    the engine queues, and the per-group stamp planes, whose rows are
-    freed once delivered (see {!peak_plane_rows}).  Growing: the
-    ground-truth log behind {!updates}, 16 B per update ({!log_words};
-    about 9.6 MB at 10{^6} s of the default stream).
+    value-history rings, the hold-back arena, the engine queues, and the
+    per-group stamp planes, whose rows are freed once delivered (see
+    {!peak_plane_rows}).  The per-source reorder rings are bounded under
+    a Δ-bounded delay model ([Delay_model.delta] is [Some Δ]), lost
+    updates included: once a flush at [now] finds a source's next
+    update missing behind an applied one sensed at or before
+    [now - hold - Δ], that update is lost, so the source's ring is
+    dropped and its later arrivals with it ({!dropped}).  Under an
+    unbounded delay model a lost update cannot be told from a late one:
+    every later arrival of its source stays parked in the ring, which
+    then grows with the run.  Growing in every case: the ground-truth
+    log behind {!updates}, 16 B per update ({!log_words}; about 9.6 MB
+    at 10{^6} s of the default stream).
 
     {b Determinism.}  Updates apply in the arena's (stamp, src, seq)
     order within each flush and in per-source sequence order across
@@ -44,8 +52,10 @@
     {b Group locality} matches {!Sharded_detector}: per-group stamp
     planes are written, and their rows freed, only by their group's
     sources; the checker and strobe receivers read foreign plane stamps
-    only at delivery, a window after the write, and a row is freed only
-    once its latest delivery lies more than a lookahead in the past. *)
+    only at delivery, at least a lookahead after the write, and a row is
+    freed only once its latest delivery lies more than a lookahead
+    before its group's clock: {!Psn_sim.Exec} lets no shard's clock pass
+    [d + lookahead] while a delivery at [d] is pending anywhere. *)
 
 type cfg = {
   n : int;  (** sensor pids [0 .. n-1]; the checker is pid [n] *)
@@ -121,6 +131,13 @@ val observed : t -> int
 val peak_plane_rows : t -> int
 (** The most stamps any group's plane held live (allocated and not yet
     released) at once. *)
+
+val dropped : t -> int
+(** Arrivals of sources truncated at a lost update (see Memory above)
+    that were discarded instead of parked: the applied updates waiting
+    behind the gap when the loss was detected, and every later arrival
+    of those sources.  The walk would never have fed them; 0 without
+    loss and under unbounded delays. *)
 
 val log_words : t -> int
 (** Ints {!Holdback}'s ground-truth log allocated, two per update plus

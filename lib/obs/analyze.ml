@@ -939,25 +939,25 @@ let to_json ?(top = 16) t =
 (* --- sharded-run analysis ---------------------------------------------- *)
 
 (* Everything below reads a [Shard_stats.t] — host-time counters the
-   sharded engine recorded at its barriers — and derives three answers:
-   where wall time goes (window loop / drain / fold / other), how
+   sharded engine recorded, one row per round — and derives three
+   answers: where wall time goes (turns / drain / fold / other), how
    unevenly the shards are loaded, and what speedup C cores would buy
-   (an Amdahl projection from the measured per-window busy profile).
-   Windows run inline, one shard after another, so the measured run is
-   the one-core case and the curve is what a parallel window loop
-   would have to beat.
+   (an Amdahl projection from the measured per-round busy profile).
+   Turns run inline, one shard after another, so the measured run is
+   the one-core case and the curve is what a parallel loop would have
+   to beat; since a round's turns read each other's state, that loop
+   would take every horizon from a snapshot at the round's top.
 
-   The projection model: serial work (coordinator drain + fold +
-   unattributed time + loop overhead) does not scale; each window's
-   loop takes at least its critical path [max_s busy] and at least its
-   total busy time divided over C cores.  T(1) under this model is
-   exactly serial + total busy, so the curve starts at 1.0 by
-   construction. *)
+   The projection model: serial work (drain + fold + unattributed time
+   + loop overhead) does not scale; each round's turns take at least
+   their critical path [max_s busy] and at least their total busy time
+   divided over C cores.  T(1) under this model is exactly serial +
+   total busy, so the curve starts at 1.0 by construction. *)
 
 type shard_row = {
   sh_events : int;
   sh_busy_ns : int;
-  sh_wait_ns : int;  (* Σ over windows of (par_ns - busy), clamped:
+  sh_wait_ns : int;  (* Σ over rounds of (par_ns - busy), clamped:
                          the other shards' turns *)
   sh_sent : int;
   sh_recv : int;
@@ -972,13 +972,13 @@ type sharded_report = {
   sr_limit_queue : int;
   sr_limit_horizon : int;
   sr_wall_ns : int;  (* measured run wall; T(1) when unmeasured *)
-  sr_par_ns : int;  (* Σ window loops *)
-  sr_drain_ns : int;  (* coordinator drains, epilogue included *)
-  sr_fold_ns : int;  (* next-window folds, epilogue included *)
-  sr_other_ns : int;  (* wall - window loops - drain - fold, clamped *)
-  sr_busy_ns : int;  (* Σ over shards and windows *)
-  sr_critical_ns : int;  (* Σ over windows of max_s busy *)
-  sr_dispatch_ns : int;  (* Σ over windows of (par - Σ busy), clamped:
+  sr_par_ns : int;  (* Σ turns, less their drains *)
+  sr_drain_ns : int;  (* mailbox drains, epilogue included *)
+  sr_fold_ns : int;  (* global-minimum folds, epilogue included *)
+  sr_other_ns : int;  (* wall - turns - drain - fold, clamped *)
+  sr_busy_ns : int;  (* Σ over shards and rounds *)
+  sr_critical_ns : int;  (* Σ over rounds of max_s busy *)
+  sr_dispatch_ns : int;  (* Σ over rounds of (par - Σ busy), clamped:
                              loop overhead *)
   sr_parallel_frac : float;
   sr_serial_frac : float;

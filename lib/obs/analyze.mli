@@ -120,26 +120,30 @@ val to_json : ?top:int -> t -> string
 (** {2 Sharded-run analysis}
 
     Post-hoc analysis of the {!Shard_stats} counters a sharded run
-    recorded: wall-time attribution (window loop vs. coordinator
+    recorded, one row per round: wall-time attribution (the turns vs.
     drain/fold vs. unattributed), per-shard load and wait,
     load-imbalance coefficients, and an Amdahl-style projected-speedup
-    curve derived from the measured per-window busy profile — serial
-    work does not scale, and each window takes at least its critical
+    curve derived from the measured per-round busy profile — serial
+    work does not scale, and each round takes at least its critical
     path [max over shards of busy] and at least its total busy time
     divided over the projected core count.  All inputs are host-time
     readings; nothing here touches sim artifacts.
 
-    The engine runs a window's shards one after another on one domain,
+    The engine runs a round's turns one after another on one domain,
     so the measured wall time is the one-core time and the Amdahl curve
-    is a projection: what a parallel window loop would have to beat.
-    The field names (and the rendered ["parallel"] share) are those of
-    the pooled windows the inline loop replaced. *)
+    is a projection: what a parallel loop would have to beat.  A
+    round's turns read each other's state (each shard's horizon sees
+    the earlier turns of its round), so the projection models a loop
+    that takes every horizon from a snapshot at the round's top, which
+    would need more rounds.  The field names ("windows", the rendered
+    ["parallel"] share) are those of the pooled windows the inline
+    loop replaced. *)
 
 type shard_row = {
   sh_events : int;
   sh_busy_ns : int;
   sh_wait_ns : int;
-      (** Σ over windows of (window-loop time − this shard's busy
+      (** Σ over rounds of (the turns' time − this shard's busy
           time): the time the other shards ran. *)
   sh_sent : int;  (** cross-shard messages sent *)
   sh_recv : int;
@@ -148,23 +152,23 @@ type shard_row = {
 type sharded_report = {
   sr_shards : int;
   sr_lookahead_ns : int;
-  sr_windows : int;
+  sr_windows : int;  (** rounds *)
   sr_events : int;
-  sr_limit_lookahead : int;  (** windows cut by the conservative bound *)
-  sr_limit_queue : int;  (** windows after which the queues went quiet *)
-  sr_limit_horizon : int;  (** windows clipped by [until] *)
+  sr_limit_lookahead : int;  (** rounds cut by the conservative bound *)
+  sr_limit_queue : int;  (** rounds after which the queues went quiet *)
+  sr_limit_horizon : int;  (** rounds clipped by [until] *)
   sr_wall_ns : int;
       (** measured run wall time; the model's T(1) when no run was
           timed (hand-built stats). *)
-  sr_par_ns : int;  (** Σ over windows of the window loop's host time *)
+  sr_par_ns : int;  (** Σ over rounds of the turns' host time *)
   sr_drain_ns : int;
   sr_fold_ns : int;
   sr_other_ns : int;
   sr_busy_ns : int;
   sr_critical_ns : int;
   sr_dispatch_ns : int;
-      (** window-loop time not covered by any shard's busy time: the
-          loop's own overhead. *)
+      (** turn time not covered by any shard's busy time; 0 for runs of
+          {!Psn_sim.Exec}, which time the turns back to back. *)
   sr_parallel_frac : float;
   sr_serial_frac : float;
   sr_imbalance_events : float;
@@ -185,7 +189,7 @@ type sharded_report = {
 val sharded : Shard_stats.t -> sharded_report
 
 val render_sharded : Shard_stats.t -> string
-(** Text report: totals, window-limit classification, wall-time
+(** Text report: totals, round-limit classification, wall-time
     attribution, per-shard table, imbalance, Amdahl curve. *)
 
 val sharded_to_json : Shard_stats.t -> string

@@ -119,7 +119,7 @@ let write_jsonl oc sink =
    byte-identical to the single-queue oracle's whenever the two runs
    emitted the same record multiset.  Per-sink sequence numbers are
    deliberately dropped: they encode arrival interleaving, which is the
-   one thing the window barrier is allowed to reorder among equal-time
+   one thing the sharded rounds are allowed to reorder among equal-time
    events. *)
 let merged_jsonl sinks =
   let bodies =
@@ -334,15 +334,16 @@ let write_chrome ?timeline oc sinks =
 
 (* --- shard-window Gantt from Shard_stats -------------------------------- *)
 
-(* Host-time Gantt of a sharded run: coordinator barrier work on pid 0
-   (drain and fold slices), each shard's per-window busy time on pid
-   s + 1, and a flow arrow per (src, dst) pair that exchanged mail
-   across a barrier.  The time axis is a synthetic host-ns cursor —
-   slices are laid end to end in execution order (drain, fold, then the
-   window loop), with every shard's slice starting where the loop
-   starts: the engine runs the shards one after another, so this draws
-   the layout a parallel window loop would have, which is the
-   serial/parallel structure the Amdahl analysis projects.
+(* Host-time Gantt of a sharded run, one block per [Shard_stats] row
+   (a round): the round's drains and fold on pid 0 (slices named
+   barrier.drain and barrier.fold, after the barrier they replaced),
+   each shard's busy time on pid s + 1, and a flow arrow per (src, dst)
+   pair that exchanged mail in the round.  The time axis is a synthetic
+   host-ns cursor — slices are laid end to end (drain, fold, then the
+   turns), with every shard's slice starting where the turns start: the
+   engine runs the turns one after another, so this draws the layout a
+   parallel loop would have, which is the serial/parallel structure the
+   Amdahl analysis projects.
    Deterministic given the stats values, so hand-built stats golden
    cleanly. *)
 let shard_chrome_to_buffer buf st =

@@ -50,8 +50,8 @@ val pp : Format.formatter -> t -> unit
     the thunk runs, {!Psn_util.Parallel} maps issued from this domain
     stay on it ({!Psn_util.Parallel.sequentially}), so a phase counts
     the time and allocation of every task its maps run.  A sharded run
-    executes its windows on the calling domain, so its
-    ["sharded.window"] phase covers every shard's work. *)
+    executes its rounds on the calling domain, so its
+    ["sharded.window"] phase covers every shard's events. *)
 
 val with_default : t -> (unit -> 'a) -> 'a
 val phase : string -> (unit -> 'a) -> 'a

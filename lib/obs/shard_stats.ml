@@ -1,28 +1,30 @@
-(* Per-window flat-int arena for sharded-run observability.
+(* Per-round flat-int arena for sharded-run observability.
 
-   Row layout ([stride] ints, header then per-shard lanes then the
-   traffic matrix):
+   A round gives every shard one turn (see [Exec]): the shard drains its
+   mailboxes, then runs below its own safe horizon.  Row layout
+   ([stride] ints, header then per-shard lanes then the traffic
+   matrix):
 
-     0  start_ns     sim ns, window start (the global minimum)
-     1  end_ns       sim ns, exclusive window end
+     0  start_ns     sim ns, round start (the global minimum at its top)
+     1  end_ns       sim ns, furthest horizon a shard ran to (exclusive)
      2  limit        0 lookahead- / 1 queue- / 2 horizon-limited
-     3  drain_ns     host ns, coordinator mailbox drain
-     4  fold_ns      host ns, coordinator next-window fold
-     5  par_ns       host ns, the window loop (every shard in turn)
-     6  mail_msgs    cross-shard messages drained at this barrier
-     7  mail_ints    ring occupancy (ints) at this barrier, pre-drain
-     8 .. 8+k-1          per-shard events executed in the window
+     3  drain_ns     host ns, the turns' mailbox drains
+     4  fold_ns      host ns, the global-minimum fold at the round's top
+     5  par_ns       host ns, the turns less their drains
+     6  mail_msgs    cross-shard messages drained this round
+     7  mail_ints    ring occupancy (ints) at the round's drains, pre-drain
+     8 .. 8+k-1          per-shard events executed in the round
      8+k .. 8+2k-1       per-shard busy host ns
-     8+2k .. 8+2k+k²-1   messages src→dst drained at this barrier
+     8+2k .. 8+2k+k²-1   messages src→dst drained this round
 
    Rows are written once into fixed chunks of [chunk_rows] (1024) rows:
    row [w] lives in chunk [w lsr chunk_bits] at offset [(w land
    chunk_mask) * stride].  A chunk is allocated when its first row opens
    and is never copied; only the chunk directory grows (by doubling).
-   At K = 2 a row is 128 B, so 67 518 windows hold about 8.6 MB, and no
-   growth step keeps two copies of the rows live.  An aborted round's
-   row is reused by the next round, so recording allocates nothing
-   between chunks. *)
+   At K = 2 a row is 128 B, so the 14 583 rounds of a 25 000 s stream
+   hold about 1.9 MB, and no growth step keeps two copies of the rows
+   live.  An aborted round's row is reused by the next round, so
+   recording allocates nothing between chunks. *)
 
 let header = 8
 let o_start = 0
@@ -234,7 +236,7 @@ let row_json t w =
       ("busy_ns", ints (fun s -> busy_ns t w ~shard:s));
     ]
   in
-  (* The matrix is all zeros in most windows (and always for K = 1):
+  (* The matrix is all zeros in most rows (and always for K = 1):
      omit it and let the parser default to zeros. *)
   if mail_msgs t w = 0 then Json.Obj base
   else

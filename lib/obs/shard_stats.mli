@@ -1,26 +1,30 @@
-(** Per-window counters of a sharded run: the flat-int observability
+(** Per-round counters of a sharded run: the flat-int observability
     arena behind [psn-sim shardstats].
 
-    One row per barrier window, recorded by the sharded engine's
-    coordinator.  Rows are written once into fixed chunks of 1024 rows
-    (flat [int array]s) and never copied; only the small chunk
-    directory grows, so recording allocates nothing but a new chunk
-    every 1024 windows.  A row is [8 + 2K + K²] ints, 128 B at K = 2:
-    about 8.6 MB for the 67 518 windows of a 25 000 s K = 2 stream.  A
-    row holds the window's sim-time bounds, its limiting factor, the
-    coordinator's drain/fold host time, the window loop's host time,
-    mailbox traffic (per-(src, dst) message matrix plus ring
-    occupancy), and per-shard events executed and busy host
-    nanoseconds.
+    One row per round of {!Psn_sim.Exec}'s loop, in which every shard
+    takes one turn: it drains its own mailboxes, then runs below its
+    own safe horizon.  The recording entry points, the field names and
+    the ["psn-shardstats/1"] schema keep the names of the barrier
+    windows the rounds replaced.  Rows are written once into
+    fixed chunks of 1024 rows (flat [int array]s) and never copied; only
+    the small chunk directory grows, so recording allocates nothing but
+    a new chunk every 1024 rounds.  A row is [8 + 2K + K²] ints, 128 B
+    at K = 2: about 1.9 MB for the 14 583 rounds of a 25 000 s K = 2
+    stream.  A row holds the round's sim-time bounds (its start, the
+    global minimum at its top, and its end, the furthest horizon any
+    shard ran to), its limiting factor, the drains' and the fold's host
+    time, the turns' host time, mailbox traffic (per-(src, dst) message
+    matrix plus ring occupancy), and per-shard events executed and busy
+    host nanoseconds.
 
-    {b Inline windows.}  The engine runs a window's shards one after
-    another on the calling domain, so the per-row fields read:
-    [par_ns] is the whole window loop; a shard's [busy_ns] is its own
-    turn in that loop, so [par_ns - busy_ns] (Analyze's wait) is the
-    time the {e other} shards ran; and [par_ns - Σ busy_ns] (Analyze's
-    dispatch) is the loop's own overhead.  The field names and the
-    ["psn-shardstats/1"] schema are those of the pooled windows they
-    replaced.
+    {b Inline turns.}  The engine runs a round's turns one after
+    another on the calling domain and reads the host clock back to
+    back, so the per-row fields read: [drain_ns] sums the turns' drains
+    (and the loop's own steps between turns); a shard's [busy_ns] is
+    the rest of its turn, its horizon and its events; [par_ns] is
+    [Σ busy_ns], so [par_ns - busy_ns] (Analyze's wait) is the time the
+    {e other} shards ran and [par_ns - Σ busy_ns] (Analyze's dispatch)
+    reads 0.
 
     {b Host/sim quarantine.}  Like {!Profile}, this is an observer of
     the {e host} clock: readings are taken by the engine with
@@ -32,14 +36,16 @@
 
 type t
 
-(** Why a window ended where it did. *)
+(** Why a round ended where it did. *)
 type limit =
-  | Lookahead  (** more work existed just past [window_end] — the
-                   conservative bound, not the queue, cut the window *)
+  | Lookahead  (** the next round's global minimum lies less than a
+                   lookahead past this round's end — the conservative
+                   bound, not the queue, cut the round *)
   | Queue  (** the queues went empty (or jumped far ahead): the next
                global event lies at least a full lookahead past the
-               window *)
-  | Horizon  (** the window was clipped by the run's [until] bound *)
+               round's end *)
+  | Horizon  (** a shard's horizon was clipped by the run's [until]
+                 bound, and the round ended there *)
 
 val limit_to_string : limit -> string
 (** ["lookahead"], ["queue"], ["horizon"]. *)
@@ -54,50 +60,51 @@ val now_ns : unit -> int
 (** {1 Recording} *)
 
 val round_begin : t -> unit
-(** Open (and zero) the next row.  Every barrier round begins here; the
-    row is committed by {!window_close} or discarded into the epilogue
-    totals by {!round_abort}. *)
+(** Open (and zero) the next row.  Every round begins here; the row is
+    committed by {!window_close} or discarded into the epilogue totals
+    by {!round_abort}. *)
 
 val note_traffic : t -> src:int -> dst:int -> msgs:int -> unit
-(** [msgs] messages drained from the [(src, dst)] mailbox this round. *)
+(** [msgs] messages drained from the [(src, dst)] mailbox this round
+    (at [dst]'s turn). *)
 
 val note_occupancy : t -> ints:int -> unit
-(** Total ints occupied across mailbox rings at this round's barrier
-    (before draining); also tracks the all-run peak. *)
+(** Ints occupied in the mailbox rings one drain of this round emptied
+    (summed over the round's drains); also tracks the all-run peak of
+    one drain. *)
 
 val drain_done : t -> host_ns:int -> unit
-(** Host time the coordinator spent draining mailboxes this round. *)
+(** Host time this round's drains took. *)
 
 val fold_done : t -> host_ns:int -> unit
-(** Host time computing the global minimum / next window this round. *)
+(** Host time computing the global minimum at the round's top. *)
 
 val window_open : t -> start_ns:int -> end_ns:int -> unit
-(** Sim-time bounds of the window about to execute ([end_ns]
-    exclusive). *)
+(** Sim-time bounds of the round: [start_ns] the global minimum at its
+    top, [end_ns] (exclusive) the furthest horizon any shard ran to. *)
 
 val shard_report : t -> shard:int -> events_total:int -> busy_ns:int -> unit
-(** Called as shard [shard] finishes its turn in the window loop:
-    [events_total] is the engine's cumulative event count (the open row
-    stores the per-window delta), [busy_ns] the turn's host time. *)
+(** Called as shard [shard] finishes its turn: [events_total] is the
+    engine's cumulative event count (the open row stores the per-round
+    delta), [busy_ns] the turn's host time after its drain. *)
 
 val window_close : t -> clipped:bool -> par_ns:int -> unit
-(** Commit the row: [par_ns] is the host time of the whole window loop
-    (so [par_ns - busy] is the time the other shards ran).  [clipped]
-    marks a {!Horizon}-limited window; otherwise the row is
+(** Commit the row: [par_ns] is the host time of the turns less their
+    drains (so [par_ns - busy] is the time the other shards ran).
+    [clipped] marks a {!Horizon}-limited round; otherwise the row is
     provisionally {!Queue} until the next round's {!classify_prev}
-    sees the post-drain global minimum — only then is it known
-    whether more work lay just past the window end (mailbox rings can
-    hold the true next event, so classifying at close would lie). *)
+    sees the next global minimum — only then is it known whether more
+    work lay just past the round's end. *)
 
 val classify_prev : t -> next_ns:int -> unit
 (** Settle the last committed row's {!limit} from the next round's
-    post-drain global minimum [next_ns]: {!Lookahead} when
+    global minimum [next_ns]: {!Lookahead} when
     [next_ns - end_ns < lookahead_ns] (the conservative bound, not
-    the queue, cut the window), {!Queue} otherwise.  No-op when the
+    the queue, cut the round), {!Queue} otherwise.  No-op when the
     last row is already classified. *)
 
 val round_abort : t -> unit
-(** The round opened no window (the run is past [until]): fold the
+(** The round ran no turn (nothing is left before [until]): fold the
     row's drain/fold/traffic into the epilogue totals and discard it. *)
 
 val note_posted : t -> src:int -> unit
@@ -128,14 +135,14 @@ val traffic : t -> int -> src:int -> dst:int -> int
 
 val total_events : t -> int
 (** Σ over committed rows and shards — equals the engine's
-    [events_processed] when every event ran inside a window (the
+    [events_processed] when every event ran inside a round (the
     conservation invariant the qcheck suite checks). *)
 
 val posted_total : t -> int
 (** Cross-shard messages appended to mailbox rings, all run. *)
 
 val drained_total : t -> int
-(** Cross-shard messages drained at barriers, all run.  Conservation:
+(** Cross-shard messages drained into queues, all run.  Conservation:
     [posted_total = drained_total + pending] where [pending] is what
     still sits in the rings (zero after a completed run). *)
 
@@ -148,8 +155,9 @@ val run_wall_ns : t -> int
 val epilogue_drain_ns : t -> int
 val epilogue_fold_ns : t -> int
 val epilogue_mail_msgs : t -> int
-(** Barrier work from rounds that opened no window (the final drain
-    that discovers the horizon has passed).
+(** Work from rounds that ran no turn (the final round, which finds
+    nothing left before the horizon and drains what the rings still
+    hold).
     [Σ mail_msgs + epilogue_mail_msgs = drained_total]. *)
 
 (** {1 Serialization}
@@ -160,7 +168,7 @@ val epilogue_mail_msgs : t -> int
     ignores the analysis, so a dumped file can be re-analyzed. *)
 
 val raw_members : t -> (string * Json.t) list
-(** [shards], [lookahead_ns], [totals], and the per-window [windows]
+(** [shards], [lookahead_ns], [totals], and the per-round [windows]
     array.  All-zero traffic matrices are omitted from rows. *)
 
 val of_json : Json.t -> (t, string) result

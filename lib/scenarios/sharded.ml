@@ -6,7 +6,7 @@
 
      - the hall and banking pre-schedule every sense event before
        [Exec.run] (a hall visitor's next door can lie in another group,
-       and a successor posted there mid-window would break Exec's
+       and a successor posted there during the run would break Exec's
        lookahead contract);
      - calm, stream and hospital run one self-rescheduling generator
        per entity ({!sense_walk}): the entity's one pending sense event

@@ -41,7 +41,10 @@ and t = {
       (* independent stream for scenario/world randomness, so protocol
          construction (which draws from [rng]) cannot perturb the world:
          the same seed gives the same world under every clock kind *)
-  mutable tracer : Trace.sink option;
+  tracer : Trace.sink option;
+  mutable limit_ns : int;
+      (* inclusive horizon of the [run] in progress; [lower_horizon]
+         may pull it in while the drain loop runs *)
   timeline : Metrics.timeline option;
   metrics : Metrics.t;
   c_scheduled : Metrics.counter;
@@ -62,7 +65,6 @@ let next_time_ns t =
   else Event_queue.min_time_ns t.queue
 
 let tracer t = t.tracer
-let set_tracer t s = t.tracer <- s
 let metrics t = t.metrics
 
 let[@inline] trace_schedule t time =
@@ -124,6 +126,7 @@ let create ?(seed = 42L) ?tracer ?timeline ?(use_default_obs = true) () =
         (match tracer with
         | Some _ as s -> s
         | None -> if use_default_obs then Trace.default () else None);
+      limit_ns = max_int;
       timeline;
       metrics;
       c_scheduled = Metrics.counter metrics "engine.scheduled";
@@ -200,16 +203,18 @@ let step t =
 
 (* The two drain loops differ only in the per-fire trace emission; the
    untraced one is the hot loop of every experiment and never tests the
-   tracer option.  [limit_ns = max_int] means "no horizon". *)
+   tracer option.  Both read the horizon from [t.limit_ns] before every
+   event, so an action may pull it in ([lower_horizon]); [max_int]
+   means "no horizon". *)
 
-let drain_untraced t limit_ns =
+let drain_untraced t =
   let q = t.queue in
   let running = ref true in
   while !running do
     if Event_queue.is_empty q then running := false
     else begin
       let tns = Event_queue.min_time_ns q in
-      if tns > limit_ns then running := false
+      if tns > t.limit_ns then running := false
       else begin
         t.now <- tns;
         match Event_queue.pop_exn q with
@@ -237,14 +242,14 @@ let drain_untraced t limit_ns =
 let exec_begin = Trace.Span_begin { name = "engine.exec"; lane = Trace.lane_sync }
 let exec_end = Trace.Span_end { name = "engine.exec"; lane = Trace.lane_sync }
 
-let drain_traced t s limit_ns =
+let drain_traced t s =
   let q = t.queue in
   let running = ref true in
   while !running do
     if Event_queue.is_empty q then running := false
     else begin
       let tns = Event_queue.min_time_ns q in
-      if tns > limit_ns then running := false
+      if tns > t.limit_ns then running := false
       else begin
         t.now <- tns;
         match Event_queue.pop_exn q with
@@ -271,19 +276,22 @@ let drain_traced t s limit_ns =
   done
 
 let run ?until t =
-  let limit_ns =
-    match until with None -> max_int | Some limit -> Sim_time.to_ns limit
-  in
+  t.limit_ns <-
+    (match until with None -> max_int | Some limit -> Sim_time.to_ns limit);
   (match t.tracer with
-  | None -> drain_untraced t limit_ns
-  | Some s -> drain_traced t s limit_ns);
+  | None -> drain_untraced t
+  | Some s -> drain_traced t s);
   match until with
-  | Some limit when Sim_time.(t.now < limit) ->
-      (* Advance the clock to the horizon so observers agree on the final
-         time; any still-pending events are strictly beyond it, so the
-         clock invariant is preserved. *)
-      t.now <- limit
+  | Some _ when t.now < t.limit_ns ->
+      (* Advance the clock to the horizon, lowered or not, so observers
+         agree on the final time; any still-pending events are strictly
+         beyond it, so the clock invariant is preserved. *)
+      t.now <- t.limit_ns
   | _ -> ()
+
+let lower_horizon t time =
+  let ns = Sim_time.to_ns time in
+  if ns < t.limit_ns then t.limit_ns <- ns
 
 (* Schedule [action] every [period] until it returns [false] or [until]
    (when given) is passed.  Returns a handle cancelling future firings.

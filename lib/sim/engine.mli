@@ -32,11 +32,6 @@ val rng : t -> Psn_util.Rng.t
 val tracer : t -> Psn_obs.Trace.sink option
 val timeline : t -> Psn_obs.Metrics.timeline option
 
-val set_tracer : t -> Psn_obs.Trace.sink option -> unit
-(** The tracer branch is hoisted out of the event drain loop, so a sink
-    installed from inside a callback takes effect at the next [run] or
-    [step] call, not mid-drain. *)
-
 val metrics : t -> Psn_obs.Metrics.t
 (** Per-run metrics registry; instrumented layers register their counters
     here so one snapshot covers the whole stack. *)
@@ -97,7 +92,17 @@ val step : t -> bool
 
 val run : ?until:Sim_time.t -> t -> unit
 (** Process events until the queue empties or the horizon is passed. When a
-    horizon is given the clock always ends at it. *)
+    horizon is given the clock always ends at it — at the lowered one,
+    when an event called {!lower_horizon}. *)
+
+val lower_horizon : t -> Sim_time.t -> unit
+(** Called from an event inside [run ~until]: stop the run after the
+    events at or before the given time instead, if that is earlier than
+    its current horizon.  The drain loop reads the horizon before every
+    event, so the lowered one takes effect at the next event.  {!Exec}
+    uses it to keep a shard's turn below the time another shard could
+    answer one of its cross-shard messages.  Outside [run] the call has
+    no lasting effect: every [run] sets its own horizon. *)
 
 val schedule_periodic :
   ?until:Sim_time.t -> t -> start:Sim_time.t -> period:Sim_time.t ->

@@ -6,22 +6,26 @@
     delivery handler — and runs on K shards, each owning its own
     {!Engine.t} (event queue, RNG streams, metrics registry); group [g]
     lives on shard [g mod K].  {!single} is the differential oracle: one
-    shard run straight through, with no windows and no mailboxes.
-    {!sharded} runs conservative windows at any K, in the classic PDES
-    sense: the coordinator repeatedly computes the global safe horizon
+    shard run straight through, with no rounds and no mailboxes.
+    {!sharded} runs conservative rounds at any K, in the classic PDES
+    sense, with one safe horizon per shard.  Each round gives shards
+    0 … K−1, in turn, one turn on the calling domain: shard [s] drains
+    its own mailboxes into its queue, takes
 
-    {v window_end = (min over shards of next event time) + lookahead v}
+    {v H_s = (min over r <> s of E_r) + lookahead v}
 
-    and lets every shard, in turn, drain events strictly below it.
-    Windows run inline on the calling domain, shards 0 … K−1 in a plain
-    loop: nothing in a run crosses a domain.  [lookahead] must be a
-    guaranteed lower bound on cross-shard message delay
-    ({!Delay_model.min_delay} of the transport's model), so a message
-    sent inside a window arrives at or past its end.  Cross-shard posts
-    append to a per-(src, dst) mailbox ring, drained into the
-    destination queues at the window barrier in src-major, dst-minor,
-    FIFO order; same-shard posts schedule directly, exactly as on the
-    single queue.
+    where [E_r] is the earliest event pending at shard [r] (queued or in
+    a mailbox to [r]), and runs every event strictly below [H_s]; each
+    cross-shard post it makes at [at] lowers its running horizon to
+    [at + lookahead] ({!Engine.lower_horizon}).  Nothing in a run
+    crosses a domain.  [lookahead] must be a guaranteed lower bound on
+    cross-shard message delay ({!Delay_model.min_delay} of the
+    transport's model).  So while a delivery at [d] is pending anywhere,
+    no shard's clock passes [d + lookahead] — the invariant the
+    detectors' stamp-plane release relies on.  Cross-shard posts append
+    to a per-(src, dst) mailbox ring, which the destination drains at
+    its turn in src order, FIFO within each ring; same-shard posts
+    schedule directly, exactly as on the single queue.
 
     Because the construction, the per-entity RNG streams, and the
     delivery times are substrate-independent, a same-seed run must
@@ -34,7 +38,7 @@
     a hall, wards of a hospital), and every group's mutable state is
     only ever touched by processes of that group — which the mapping
     places on one shard.  That group-locality rule is what makes the
-    order in which a window's shards run unobservable, and so what
+    order in which a round's shards run unobservable, and so what
     carries substrate invariance. *)
 
 type t
@@ -51,14 +55,14 @@ val single : ?seed:int64 -> unit -> t
 
 val sharded : ?seed:int64 -> shards:int -> lookahead:Sim_time.t -> unit -> t
 (** Raises [Invalid_argument] when [shards < 1] or [lookahead <= 0]: a
-    zero-lookahead delay model offers no conservative window. *)
+    zero-lookahead delay model offers no conservative horizon. *)
 
 val seed : t -> int64
 val shards : t -> int
 (** 1 for {!single}. *)
 
 val lookahead : t -> Sim_time.t
-(** The window lookahead {!sharded} was given; 0 for {!single}. *)
+(** The lookahead {!sharded} was given; 0 for {!single}. *)
 
 val is_sharded : t -> bool
 (** [false] exactly for {!single}. *)
@@ -78,21 +82,24 @@ val post :
   w0:int -> w1:int -> w2:int -> w3:int -> w4:int -> w5:int -> w6:int -> unit
 (** Deliver lanes to process [dst] at absolute time [at], through a
     pooled delivery record, so steady-state delivery allocates nothing.
-    A cross-shard post is scheduled at the next barrier, where {!run}
-    raises [Invalid_argument] if [at] lies inside the window just run
-    (a lookahead violation: the transport sampled a delay below the
-    lookahead it promised). *)
+    A cross-shard post is scheduled at the destination's next turn.
+    Made during {!run} (from an event of [src_group]), it raises
+    [Invalid_argument], naming the lookahead, when [at] lies less than
+    the lookahead after the poster's clock: the transport sampled a
+    delay below the lookahead it promised.  Made between runs, it raises
+    when [at] lies before the end of the last round. *)
 
 val run : t -> until:Sim_time.t -> unit
 (** Run to [until]; every shard's clock ends exactly there.  {!sharded}
-    brackets its phases as {!Psn_obs.Profile.phase} ["sharded.drain"]
-    (the barrier) / ["sharded.window"] (the inline window loop). *)
+    brackets each turn's two parts as {!Psn_obs.Profile.phase}
+    ["sharded.drain"] (its mailbox drain) and ["sharded.window"] (its
+    events below its horizon). *)
 
 val events_processed : t -> int
 (** Sum over shards. *)
 
 val windows : t -> int
-(** Barrier rounds; 0 for {!single}. *)
+(** Rounds; 0 for {!single}. *)
 
 val merged_metrics : t -> Psn_obs.Metrics.snapshot
 (** {!Psn_obs.Metrics.merge_snapshots} of {!shard_snapshots} (the one
@@ -100,17 +107,14 @@ val merged_metrics : t -> Psn_obs.Metrics.snapshot
     counters and histograms, so every K agrees. *)
 
 val stats : t -> Psn_obs.Shard_stats.t option
-(** The run's per-window observability counters: per-shard events and
-    busy host time (each shard's turn in the window loop), coordinator
-    drain/fold time, the window loop's time ([par_ns]), mailbox
-    traffic, and window-limit classification, recorded at every
-    barrier.  With inline windows a shard's wait ([par_ns - busy]) is
-    the time the other shards ran, and dispatch ([par_ns - Σ busy]) is
-    the loop's own overhead.  Host-time
-    readings live only here (the {!Psn_obs.Profile} quarantine rule):
-    same-seed sim artifacts are byte-identical whether or not stats are
-    consumed.  [None] for {!single}, which has no windows or barriers to
-    attribute. *)
+(** The run's per-round observability counters, one row per round:
+    per-shard events and busy host time (each turn after its drain),
+    drain and fold time, the turns' time ([par_ns]), mailbox traffic,
+    and limit classification.  A shard's wait ([par_ns - busy]) is the
+    time the other shards ran.  Host-time readings live only here (the
+    {!Psn_obs.Profile} quarantine rule): same-seed sim artifacts are
+    byte-identical whether or not stats are consumed.  [None] for
+    {!single}, which has no rounds to attribute. *)
 
 val shard_snapshots : t -> Psn_obs.Metrics.snapshot array
 (** Per-shard registry snapshots — the un-merged view behind

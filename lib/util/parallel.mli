@@ -14,7 +14,7 @@
     deadlocking.
 
     The pool sizes experiment sweep maps only: a sharded run executes its
-    windows inline on the calling domain. *)
+    rounds inline on the calling domain. *)
 
 val default_domains : unit -> int
 (** Recommended worker count, leaving one core for the main domain.

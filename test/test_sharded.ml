@@ -313,19 +313,130 @@ let test_zero_lookahead_rejected () =
   | _ -> Alcotest.fail "expected Invalid_argument")
 
 let test_lookahead_violation () =
-  (* A group-0 event at 100 ms opens the window [100, 110) ms and posts
-     to group 1 at 101 ms — inside it, below the promised lookahead.
-     The barrier drain must refuse the message rather than deliver it
-     into group 1's past. *)
-  let t = Exec.sharded ~shards:2 ~lookahead:(ms 10) () in
-  Engine.schedule_at_unit (Exec.engine t ~group:0) (ms 100) (fun () ->
-      Exec.post t ~src_group:0 ~dst_group:1 ~at:(ms 101) ~dst:1 ~w0:0 ~w1:0
-        ~w2:0 ~w3:0 ~w4:0 ~w5:0 ~w6:0);
-  match Exec.run t ~until:(Sim_time.of_sec 1) with
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool) "names the lookahead" true
-        (contains msg "lookahead")
-  | () -> Alcotest.fail "a post inside the open window must raise"
+  (* A group-0 event at 100 ms posts to another group at 101 ms, less
+     than the 10 ms lookahead after its clock.  [post] must refuse the
+     message rather than let it land in a past the destination may
+     already have run.  At K = 3 the destination, shard 2, has nothing
+     queued and has not run past 101 ms, so only the check at the post
+     can see the violation.  A post exactly one lookahead ahead is
+     accepted and delivered. *)
+  let run ~shards ~dst_group ~at =
+    let t = Exec.sharded ~shards ~lookahead:(ms 10) () in
+    let got = ref [] in
+    Exec.set_handler t (fun ~dst ~w0:_ ~w1:_ ~w2:_ ~w3:_ ~w4:_ ~w5:_ ~w6:_ ->
+        got := (dst, Engine.now (Exec.engine t ~group:dst)) :: !got);
+    Engine.schedule_at_unit (Exec.engine t ~group:0) (ms 100) (fun () ->
+        Exec.post t ~src_group:0 ~dst_group ~at ~dst:dst_group ~w0:0 ~w1:0
+          ~w2:0 ~w3:0 ~w4:0 ~w5:0 ~w6:0);
+    Exec.run t ~until:(Sim_time.of_sec 1);
+    !got
+  in
+  List.iter
+    (fun (shards, dst_group) ->
+      (match run ~shards ~dst_group ~at:(ms 101) with
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "K = %d: names the lookahead" shards)
+            true (contains msg "lookahead")
+      | _ ->
+          Alcotest.failf "K = %d: a post inside the lookahead must raise" shards);
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "K = %d: a post one lookahead ahead is delivered" shards)
+        [ (dst_group, Sim_time.to_ns (ms 110)) ]
+        (List.map
+           (fun (d, at) -> (d, Sim_time.to_ns at))
+           (run ~shards ~dst_group ~at:(ms 110))))
+    [ (2, 1); (3, 2) ]
+
+(* {2 Per-shard horizons}
+
+   Random relays on 2-4 shards: every delivery re-posts to a group and
+   after a delay of at least the lookahead, both drawn from the
+   message's own lanes, so the traffic is the same on every substrate.
+   While a delivery at [d] runs, no other group's clock may have passed
+   [d + lookahead]; a shard that kept running after a cross-shard post
+   (its horizon not lowered) would, and its peer's answer would then
+   land in its past.  Each group's deliveries must equal the single
+   queue's, compared sorted: arrivals at equal times may interleave
+   differently per substrate, and nothing here depends on that order. *)
+
+type relay_case = {
+  r_shards : int;
+  r_groups : int;
+  r_lookahead_ns : int;
+  r_chains : (int * int * int) list; (* start ns, first group, lane seed *)
+}
+
+let relay_gen =
+  let open QCheck.Gen in
+  let* r_shards = int_range 2 4 in
+  let* r_groups = int_range 2 6 in
+  let* r_lookahead_ns = map (fun us -> us * 1_000) (int_range 500 10_000) in
+  let+ r_chains =
+    list_size (int_range 1 8)
+      (triple (int_range 0 50_000_000) (int_bound (r_groups - 1))
+         (int_bound 0x3FFF_FFFF))
+  in
+  { r_shards; r_groups; r_lookahead_ns; r_chains }
+
+let relay_print c =
+  Printf.sprintf "K = %d, %d groups, lookahead %d ns, chains [%s]" c.r_shards
+    c.r_groups c.r_lookahead_ns
+    (String.concat "; "
+       (List.map
+          (fun (at, g, x) -> Printf.sprintf "(%d ns, g%d, %d)" at g x)
+          c.r_chains))
+
+(* One relay run: per group, its deliveries as (time ns, chain, hop,
+   lane seed).  Fails at the first delivery that finds another group's
+   clock at or past its time plus the lookahead. *)
+let relay_run c exec =
+  let la = c.r_lookahead_ns and groups = c.r_groups in
+  let log = Array.make groups [] in
+  Exec.set_handler exec (fun ~dst ~w0 ~w1 ~w2 ~w3:_ ~w4:_ ~w5:_ ~w6:_ ->
+      let d = Sim_time.to_ns (Engine.now (Exec.engine exec ~group:dst)) in
+      log.(dst) <- (d, w0, w1, w2) :: log.(dst);
+      for g = 0 to groups - 1 do
+        let clock = Sim_time.to_ns (Engine.now (Exec.engine exec ~group:g)) in
+        if g <> dst && clock >= d + la then
+          QCheck.Test.fail_reportf
+            "delivery at %d ns to group %d while group %d's clock read %d ns"
+            d dst g clock
+      done;
+      let x = ((w2 * 0x2545F491) + 0x9E3779B9) land 0x3FFF_FFFF in
+      let next = x mod groups in
+      let at = d + la + (x / groups mod ((3 * la) + 1)) in
+      Exec.post exec ~src_group:dst ~dst_group:next ~at:(Sim_time.of_ns at)
+        ~dst:next ~w0 ~w1:(w1 + 1) ~w2:x ~w3:0 ~w4:0 ~w5:0 ~w6:0);
+  List.iteri
+    (fun i (at, g, x) ->
+      Exec.post exec ~src_group:0 ~dst_group:g ~at:(Sim_time.of_ns at) ~dst:g
+        ~w0:i ~w1:0 ~w2:x ~w3:0 ~w4:0 ~w5:0 ~w6:0)
+    c.r_chains;
+  Exec.run exec ~until:(Sim_time.of_sec 1);
+  Array.map (List.sort compare) log
+
+let test_relay_horizons =
+  qtest ~count:60 "relays: no clock passes d + lookahead; deliveries = single"
+    (QCheck.make relay_gen ~print:relay_print)
+    (fun c ->
+      let want = relay_run c (Exec.single ~seed:9L ()) in
+      let got =
+        relay_run c
+          (Exec.sharded ~seed:9L ~shards:c.r_shards
+             ~lookahead:(Sim_time.of_ns c.r_lookahead_ns) ())
+      in
+      if Array.for_all (( = ) []) want then
+        QCheck.Test.fail_report "no delivery ran";
+      Array.iteri
+        (fun g l ->
+          if l <> got.(g) then
+            QCheck.Test.fail_reportf
+              "group %d: %d deliveries on the single queue, %d sharded, \
+               sequences differ"
+              g (List.length l) (List.length got.(g)))
+        want;
+      true)
 
 (* {2 Engine-level window mechanics} *)
 
@@ -951,6 +1062,70 @@ let test_plane_release_unbounded () =
     | Lattice.Exact a, Lattice.Exact b -> a = b
     | _ -> false)
 
+(* {2 Lost updates}
+
+   Under 20 % loss each source's feed stops at its first lost update.
+   With a delay bound the detector sees the loss a hold plus a Δ after
+   the next update was sensed, and drops the source's reorder ring
+   instead of parking every later arrival in it, so the lossy detector
+   holds no more than the lossless one at the same horizon (5 %
+   slack).  The walk sees what it saw with the ring kept, and K = 2
+   still equals K = 1.  Under unbounded delays a loss cannot be told
+   from a late arrival and nothing is dropped. *)
+let lossy_run ~horizon ~loss ~delay ~shards =
+  let dc = stream_cfg.Sharded.s_detect in
+  let cfg =
+    { stream_cfg with
+      Sharded.s_detect =
+        { dc with horizon = Sim_time.of_sec horizon; loss; delay } }
+  in
+  let exec =
+    if shards = 1 then Exec.single ~seed:42L ()
+    else Exec.sharded ~seed:42L ~shards ~lookahead:stream_lookahead ()
+  in
+  let r, det = Sharded.stream ~cfg exec in
+  (r, Obj.reachable_words (Obj.repr det), Streaming_detector.dropped det)
+
+let test_loss_truncation () =
+  let loss = Loss_model.bernoulli 0.2 in
+  List.iter
+    (fun horizon ->
+      let results =
+        List.map
+          (fun shards ->
+            let what = Printf.sprintf "%d s, K = %d" horizon shards in
+            let _, clean, none =
+              lossy_run ~horizon ~loss:Loss_model.no_loss ~delay:delay_small
+                ~shards
+            in
+            let r, words, dropped =
+              lossy_run ~horizon ~loss ~delay:delay_small ~shards
+            in
+            Alcotest.(check int) (what ^ ": nothing dropped lossless") 0 none;
+            if dropped = 0 then Alcotest.failf "%s: no arrival dropped" what;
+            if r.Sharded.sr_observed + dropped > r.Sharded.sr_updates then
+              Alcotest.failf "%s: %d observed + %d dropped > %d updates" what
+                r.Sharded.sr_observed dropped r.Sharded.sr_updates;
+            if 100 * words > 105 * clean then
+              Alcotest.failf "%s: %d words under loss, %d lossless" what words
+                clean;
+            r)
+          [ 1; 2 ]
+      in
+      match results with
+      | [ r1; r2 ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d s: K = 2 result and edges equal K = 1" horizon)
+            true (r1 = r2)
+      | _ -> assert false)
+    [ 100_000; 1_000_000 ];
+  let _, _, dropped =
+    lossy_run ~horizon:10_000 ~loss
+      ~delay:(Delay_model.unbounded_exponential ~mean:(ms 20))
+      ~shards:1
+  in
+  Alcotest.(check int) "unbounded delays: nothing dropped" 0 dropped
+
 (* The ground-truth log packs each update into two ints; [updates] must
    give back exactly what was emitted, at sense times up to 2^59 ns and
    with values at both ends of the int range. *)
@@ -1096,8 +1271,9 @@ let () =
           test_min_delay_bound;
           Alcotest.test_case "zero lookahead rejected" `Quick
             test_zero_lookahead_rejected;
-          Alcotest.test_case "violation at the barrier" `Quick
+          Alcotest.test_case "violation at the post" `Quick
             test_lookahead_violation;
+          test_relay_horizons;
         ] );
       ( "engine",
         [
@@ -1128,6 +1304,8 @@ let () =
             (test_plane_release ~loss:(Loss_model.bernoulli 0.2));
           Alcotest.test_case "plane rows freed under unbounded delays"
             `Quick test_plane_release_unbounded;
+          Alcotest.test_case "lost updates: rings bounded at 10^5, 10^6 s"
+            `Quick test_loss_truncation;
         ] );
       ( "holdback",
         [

@@ -391,12 +391,13 @@ let test_many_windows () =
   | Error e -> Alcotest.fail ("of_json rejected raw_members: " ^ e)
   | Ok st2 -> check_many_windows "reloaded" st2 n
 
-(* A real K = 2 stream whose windows span several chunks. *)
+(* A real K = 2 stream whose rounds span several chunks: 10 000 s
+   give about 5 800 rounds, a bit under six per 10 s of stream. *)
 let test_json_round_trip_many_chunks () =
   let cfg =
     let d = Sharded.stream_default.Sharded.s_detect in
     { Sharded.stream_default with
-      Sharded.s_detect = { d with horizon = Sim_time.of_sec 2000 } }
+      Sharded.s_detect = { d with horizon = Sim_time.of_sec 10_000 } }
   in
   let exec =
     Exec.sharded ~seed:42L ~shards:2

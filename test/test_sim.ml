@@ -202,6 +202,32 @@ let test_engine_horizon () =
   Alcotest.check time "clock at horizon" (Sim_time.of_sec 1) (Engine.now engine);
   Alcotest.(check int) "one pending" 1 (Engine.pending engine)
 
+(* An event lowers the running horizon: the run stops after the events
+   at or before it and the clock ends there; a second call only counts
+   when it is lower; the next run sets its own horizon again. *)
+let test_engine_lower_horizon () =
+  let engine = Engine.create () in
+  let fired = ref [] in
+  let at ms =
+    Engine.schedule_at_unit engine (Sim_time.of_ms ms) (fun () ->
+        fired := ms :: !fired)
+  in
+  Engine.schedule_at_unit engine (Sim_time.of_ms 10) (fun () ->
+      fired := 10 :: !fired;
+      Engine.lower_horizon engine (Sim_time.of_ms 30);
+      Engine.lower_horizon engine (Sim_time.of_ms 50));
+  List.iter at [ 20; 30; 40; 600 ];
+  Engine.run ~until:(Sim_time.of_sec 1) engine;
+  Alcotest.(check (list int)) "stopped after 30 ms" [ 10; 20; 30 ]
+    (List.rev !fired);
+  Alcotest.check time "clock at the lowered horizon" (Sim_time.of_ms 30)
+    (Engine.now engine);
+  Engine.run ~until:(Sim_time.of_sec 1) engine;
+  Alcotest.(check (list int)) "next run reaches its own horizon"
+    [ 10; 20; 30; 40; 600 ] (List.rev !fired);
+  Alcotest.check time "clock at the horizon" (Sim_time.of_sec 1)
+    (Engine.now engine)
+
 let test_engine_step () =
   let engine = Engine.create () in
   ignore (Engine.schedule_at engine (Sim_time.of_ms 1) (fun () -> ()));
@@ -483,6 +509,8 @@ let () =
           Alcotest.test_case "past raises" `Quick test_engine_past_raises;
           test_queue_differential;
           Alcotest.test_case "horizon" `Quick test_engine_horizon;
+          Alcotest.test_case "lowered horizon" `Quick
+            test_engine_lower_horizon;
           Alcotest.test_case "step" `Quick test_engine_step;
           Alcotest.test_case "periodic" `Quick test_engine_periodic;
           Alcotest.test_case "periodic stop" `Quick test_engine_periodic_stop;
