@@ -25,7 +25,6 @@ type t = {
 let create ~me hw = { me; hw; last = { l = Sim_time.zero; c = 0 } }
 
 let me t = t.me
-let read t = t.last
 
 let compare_stamp a b =
   let cl = Sim_time.compare a.l b.l in
@@ -65,6 +64,3 @@ let receive t ~now remote =
 let physical_divergence t ~now =
   let pt = Physical_clock.read t.hw ~now in
   Float.abs (Sim_time.to_sec_float t.last.l -. Sim_time.to_sec_float pt)
-
-let pp_stamp ppf s = Fmt.pf ppf "(%a,%d)" Sim_time.pp s.l s.c
-let pp ppf t = Fmt.pf ppf "H%d@%a" t.me pp_stamp t.last

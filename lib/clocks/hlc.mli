@@ -6,7 +6,6 @@ type t
 
 val create : me:int -> Physical_clock.t -> t
 val me : t -> int
-val read : t -> stamp
 val compare_stamp : stamp -> stamp -> int
 
 val tick : t -> now:Psn_sim.Sim_time.t -> stamp
@@ -15,6 +14,3 @@ val receive : t -> now:Psn_sim.Sim_time.t -> stamp -> stamp
 
 val physical_divergence : t -> now:Psn_sim.Sim_time.t -> float
 (** |l − local physical reading| in seconds. *)
-
-val pp_stamp : Format.formatter -> stamp -> unit
-val pp : Format.formatter -> t -> unit

@@ -40,5 +40,3 @@ let receive t stamp =
 let compare_total (s1, p1) (s2, p2) =
   let c = Stdlib.compare s1 s2 in
   if c <> 0 then c else Stdlib.compare p1 p2
-
-let pp ppf t = Fmt.pf ppf "L%d@%d" t.me t.c

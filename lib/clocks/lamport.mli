@@ -22,5 +22,3 @@ val receive : t -> stamp -> stamp
 val compare_total : stamp * int -> stamp * int -> int
 (** Lamport's total order on (stamp, process id) pairs — the single time
     axis the linear order model needs. *)
-
-val pp : Format.formatter -> t -> unit

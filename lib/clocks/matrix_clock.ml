@@ -19,7 +19,6 @@ let create ~n ~me =
   if me < 0 || me >= n then invalid_arg "Matrix_clock.create: me out of range";
   { me; m = Array.init n (fun _ -> Array.make n 0) }
 
-let me t = t.me
 let size t = Array.length t.m
 
 let copy_matrix m = Array.map Array.copy m
@@ -108,8 +107,3 @@ let min_known t j =
     if t.m.(i).(j) < !acc then acc := t.m.(i).(j)
   done;
   !acc
-
-let pp ppf t =
-  Fmt.pf ppf "M%d@[%a]" t.me
-    Fmt.(array ~sep:(any "|") (array ~sep:(any ";") int))
-    t.m

@@ -5,7 +5,6 @@ type t
 type stamp = int array array
 
 val create : n:int -> me:int -> t
-val me : t -> int
 val size : t -> int
 val read : t -> stamp
 
@@ -19,8 +18,6 @@ val receive : t -> from:int -> stamp -> unit
 val min_known : t -> int -> int
 (** [min_known t j]: every process is known to have observed at least this
     many events of process [j]; older buffered observations are dead. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {2 Row stamps}
 

@@ -84,9 +84,3 @@ let adjust_offset_ns t delta = t.corr_offset_ns <- t.corr_offset_ns +. delta
 (* Signed synchronization error, in seconds, at true time [now]. *)
 let error_sec t ~now =
   Sim_time.to_sec_float (read t ~now) -. Sim_time.to_sec_float now
-
-let offset_ns t = t.offset_ns
-let drift_ppm t = t.drift_ppm
-
-let pp ppf t =
-  Fmt.pf ppf "phys(off=%.0fns,drift=%.2fppm)" t.offset_ns t.drift_ppm

@@ -33,7 +33,3 @@ val adjust_offset_ns : t -> float -> unit
 
 val error_sec : t -> now:Psn_sim.Sim_time.t -> float
 (** Signed error of [read] vs true time, seconds. *)
-
-val offset_ns : t -> float
-val drift_ppm : t -> float
-val pp : Format.formatter -> t -> unit

@@ -274,6 +274,3 @@ let merge t a b =
 let backing t =
   if t.floor > 0 then invalid_arg "Stamp_plane.backing: the plane has released";
   t.data
-
-let pp_stamp t ppf h =
-  Fmt.pf ppf "[%a]" Fmt.(array ~sep:(any ";") int) (read t h)

@@ -107,5 +107,3 @@ val backing : t -> int array
 (** The live backing array, where handle [h] starts at index [h] (see
     aliasing rules above).  Raises [Invalid_argument] once the plane has
     released a stamp: its rows may then have slid. *)
-
-val pp_stamp : t -> Format.formatter -> handle -> unit

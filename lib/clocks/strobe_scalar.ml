@@ -30,13 +30,6 @@ let tick_and_strobe t =
 (* SSC2: catch up; no local tick. *)
 let receive_strobe t stamp = t.c <- max t.c stamp
 
-(* Total order used by scalar-strobe detectors: stamp, then process id. *)
-let compare_total (s1, p1) (s2, p2) =
-  let c = Stdlib.compare s1 s2 in
-  if c <> 0 then c else Stdlib.compare p1 p2
-
 (* Wire size in abstract units; compared against the strobe vector's O(n)
    in experiment E5. *)
 let stamp_size_words = 1
-
-let pp ppf t = Fmt.pf ppf "SS%d@%d" t.me t.c

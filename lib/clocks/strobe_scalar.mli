@@ -17,6 +17,4 @@ val tick_and_strobe : t -> stamp
 val receive_strobe : t -> stamp -> unit
 (** SSC2: [C := max (C, T)]. *)
 
-val compare_total : stamp * int -> stamp * int -> int
 val stamp_size_words : int
-val pp : Format.formatter -> t -> unit

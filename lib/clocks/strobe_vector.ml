@@ -22,8 +22,6 @@ let create ~n ~me =
   if me < 0 || me >= n then invalid_arg "Strobe_vector.create: me out of range";
   { me; v = Array.make n 0 }
 
-let me t = t.me
-let size t = Array.length t.v
 let read t = Array.copy t.v
 
 (* SVC1: tick own component; the returned snapshot must be broadcast. *)
@@ -43,17 +41,7 @@ let receive_strobe t stamp =
     if x > Array.unsafe_get v k then Array.unsafe_set v k x
   done
 
-(* Stamp comparisons are shared with causality vectors: the strobe order is
-   still a vector partial order, it is just induced by control messages. *)
-let leq = Vector_clock.leq
-let equal = Vector_clock.equal
-let happened_before = Vector_clock.happened_before
-let concurrent = Vector_clock.concurrent
-let merge = Vector_clock.merge
-
 let stamp_size_words n = n
-
-let pp ppf t = Fmt.pf ppf "SV%d@%a" t.me Vector_clock.pp_stamp t.v
 
 (* --- stamp-plane fast path (SVC1/SVC2, allocation-free) --- *)
 

@@ -8,8 +8,6 @@ type t
 type stamp = int array
 
 val create : n:int -> me:int -> t
-val me : t -> int
-val size : t -> int
 val read : t -> stamp
 
 val tick_and_strobe : t -> stamp
@@ -18,16 +16,8 @@ val tick_and_strobe : t -> stamp
 val receive_strobe : t -> stamp -> unit
 (** SVC2: componentwise max, no tick. *)
 
-val leq : stamp -> stamp -> bool
-val equal : stamp -> stamp -> bool
-val happened_before : stamp -> stamp -> bool
-val concurrent : stamp -> stamp -> bool
-val merge : stamp -> stamp -> stamp
-
 val stamp_size_words : int -> int
 (** O(n) wire size, vs the scalar strobe's O(1). *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {2 Stamp-plane fast path} — SVC1/SVC2 against a {!Stamp_plane}
     arena; the copy-stamp API above remains the differential oracle. *)

@@ -20,7 +20,6 @@ let create ~n ~me =
   if me < 0 || me >= n then invalid_arg "Vector_clock.create: me out of range";
   { me; v = Array.make n 0 }
 
-let me t = t.me
 let size t = Array.length t.v
 let read t = Array.copy t.v
 
@@ -88,11 +87,6 @@ let compare_partial a b =
 (* Sum of components: a scalar view used as a tie-breaking heuristic when a
    detector must linearize concurrent stamps. *)
 let total a = Array.fold_left ( + ) 0 a
-
-let pp_stamp ppf s =
-  Fmt.pf ppf "[%a]" Fmt.(array ~sep:(any ";") int) s
-
-let pp ppf t = Fmt.pf ppf "V%d@%a" t.me pp_stamp t.v
 
 (* --- stamp-plane fast path: the same rules, allocation-free ---
 

@@ -6,7 +6,6 @@ type t
 type stamp = int array
 
 val create : n:int -> me:int -> t
-val me : t -> int
 val size : t -> int
 val read : t -> stamp
 
@@ -34,9 +33,6 @@ val compare_partial : stamp -> stamp -> int option
 
 val total : stamp -> int
 (** Component sum; a scalar heuristic for linearizing concurrent stamps. *)
-
-val pp_stamp : Format.formatter -> stamp -> unit
-val pp : Format.formatter -> t -> unit
 
 (** {2 Stamp-plane fast path}
 

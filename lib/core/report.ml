@@ -31,7 +31,6 @@ let summary t = t.summary
 let truth t = t.truth
 let occurrences t = t.occurrences
 let metrics t = t.metrics
-let sharding t = t.sharding
 let core t = { t with sharding = None }
 
 (* Words per update: the per-event timestamping overhead E5 tabulates. *)
@@ -70,5 +69,3 @@ let pp ppf t =
             (sum_counters snap ~prefix:"shardnet." ~suffix:".sent")
             (sum_counters snap ~prefix:"shardnet." ~suffix:".dropped"))
         si.si_per_shard
-
-let pp_metrics ppf t = Psn_obs.Metrics.pp_snapshot ppf t.metrics

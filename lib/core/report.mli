@@ -27,7 +27,6 @@ val summary : t -> Psn_detection.Metrics.summary
 val truth : t -> Psn_detection.Ground_truth.interval list
 val occurrences : t -> Psn_detection.Occurrence.t list
 val metrics : t -> Psn_obs.Metrics.snapshot
-val sharding : t -> shard_info option
 val words_per_update : t -> float
 
 val core : t -> t
@@ -41,6 +40,3 @@ val pp : Format.formatter -> t -> unit
     dropped, and words/update — followed, for sharded runs, by a
     per-shard breakdown (windows, per-shard engine and shardnet
     counters). *)
-
-val pp_metrics : Format.formatter -> t -> unit
-(** Multi-line per-layer metric breakdown. *)

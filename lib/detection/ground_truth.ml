@@ -74,6 +74,3 @@ let total_true_time ivs =
   List.fold_left
     (fun acc iv -> Sim_time.add acc (Sim_time.sub iv.t_end iv.t_start))
     Sim_time.zero ivs
-
-let pp_interval ppf iv =
-  Fmt.pf ppf "[%a,%a)" Sim_time.pp iv.t_start Sim_time.pp iv.t_end

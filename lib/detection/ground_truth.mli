@@ -14,4 +14,3 @@ val intervals :
     after [horizon] are ignored; a final open interval closes at it. *)
 
 val total_true_time : interval list -> Psn_sim.Sim_time.t
-val pp_interval : Format.formatter -> interval -> unit

@@ -242,6 +242,3 @@ let occurrences t = List.rev t.occs
 
 let frontier t =
   match t.checker_vc with Some vc -> Some (Vector_clock.read vc) | None -> None
-
-let plane t ~group =
-  if t.cfg.causal_stamps then Some t.planes.(group) else None

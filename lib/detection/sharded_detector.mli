@@ -79,6 +79,3 @@ val occurrences : t -> Occurrence.t list
 val frontier : t -> int array option
 (** With [causal_stamps]: the checker's merged vector frontier
     (width [n + 1]; component [n] counts checker merges). *)
-
-val plane : t -> group:int -> Psn_clocks.Stamp_plane.t option
-(** The group's stamp arena (with [causal_stamps]). *)

@@ -485,7 +485,6 @@ let stream t = t.stream
 let updates t = Holdback.updates t.hb
 let update_count t = Holdback.update_count t.hb
 let edges t = List.rev !(t.edges)
-let observed t = Streaming.events_observed t.stream
 let peak_plane_rows t = Array.fold_left max 0 t.peak_rows
 let dropped t = t.dropped
 let log_words t = Holdback.log_words t.hb

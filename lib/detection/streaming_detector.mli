@@ -125,9 +125,6 @@ val update_count : t -> int
 val edges : t -> edge list
 (** Verdict edges in decision order. *)
 
-val observed : t -> int
-(** Updates fed to the walk so far (= [Streaming.events_observed]). *)
-
 val peak_plane_rows : t -> int
 (** The most stamps any group's plane held live (allocated and not yet
     released) at once. *)

@@ -13,11 +13,6 @@ module Sim_time = Psn_sim.Sim_time
 module Timed = Psn_predicates.Timed
 module Allen = Psn_intervals.Allen
 
-type match_ = {
-  x_interval : Ground_truth.interval;
-  y_interval : Ground_truth.interval;
-}
-
 let relation_holds relation (x : Ground_truth.interval)
     (y : Ground_truth.interval) =
   let rel = Allen.classify_times x.t_start x.t_end y.t_start y.t_end in
@@ -36,37 +31,17 @@ let relation_holds relation (x : Ground_truth.interval)
           true
       | _ -> false)
 
-(* All (x, y) interval pairs satisfying the spec. *)
-let matches ?init ~updates ~horizon (spec : Timed.t) =
-  let xs =
-    Ground_truth.intervals ?init ~updates ~predicate:spec.Timed.x ~horizon ()
-  in
-  let ys =
-    Ground_truth.intervals ?init ~updates ~predicate:spec.Timed.y ~horizon ()
-  in
-  List.concat_map
-    (fun y ->
-      List.filter_map
-        (fun x ->
-          if relation_holds spec.Timed.relation x y then
-            Some { x_interval = x; y_interval = y }
-          else None)
-        xs)
-    ys
-
-(* Y-interval occurrences partitioned by whether the relation justified
-   them; [unmatched] is the alarm set in the banking scenario. *)
+(* Y-interval occurrences partitioned by whether some X-interval
+   satisfies the relation with them; [unmatched] is the alarm set in the
+   banking scenario. *)
 let classify_y ?init ~updates ~horizon (spec : Timed.t) =
-  let ms = matches ?init ~updates ~horizon spec in
-  let ys =
-    Ground_truth.intervals ?init ~updates ~predicate:spec.Timed.y ~horizon ()
+  let intervals predicate =
+    Ground_truth.intervals ?init ~updates ~predicate ~horizon ()
   in
-  let matched, unmatched =
-    List.partition
-      (fun y -> List.exists (fun m -> m.y_interval = y) ms)
-      ys
-  in
-  (matched, unmatched)
+  let xs = intervals spec.Timed.x in
+  List.partition
+    (fun y -> List.exists (fun x -> relation_holds spec.Timed.relation x y) xs)
+    (intervals spec.Timed.y)
 
 let holds ?init ~updates ~horizon spec =
-  matches ?init ~updates ~horizon spec <> []
+  fst (classify_y ?init ~updates ~horizon spec) <> []

@@ -1,20 +1,6 @@
 (** Offline evaluation of timed relations against the ground-truth update
     stream. *)
 
-type match_ = {
-  x_interval : Ground_truth.interval;
-  y_interval : Ground_truth.interval;
-}
-
-val relation_holds :
-  Psn_predicates.Timed.relation -> Ground_truth.interval ->
-  Ground_truth.interval -> bool
-
-val matches :
-  ?init:(Psn_predicates.Expr.var * Psn_world.Value.t) list ->
-  updates:Observation.update list -> horizon:Psn_sim.Sim_time.t ->
-  Psn_predicates.Timed.t -> match_ list
-
 val classify_y :
   ?init:(Psn_predicates.Expr.var * Psn_world.Value.t) list ->
   updates:Observation.update list -> horizon:Psn_sim.Sim_time.t ->

@@ -88,5 +88,3 @@ let implies_overlap = function
   | Meets | Met_by
   | Overlaps | Overlapped_by | Starts | Started_by | During | Contains
   | Finishes | Finished_by | Equals -> true
-
-let pp ppf r = Fmt.string ppf (to_string r)

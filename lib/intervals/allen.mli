@@ -30,5 +30,3 @@ val classify : Interval.t -> Interval.t -> relation
 
 val implies_overlap : relation -> bool
 (** Whether the relation guarantees a shared instant. *)
-
-val pp : Format.formatter -> relation -> unit

@@ -48,10 +48,6 @@ let v_hi_exn t =
   | Some v -> v
   | None -> invalid_arg "Interval: missing vector stamp at end"
 
-let pp ppf t =
-  Fmt.pf ppf "I(p%d#%d=%a [%a,%a])" t.proc t.seq Value.pp t.value Sim_time.pp
-    t.t_lo Sim_time.pp t.t_hi
-
 (* Build the per-process interval sequence for one tracked variable from a
    timeline of (time, value, stamps) change points.  The final interval is
    closed at [horizon]. *)

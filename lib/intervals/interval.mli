@@ -25,7 +25,6 @@ val overlaps_real : t -> t -> bool
 val overlap_length : t -> t -> Psn_sim.Sim_time.t
 val v_lo_exn : t -> int array
 val v_hi_exn : t -> int array
-val pp : Format.formatter -> t -> unit
 
 val of_timeline :
   proc:int -> horizon:Psn_sim.Sim_time.t ->

@@ -10,8 +10,6 @@ let bottom n = Array.make n 0
 
 let top lens = Array.copy lens
 
-let copy = Array.copy
-
 (* Monomorphic: the polymorphic [=] walks the runtime representation
    through a C call per comparison; an int loop is branch-predictable
    and inlineable. *)
@@ -53,5 +51,3 @@ let successors ~lens t =
     end
   done;
   !acc
-
-let pp ppf t = Fmt.pf ppf "<%a>" Fmt.(array ~sep:(any ",") int) t

@@ -4,7 +4,6 @@ type t = int array
 
 val bottom : int -> t
 val top : int array -> t
-val copy : t -> t
 val equal : t -> t -> bool
 val leq : t -> t -> bool
 val join : t -> t -> t
@@ -16,5 +15,3 @@ val level : t -> int
 val successors : lens:int array -> t -> (int * t) list
 (** Cuts reachable by including one more event; each tagged with the
     advancing process. *)
-
-val pp : Format.formatter -> t -> unit

@@ -458,7 +458,6 @@ let finish t =
 
 (* --- accessors --- *)
 
-let n t = t.n
 let events_observed t = t.events
 let committed_level t = t.level
 
@@ -467,7 +466,6 @@ let committed_cuts t =
 
 let possibly t = t.possibly
 let definitely t = t.definitely
-let base t = Array.copy t.base
 
 let base_component t i =
   if i < 0 || i >= t.n then invalid_arg "Streaming.base_component: pid";
@@ -475,7 +473,6 @@ let base_component t i =
 
 let live_cuts t = entry_count t t.cur
 let peak_live_cuts t = t.peak_live_cuts
-let live_events t = t.live_ev
 let peak_live_events t = t.peak_live_ev
 let overflowed t = t.overflowed
 let capped t = t.capped

@@ -22,7 +22,7 @@
 
     {b Reclamation.}  Cuts below the frontier die with an O(1) buffer
     reset when the frontier swaps (the retired slab); event stamps below
-    the meet of the frontier (the minimum stable cut, {!base}) are
+    the meet of the frontier (the minimum stable cut, {!base_component}) are
     unreachable by any future consistency check and are reclaimed by
     periodically resetting the internal {!Psn_clocks.Stamp_plane} arena
     and re-allocating only the live window — amortized O(1) per event.
@@ -86,7 +86,6 @@ val finish : t -> unit
 
 (** {2 Results} *)
 
-val n : t -> int
 val events_observed : t -> int
 
 val committed_level : t -> int
@@ -105,15 +104,11 @@ val definitely : t -> bool option
 (** [Some true] once no committed ¬φ path survives; [Some false] after
     {!finish} when one reaches the top cut; [None] while undecided. *)
 
-val base : t -> int array
-(** The minimum stable cut (meet of the live frontier): every event
-    below it is committed into all surviving paths and reclaimed.
-    Fresh array. *)
-
 val base_component : t -> int -> int
-(** [base_component t i] = [(base t).(i)] without the copy — the
-    allocation-free form for per-event callers (the online detector's
-    value-history reclamation). *)
+(** Component [i] of the minimum stable cut (the meet of the live
+    frontier): every event of process [i] below it is committed into all
+    surviving paths and reclaimed.  The online detector's value-history
+    reclamation reads it per event. *)
 
 (** {2 Memory evidence} *)
 
@@ -123,10 +118,6 @@ val live_cuts : t -> int
 val peak_live_cuts : t -> int
 (** Widest live slab over the whole run — the bounded-memory claim is
     that this is independent of run length for a fixed workload shape. *)
-
-val live_events : t -> int
-(** Event stamps currently retained (the live window, summed over
-    processes). *)
 
 val peak_live_events : t -> int
 

@@ -121,4 +121,3 @@ let broadcast t ~src payload =
 
 let buffered t = List.length t.pending
 let delivered_count t = t.delivered_total
-let messages_sent t = Net.sent t.net

@@ -18,4 +18,3 @@ val buffered : 'a t -> int
 (** Messages currently held back waiting for causal predecessors. *)
 
 val delivered_count : 'a t -> int
-val messages_sent : 'a t -> int

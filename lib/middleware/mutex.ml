@@ -123,6 +123,4 @@ let release t ~who =
   me.deferred <- [];
   List.iter (fun dst -> send_reply t ~src:who ~dst) waiting
 
-let in_critical_section t ~who = t.nodes.(who).in_cs
 let grants t = t.grants
-let messages_sent t = Net.sent t.net

@@ -12,6 +12,4 @@ val request : t -> who:int -> grant:(unit -> unit) -> unit
 val release : t -> who:int -> unit
 (** Leave the critical section, answering deferred requests. *)
 
-val in_critical_section : t -> who:int -> bool
 val grants : t -> int
-val messages_sent : t -> int

@@ -152,5 +152,3 @@ let initiate t ~by =
   Array.iter (fun row -> Array.fill row 0 t.n false) t.channel_open;
   t.open_channels <- 0;
   record t by
-
-let messages_sent t = Net.sent t.net

@@ -23,5 +23,3 @@ val on_complete : ('state, 'app) t -> (('state, 'app) snapshot -> unit) -> unit
 
 val initiate : ('state, 'app) t -> by:int -> unit
 (** Raises if a snapshot is already in progress. *)
-
-val messages_sent : ('state, 'app) t -> int

@@ -99,4 +99,3 @@ let buffered_at t i =
   Hashtbl.fold (fun _ l acc -> acc + List.length l) t.nodes.(i).buffers 0
 
 let pruned_at t i = t.nodes.(i).pruned
-let messages_sent t = Net.sent t.net

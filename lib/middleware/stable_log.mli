@@ -16,4 +16,3 @@ val buffered_at : 'a t -> int -> int
 (** Unstable (not yet pruned) entries held at a replica. *)
 
 val pruned_at : 'a t -> int -> int
-val messages_sent : 'a t -> int

@@ -139,4 +139,3 @@ let announced t = t.announced
 let rounds t = t.rounds
 let in_flight t = Array.fold_left (fun acc n -> acc + n.counter) 0 t.nodes
 let all_passive t = Array.for_all (fun n -> not n.active) t.nodes
-let messages_sent t = Net.sent t.net

@@ -25,4 +25,3 @@ val in_flight : t -> int
 (** Ground truth (test oracle): outstanding work messages. *)
 
 val all_passive : t -> bool
-val messages_sent : t -> int

@@ -8,8 +8,6 @@ type schedule = {
   offset : Psn_sim.Sim_time.t;
 }
 
-val duty_fraction : schedule -> float
-
 type 'a t
 
 val create :

@@ -40,6 +40,3 @@ let kind_label t =
   | Actuate _ -> "a"
   | Send _ -> "s"
   | Receive _ -> "r"
-
-let pp ppf t =
-  Fmt.pf ppf "P%d.%d@%a:%s" t.proc t.index Sim_time.pp t.time (kind_label t)

@@ -24,4 +24,3 @@ val is_relevant : t -> bool
 (** Sense events are the strobe protocols' "relevant events". *)
 
 val kind_label : t -> string
-val pp : Format.formatter -> t -> unit

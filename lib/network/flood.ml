@@ -112,4 +112,3 @@ let flood t ~src payload =
 let messages_sent t = Net.sent t.net
 let words_transmitted t = Net.words_transmitted t.net
 let dropped t = Net.dropped t.net
-let topology t = t.topology

@@ -20,5 +20,3 @@ val messages_sent : 'a t -> int
 val words_transmitted : 'a t -> int
 val dropped : 'a t -> int
 (** Hop messages the loss model dropped. *)
-
-val topology : 'a t -> Psn_util.Graph.t

@@ -90,10 +90,6 @@ let create ?loss ?topology ?(fifo = false) ?(payload_words = fun _ -> 1)
     pool_len = 0;
   }
 
-let size t = t.n
-let delay_model t = t.delay
-let label t = t.label
-
 let set_handler t dst handler =
   if dst < 0 || dst >= t.n then invalid_arg "Net.set_handler: dst out of range";
   t.handlers.(dst) <- Some handler
@@ -220,6 +216,3 @@ let sent t = Metrics.counter_value t.c_sent
 let delivered t = Metrics.counter_value t.c_delivered
 let dropped t = Metrics.counter_value t.c_dropped
 let words_transmitted t = Metrics.counter_value t.c_words
-let in_flight_peak t = t.in_flight_peak
-
-let pending t = Engine.pending t.engine

@@ -14,9 +14,6 @@ val create :
     ([net.<label>.sent] etc. in the engine's registry) and tags its trace
     events as the message kind, giving per-layer traffic breakdowns. *)
 
-val size : 'a t -> int
-val delay_model : 'a t -> Psn_sim.Delay_model.t
-val label : 'a t -> string
 val set_handler : 'a t -> int -> (src:int -> 'a -> unit) -> unit
 
 val send : 'a t -> src:int -> dst:int -> 'a -> unit
@@ -30,10 +27,3 @@ val sent : 'a t -> int
 val delivered : 'a t -> int
 val dropped : 'a t -> int
 val words_transmitted : 'a t -> int
-
-val in_flight_peak : 'a t -> int
-(** High-watermark of messages scheduled but not yet delivered — the
-    medium's queue-depth evidence, also published as the
-    [net.<label>.in_flight_peak] gauge. *)
-
-val pending : 'a t -> int

@@ -32,7 +32,6 @@ let create engine ~id =
   }
 
 let id t = t.id
-let engine t = t.engine
 
 (* Record an event in the local sequence; returns it for convenience. *)
 let log_event ?vstamp ?sstamp t kind =
@@ -57,5 +56,3 @@ let get_var_exn t name =
   | None -> invalid_arg (Printf.sprintf "process %d has no variable %S" t.id name)
 
 let vars t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.vars []
-
-let pp ppf t = Fmt.pf ppf "P%d(%d events)" t.id (event_count t)

@@ -5,7 +5,6 @@ type t
 
 val create : Psn_sim.Engine.t -> id:int -> t
 val id : t -> int
-val engine : t -> Psn_sim.Engine.t
 
 val log_event :
   ?vstamp:int array -> ?sstamp:int -> t -> Exec_event.kind -> Exec_event.t
@@ -18,4 +17,3 @@ val set_var : t -> string -> Psn_world.Value.t -> unit
 val get_var : t -> string -> Psn_world.Value.t option
 val get_var_exn : t -> string -> Psn_world.Value.t
 val vars : t -> (string * Psn_world.Value.t) list
-val pp : Format.formatter -> t -> unit

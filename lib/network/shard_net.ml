@@ -117,8 +117,6 @@ let create ?loss ?(label = "data") ?sinks exec ~n ~groups ~group_of ~delay () =
       | None -> ());
   t
 
-let delay_model t = t.delay
-
 let set_handler t dst h =
   if dst < 0 || dst >= t.n then invalid_arg "Shard_net.set_handler: dst out of range";
   t.handlers.(dst) <- Some h

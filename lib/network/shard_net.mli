@@ -40,8 +40,6 @@ val create :
     [group_of] is called once per pid, here.  Per-source streams derive
     from [Exec.seed]. *)
 
-val delay_model : t -> Psn_sim.Delay_model.t
-
 val set_handler :
   t -> int -> (src:int -> a:int -> b:int -> c:int -> d:int -> e:int -> unit) -> unit
 

@@ -637,8 +637,6 @@ let peak_open_edges t = t.peak_open
 let expired_edges t = t.expired
 let retired_edges t = t.matched
 let lattice_commits t = t.lat_commits
-let lattice_level t = t.lat_level
-let lattice_committed t = t.lat_committed
 let peak_live_cuts t = t.lat_live_peak
 
 (* --- reports ------------------------------------------------------------- *)

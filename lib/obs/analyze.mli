@@ -96,12 +96,6 @@ val retired_edges : t -> int
 val lattice_commits : t -> int
 (** [Lattice_commit] records seen. *)
 
-val lattice_level : t -> int
-(** Highest finalized cut level reported. *)
-
-val lattice_committed : t -> int
-(** Committed consistent-cut count at the last commit record. *)
-
 val peak_live_cuts : t -> int
 (** Widest live slab any commit record reported — the bounded-memory
     evidence, the streaming twin of {!peak_open_edges}. *)

@@ -346,7 +346,8 @@ let write_chrome ?timeline oc sinks =
    Amdahl analysis projects.
    Deterministic given the stats values, so hand-built stats golden
    cleanly. *)
-let shard_chrome_to_buffer buf st =
+let shard_chrome_string st =
+  let buf = Buffer.create 4096 in
   let k = Shard_stats.shards st in
   let n = Shard_stats.windows st in
   Buffer.add_string buf "{\"traceEvents\":[";
@@ -436,14 +437,5 @@ let shard_chrome_to_buffer buf st =
     cursor := !cursor + ep_drain;
     slice ~name:"barrier.fold" ~ts:!cursor ~dur:ep_fold ~cpid:0 ~args:(n, [])
   end;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n"
-
-let shard_chrome_string st =
-  let buf = Buffer.create 4096 in
-  shard_chrome_to_buffer buf st;
+  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
-
-let write_shard_chrome oc st =
-  let buf = Buffer.create 4096 in
-  shard_chrome_to_buffer buf st;
-  Buffer.output_buffer oc buf

@@ -10,12 +10,11 @@
     a timeline is given — metric samples to counter tracks (["C"]).
     Simulated nanoseconds map to trace microseconds. *)
 
-val jsonl_to_buffer : Buffer.t -> Trace.sink -> unit
+val jsonl_string : Trace.sink -> string
 (** One JSON object per record, one record per line, in emission order.
     Spans carry ["name"] and ["lane"]; net records carry their ["flow"]
     correlation id. *)
 
-val jsonl_string : Trace.sink -> string
 val write_jsonl : out_channel -> Trace.sink -> unit
 
 val merged_jsonl : Trace.sink list -> string
@@ -26,15 +25,13 @@ val merged_jsonl : Trace.sink list -> string
     same records — per-sink sequence numbers (arrival interleaving) are
     dropped by design. *)
 
-val timeline_jsonl_to_buffer : Buffer.t -> Metrics.timeline -> unit
+val timeline_jsonl_string : Metrics.timeline -> string
 (** One line per sample: [{"t_ns":..,"values":{"metric":v,..}}], oldest
     first. *)
 
-val timeline_jsonl_string : Metrics.timeline -> string
 val write_timeline_jsonl : out_channel -> Metrics.timeline -> unit
 
-val chrome_to_buffer :
-  ?timeline:Metrics.timeline -> Buffer.t -> Trace.sink list -> unit
+val chrome_string : ?timeline:Metrics.timeline -> Trace.sink list -> string
 (** A complete [{"traceEvents":[...]}] document: spans, flow arrows,
     instants, and (with [?timeline]) counter tracks, with process-name
     metadata.  Sink [g] of the list renders in tid block
@@ -43,16 +40,16 @@ val chrome_to_buffer :
     tids deterministically instead of colliding on lanes 0/1; a single
     sink's document is block 0. *)
 
-val chrome_string : ?timeline:Metrics.timeline -> Trace.sink list -> string
 val write_chrome : ?timeline:Metrics.timeline -> out_channel -> Trace.sink list -> unit
 
 val shard_chrome_string : Shard_stats.t -> string
-(** Host-time Gantt of a sharded run from its {!Shard_stats}: shard =
-    pid row (one ["window"] slice per barrier window, carrying events
-    and the window's limit), coordinator = pid 0 (explicit
-    ["barrier.drain"] / ["barrier.fold"] slices), cross-shard mail =
-    flow arrows from the sending window to the receiving one.  The
-    time axis is a synthetic host-ns cursor laying slices end to end
-    in execution order. *)
-
-val write_shard_chrome : out_channel -> Shard_stats.t -> unit
+(** Host-time Gantt of a sharded run from its {!Shard_stats}, one block
+    per round.  Pid 0 carries the round's mailbox drains and its fold of
+    the global minimum, as slices named ["barrier.drain"] and
+    ["barrier.fold"] after the barrier the rounds replaced; each shard's
+    pid carries its turn, one ["window"] slice with the turn's events and
+    the round's limit; cross-shard mail is a flow arrow from the sender's
+    turn in the previous round to the receiver's turn.  The time axis is
+    a synthetic host-ns cursor that lays slices end to end and starts
+    every shard's turn at the same point, so the Gantt draws the layout
+    a parallel loop would have. *)

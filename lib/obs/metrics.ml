@@ -60,7 +60,6 @@ let gauge t name =
   | _ -> assert false
 
 let set g v = g.g <- v
-let gauge_value g = g.g
 
 let histogram t ?(lo = 0.0) ?(hi = 1000.0) ?(bins = 20) name =
   let make () =
@@ -95,8 +94,6 @@ type value =
     }
 
 type snapshot = (string * value) list
-
-let empty_snapshot = []
 
 let snapshot t =
   Hashtbl.fold
@@ -173,20 +170,6 @@ let find snap name = List.assoc_opt name snap
 
 let get_counter snap name =
   match find snap name with Some (Counter c) -> c | _ -> 0
-
-let pp_snapshot ppf snap =
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Counter c -> Fmt.pf ppf "%-28s %d@." name c
-      | Gauge g -> Fmt.pf ppf "%-28s %g@." name g
-      | Histogram h ->
-          let total =
-            Array.fold_left ( + ) (h.underflow + h.overflow) h.counts
-          in
-          Fmt.pf ppf "%-28s histogram [%g,%g) n=%d under=%d over=%d@." name h.lo
-            h.hi total h.underflow h.overflow)
-    snap
 
 let value_to_json = function
   | Counter c -> Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Int c) ]

@@ -27,7 +27,6 @@ val counter_value : counter -> int
 
 val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : t -> ?lo:float -> ?hi:float -> ?bins:int -> string -> histogram
 (** Fixed-range histogram backed by [Psn_util.Stats.histogram]; defaults
@@ -59,8 +58,6 @@ val snapshot : t -> snapshot
 val reset : t -> unit
 (** Zero every instrument, keeping registrations (and histogram bounds). *)
 
-val empty_snapshot : snapshot
-
 val merge_snapshots : snapshot list -> snapshot
 (** Deterministic union: counters sum, histogram bins/overflows sum
     (bounds must agree), gauges take the last writer in list order.
@@ -72,8 +69,6 @@ val merge_snapshots : snapshot list -> snapshot
 val find : snapshot -> string -> value option
 val get_counter : snapshot -> string -> int
 (** 0 when absent or not a counter. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit
 
 val snapshot_to_json : snapshot -> string
 val snapshot_of_json : string -> (snapshot, string) result

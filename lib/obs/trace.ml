@@ -79,11 +79,6 @@ let fresh_flow sink =
 
 let length sink = Psn_util.Vec.length sink.records
 
-let clear sink =
-  sink.next_seq <- 0;
-  sink.next_flow <- 0;
-  Psn_util.Vec.clear sink.records
-
 let iter f sink = Psn_util.Vec.iter f sink.records
 let records sink = Psn_util.Vec.to_list sink.records
 

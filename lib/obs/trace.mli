@@ -93,7 +93,6 @@ val with_span :
     during it. *)
 
 val length : sink -> int
-val clear : sink -> unit
 val iter : (record -> unit) -> sink -> unit
 val records : sink -> record list
 

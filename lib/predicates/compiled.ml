@@ -301,7 +301,6 @@ let compile source =
 
 let source t = t.source
 let nvars t = Array.length t.vars
-let vars t = Array.copy t.vars
 let slot t v = match Hashtbl.find_opt t.slots v with Some s -> s | None -> -1
 
 (* Every conjunct starts dirty, counted as other. *)

@@ -40,9 +40,6 @@ val nvars : t -> int
 (** Number of distinct located variables; slots are [0 .. nvars - 1] in
     {!Expr.vars} first-use order. *)
 
-val vars : t -> Expr.var array
-(** Slot index to variable. *)
-
 val slot : t -> Expr.var -> int
 (** Variable to slot index, [-1] when the program never reads it. *)
 

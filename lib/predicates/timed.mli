@@ -17,5 +17,4 @@ type t = {
 }
 
 val make : name:string -> x:Expr.t -> y:Expr.t -> relation:relation -> t
-val relation_to_string : relation -> string
 val pp : Format.formatter -> t -> unit

@@ -19,7 +19,6 @@ type cfg = {
 
 val default : cfg
 val spec : cfg -> Psn_predicates.Timed.t
-val init : (Psn_predicates.Expr.var * Psn_world.Value.t) list
 
 type result = {
   logins : int;

@@ -10,9 +10,7 @@ type cfg = {
 
 val default : cfg
 val predicate : cfg -> Psn_predicates.Expr.t
-val spec : cfg -> Psn_predicates.Spec.t
 val init : cfg -> (Psn_predicates.Expr.var * Psn_world.Value.t) list
-val setup : cfg -> Psn_sim.Engine.t -> Psn_detection.Detector.t -> unit
 
 val run :
   ?cfg:cfg -> ?policy:Psn_detection.Metrics.borderline_policy ->

@@ -16,12 +16,6 @@ val default : cfg
 val n_processes : cfg -> int
 val predicate : cfg -> Psn_predicates.Expr.t
 
-val spec :
-  ?modality:Psn_predicates.Modality.t -> cfg -> Psn_predicates.Spec.t
-
-val init : cfg -> (Psn_predicates.Expr.var * Psn_world.Value.t) list
-val setup : cfg -> Psn_sim.Engine.t -> Psn_detection.Detector.t -> unit
-
 val run :
   ?cfg:cfg -> ?modality:Psn_predicates.Modality.t ->
   ?policy:Psn_detection.Metrics.borderline_policy -> Psn.Config.t ->

@@ -142,8 +142,6 @@ type hospital_cfg = {
   detect : detect_cfg;
 }
 
-val hospital_default : hospital_cfg
-
 val hospital :
   ?cfg:hospital_cfg -> ?sinks:Psn_obs.Trace.sink array -> Psn_sim.Exec.t ->
   Psn.Report.t

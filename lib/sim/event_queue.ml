@@ -1,10 +1,11 @@
 (* Monomorphic event queue: a 4-ary min-heap purpose-built for the
    discrete-event engine.
 
-   The generic [Psn_util.Heap] pays for its polymorphism on every
-   operation: an indirect call through a comparator closure per
-   comparison, boxed elements carrying their own key fields, and a
-   [Some]/[None] allocation per pop.  Here the key is the pair
+   A generic binary heap (the reference the tests check this queue
+   against) pays for its polymorphism on every operation: an indirect
+   call through a comparator closure per comparison, boxed elements
+   carrying their own key fields, and a [Some]/[None] allocation per
+   pop.  Here the key is the pair
    (time in ns, insertion sequence) held in two flat immediate-[int]
    planes parallel to the payloads, so a comparison is two inlined
    integer compares with no memory indirection beyond the key planes
@@ -27,9 +28,8 @@
    [add_ranked] writes a key below every insertion sequence instead, so
    a ranked payload pops before every [add]ed one of equal time and
    equal-time ranked payloads pop by rank.  The payload slot vacated by
-   a pop (and every slot dropped by [clear]) is overwritten with [dummy]
-   so fired closures are not retained — the space leak the generic
-   heap's [pop] had.
+   a pop is overwritten with [dummy] so fired closures are not
+   retained.
 
    Why 4-ary: sift-down dominates a DES queue (every pop sifts a tail
    element down from the root), and a 4-ary heap does ⌈log₄ n⌉ levels of
@@ -208,10 +208,3 @@ let pop_exn q =
   end;
   if n > 1 then sift_down q 0;
   top
-
-let clear q =
-  for i = 0 to q.len - 1 do
-    q.payloads.(q.slots.(i)) <- q.dummy
-  done;
-  q.len <- 0;
-  q.next_seq <- 0

@@ -36,6 +36,3 @@ val pop_exn : 'a t -> 'a
 (** Remove and return the payload with the smallest (time, seq) key.
     Raises [Invalid_argument] when empty — guard with [is_empty]; the
     split avoids an option allocation per event. *)
-
-val clear : 'a t -> unit
-(** Drop all pending events (payload slots are released). *)

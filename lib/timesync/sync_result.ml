@@ -48,8 +48,3 @@ let measure ~protocol ~messages ~words ~duration hw nodes ~now =
     words;
     duration;
   }
-
-let pp ppf t =
-  Fmt.pf ppf "%s: n=%d eps_max=%.3gus eps_rms=%.3gus msgs=%d words=%d in %a"
-    t.protocol t.n (t.eps_max_s *. 1e6) (t.eps_rms_s *. 1e6) t.messages t.words
-    Sim_time.pp t.duration

@@ -14,5 +14,3 @@ val measure :
   protocol:string -> messages:int -> words:int -> duration:Psn_sim.Sim_time.t ->
   Psn_clocks.Physical_clock.t array -> int list -> now:Psn_sim.Sim_time.t -> t
 (** Max/rms pairwise corrected-reading spread over the node subset. *)
-
-val pp : Format.formatter -> t -> unit

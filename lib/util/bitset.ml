@@ -14,8 +14,6 @@ let create capacity =
   if capacity < 0 then invalid_arg "Bitset.create: negative capacity";
   { capacity; words = Array.make ((capacity + bits_per_word - 1) / bits_per_word) 0 }
 
-let capacity t = t.capacity
-
 let check t i =
   if i < 0 || i >= t.capacity then invalid_arg "Bitset: index out of range"
 
@@ -40,14 +38,6 @@ let popcount_word w =
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
 
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
-
-let is_full t = cardinal t = t.capacity
-
-let copy t = { capacity = t.capacity; words = Array.copy t.words }
-
-let reset t = Array.fill t.words 0 (Array.length t.words) 0
-
 let union a b =
   if a.capacity <> b.capacity then invalid_arg "Bitset.union: capacity mismatch";
   { capacity = a.capacity; words = Array.mapi (fun i w -> w lor b.words.(i)) a.words }
@@ -55,13 +45,6 @@ let union a b =
 let inter a b =
   if a.capacity <> b.capacity then invalid_arg "Bitset.inter: capacity mismatch";
   { capacity = a.capacity; words = Array.mapi (fun i w -> w land b.words.(i)) a.words }
-
-let equal a b = a.capacity = b.capacity && a.words = b.words
-
-let iter f t =
-  for i = 0 to t.capacity - 1 do
-    if mem t i then f i
-  done
 
 let to_list t =
   let acc = ref [] in

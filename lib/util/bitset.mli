@@ -3,17 +3,10 @@
 type t
 
 val create : int -> t
-val capacity : t -> int
 val set : t -> int -> unit
 val clear : t -> int -> unit
 val mem : t -> int -> bool
 val cardinal : t -> int
-val is_empty : t -> bool
-val is_full : t -> bool
-val copy : t -> t
-val reset : t -> unit
 val union : t -> t -> t
 val inter : t -> t -> t
-val equal : t -> t -> bool
-val iter : (int -> unit) -> t -> unit
 val to_list : t -> int list

@@ -51,9 +51,6 @@ let degree t u =
 let edge_count t =
   Array.fold_left (fun acc s -> acc + Int_set.cardinal s) 0 t.adj / 2
 
-let iter_edges f t =
-  Array.iteri (fun u s -> Int_set.iter (fun v -> if u < v then f u v) s) t.adj
-
 (* BFS distances from [src]; unreachable nodes get -1. *)
 let bfs_dist t src =
   check t src;

@@ -15,7 +15,6 @@ val has_edge : t -> int -> int -> bool
 val neighbors : t -> int -> int list
 val degree : t -> int -> int
 val edge_count : t -> int
-val iter_edges : (int -> int -> unit) -> t -> unit
 
 val bfs_dist : t -> int -> int array
 (** Hop distances from a source; -1 when unreachable. *)

@@ -25,7 +25,6 @@ let add t x =
   if x > t.max then t.max <- x
 
 let count t = t.count
-let sum t = t.sum
 let mean t = if t.count = 0 then nan else t.mean
 let min_value t = if t.count = 0 then nan else t.min
 let max_value t = if t.count = 0 then nan else t.max
@@ -33,11 +32,6 @@ let max_value t = if t.count = 0 then nan else t.max
 let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
 
 let stddev t = sqrt (variance t)
-
-(* Half-width of a 95% confidence interval around the mean (normal
-   approximation; adequate for the sample sizes the experiments use). *)
-let ci95_halfwidth t =
-  if t.count < 2 then 0.0 else 1.96 *. stddev t /. sqrt (float_of_int t.count)
 
 let merge a b =
   if a.count = 0 then { b with count = b.count }

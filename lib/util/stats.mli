@@ -5,7 +5,6 @@ type t
 val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
-val sum : t -> float
 
 val mean : t -> float
 (** [nan] when empty. *)
@@ -17,9 +16,6 @@ val variance : t -> float
 (** Unbiased sample variance; 0 with fewer than two samples. *)
 
 val stddev : t -> float
-
-val ci95_halfwidth : t -> float
-(** Half-width of a 95% normal-approximation confidence interval. *)
 
 val merge : t -> t -> t
 (** Combine two accumulators as if their samples were interleaved. *)

@@ -67,8 +67,6 @@ let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in
   go (t.len - 1) []
 
-let to_array t = Array.sub t.data 0 t.len
-
 let of_list ~dummy xs =
   let t = create ~dummy () in
   List.iter (push t) xs;

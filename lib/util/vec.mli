@@ -22,7 +22,6 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
-val to_array : 'a t -> 'a array
 val of_list : dummy:'a -> 'a list -> 'a t
 val exists : ('a -> bool) -> 'a t -> bool
 val find_opt : ('a -> bool) -> 'a t -> 'a option

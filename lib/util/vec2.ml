@@ -23,5 +23,3 @@ let normalize a =
   if n = 0.0 then zero else scale (1.0 /. n) a
 
 let equal a b = a.x = b.x && a.y = b.y
-
-let pp ppf t = Fmt.pf ppf "(%.3f, %.3f)" t.x t.y

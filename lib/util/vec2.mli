@@ -6,12 +6,8 @@ val make : float -> float -> t
 val zero : t
 val x : t -> float
 val y : t -> float
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
 val dot : t -> t -> float
 val norm : t -> float
-val norm2 : t -> float
 val dist : t -> t -> float
 val dist2 : t -> t -> float
 
@@ -22,4 +18,3 @@ val normalize : t -> t
 (** Unit vector; [zero] maps to [zero]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

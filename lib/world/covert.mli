@@ -26,7 +26,6 @@ val connect :
     network plane can mirror a world-plane communication. *)
 
 val on_observable : t -> (transmission -> unit) -> unit
-val transmissions : t -> transmission list
 val transmission_count : t -> int
 
 val causal_pairs :

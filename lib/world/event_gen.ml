@@ -26,12 +26,6 @@ let poisson_updates engine world rng ~obj ~attr ~rate_per_sec ~value ~until =
   in
   next ()
 
-let periodic_updates engine world ~obj ~attr ~period ~value ~until =
-  ignore
-    (Engine.schedule_periodic engine ~until ~start:period ~period (fun () ->
-         World.set_attr world obj attr (value ());
-         true))
-
 (* Bounded random walk for a continuous attribute (e.g. temperature):
    every [period], move by N(0, sigma) clamped to [lo, hi], but only write
    (= emit a world event) when the change since the last written value

@@ -6,11 +6,6 @@ val poisson_updates :
   rate_per_sec:float -> value:(Psn_util.Rng.t -> Value.t) ->
   until:Psn_sim.Sim_time.t -> unit
 
-val periodic_updates :
-  Psn_sim.Engine.t -> World.t -> obj:int -> attr:string ->
-  period:Psn_sim.Sim_time.t -> value:(unit -> Value.t) ->
-  until:Psn_sim.Sim_time.t -> unit
-
 val random_walk_float :
   Psn_sim.Engine.t -> World.t -> Psn_util.Rng.t -> obj:int -> attr:string ->
   init:float -> sigma:float -> lo:float -> hi:float -> threshold:float ->

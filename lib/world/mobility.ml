@@ -73,8 +73,6 @@ type room_walk_cfg = {
                                 several parallel doors was used *)
 }
 
-let default_room_walk = { dwell_mean = 60.0; room_attr = "room"; door_attr = None }
-
 (* Walk an object over the room graph: dwell exponentially, then cross a
    uniformly chosen door out of the current room.  Each crossing updates
    the object's room attribute through [World.set_attr], which is the

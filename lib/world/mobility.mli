@@ -26,8 +26,6 @@ type room_walk_cfg = {
           room change, so door sensors can attribute the crossing. *)
 }
 
-val default_room_walk : room_walk_cfg
-
 val room_walk :
   Psn_sim.Engine.t -> World.t -> Psn_util.Rng.t -> obj:int -> rooms:Rooms.t ->
   start_room:int -> cfg:room_walk_cfg -> until:Psn_sim.Sim_time.t -> unit

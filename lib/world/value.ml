@@ -10,11 +10,6 @@ type t =
   | Bool of bool
   | String of string
 
-let int i = Int i
-let float f = Float f
-let bool b = Bool b
-let string s = String s
-
 let equal a b =
   match (a, b) with
   | Int x, Int y -> x = y

@@ -8,16 +8,8 @@ type t =
 
 exception Type_error of string
 
-val int : int -> t
-val float : float -> t
-val bool : bool -> t
-val string : string -> t
-
 val equal : t -> t -> bool
 (** Structural, with numeric Int/Float coercion. *)
-
-val to_float_opt : t -> float option
-val to_bool_opt : t -> bool option
 
 val to_float : t -> float
 (** Raises {!Type_error} on non-numeric values. *)

@@ -1,14 +1,14 @@
 (* The world plane ⟨O, C⟩ (paper §2.1).
 
-   Central registry of objects plus the ground-truth history of every
-   attribute change.  The history is the oracle the detection experiments
-   compare against: it is exactly the "time-varying global map of the
-   physical world" the network plane tries to mirror, available here only
-   because we own the simulation. *)
+   Central registry of objects and the single mutation point of their
+   attributes: the "time-varying global map of the physical world" the
+   network plane tries to mirror.  Every change is pushed to the
+   subscribers (the sensors), and nothing is kept: the experiments score
+   detection against [Ground_truth.intervals] over the sensors' update
+   stream. *)
 
 module Engine = Psn_sim.Engine
 module Sim_time = Psn_sim.Sim_time
-module Vec = Psn_util.Vec
 
 type change = {
   time : Sim_time.t;
@@ -23,26 +23,9 @@ type t = {
   mutable objects : World_object.t array;
   mutable n_objects : int;
   mutable listeners : (change -> unit) list;
-  history : change Vec.t;
-  mutable record_history : bool;
 }
 
-let dummy_change =
-  { time = Sim_time.zero; obj = -1; attr = ""; old_value = None; new_value = Value.Int 0 }
-
-let create engine =
-  {
-    engine;
-    objects = [||];
-    n_objects = 0;
-    listeners = [];
-    history = Vec.create ~dummy:dummy_change ();
-    record_history = true;
-  }
-
-let engine t = t.engine
-
-let set_record_history t flag = t.record_history <- flag
+let create engine = { engine; objects = [||]; n_objects = 0; listeners = [] }
 
 let add_object t ~name ?pos () =
   let id = t.n_objects in
@@ -63,15 +46,10 @@ let obj t id =
   if id < 0 || id >= t.n_objects then invalid_arg "World.obj: id out of range";
   t.objects.(id)
 
-let iter_objects f t =
-  for i = 0 to t.n_objects - 1 do
-    f t.objects.(i)
-  done
-
 let subscribe t listener = t.listeners <- listener :: t.listeners
 
-(* The single mutation point for sensed state: records ground truth and
-   notifies the sensors whose range covers the object. *)
+(* The single mutation point for sensed state: notifies the sensors,
+   which filter by their own range. *)
 let set_attr t obj_id attr value =
   let o = obj t obj_id in
   let old_value = World_object.get_attr o attr in
@@ -79,23 +57,6 @@ let set_attr t obj_id attr value =
   let change =
     { time = Engine.now t.engine; obj = obj_id; attr; old_value; new_value = value }
   in
-  if t.record_history then Vec.push t.history change;
   List.iter (fun listener -> listener change) t.listeners
 
 let get_attr t obj_id attr = World_object.get_attr (obj t obj_id) attr
-
-let get_attr_exn t obj_id attr = World_object.get_attr_exn (obj t obj_id) attr
-
-let history t = Vec.to_list t.history
-
-let history_array t = Vec.to_array t.history
-
-(* Value of (obj, attr) as of [time], per the recorded ground truth. *)
-let value_at t ~obj:obj_id ~attr ~time =
-  let best = ref None in
-  Vec.iter
-    (fun c ->
-      if c.obj = obj_id && String.equal c.attr attr && Sim_time.( <= ) c.time time
-      then best := Some c.new_value)
-    t.history;
-  !best

@@ -1,5 +1,6 @@
-(** The world plane ⟨O, C⟩: object registry plus the ground-truth history
-    of every attribute change (the oracle the experiments score against). *)
+(** The world plane ⟨O, C⟩: object registry and the single mutation point
+    of object attributes.  Changes go to the subscribers and are not kept;
+    detection is scored by [Ground_truth] over the sensors' update stream. *)
 
 type change = {
   time : Psn_sim.Sim_time.t;
@@ -12,31 +13,18 @@ type change = {
 type t
 
 val create : Psn_sim.Engine.t -> t
-val engine : t -> Psn_sim.Engine.t
-
-val set_record_history : t -> bool -> unit
-(** Disable ground-truth recording for long benchmark runs. *)
 
 val add_object : t -> name:string -> ?pos:Psn_util.Vec2.t -> unit -> World_object.t
 (** Ids are assigned densely from 0. *)
 
 val object_count : t -> int
 val obj : t -> int -> World_object.t
-val iter_objects : (World_object.t -> unit) -> t -> unit
 
 val subscribe : t -> (change -> unit) -> unit
 (** Called synchronously on every attribute change; sensors subscribe here
     (with their own range filtering and latency). *)
 
 val set_attr : t -> int -> string -> Value.t -> unit
-(** The single mutation point: records ground truth, notifies listeners. *)
+(** The single mutation point: updates the object, notifies listeners. *)
 
 val get_attr : t -> int -> string -> Value.t option
-val get_attr_exn : t -> int -> string -> Value.t
-
-val history : t -> change list
-val history_array : t -> change array
-
-val value_at :
-  t -> obj:int -> attr:string -> time:Psn_sim.Sim_time.t -> Value.t option
-(** Ground-truth value as of a time. *)

@@ -2,8 +2,7 @@
 
    Objects carry attributes, may move, and have no access to any clock —
    the defining asymmetry between O and P.  An object's attribute changes
-   are only recorded through [World.set_attr], which is what gives the
-   simulation its ground-truth timeline. *)
+   go through [World.set_attr], which notifies the sensors. *)
 
 module Vec2 = Psn_util.Vec2
 
@@ -26,19 +25,10 @@ let set_pos t p = t.pos <- p
 
 let get_attr t key = Hashtbl.find_opt t.attrs key
 
-let get_attr_exn t key =
-  match get_attr t key with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "object %d has no attribute %S" t.id key)
-
-(* Raw write; scenario code should go through World.set_attr so the change
-   lands in the ground-truth history. *)
+(* Raw write; scenario code should go through World.set_attr so the
+   sensors see the change. *)
 let set_attr_raw t key v = Hashtbl.replace t.attrs key v
-
-let attrs t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.attrs []
 
 let add_tag t tag = if not (List.mem tag t.tags) then t.tags <- tag :: t.tags
 let has_tag t tag = List.mem tag t.tags
 let tags t = t.tags
-
-let pp ppf t = Fmt.pf ppf "obj%d(%s)@%a" t.id t.name Vec2.pp t.pos

@@ -9,13 +9,10 @@ val pos : t -> Psn_util.Vec2.t
 val set_pos : t -> Psn_util.Vec2.t -> unit
 
 val get_attr : t -> string -> Value.t option
-val get_attr_exn : t -> string -> Value.t
 
 val set_attr_raw : t -> string -> Value.t -> unit
-(** Raw write that bypasses the world history; prefer [World.set_attr]. *)
+(** Raw write that bypasses the world's subscribers; prefer [World.set_attr]. *)
 
-val attrs : t -> (string * Value.t) list
 val add_tag : t -> string -> unit
 val has_tag : t -> string -> bool
 val tags : t -> string list
-val pp : Format.formatter -> t -> unit

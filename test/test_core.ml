@@ -11,7 +11,6 @@ module Value = Psn_world.Value
 module Config = Psn.Config
 module Runner = Psn.Runner
 module Report = Psn.Report
-module System = Psn.System
 
 let ms = Sim_time.of_ms
 
@@ -334,17 +333,6 @@ let test_config_pp_smoke () =
   let s = Fmt.str "%a" Config.pp Config.default in
   Alcotest.(check bool) "mentions clock" true (String.length s > 10)
 
-let test_system_bundle () =
-  let sys = System.create ~seed:5L () in
-  Alcotest.(check bool) "now zero" true (Sim_time.equal (System.now sys) Sim_time.zero);
-  let world = System.world sys in
-  ignore (Psn_world.World.add_object world ~name:"o" ());
-  Alcotest.(check int) "world attached" 1 (Psn_world.World.object_count world);
-  (* The covert registry is wired to the same world. *)
-  ignore (System.covert sys);
-  ignore (System.rng sys);
-  ignore (System.engine sys)
-
 let () =
   Alcotest.run "psn_core"
     [
@@ -367,5 +355,4 @@ let () =
             test_runner_policy_passthrough;
           Alcotest.test_case "config pp" `Quick test_config_pp_smoke;
         ] );
-      ("system", [ Alcotest.test_case "bundle" `Quick test_system_bundle ]);
     ]

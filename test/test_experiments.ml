@@ -71,6 +71,48 @@ let test_e3_monotone_in_delta () =
   Alcotest.(check bool) "faster strobes, leaner lattice" true
     (fast <= slow && slow <= none)
 
+(* Recall and precision floors for E1's quick table (seed 11) at
+   Δ = 50 ms and 500 ms, the two deltas at or below 1 s: each floor is
+   the measured value minus 0.05, except the synced-physical rows, which
+   read 1.000 at both deltas and are floored at 0.99.  These are lower
+   bounds only; whether a vector row may report false positives at all
+   (strobe-vector has fp = 10 at 500 ms) is a question for an oracle. *)
+let e1_floors =
+  (* delta, clock, precision floor, recall floor *)
+  [
+    ("50ms", "strobe-vector", 0.95, 0.936);
+    ("50ms", "strobe-scalar", 0.95, 0.936);
+    ("50ms", "synced-physical(eps=1.0ms)", 0.99, 0.99);
+    ("50ms", "hybrid-logical(off<=250.0ms)", 0.95, 0.936);
+    ("50ms", "logical-scalar", 0.929, 0.929);
+    ("500ms", "strobe-vector", 0.878, 0.839);
+    ("500ms", "strobe-scalar", 0.877, 0.832);
+    ("500ms", "synced-physical(eps=1.0ms)", 0.99, 0.99);
+    ("500ms", "hybrid-logical(off<=250.0ms)", 0.846, 0.783);
+    ("500ms", "logical-scalar", 0.831, 0.769);
+  ]
+
+let test_e1_floors () =
+  let o = Psn_experiments.E01_accuracy_vs_delta.run ~quick:true () in
+  let at_least ~row what value floor =
+    let v = float_of_string value in
+    if v < floor then
+      Alcotest.failf "E1 %s: %s %.3f below its floor %.3f" row what v floor
+  in
+  List.iter
+    (fun (delta, clock, prec_floor, recall_floor) ->
+      let row = delta ^ " " ^ clock in
+      match
+        List.find_opt
+          (function d :: c :: _ -> d = delta && c = clock | _ -> false)
+          o.Exp_common.rows
+      with
+      | Some [ _; _; _; _; _; _; _; prec; recall ] ->
+          at_least ~row "precision" prec prec_floor;
+          at_least ~row "recall" recall recall_floor
+      | Some _ | None -> Alcotest.failf "E1 has no %s row" row)
+    e1_floors
+
 let test_e12_runs () =
   let o = Psn_experiments.E12_sync_cost.run ~quick:true () in
   Alcotest.(check bool) "rows" true (List.length o.Exp_common.rows >= 6);
@@ -195,5 +237,6 @@ let () =
           Alcotest.test_case "ea latency monotone" `Quick test_ea_latency_grows;
           Alcotest.test_case "pooled table identical" `Quick
             test_pooled_table_identical;
+          Alcotest.test_case "e1 recall/precision floors" `Quick test_e1_floors;
         ] );
     ]

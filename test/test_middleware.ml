@@ -396,76 +396,6 @@ let test_termination_trivial () =
   Alcotest.(check bool) "announced" true !announced;
   Alcotest.(check int) "first round suffices" 0 (Termination.rounds term)
 
-(* --- Replicated file --- *)
-
-module Replica = Psn_middleware.Replica
-
-let perfect_clocks n = Array.init n (fun _ -> Psn_clocks.Physical_clock.perfect ())
-
-let test_replica_propagates () =
-  let engine = Engine.create () in
-  let r =
-    Replica.create engine ~n:3 ~delay:delay_small ~hw:(perfect_clocks 3)
-      ~init:"empty"
-  in
-  ignore (Engine.schedule_at engine (ms 10) (fun () -> Replica.write r ~replica:0 "v1"));
-  Engine.run engine;
-  for i = 0 to 2 do
-    Alcotest.(check string) (Printf.sprintf "replica %d" i) "v1"
-      (Replica.read r ~replica:i)
-  done;
-  Alcotest.(check bool) "converged" true (Replica.converged r);
-  Alcotest.(check int) "no conflicts" 0 (Replica.conflicts r)
-
-let test_replica_sequential_dominance () =
-  let engine = Engine.create () in
-  let r =
-    Replica.create engine ~n:3 ~delay:delay_small ~hw:(perfect_clocks 3)
-      ~init:"empty"
-  in
-  ignore (Engine.schedule_at engine (ms 10) (fun () -> Replica.write r ~replica:0 "v1"));
-  (* A later causally-dependent write from another replica wins. *)
-  ignore (Engine.schedule_at engine (ms 500) (fun () -> Replica.write r ~replica:1 "v2"));
-  Engine.run engine;
-  for i = 0 to 2 do
-    Alcotest.(check string) "v2 everywhere" "v2" (Replica.read r ~replica:i)
-  done;
-  Alcotest.(check int) "still no conflicts" 0 (Replica.conflicts r)
-
-let test_replica_conflict_detected_and_converges () =
-  let engine = Engine.create ~seed:51L () in
-  let r =
-    Replica.create engine ~n:3 ~delay:delay_small ~hw:(perfect_clocks 3)
-      ~init:"empty"
-  in
-  (* Two concurrent writes (both before any propagation lands). *)
-  ignore (Engine.schedule_at engine (ms 10) (fun () -> Replica.write r ~replica:0 "left"));
-  ignore (Engine.schedule_at engine (ms 11) (fun () -> Replica.write r ~replica:2 "right"));
-  (* Anti-entropy: a follow-up write after the dust settles re-broadcasts
-     the merged state so every replica converges. *)
-  ignore (Engine.schedule_at engine (ms 2000) (fun () -> Replica.write r ~replica:0 "final"));
-  Engine.run engine;
-  Alcotest.(check bool) "conflicts detected" true (Replica.conflicts r > 0);
-  for i = 0 to 2 do
-    Alcotest.(check string) "merged value everywhere" "final"
-      (Replica.read r ~replica:i)
-  done
-
-let test_replica_freshness_wall_times () =
-  let engine = Engine.create () in
-  let r =
-    Replica.create engine ~n:2 ~delay:delay_small ~hw:(perfect_clocks 2)
-      ~init:0
-  in
-  ignore (Engine.schedule_at engine (ms 100) (fun () -> Replica.write r ~replica:0 1));
-  ignore (Engine.schedule_at engine (ms 700) (fun () -> Replica.write r ~replica:1 2));
-  Engine.run engine;
-  (* With perfect clocks the freshness predicate reads the true update
-     times — the §3.2.1.b.ii use case. *)
-  let w = Replica.latest_update_wall r ~replica:0 in
-  Alcotest.(check bool) "latest update at 700ms" true
-    (Sim_time.equal w (ms 700))
-
 let () =
   Alcotest.run "psn_middleware"
     [
@@ -503,13 +433,5 @@ let () =
           Alcotest.test_case "detects" `Quick test_termination_detects;
           Alcotest.test_case "waits for work" `Quick test_termination_waits_for_work;
           Alcotest.test_case "trivial" `Quick test_termination_trivial;
-        ] );
-      ( "replica",
-        [
-          Alcotest.test_case "propagates" `Quick test_replica_propagates;
-          Alcotest.test_case "dominance" `Quick test_replica_sequential_dominance;
-          Alcotest.test_case "conflict + convergence" `Quick
-            test_replica_conflict_detected_and_converges;
-          Alcotest.test_case "freshness" `Quick test_replica_freshness_wall_times;
         ] );
     ]

@@ -389,16 +389,17 @@ let test_loss_pp_smoke () =
       Alcotest.(check bool) "prints" true (String.length (Fmt.str "%a" Loss_model.pp m) > 0))
     models
 
-(* Differential test: [Event_queue] against the generic [Psn_util.Heap]
-   over the same random push/pop sequence.  Times are drawn from a tiny
-   range so most keys collide and the FIFO seq tie-break carries the
-   ordering; payloads carry a cancelled flag that both sides skip on pop,
-   mirroring the engine's lazy cancellation. *)
+(* Differential test: [Event_queue] against the generic [Heap], kept in
+   test/ as its reference, over the same random push/pop sequence.
+   Times are drawn from a tiny range so most keys collide and the FIFO
+   seq tie-break carries the ordering; payloads carry a cancelled flag
+   that both sides skip on pop, mirroring the engine's lazy
+   cancellation. *)
 let test_queue_differential =
   qtest ~count:100 "event_queue: differential vs reference heap" QCheck.int
     (fun seed ->
       let module Q = Psn_sim.Event_queue in
-      let module H = Psn_util.Heap in
+      let module H = Heap in
       let rng = Rng.create ~seed:(Int64.of_int seed) () in
       let cancelled = Hashtbl.create 16 in
       let q = Q.create ~dummy:(-1) () in

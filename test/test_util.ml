@@ -3,7 +3,6 @@
 
 module Rng = Psn_util.Rng
 module Vec = Psn_util.Vec
-module Heap = Psn_util.Heap
 module Stats = Psn_util.Stats
 module Table = Psn_util.Table
 module Graph = Psn_util.Graph

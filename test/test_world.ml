@@ -1,5 +1,5 @@
 (* Tests for psn_world: values, objects, the world registry and its
-   ground-truth history, rooms, mobility, event generators and covert
+   change notifications, rooms, mobility, event generators and covert
    channels. *)
 
 module Engine = Psn_sim.Engine
@@ -18,6 +18,13 @@ let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
 let value = Alcotest.testable Value.pp Value.equal
+
+(* Subscribes to [world] and returns a reader of every change it
+   notifies from now on, oldest first.  Call it before the first write. *)
+let record world =
+  let changes = ref [] in
+  World.subscribe world (fun c -> changes := c :: !changes);
+  fun () -> List.rev !changes
 
 (* --- Value --- *)
 
@@ -77,6 +84,7 @@ let test_world_many_objects () =
 let test_world_attrs_history () =
   let engine = Engine.create () in
   let world = World.create engine in
+  let changes = record world in
   let o = World.add_object world ~name:"a" () in
   let id = World_object.id o in
   ignore (Engine.schedule_at engine (Sim_time.of_ms 10) (fun () ->
@@ -86,15 +94,11 @@ let test_world_attrs_history () =
   Engine.run engine;
   Alcotest.(check (option value)) "current" (Some (Value.Int 2))
     (World.get_attr world id "x");
-  let h = World.history world in
-  Alcotest.(check int) "history length" 2 (List.length h);
+  let h = changes () in
+  Alcotest.(check int) "changes" 2 (List.length h);
   let first = List.hd h in
   Alcotest.(check (option value)) "old value none" None first.World.old_value;
-  Alcotest.check value "new value" (Value.Int 1) first.World.new_value;
-  Alcotest.(check (option value)) "value_at 15ms" (Some (Value.Int 1))
-    (World.value_at world ~obj:id ~attr:"x" ~time:(Sim_time.of_ms 15));
-  Alcotest.(check (option value)) "value_at 5ms" None
-    (World.value_at world ~obj:id ~attr:"x" ~time:(Sim_time.of_ms 5))
+  Alcotest.check value "new value" (Value.Int 1) first.World.new_value
 
 let test_world_subscribe () =
   let engine = Engine.create () in
@@ -105,14 +109,6 @@ let test_world_subscribe () =
   World.set_attr world (World_object.id o) "t" (Value.Int 1);
   World.set_attr world (World_object.id o) "u" (Value.Int 2);
   Alcotest.(check (list string)) "notified in order" [ "t"; "u" ] (List.rev !seen)
-
-let test_world_history_off () =
-  let engine = Engine.create () in
-  let world = World.create engine in
-  let o = World.add_object world ~name:"a" () in
-  World.set_record_history world false;
-  World.set_attr world (World_object.id o) "x" (Value.Int 1);
-  Alcotest.(check int) "no history" 0 (List.length (World.history world))
 
 let test_object_tags () =
   let o = World_object.create ~id:0 ~name:"pen" () in
@@ -160,6 +156,7 @@ let test_rooms_no_crossing () =
 let test_room_walk_generates_crossings () =
   let engine = Engine.create ~seed:3L () in
   let world = World.create engine in
+  let changes = record world in
   let rooms = Rooms.hall ~doors:2 in
   let o = World.add_object world ~name:"v" () in
   let rng = Rng.create ~seed:3L () in
@@ -170,7 +167,7 @@ let test_room_walk_generates_crossings () =
     ~start_room:Rooms.outside ~cfg ~until:(Sim_time.of_sec 600);
   Engine.run ~until:(Sim_time.of_sec 600) engine;
   let room_changes =
-    List.filter (fun c -> c.World.attr = "room") (World.history world)
+    List.filter (fun c -> c.World.attr = "room") (changes ())
   in
   Alcotest.(check bool) "many crossings" true (List.length room_changes > 10);
   (* Every crossing alternates outside <-> hall and is preceded by a door
@@ -181,7 +178,7 @@ let test_room_walk_generates_crossings () =
       Alcotest.(check bool) "valid room" true (room = Rooms.outside || room = 0))
     room_changes;
   let door_changes =
-    List.filter (fun c -> c.World.attr = "door") (World.history world)
+    List.filter (fun c -> c.World.attr = "door") (changes ())
   in
   (* One door write per crossing after the initial placement. *)
   Alcotest.(check int) "door writes" (List.length room_changes - 1)
@@ -193,6 +190,7 @@ let test_corridor_walk_conserves_occupancy () =
      always sum to the walker population. *)
   let engine = Engine.create ~seed:14L () in
   let world = World.create engine in
+  let changes = record world in
   let rooms = Rooms.corridor ~rooms:3 in
   let walkers = 6 in
   let rng = Rng.create ~seed:14L () in
@@ -224,14 +222,14 @@ let test_corridor_walk_conserves_occupancy () =
         if total <> walkers then ok := false;
         Hashtbl.iter (fun _ c -> if c < 0 then ok := false) occupancy
       end)
-    (World.history world);
+    (changes ());
   Alcotest.(check bool) "conserved, never negative" true !ok;
   (* Deep rooms are reachable: someone made it to ward 2. *)
   let reached_deep =
     List.exists
       (fun (c : World.change) ->
         c.World.attr = "room" && Value.to_int c.World.new_value = 2)
-      (World.history world)
+      (changes ())
   in
   Alcotest.(check bool) "corridor traversed" true reached_deep
 
@@ -264,6 +262,7 @@ let test_waypoint_stays_in_bounds () =
 let test_poisson_updates () =
   let engine = Engine.create ~seed:5L () in
   let world = World.create engine in
+  let changes = record world in
   let o = World.add_object world ~name:"src" () in
   let rng = Rng.create ~seed:5L () in
   Event_gen.poisson_updates engine world rng ~obj:(World_object.id o) ~attr:"x"
@@ -271,21 +270,22 @@ let test_poisson_updates () =
     ~value:(fun rng -> Value.Int (Rng.int rng 10))
     ~until:(Sim_time.of_sec 1000);
   Engine.run ~until:(Sim_time.of_sec 1000) engine;
-  let n = List.length (World.history world) in
+  let n = List.length (changes ()) in
   (* ~1000 expected; allow generous slack. *)
   Alcotest.(check bool) "poisson count" true (n > 850 && n < 1150)
 
 let test_random_walk_bounds_and_threshold () =
   let engine = Engine.create ~seed:6L () in
   let world = World.create engine in
+  let changes = record world in
   let o = World.add_object world ~name:"room" () in
   let rng = Rng.create ~seed:6L () in
   Event_gen.random_walk_float engine world rng ~obj:(World_object.id o)
     ~attr:"temp" ~init:20.0 ~sigma:1.0 ~lo:15.0 ~hi:25.0 ~threshold:0.5
     ~period:(Sim_time.of_sec 1) ~until:(Sim_time.of_sec 600);
   Engine.run ~until:(Sim_time.of_sec 600) engine;
-  let changes = World.history world in
-  Alcotest.(check bool) "some changes" true (List.length changes > 5);
+  let seen = changes () in
+  Alcotest.(check bool) "some changes" true (List.length seen > 5);
   let rec check_jumps prev = function
     | [] -> ()
     | (c : World.change) :: rest ->
@@ -299,11 +299,12 @@ let test_random_walk_bounds_and_threshold () =
         check_jumps (Some v) rest
   in
   (* Skip the initial write when checking the threshold. *)
-  check_jumps None (List.tl changes)
+  check_jumps None (List.tl seen)
 
 let test_toggle_bool_alternates () =
   let engine = Engine.create ~seed:7L () in
   let world = World.create engine in
+  let changes = record world in
   let o = World.add_object world ~name:"room" () in
   let rng = Rng.create ~seed:7L () in
   Event_gen.toggle_bool engine world rng ~obj:(World_object.id o) ~attr:"m"
@@ -312,7 +313,7 @@ let test_toggle_bool_alternates () =
   Engine.run ~until:(Sim_time.of_sec 500) engine;
   let values =
     List.map (fun (c : World.change) -> Value.to_bool c.World.new_value)
-      (World.history world)
+      (changes ())
   in
   Alcotest.(check bool) "several toggles" true (List.length values > 10);
   let rec alternates = function
@@ -418,7 +419,6 @@ let () =
           Alcotest.test_case "many objects" `Quick test_world_many_objects;
           Alcotest.test_case "attrs/history" `Quick test_world_attrs_history;
           Alcotest.test_case "subscribe" `Quick test_world_subscribe;
-          Alcotest.test_case "history off" `Quick test_world_history_off;
           Alcotest.test_case "tags" `Quick test_object_tags;
         ] );
       ( "rooms",
