@@ -553,8 +553,8 @@ let analyze_online =
 
 (* --- PR9 shard-observability subject -------------------------------------- *)
 
-(* The K=4 sharded hall run plus a full [Analyze.sharded] pass over its
-   window counters.  Against infra/hall.run.sharded(4) — the identical
+(* The K=4 sharded hall run plus [Analyze.sharded] over its round
+   totals.  Against infra/hall.run.sharded(4) — the identical
    run, whose engine records the same always-on flat-int counters — the
    ratio isolates the post-hoc analysis cost and bounds the whole
    observability tax at a few percent. *)

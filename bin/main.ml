@@ -617,7 +617,7 @@ let shardstats_cmd =
     "Shard-aware runtime observability: per-round per-shard event counts, \
      busy/wait/drain host-time attribution, load-imbalance coefficients, \
      and an Amdahl projected-speedup curve — live over a sharded scenario \
-     run ($(b,--run)), or post-hoc over a psn-shardstats/1 JSON FILE \
+     run ($(b,--run)), or post-hoc over a psn-shardstats/2 JSON FILE \
      written by $(b,--json)."
   in
   let file =
@@ -625,7 +625,7 @@ let shardstats_cmd =
       value
       & pos 0 (some string) None
       & info [] ~docv:"FILE"
-          ~doc:"psn-shardstats/1 JSON dump to re-analyze post-hoc.")
+          ~doc:"psn-shardstats/2 JSON dump to re-analyze post-hoc.")
   in
   let run_live =
     let sc, names = sharded_scenario_arg in
@@ -649,8 +649,9 @@ let shardstats_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Print the psn-shardstats/1 JSON document (raw per-round data \
-             plus the analysis) to stdout instead of the text report.")
+            "Print the psn-shardstats/2 JSON document to stdout instead \
+             of the text report: the running totals over every round, the \
+             rows of the first 1024 rounds, and the analysis.")
   in
   let chrome_out =
     Arg.(
@@ -658,9 +659,9 @@ let shardstats_cmd =
       & opt (some string) None
       & info [ "chrome" ] ~docv:"FILE"
           ~doc:
-            "Write a host-time Gantt of the run to $(docv) (Chrome \
-             trace_event JSON): shard = pid row, round = slice, \
-             drain/fold = explicit slices, cross-shard mail = \
+            "Write a host-time Gantt of the run's first 1024 rounds to \
+             $(docv) (Chrome trace_event JSON): shard = pid row, round = \
+             slice, drain/fold = explicit slices, cross-shard mail = \
              flow arrows.")
   in
   let trace_out =

@@ -936,11 +936,13 @@ let to_json ?(top = 16) t =
 
 (* --- sharded-run analysis ---------------------------------------------- *)
 
-(* Everything below reads a [Shard_stats.t] — host-time counters the
-   sharded engine recorded, one row per round — and derives three
-   answers: where wall time goes (turns / drain / fold / other), how
-   unevenly the shards are loaded, and what speedup C cores would buy
-   (an Amdahl projection from the measured per-round busy profile).
+(* Everything below reads the running totals of a [Shard_stats.t] —
+   host-time counters the sharded engine folded in as each round
+   closed, so the analysis costs the same however long the run — and
+   derives three answers: where wall time goes (turns / drain / fold /
+   other), how unevenly the shards are loaded, and what speedup C cores
+   would buy (an Amdahl projection from the measured per-round busy
+   profile, whose per-core-count sums [Shard_stats] keeps).
    Turns run inline, one shard after another, so the measured run is
    the one-core case and the curve is what a parallel loop would have
    to beat; since a round's turns read each other's state, that loop
@@ -992,87 +994,31 @@ type sharded_report = {
 
 let sharded st =
   let k = Shard_stats.shards st in
-  let n = Shard_stats.windows st in
-  let limits = [| 0; 0; 0 |] in
-  let drain = ref (Shard_stats.epilogue_drain_ns st) in
-  let fold = ref (Shard_stats.epilogue_fold_ns st) in
-  let par = ref 0 in
-  let busy_tot = ref 0 in
-  let crit = ref 0 in
-  let dispatch = ref 0 in
-  let sum_max_e = ref 0 in
-  let sum_e = ref 0 in
-  let sum_max_b = ref 0 in
-  let events = Array.make k 0 in
-  let busy = Array.make k 0 in
-  let wait = Array.make k 0 in
-  let sent = Array.make k 0 in
-  let recv = Array.make k 0 in
-  for w = 0 to n - 1 do
-    let li =
-      match Shard_stats.limit st w with
-      | Shard_stats.Lookahead -> 0
-      | Shard_stats.Queue -> 1
-      | Shard_stats.Horizon -> 2
-    in
-    limits.(li) <- limits.(li) + 1;
-    drain := !drain + Shard_stats.drain_ns st w;
-    fold := !fold + Shard_stats.fold_ns st w;
-    let p = Shard_stats.par_ns st w in
-    par := !par + p;
-    let bw = ref 0 and max_b = ref 0 and max_e = ref 0 in
-    for s = 0 to k - 1 do
-      let e = Shard_stats.events st w ~shard:s in
-      let b = Shard_stats.busy_ns st w ~shard:s in
-      events.(s) <- events.(s) + e;
-      busy.(s) <- busy.(s) + b;
-      wait.(s) <- wait.(s) + max 0 (p - b);
-      bw := !bw + b;
-      if b > !max_b then max_b := b;
-      if e > !max_e then max_e := e;
-      sum_e := !sum_e + e
-    done;
-    busy_tot := !busy_tot + !bw;
-    crit := !crit + !max_b;
-    dispatch := !dispatch + max 0 (p - !bw);
-    sum_max_e := !sum_max_e + !max_e;
-    sum_max_b := !sum_max_b + !max_b;
-    if k > 1 then
-      for src = 0 to k - 1 do
-        for dst = 0 to k - 1 do
-          let m = Shard_stats.traffic st w ~src ~dst in
-          sent.(src) <- sent.(src) + m;
-          recv.(dst) <- recv.(dst) + m
-        done
-      done
+  let drain = Shard_stats.epilogue_drain_ns st + Shard_stats.sum_drain_ns st in
+  let fold = Shard_stats.epilogue_fold_ns st + Shard_stats.sum_fold_ns st in
+  let par = Shard_stats.sum_par_ns st in
+  let busy = Array.init k (fun s -> Shard_stats.sum_busy_ns st ~shard:s) in
+  let busy_tot = Array.fold_left ( + ) 0 busy in
+  let sent = Array.make k 0 and recv = Array.make k 0 in
+  for src = 0 to k - 1 do
+    for dst = 0 to k - 1 do
+      let m = Shard_stats.sum_traffic st ~src ~dst in
+      sent.(src) <- sent.(src) + m;
+      recv.(dst) <- recv.(dst) + m
+    done
   done;
-  let serial = !drain + !fold in
-  let t1 = serial + !dispatch + !busy_tot in
+  let sum_e = Shard_stats.total_events st in
+  let crit = Shard_stats.sum_max_busy_ns st in
+  let dispatch = Shard_stats.sum_dispatch_ns st in
+  let serial = drain + fold in
+  let t1 = serial + dispatch + busy_tot in
   let wall =
     let m = Shard_stats.run_wall_ns st in
     if m > 0 then m else t1
   in
-  let other = max 0 (wall - !par - serial) in
-  let t_of cores =
-    let acc = ref (serial + other + !dispatch) in
-    for w = 0 to n - 1 do
-      let bw = ref 0 and max_b = ref 0 in
-      for s = 0 to k - 1 do
-        let b = Shard_stats.busy_ns st w ~shard:s in
-        bw := !bw + b;
-        if b > !max_b then max_b := b
-      done;
-      acc := !acc + max !max_b ((!bw + cores - 1) / cores)
-    done;
-    !acc
-  in
-  let t1' = serial + other + !dispatch + !busy_tot in
+  let other = max 0 (wall - par - serial) in
+  let t1' = serial + other + dispatch + busy_tot in
   let speedup tc = if tc <= 0 then 1.0 else float_of_int t1' /. float_of_int tc in
-  let cores =
-    let base = [ 1; 2; 4; 8; 16; 32 ] in
-    if List.mem k base then base
-    else List.sort_uniq compare (k :: base)
-  in
   let frac num = if wall <= 0 then 0.0 else float_of_int num /. float_of_int wall in
   let imb sum_max sum =
     if sum <= 0 then 1.0
@@ -1081,40 +1027,40 @@ let sharded st =
   {
     sr_shards = k;
     sr_lookahead_ns = Shard_stats.lookahead_ns st;
-    sr_windows = n;
-    sr_events = !sum_e;
-    sr_limit_lookahead = limits.(0);
-    sr_limit_queue = limits.(1);
-    sr_limit_horizon = limits.(2);
+    sr_windows = Shard_stats.windows st;
+    sr_events = sum_e;
+    sr_limit_lookahead = Shard_stats.limited st Shard_stats.Lookahead;
+    sr_limit_queue = Shard_stats.limited st Shard_stats.Queue;
+    sr_limit_horizon = Shard_stats.limited st Shard_stats.Horizon;
     sr_wall_ns = wall;
-    sr_par_ns = !par;
-    sr_drain_ns = !drain;
-    sr_fold_ns = !fold;
+    sr_par_ns = par;
+    sr_drain_ns = drain;
+    sr_fold_ns = fold;
     sr_other_ns = other;
-    sr_busy_ns = !busy_tot;
-    sr_critical_ns = !crit;
-    sr_dispatch_ns = !dispatch;
-    sr_parallel_frac = frac !par;
-    sr_serial_frac = (if wall <= 0 then 0.0 else frac (max 0 (wall - !par)));
-    sr_imbalance_events = imb !sum_max_e !sum_e;
-    sr_imbalance_busy = imb !sum_max_b !busy_tot;
+    sr_busy_ns = busy_tot;
+    sr_critical_ns = crit;
+    sr_dispatch_ns = dispatch;
+    sr_parallel_frac = frac par;
+    sr_serial_frac = (if wall <= 0 then 0.0 else frac (max 0 (wall - par)));
+    sr_imbalance_events = imb (Shard_stats.sum_max_events st) sum_e;
+    sr_imbalance_busy = imb crit busy_tot;
     sr_cross_msgs = Shard_stats.drained_total st;
     sr_pending = Shard_stats.pending st;
     sr_peak_mail_ints = Shard_stats.peak_mail_ints st;
     sr_per_shard =
       Array.init k (fun s ->
           {
-            sh_events = events.(s);
+            sh_events = Shard_stats.sum_events st ~shard:s;
             sh_busy_ns = busy.(s);
-            sh_wait_ns = wait.(s);
+            sh_wait_ns = Shard_stats.sum_wait_ns st ~shard:s;
             sh_sent = sent.(s);
             sh_recv = recv.(s);
           });
     sr_amdahl =
-      Array.of_list (List.map (fun c -> (c, speedup (t_of c))) cores);
-    sr_amdahl_limit =
-      (let t_inf = serial + other + !dispatch + !crit in
-       speedup t_inf);
+      Array.map
+        (fun (c, turns) -> (c, speedup (serial + other + dispatch + turns)))
+        (Shard_stats.amdahl_turns_ns st);
+    sr_amdahl_limit = speedup (serial + other + dispatch + crit);
   }
 
 let render_sharded st =
@@ -1218,7 +1164,4 @@ let sharded_to_json st =
             ] );
       ]
   in
-  to_string
-    (Obj
-       ((("schema", Str "psn-shardstats/1") :: Shard_stats.raw_members st)
-       @ [ ("analysis", analysis) ]))
+  to_string (Obj (Shard_stats.raw_members st @ [ ("analysis", analysis) ]))

@@ -113,9 +113,10 @@ val to_json : ?top:int -> t -> string
 
 (** {2 Sharded-run analysis}
 
-    Post-hoc analysis of the {!Shard_stats} counters a sharded run
-    recorded, one row per round: wall-time attribution (the turns vs.
-    drain/fold vs. unattributed), per-shard load and wait,
+    Post-hoc analysis of the {!Shard_stats} running totals a sharded
+    run folded in round by round (it reads no per-round row, so it
+    costs the same at any run length): wall-time attribution (the
+    turns vs. drain/fold vs. unattributed), per-shard load and wait,
     load-imbalance coefficients, and an Amdahl-style projected-speedup
     curve derived from the measured per-round busy profile — serial
     work does not scale, and each round takes at least its critical
@@ -187,6 +188,6 @@ val render_sharded : Shard_stats.t -> string
     attribution, per-shard table, imbalance, Amdahl curve. *)
 
 val sharded_to_json : Shard_stats.t -> string
-(** ["psn-shardstats/1"] document: the raw {!Shard_stats.raw_members}
-    (so {!Shard_stats.of_json} can re-analyze it) plus the derived
-    ["analysis"] object. *)
+(** ["psn-shardstats/2"] document: the raw {!Shard_stats.raw_members}
+    (totals plus the kept rows, so {!Shard_stats.of_json} can
+    re-analyze it) plus the derived ["analysis"] object. *)

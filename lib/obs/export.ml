@@ -334,22 +334,22 @@ let write_chrome ?timeline oc sinks =
 
 (* --- shard-window Gantt from Shard_stats -------------------------------- *)
 
-(* Host-time Gantt of a sharded run, one block per [Shard_stats] row
-   (a round): the round's drains and fold on pid 0 (slices named
-   barrier.drain and barrier.fold, after the barrier they replaced),
-   each shard's busy time on pid s + 1, and a flow arrow per (src, dst)
-   pair that exchanged mail in the round.  The time axis is a synthetic
-   host-ns cursor — slices are laid end to end (drain, fold, then the
-   turns), with every shard's slice starting where the turns start: the
-   engine runs the turns one after another, so this draws the layout a
-   parallel loop would have, which is the serial/parallel structure the
-   Amdahl analysis projects.
+(* Host-time Gantt of a sharded run, one block per kept [Shard_stats]
+   row (a round; the first 1024 are kept): the round's drains and fold
+   on pid 0 (slices named barrier.drain and barrier.fold, after the
+   barrier they replaced), each shard's busy time on pid s + 1, and a
+   flow arrow per (src, dst) pair that exchanged mail in the round.  The
+   time axis is a synthetic host-ns cursor — slices are laid end to end
+   (drain, fold, then the turns), with every shard's slice starting
+   where the turns start: the engine runs the turns one after another,
+   so this draws the layout a parallel loop would have, which is the
+   serial/parallel structure the Amdahl analysis projects.
    Deterministic given the stats values, so hand-built stats golden
    cleanly. *)
 let shard_chrome_string st =
   let buf = Buffer.create 4096 in
   let k = Shard_stats.shards st in
-  let n = Shard_stats.windows st in
+  let n = Shard_stats.kept_rows st in
   Buffer.add_string buf "{\"traceEvents\":[";
   let first = ref true in
   let sep () =
@@ -431,11 +431,13 @@ let shard_chrome_string st =
   let ep_drain = Shard_stats.epilogue_drain_ns st in
   let ep_fold = Shard_stats.epilogue_fold_ns st in
   if ep_drain > 0 || ep_fold > 0 then begin
+    (* The epilogue follows the last round, kept or not. *)
+    let w = Shard_stats.windows st in
     slice ~name:"barrier.drain" ~ts:!cursor ~dur:ep_drain ~cpid:0
       ~args:
-        (n, [ ("msgs", string_of_int (Shard_stats.epilogue_mail_msgs st)) ]);
+        (w, [ ("msgs", string_of_int (Shard_stats.epilogue_mail_msgs st)) ]);
     cursor := !cursor + ep_drain;
-    slice ~name:"barrier.fold" ~ts:!cursor ~dur:ep_fold ~cpid:0 ~args:(n, [])
+    slice ~name:"barrier.fold" ~ts:!cursor ~dur:ep_fold ~cpid:0 ~args:(w, [])
   end;
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf

@@ -44,7 +44,9 @@ val write_chrome : ?timeline:Metrics.timeline -> out_channel -> Trace.sink list 
 
 val shard_chrome_string : Shard_stats.t -> string
 (** Host-time Gantt of a sharded run from its {!Shard_stats}, one block
-    per round.  Pid 0 carries the round's mailbox drains and its fold of
+    per kept round (the first 1024; {!Shard_stats.kept_rows}), then the
+    epilogue's drain and fold under the index of the round after the
+    last.  Pid 0 carries the round's mailbox drains and its fold of
     the global minimum, as slices named ["barrier.drain"] and
     ["barrier.fold"] after the barrier the rounds replaced; each shard's
     pid carries its turn, one ["window"] slice with the turn's events and

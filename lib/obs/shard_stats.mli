@@ -1,24 +1,29 @@
 (** Per-round counters of a sharded run: the flat-int observability
     arena behind [psn-sim shardstats].
 
-    One row per round of {!Psn_sim.Exec}'s loop, in which every shard
-    takes one turn: it drains its own mailboxes, then runs below its
-    own safe horizon.  The recording entry points, the field names and
-    the ["psn-shardstats/1"] schema keep the names of the barrier
-    windows the rounds replaced.  Rows are written once into
-    fixed chunks of 1024 rows (flat [int array]s) and never copied; only
-    the small chunk directory grows, so recording allocates nothing but
-    a new chunk every 1024 rounds.  A row is [8 + 2K + K²] ints, 128 B
-    at K = 2: about 1.9 MB for the 14 583 rounds of a 25 000 s K = 2
-    stream.  Every row is kept until the run ends, so the stats grow
-    with run length: the 578 656 rounds of a 10^6 s K = 2 stream hold
-    about 74 MB, some eight times the streaming detector's own
-    1 208 436 words (9.7 MB).  A row holds the round's sim-time bounds
-    (its start, the global minimum at its top, and its end, the
-    furthest horizon any shard ran to), its limiting factor, the
-    drains' and the fold's host time, the turns' host time, mailbox
-    traffic (per-(src, dst) message matrix plus ring occupancy), and
-    per-shard events executed and busy host nanoseconds.
+    One round of {!Psn_sim.Exec}'s loop gives every shard one turn: it
+    drains its own mailboxes, then runs below its own safe horizon.  The
+    recording entry points, the field names and the
+    ["psn-shardstats/2"] schema keep the names of the barrier windows
+    the rounds replaced.  Each round is recorded as a row of
+    [8 + 2K + K²] ints: its sim-time bounds (its start, the global
+    minimum at its top, and its end, the furthest horizon any shard ran
+    to), its limiting factor, the drains' and the fold's host time, the
+    turns' host time, mailbox traffic (per-(src, dst) message matrix
+    plus ring occupancy), and per-shard events executed and busy host
+    nanoseconds.
+
+    {b Bounded in run length.}  Closing a round folds its row into
+    running totals: the sums {!Analyze.sharded} reads (limit counts,
+    drain/fold/turn time, per-shard events, busy and wait time, the
+    traffic matrix, the per-round maxima and the Amdahl projection's
+    per-core-count sums).  Only the first {!kept_rows} rounds' rows
+    are kept, in one fixed chunk of 1024 rows written in place; later
+    rounds open their row in a one-row scratch buffer.  So the stats
+    hold at most 1025 rows and O(K²) totals however long the run, and
+    recording allocates nothing after the first round, which allocates
+    the chunk.  The per-row accessors read the kept rows; the Chrome
+    Gantt and the JSON ["windows"] array show them.
 
     {b Inline turns.}  The engine runs a round's turns one after
     another on the calling domain and reads the host clock back to
@@ -92,19 +97,19 @@ val shard_report : t -> shard:int -> events_total:int -> busy_ns:int -> unit
     delta), [busy_ns] the turn's host time after its drain. *)
 
 val window_close : t -> clipped:bool -> par_ns:int -> unit
-(** Commit the row: [par_ns] is the host time of the turns less their
-    drains (so [par_ns - busy] is the time the other shards ran).
-    [clipped] marks a {!Horizon}-limited round; otherwise the row is
-    provisionally {!Queue} until the next round's {!classify_prev}
-    sees the next global minimum — only then is it known whether more
-    work lay just past the round's end. *)
+(** Commit the row and fold it into the totals: [par_ns] is the host
+    time of the turns less their drains (so [par_ns - busy] is the time
+    the other shards ran).  [clipped] marks a {!Horizon}-limited round;
+    otherwise the round is provisionally {!Queue} until the next
+    round's {!classify_prev} sees the next global minimum — only then
+    is it known whether more work lay just past the round's end. *)
 
 val classify_prev : t -> next_ns:int -> unit
-(** Settle the last committed row's {!limit} from the next round's
+(** Settle the last committed round's {!limit} from the next round's
     global minimum [next_ns]: {!Lookahead} when
     [next_ns - end_ns < lookahead_ns] (the conservative bound, not
     the queue, cut the round), {!Queue} otherwise.  No-op when the
-    last row is already classified. *)
+    last round is already classified. *)
 
 val round_abort : t -> unit
 (** The round ran no turn (nothing is left before [until]): fold the
@@ -116,28 +121,50 @@ val note_posted : t -> src:int -> unit
 val run_done : t -> wall_ns:int -> unit
 (** Host wall time of one [run] call; accumulates across calls. *)
 
-(** {1 Reading} *)
+(** {1 Reading: totals}
+
+    Every [sum_*] reader is a sum over all committed rounds, kept or
+    not; the epilogue (rounds that ran no turn) is separate. *)
 
 val shards : t -> int
 val lookahead_ns : t -> int
 
 val windows : t -> int
-(** Committed rows. *)
+(** Committed rounds. *)
 
-val start_ns : t -> int -> int
-val end_ns : t -> int -> int
-val limit : t -> int -> limit
-val drain_ns : t -> int -> int
-val fold_ns : t -> int -> int
-val par_ns : t -> int -> int
-val mail_msgs : t -> int -> int
-val mail_ints : t -> int -> int
-val events : t -> int -> shard:int -> int
-val busy_ns : t -> int -> shard:int -> int
-val traffic : t -> int -> src:int -> dst:int -> int
+val limited : t -> limit -> int
+(** Committed rounds settled (or, for the last one, provisionally
+    classified) as the given {!limit}. *)
+
+val sum_drain_ns : t -> int
+val sum_fold_ns : t -> int
+val sum_par_ns : t -> int
+
+val sum_events : t -> shard:int -> int
+val sum_busy_ns : t -> shard:int -> int
+
+val sum_wait_ns : t -> shard:int -> int
+(** Σ over rounds of [max 0 (par_ns - busy_ns)]. *)
+
+val sum_traffic : t -> src:int -> dst:int -> int
+
+val sum_max_busy_ns : t -> int
+(** Σ over rounds of the largest shard's [busy_ns]: the critical path. *)
+
+val sum_max_events : t -> int
+(** Σ over rounds of the largest shard's event count. *)
+
+val sum_dispatch_ns : t -> int
+(** Σ over rounds of [max 0 (par_ns - Σ busy_ns)]. *)
+
+val amdahl_turns_ns : t -> (int * int) array
+(** For each core count [c] of the Amdahl projection — 1, 2, 4, 8, 16
+    and 32, plus [K] when it is not among them, ascending — the pair
+    [(c, Σ over rounds of max (max_s busy_ns) ⌈Σ_s busy_ns / c⌉)]: the
+    rounds' turns laid out on [c] cores.  A fresh array. *)
 
 val total_events : t -> int
-(** Σ over committed rows and shards — equals the engine's
+(** Σ over committed rounds and shards — equals the engine's
     [events_processed] when every event ran inside a round (the
     conservation invariant the qcheck suite checks). *)
 
@@ -161,17 +188,44 @@ val epilogue_mail_msgs : t -> int
 (** Work from rounds that ran no turn (the final round, which finds
     nothing left before the horizon and drains what the rings still
     hold).
-    [Σ mail_msgs + epilogue_mail_msgs = drained_total]. *)
+    [Σ_src,dst sum_traffic + epilogue_mail_msgs = drained_total]. *)
+
+(** {1 Reading: kept rows}
+
+    Each reader takes a round index [w] and raises [Invalid_argument]
+    unless [0 <= w < kept_rows]. *)
+
+val kept_rows : t -> int
+(** Rounds whose rows are kept: the first [min windows 1024]. *)
+
+val start_ns : t -> int -> int
+val end_ns : t -> int -> int
+val limit : t -> int -> limit
+val drain_ns : t -> int -> int
+val fold_ns : t -> int -> int
+val par_ns : t -> int -> int
+val mail_msgs : t -> int -> int
+val mail_ints : t -> int -> int
+val events : t -> int -> shard:int -> int
+val busy_ns : t -> int -> shard:int -> int
+val traffic : t -> int -> src:int -> dst:int -> int
 
 (** {1 Serialization}
 
-    The JSON document (schema ["psn-shardstats/1"]) is emitted by
-    {!Analyze.sharded_to_json}, which wraps {!raw_members} with the
-    derived analysis; {!of_json} reads the raw members back and
-    ignores the analysis, so a dumped file can be re-analyzed. *)
+    The JSON document (schema ["psn-shardstats/2"]) is emitted by
+    {!Analyze.sharded_to_json}, which appends the derived analysis to
+    {!raw_members}; {!of_json} reads the raw members back and ignores
+    the analysis, so a dumped file of any length re-analyzes to the
+    same bytes. *)
 
 val raw_members : t -> (string * Json.t) list
-(** [shards], [lookahead_ns], [totals], and the per-round [windows]
-    array.  All-zero traffic matrices are omitted from rows. *)
+(** [schema], [shards], [lookahead_ns], the [totals] object (the
+    all-run counters and every [sum_*] total), and the [windows] array
+    of kept rows.  All-zero traffic matrices are omitted from rows. *)
 
 val of_json : Json.t -> (t, string) result
+(** Restores totals and kept rows.  Rejects another schema (naming it,
+    so a ["psn-shardstats/1"] dump says so), missing or non-int fields,
+    per-shard, traffic or Amdahl lists of the wrong length, and a
+    [windows] array that does not hold [min totals.windows 1024]
+    rows. *)

@@ -107,19 +107,20 @@ val merged_metrics : t -> Psn_obs.Metrics.snapshot
     counters and histograms, so every K agrees. *)
 
 val stats : t -> Psn_obs.Shard_stats.t option
-(** The run's per-round observability counters, one row per round:
-    per-shard events and busy host time (each turn after its drain),
-    drain and fold time, the turns' time ([par_ns]), mailbox traffic,
-    and limit classification.  A shard's wait ([par_ns - busy]) is the
-    time the other shards ran.  Host-time readings live only here (the
+(** The run's per-round observability counters: per-shard events and
+    busy host time (each turn after its drain), drain and fold time,
+    the turns' time ([par_ns]), mailbox traffic, and limit
+    classification.  A shard's wait ([par_ns - busy]) is the time the
+    other shards ran.  Host-time readings live only here (the
     {!Psn_obs.Profile} quarantine rule): same-seed sim artifacts are
     byte-identical whether or not stats are consumed.  [None] for
     {!single}, which has no rounds to attribute.
 
-    Every row is kept for the whole run, [8 + 2K + K²] ints per round,
-    so at K ≥ 2 the stats grow with run length: a 10^6 s streamed
-    detection at K = 2 runs 578 656 rounds, about 74 MB of rows, while
-    the streaming detector itself holds about 1.2 M words. *)
+    Each round is folded into running totals as it closes, and only
+    the first 1024 rounds keep their [8 + 2K + K²]-int row, so the
+    stats stay the same size however long the run (128 KB of rows at
+    K = 2): a 10^6 s streamed detection at K = 2 runs 578 656 rounds
+    and keeps 1024 of them. *)
 
 val shard_snapshots : t -> Psn_obs.Metrics.snapshot array
 (** Per-shard registry snapshots — the un-merged view behind

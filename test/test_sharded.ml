@@ -1126,6 +1126,36 @@ let test_loss_truncation () =
   in
   Alcotest.(check int) "unbounded delays: nothing dropped" 0 dropped
 
+(* {2 Stats flat in run length}
+
+   [Exec.stats] folds every round into running totals and keeps the
+   rows of the first 1024 rounds only, so a sharded stream's stats hold
+   as many words at 10^5 s as at 10^4 s, where both runs are well past
+   the kept rows. *)
+let test_stats_flat () =
+  let words ~shards ~horizon =
+    let dc = stream_cfg.Sharded.s_detect in
+    let cfg =
+      { stream_cfg with
+        Sharded.s_detect = { dc with horizon = Sim_time.of_sec horizon } }
+    in
+    let exec =
+      Exec.sharded ~seed:42L ~shards ~lookahead:stream_lookahead ()
+    in
+    ignore (Sharded.stream ~cfg exec);
+    if Exec.windows exec <= 1024 then
+      Alcotest.failf "K = %d, %d s: only %d rounds" shards horizon
+        (Exec.windows exec);
+    Obj.reachable_words (Obj.repr (Exec.stats exec))
+  in
+  List.iter
+    (fun shards ->
+      Alcotest.(check int)
+        (Printf.sprintf "K = %d: stats words at 10^5 s = at 10^4 s" shards)
+        (words ~shards ~horizon:10_000)
+        (words ~shards ~horizon:100_000))
+    [ 2; 4 ]
+
 (* The ground-truth log packs each update into two ints; [updates] must
    give back exactly what was emitted, at sense times up to 2^59 ns and
    with values at both ends of the int range. *)
@@ -1285,6 +1315,8 @@ let () =
             test_psn_domains_env;
           Alcotest.test_case "windows run on the caller's domain" `Quick
             test_windows_run_inline;
+          Alcotest.test_case "stats flat in run length" `Quick
+            test_stats_flat;
         ] );
       ( "metrics",
         [ Alcotest.test_case "merge_snapshots" `Quick test_merge_snapshots ] );

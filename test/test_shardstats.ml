@@ -1,7 +1,8 @@
 (* Shard-aware observability: conservation invariants of the
    [Shard_stats] arena against real sharded runs, byte-goldens of the
    analyzer renderings on a hand-built deterministic stats object, the
-   chunked row store across chunk boundaries, the JSON round trip
+   kept rows and running totals past the kept chunk (against the
+   all-rows fold as oracle), the JSON round trip
    behind [psn-sim shardstats FILE], the merged-chrome
    tid mapping, the report's shard breakdown, and the engine's profile
    phases.
@@ -54,10 +55,11 @@ let run_hall ~seed ~shards =
 
 (* {2 Conservation} *)
 
-(* Sum of the per-window per-shard event deltas must be exactly the
-   engine total; every cross-shard message posted must have been
-   drained (into a window row or the epilogue); the traffic matrix
-   must agree with the row's message count. *)
+(* The per-shard event totals must sum to exactly the engine total;
+   every cross-shard message posted must have been drained (into a
+   committed round or the epilogue); each round's traffic matrix must
+   agree with its message count.  The runs stay under 1024 rounds, so
+   every row is kept and the rows must sum to the running totals. *)
 let test_conservation =
   qtest ~count:8 "per-window counters conserve engine totals"
     QCheck.(pair (int_range 0 10_000) (int_range 1 4))
@@ -70,7 +72,8 @@ let test_conservation =
       in
       let w = Shard_stats.windows st in
       let sum_events = ref 0 and sum_msgs = ref 0 and sum_traffic = ref 0 in
-      for i = 0 to w - 1 do
+      let tot_traffic = ref 0 in
+      for i = 0 to Shard_stats.kept_rows st - 1 do
         sum_msgs := !sum_msgs + Shard_stats.mail_msgs st i;
         for s = 0 to shards - 1 do
           sum_events := !sum_events + Shard_stats.events st i ~shard:s;
@@ -79,17 +82,24 @@ let test_conservation =
           done
         done
       done;
+      for s = 0 to shards - 1 do
+        for d = 0 to shards - 1 do
+          tot_traffic := !tot_traffic + Shard_stats.sum_traffic st ~src:s ~dst:d
+        done
+      done;
       let check name got want =
         if got <> want then
           QCheck.Test.fail_reportf "%s: %d <> %d (seed=%d K=%d)" name got want
             seed shards
       in
       check "windows" w (Exec.windows exec);
-      check "events" !sum_events (Exec.events_processed exec);
-      check "events total" (Shard_stats.total_events st) !sum_events;
+      check "every row kept" (Shard_stats.kept_rows st) w;
+      check "events" (Shard_stats.total_events st) (Exec.events_processed exec);
+      check "row events" !sum_events (Shard_stats.total_events st);
+      check "row traffic" !sum_traffic !tot_traffic;
       check "traffic vs msgs" !sum_traffic !sum_msgs;
       check "drained"
-        (!sum_msgs + Shard_stats.epilogue_mail_msgs st)
+        (!tot_traffic + Shard_stats.epilogue_mail_msgs st)
         (Shard_stats.drained_total st);
       check "pending" (Shard_stats.pending st) 0;
       check "posted" (Shard_stats.posted_total st)
@@ -173,7 +183,7 @@ Amdahl projection: x1.00 @1 x1.13 @2 x1.13 @4 x1.13 @8 x1.13 @16 x1.13 @32 | lim
 |golden}
 
 let json_golden =
-  {golden|{"schema":"psn-shardstats/1","shards":2,"lookahead_ns":1000000,"totals":{"windows":3,"events":19,"posted":3,"drained":3,"pending":0,"peak_mailbox_ints":18,"run_wall_ns":25000,"epilogue_drain_ns":200,"epilogue_fold_ns":100,"epilogue_mail_msgs":1},"windows":[{"start_ns":0,"end_ns":1000000,"limit":"lookahead","drain_ns":1000,"fold_ns":500,"par_ns":5000,"mail_msgs":0,"mail_ints":0,"events":[5,3],"busy_ns":[4000,2000]},{"start_ns":1500000,"end_ns":2500000,"limit":"queue","drain_ns":800,"fold_ns":400,"par_ns":3200,"mail_msgs":2,"mail_ints":18,"events":[4,0],"busy_ns":[3000,100],"traffic":[0,2,0,0]},{"start_ns":5000000,"end_ns":5200000,"limit":"horizon","drain_ns":300,"fold_ns":150,"par_ns":2600,"mail_msgs":0,"mail_ints":0,"events":[3,4],"busy_ns":[1000,2500]}],"analysis":{"wall_ns":25000,"attribution":{"parallel_ns":10800,"drain_ns":2300,"fold_ns":1150,"other_ns":10750,"busy_ns":12600,"critical_ns":9500,"dispatch_ns":100,"parallel_frac":0.432,"serial_frac":0.56799999999999995},"limits":{"lookahead":1,"queue":1,"horizon":1},"imbalance":{"events":1.368421052631579,"busy":1.5079365079365079},"per_shard":[{"shard":0,"events":12,"busy_ns":8000,"wait_ns":2800,"sent":2,"recv":0},{"shard":1,"events":7,"busy_ns":4600,"wait_ns":6200,"sent":0,"recv":2}],"amdahl":{"cores":[1,2,4,8,16,32],"speedup":[1.0,1.1302521008403361,1.1302521008403361,1.1302521008403361,1.1302521008403361,1.1302521008403361],"limit":1.1302521008403361}}}|golden}
+  {golden|{"schema":"psn-shardstats/2","shards":2,"lookahead_ns":1000000,"totals":{"windows":3,"events":19,"posted":3,"drained":3,"pending":0,"peak_mailbox_ints":18,"run_wall_ns":25000,"epilogue_drain_ns":200,"epilogue_fold_ns":100,"epilogue_mail_msgs":1,"lookahead_limited":1,"queue_limited":1,"horizon_limited":1,"drain_ns":2100,"fold_ns":1050,"par_ns":10800,"shard_events":[12,7],"shard_busy_ns":[8000,4600],"shard_wait_ns":[2800,6200],"traffic":[0,2,0,0],"sum_max_busy_ns":9500,"sum_max_events":13,"dispatch_ns":100,"amdahl_turns_ns":[12600,9500,9500,9500,9500,9500]},"windows":[{"start_ns":0,"end_ns":1000000,"limit":"lookahead","drain_ns":1000,"fold_ns":500,"par_ns":5000,"mail_msgs":0,"mail_ints":0,"events":[5,3],"busy_ns":[4000,2000]},{"start_ns":1500000,"end_ns":2500000,"limit":"queue","drain_ns":800,"fold_ns":400,"par_ns":3200,"mail_msgs":2,"mail_ints":18,"events":[4,0],"busy_ns":[3000,100],"traffic":[0,2,0,0]},{"start_ns":5000000,"end_ns":5200000,"limit":"horizon","drain_ns":300,"fold_ns":150,"par_ns":2600,"mail_msgs":0,"mail_ints":0,"events":[3,4],"busy_ns":[1000,2500]}],"analysis":{"wall_ns":25000,"attribution":{"parallel_ns":10800,"drain_ns":2300,"fold_ns":1150,"other_ns":10750,"busy_ns":12600,"critical_ns":9500,"dispatch_ns":100,"parallel_frac":0.432,"serial_frac":0.56799999999999995},"limits":{"lookahead":1,"queue":1,"horizon":1},"imbalance":{"events":1.368421052631579,"busy":1.5079365079365079},"per_shard":[{"shard":0,"events":12,"busy_ns":8000,"wait_ns":2800,"sent":2,"recv":0},{"shard":1,"events":7,"busy_ns":4600,"wait_ns":6200,"sent":0,"recv":2}],"amdahl":{"cores":[1,2,4,8,16,32],"speedup":[1.0,1.1302521008403361,1.1302521008403361,1.1302521008403361,1.1302521008403361,1.1302521008403361],"limit":1.1302521008403361}}}|golden}
 
 let chrome_golden =
   {golden|{"traceEvents":[
@@ -254,27 +264,74 @@ let test_json_round_trip_real_run () =
           Alcotest.(check string) "re-dump is byte-identical" json1
             (Analyze.sharded_to_json st2))
 
+(* [doc] with the member at [path] (object keys, outermost first)
+   passed through [f]. *)
+let rec edit path f doc =
+  match (path, doc) with
+  | [], _ -> f doc
+  | key :: rest, Json.Obj members ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> if k = key then (k, edit rest f v) else (k, v))
+           members)
+  | _ -> doc
+
 let test_of_json_rejects_garbage () =
-  (match Shard_stats.of_json (Json.Str "nope") with
-  | Ok _ -> Alcotest.fail "accepted a string"
-  | Error _ -> ());
-  match Json.of_string "{\"schema\":\"psn-shardstats/1\"}" with
+  let rejects what doc =
+    match Shard_stats.of_json doc with
+    | Ok _ -> Alcotest.failf "accepted %s" what
+    | Error e -> e
+  in
+  ignore (rejects "a string" (Json.Str "nope"));
+  (match Json.of_string "{\"schema\":\"psn-shardstats/2\"}" with
   | Error e -> Alcotest.fail e
-  | Ok doc -> (
-      match Shard_stats.of_json doc with
-      | Ok _ -> Alcotest.fail "accepted a document with no counters"
-      | Error _ -> ())
+  | Ok doc -> ignore (rejects "a document with no counters" doc));
+  let doc = Json.Obj (Shard_stats.raw_members (hand_stats ())) in
+  let e =
+    rejects "schema /1"
+      (edit [ "schema" ] (fun _ -> Json.Str "psn-shardstats/1") doc)
+  in
+  Alcotest.(check bool) "the error names the schema" true
+    (let needle = "psn-shardstats/1" in
+     let nl = String.length needle in
+     let rec go i =
+       i + nl <= String.length e && (String.sub e i nl = needle || go (i + 1))
+     in
+     go 0);
+  let drop_last = function
+    | Json.List l -> Json.List (List.filteri (fun i _ -> i > 0) l)
+    | j -> j
+  in
+  let grow = function Json.List (x :: l) -> Json.List (x :: x :: l) | j -> j in
+  ignore (rejects "more rows than windows" (edit [ "windows" ] grow doc));
+  ignore (rejects "fewer rows than windows" (edit [ "windows" ] drop_last doc));
+  List.iter
+    (fun key ->
+      ignore
+        (rejects ("a short totals." ^ key)
+           (edit [ "totals"; key ] drop_last doc)))
+    [ "shard_events"; "shard_busy_ns"; "shard_wait_ns"; "traffic";
+      "amdahl_turns_ns" ];
+  ignore
+    (rejects "a short row events list"
+       (edit [ "windows" ]
+          (function
+            | Json.List (r :: rest) ->
+                Json.List (edit [ "events" ] drop_last r :: rest)
+            | j -> j)
+          doc))
 
-(* {2 Chunked rows}
+(* {2 Kept rows and running totals}
 
-   Rows live in fixed chunks of 1024 rows that are written in place and
-   never copied.  [many_windows n] hand-records [n] two-shard
-   windows with a distinct value in every field the API lets the caller
-   choose: row [w]'s slot [f] holds [cell w f].  The limit cycles
-   lookahead / queue / horizon, and [mail_msgs] is the sum of the
-   traffic cells.  A round that opens no window is aborted at rows 1024
-   and 2048, where the open row starts a new chunk; its [classify_prev]
-   settles the last row of the chunk before. *)
+   The first 1024 rounds' rows are kept; every round is folded into the
+   running totals [Analyze.sharded] reads.  [many_windows n]
+   hand-records [n] two-shard windows with a distinct value in every
+   field the API lets the caller choose: row [w]'s slot [f] holds
+   [cell w f].  The limit cycles lookahead / queue / horizon, and
+   [mail_msgs] is the sum of the traffic cells.  A round that opens no
+   window is aborted at rows 1024 and 2048; its [classify_prev] settles
+   the round before, the last kept one at 1024.  The oracle derives the
+   analysis by folding every round's row. *)
 
 let chunk_rows = 1024
 let cell w f = (w * 64) + f + 1
@@ -334,10 +391,144 @@ let many_windows n =
   Shard_stats.run_done st ~wall_ns:123_456;
   st
 
+(* Round [w] as [many_windows] recorded it. *)
+type model_row = {
+  m_limit : Shard_stats.limit;
+  m_drain : int;
+  m_fold : int;
+  m_par : int;
+  m_events : int array;
+  m_busy : int array;
+  m_traffic : int array; (* src * k + dst *)
+}
+
+let model_row w =
+  {
+    m_limit = limit_of w;
+    m_drain = cell w 3;
+    m_fold = cell w 4;
+    m_par = cell w 5;
+    m_events = Array.init 2 (fun s -> cell w (8 + s));
+    m_busy = Array.init 2 (fun s -> cell w (10 + s));
+    m_traffic = Array.init 4 (fun i -> cell w (12 + i));
+  }
+
+(* [Analyze.sharded] as a fold over every round's row; the all-run
+   counters (wall, epilogue, mail) come from [st]. *)
+let oracle_sharded st rows =
+  let k = Shard_stats.shards st in
+  let limits = [| 0; 0; 0 |] in
+  let drain = ref (Shard_stats.epilogue_drain_ns st) in
+  let fold = ref (Shard_stats.epilogue_fold_ns st) in
+  let par = ref 0 and busy_tot = ref 0 and crit = ref 0 in
+  let dispatch = ref 0 and sum_max_e = ref 0 and sum_e = ref 0 in
+  let events = Array.make k 0 and busy = Array.make k 0 in
+  let wait = Array.make k 0 in
+  let sent = Array.make k 0 and recv = Array.make k 0 in
+  Array.iter
+    (fun r ->
+      let li =
+        match r.m_limit with
+        | Shard_stats.Lookahead -> 0
+        | Shard_stats.Queue -> 1
+        | Shard_stats.Horizon -> 2
+      in
+      limits.(li) <- limits.(li) + 1;
+      drain := !drain + r.m_drain;
+      fold := !fold + r.m_fold;
+      let p = r.m_par in
+      par := !par + p;
+      let bw = ref 0 and max_b = ref 0 and max_e = ref 0 in
+      for s = 0 to k - 1 do
+        let e = r.m_events.(s) and b = r.m_busy.(s) in
+        events.(s) <- events.(s) + e;
+        busy.(s) <- busy.(s) + b;
+        wait.(s) <- wait.(s) + max 0 (p - b);
+        bw := !bw + b;
+        if b > !max_b then max_b := b;
+        if e > !max_e then max_e := e;
+        sum_e := !sum_e + e
+      done;
+      busy_tot := !busy_tot + !bw;
+      crit := !crit + !max_b;
+      dispatch := !dispatch + max 0 (p - !bw);
+      sum_max_e := !sum_max_e + !max_e;
+      for src = 0 to k - 1 do
+        for dst = 0 to k - 1 do
+          let m = r.m_traffic.((src * k) + dst) in
+          sent.(src) <- sent.(src) + m;
+          recv.(dst) <- recv.(dst) + m
+        done
+      done)
+    rows;
+  let serial = !drain + !fold in
+  let wall =
+    let m = Shard_stats.run_wall_ns st in
+    if m > 0 then m else serial + !dispatch + !busy_tot
+  in
+  let other = max 0 (wall - !par - serial) in
+  let t_of cores =
+    Array.fold_left
+      (fun acc r ->
+        let bw = Array.fold_left ( + ) 0 r.m_busy in
+        acc + max (Array.fold_left max 0 r.m_busy) ((bw + cores - 1) / cores))
+      (serial + other + !dispatch)
+      rows
+  in
+  let t1 = serial + other + !dispatch + !busy_tot in
+  let speedup tc = if tc <= 0 then 1.0 else float_of_int t1 /. float_of_int tc in
+  let cores =
+    let base = [ 1; 2; 4; 8; 16; 32 ] in
+    if List.mem k base then base else List.sort_uniq compare (k :: base)
+  in
+  let frac num =
+    if wall <= 0 then 0.0 else float_of_int num /. float_of_int wall
+  in
+  let imb sum_max sum =
+    if sum <= 0 then 1.0 else float_of_int (k * sum_max) /. float_of_int sum
+  in
+  {
+    Analyze.sr_shards = k;
+    sr_lookahead_ns = Shard_stats.lookahead_ns st;
+    sr_windows = Array.length rows;
+    sr_events = !sum_e;
+    sr_limit_lookahead = limits.(0);
+    sr_limit_queue = limits.(1);
+    sr_limit_horizon = limits.(2);
+    sr_wall_ns = wall;
+    sr_par_ns = !par;
+    sr_drain_ns = !drain;
+    sr_fold_ns = !fold;
+    sr_other_ns = other;
+    sr_busy_ns = !busy_tot;
+    sr_critical_ns = !crit;
+    sr_dispatch_ns = !dispatch;
+    sr_parallel_frac = frac !par;
+    sr_serial_frac = (if wall <= 0 then 0.0 else frac (max 0 (wall - !par)));
+    sr_imbalance_events = imb !sum_max_e !sum_e;
+    sr_imbalance_busy = imb !crit !busy_tot;
+    sr_cross_msgs = Shard_stats.drained_total st;
+    sr_pending = Shard_stats.pending st;
+    sr_peak_mail_ints = Shard_stats.peak_mail_ints st;
+    sr_per_shard =
+      Array.init k (fun s ->
+          {
+            Analyze.sh_events = events.(s);
+            sh_busy_ns = busy.(s);
+            sh_wait_ns = wait.(s);
+            sh_sent = sent.(s);
+            sh_recv = recv.(s);
+          });
+    sr_amdahl =
+      Array.of_list (List.map (fun c -> (c, speedup (t_of c))) cores);
+    sr_amdahl_limit = speedup (serial + other + !dispatch + !crit);
+  }
+
 let check_many_windows name st n =
   Alcotest.(check int) (name ^ ": windows") n (Shard_stats.windows st);
-  let events = ref 0 and msgs = ref 0 in
-  for w = 0 to n - 1 do
+  let kept = min n chunk_rows in
+  Alcotest.(check int) (name ^ ": kept rows") kept (Shard_stats.kept_rows st);
+  for w = 0 to kept - 1 do
     let field f got =
       if got <> cell w f then
         Alcotest.failf "%s: window %d slot %d reads %d, wrote %d" name w f got
@@ -351,15 +542,13 @@ let check_many_windows name st n =
     field 7 (Shard_stats.mail_ints st w);
     for s = 0 to 1 do
       field (8 + s) (Shard_stats.events st w ~shard:s);
-      field (10 + s) (Shard_stats.busy_ns st w ~shard:s);
-      events := !events + cell w (8 + s)
+      field (10 + s) (Shard_stats.busy_ns st w ~shard:s)
     done;
     let row_msgs = ref 0 in
     for i = 0 to 3 do
       field (12 + i) (Shard_stats.traffic st w ~src:(i / 2) ~dst:(i mod 2));
       row_msgs := !row_msgs + cell w (12 + i)
     done;
-    msgs := !msgs + !row_msgs;
     if Shard_stats.mail_msgs st w <> !row_msgs then
       Alcotest.failf "%s: window %d mail_msgs %d <> %d" name w
         (Shard_stats.mail_msgs st w) !row_msgs;
@@ -368,6 +557,38 @@ let check_many_windows name st n =
         (Shard_stats.limit_to_string (Shard_stats.limit st w))
         (Shard_stats.limit_to_string (limit_of w))
   done;
+  (* Every per-row reader refuses a round that is not kept. *)
+  let readers =
+    [
+      ("start_ns", Shard_stats.start_ns st);
+      ("end_ns", Shard_stats.end_ns st);
+      ("limit", fun w -> ignore (Shard_stats.limit st w); 0);
+      ("drain_ns", Shard_stats.drain_ns st);
+      ("fold_ns", Shard_stats.fold_ns st);
+      ("par_ns", Shard_stats.par_ns st);
+      ("mail_msgs", Shard_stats.mail_msgs st);
+      ("mail_ints", Shard_stats.mail_ints st);
+      ("events", Shard_stats.events st ~shard:1);
+      ("busy_ns", Shard_stats.busy_ns st ~shard:1);
+      ("traffic", Shard_stats.traffic st ~src:1 ~dst:0);
+    ]
+  in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun (what, read) ->
+          match read w with
+          | _ -> Alcotest.failf "%s: %s of round %d did not raise" name what w
+          | exception Invalid_argument _ -> ())
+        readers)
+    [ -1; chunk_rows; n - 1 ];
+  let rows = Array.init n model_row in
+  let events = ref 0 and msgs = ref 0 in
+  Array.iter
+    (fun r ->
+      events := !events + Array.fold_left ( + ) 0 r.m_events;
+      msgs := !msgs + Array.fold_left ( + ) 0 r.m_traffic)
+    rows;
   let aborts = (n - 1) / chunk_rows in
   let check what want got = Alcotest.(check int) (name ^ ": " ^ what) want got in
   check "events" !events (Shard_stats.total_events st);
@@ -377,22 +598,26 @@ let check_many_windows name st n =
   check "run wall" 123_456 (Shard_stats.run_wall_ns st);
   check "epilogue drain" (7 * aborts) (Shard_stats.epilogue_drain_ns st);
   check "epilogue fold" (11 * aborts) (Shard_stats.epilogue_fold_ns st);
-  check "epilogue msgs" (5 * aborts) (Shard_stats.epilogue_mail_msgs st)
+  check "epilogue msgs" (5 * aborts) (Shard_stats.epilogue_mail_msgs st);
+  let got = Analyze.sharded st and want = oracle_sharded st rows in
+  Alcotest.(check (array (pair int (float 0.0))))
+    (name ^ ": Amdahl curve") want.Analyze.sr_amdahl got.Analyze.sr_amdahl;
+  Alcotest.(check bool)
+    (name ^ ": every Analyze.sharded field equals the row fold")
+    true (got = want)
 
 let test_many_windows () =
   let n = (2 * chunk_rows) + 452 in
   let st = many_windows n in
   check_many_windows "recorded" st n;
-  let doc =
-    Json.Obj
-      (("schema", Json.Str "psn-shardstats/1") :: Shard_stats.raw_members st)
-  in
-  match Shard_stats.of_json doc with
+  match Shard_stats.of_json (Json.Obj (Shard_stats.raw_members st)) with
   | Error e -> Alcotest.fail ("of_json rejected raw_members: " ^ e)
   | Ok st2 -> check_many_windows "reloaded" st2 n
 
-(* A real K = 2 stream whose rounds span several chunks: 10 000 s
-   give about 5 800 rounds, a bit under six per 10 s of stream. *)
+(* A real K = 2 stream far past the kept rows: 10 000 s give about
+   5 800 rounds, a bit under six per 10 s of stream.  Its dump holds
+   the totals and the first 1024 rows, and re-analyzes to the same
+   bytes. *)
 let test_json_round_trip_many_chunks () =
   let cfg =
     let d = Sharded.stream_default.Sharded.s_detect in
@@ -408,6 +633,7 @@ let test_json_round_trip_many_chunks () =
   let st = Option.get (Exec.stats exec) in
   Alcotest.(check bool) "windows span more than three chunks" true
     (Shard_stats.windows st > 3 * chunk_rows);
+  Alcotest.(check int) "rows kept" chunk_rows (Shard_stats.kept_rows st);
   let json1 = Analyze.sharded_to_json st in
   match Json.of_string json1 with
   | Error e -> Alcotest.fail ("shardstats json unparsable: " ^ e)
